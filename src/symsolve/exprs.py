@@ -22,7 +22,8 @@ from typing import Mapping, Tuple, Union
 from .fieldext import NumberField, squarefree_core
 from .poly import P, Poly
 
-__all__ = ["ExprError", "eval_poly", "eval_value", "eval_fraction"]
+__all__ = ["ExprError", "eval_poly", "eval_value", "eval_fraction",
+           "template_names"]
 
 
 class ExprError(ValueError):
@@ -126,6 +127,8 @@ class _Parser:
             if self.next()[0] != ")":
                 raise ExprError("unbalanced parentheses")
             return inner
+        if kind == "end":
+            raise ExprError("unexpected end of input")
         raise ExprError(f"unexpected token {val!r}")
 
 
@@ -135,6 +138,26 @@ def _parse(text: str):
     if p.peek() != "end":
         raise ExprError(f"trailing input in {text!r}")
     return node
+
+
+def template_names(text: str) -> set:
+    """Symbols text refers to, with 'sqrt' when it takes a root; raises
+    ExprError when text does not parse."""
+    names = set()
+    todo = [_parse(text)]
+    while todo:
+        node = todo.pop()
+        kind = node[0]
+        if kind == "var":
+            names.add(node[1])
+        elif kind == "sqrt":
+            names.add("sqrt")
+            todo.append(node[1])
+        elif kind in ("neg", "pow"):
+            todo.append(node[1])
+        elif kind != "num":
+            todo.extend(node[1:])
+    return names
 
 
 # -- polynomial context -------------------------------------------------------

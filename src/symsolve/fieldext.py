@@ -27,15 +27,14 @@ __all__ = [
 class NumberField:
     """Q[y]/(m(y)) for monic irreducible m over Q."""
 
-    __slots__ = ("modulus", "name", "embedding", "_red", "zero", "one", "gen")
+    __slots__ = ("modulus", "name", "_red", "zero", "one", "gen")
 
-    def __init__(self, modulus: Poly, name: str = "s", embedding=None):
+    def __init__(self, modulus: Poly, name: str = "s"):
         if not modulus or modulus.degree < 1:
             raise ValueError("modulus must be nonconstant")
         modulus = modulus.monic()
         self.modulus = modulus
         self.name = name
-        self.embedding = embedding
         d = modulus.degree
         # y^k mod m for k = d .. 2d-2, as coefficient tuples
         red = []
@@ -64,8 +63,7 @@ class NumberField:
             raise ValueError("core must define a proper extension")
         if name is None:
             name = f"sqrt{core}" if core > 0 else f"sqrt_m{-core}"
-        emb = complex(0.0, (-core) ** 0.5) if core < 0 else core**0.5
-        return cls(P(-core, 0, 1), name=name, embedding=emb)
+        return cls(P(-core, 0, 1), name=name)
 
     @property
     def degree(self) -> int:
@@ -214,15 +212,6 @@ class NFElem:
         if self.field.degree != 2:
             raise ValueError("norm implemented for quadratic fields only")
         return (self * self.conjugate()).as_rational()
-
-    def numeric(self):
-        emb = self.field.embedding
-        if emb is None:
-            raise ValueError("field has no chosen embedding")
-        acc = 0.0
-        for c in reversed(self.coords):
-            acc = acc * emb + c
-        return acc
 
     def __eq__(self, other):
         o = self._same(other)

@@ -727,7 +727,7 @@ class LocalData:
         return {
             "valg": [
                 {
-                    "class": [_frac_str(c) for c in e.cls.representative.coeffs],
+                    "class": [str(Fraction(c)) for c in e.cls.representative.coeffs],
                     "gap": e.gap,
                 }
                 for e in sorted(
@@ -744,25 +744,20 @@ class LocalData:
         }
 
 
-def _frac_str(q) -> str:
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 def _value_json(v):
     v = _demote(v)
     if isinstance(v, Fraction):
-        return _frac_str(v)
+        return str(v)
     return {
-        "minpoly": [_frac_str(c) for c in v.field.modulus.coeffs],
-        "coords": [_frac_str(c) for c in v.coords],
+        "minpoly": [str(Fraction(c)) for c in v.field.modulus.coeffs],
+        "coords": [str(Fraction(c)) for c in v.coords],
     }
 
 
 def _rep_json(g: GenExpRep) -> dict:
     return {
         "r": g.r,
-        "v": _frac_str(g.v),
+        "v": str(Fraction(g.v)),
         "c": _value_json(g.c),
         "tail": [_value_json(a) for a in g.tail],
         "multiplicity": g.multiplicity,

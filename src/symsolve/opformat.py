@@ -235,7 +235,7 @@ def _mono_str(p: Poly) -> str:
     xs = "" if k == 0 else ("x" if k == 1 else f"x^{k}")
     if c == 1 and xs:
         return xs
-    cs = str(c.numerator) if Fraction(c).denominator == 1 else f"{c.numerator}/{c.denominator}"
+    cs = str(Fraction(c))
     return f"{cs}*{xs}" if xs else cs
 
 

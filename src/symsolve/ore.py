@@ -44,10 +44,6 @@ class Operator:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def from_polys(cls, polys: Sequence[Poly]) -> "Operator":
-        return cls(polys)
-
-    @classmethod
     def identity(cls) -> "Operator":
         return cls((RatFunc(Poly.const(Fraction(1)), reduce=False),))
 

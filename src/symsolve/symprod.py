@@ -46,25 +46,30 @@ def symprod_first_order(L: Operator, r: RatFunc) -> Operator:
     return Operator(out).canonical()
 
 
-def symsquare_order2(K: Operator) -> Operator:
-    """Symmetric square of an order-2 operator by the explicit formulas.
+def symsquare_order2(K: Operator, D: Fraction = Fraction(1)) -> Operator:
+    """Symmetric square of a2·S^2 + p·sqrt(D)·S + a0, given K = a2·S^2 + p·S + a0.
 
-    Order 3 when a_1 != 0 (solutions u^2, uv, v^2), order 2 when the
+    Order 3 when p·sqrt(D) != 0 (solutions u^2, uv, v^2), order 2 when the
     middle coefficient vanishes (every pairwise product satisfies the
     same two-term recurrence).
+
+    The middle coefficient may carry sqrt(D) (half-argument Gauss family,
+    D = 1-z).  Each formula is odd in it, so one common sqrt(D) divides
+    out, only D enters and the result stays rational.  D = 1 is the
+    square of K itself.
     """
     if K.order != 2:
         raise ValueError("order-2 operator required")
     if not K.is_normal():
         raise ValueError("normal operator required (a_0 != 0)")
-    a0, a1, a2 = K.coeff(0), K.coeff(1), K.coeff(2)
-    if not a1:
+    a0, p, a2 = K.coeff(0), K.coeff(1), K.coeff(2)
+    if not p or not D:
         return Operator((-(a0 * a0), RatFunc(Poly(), reduce=False), a2 * a2)).canonical()
-    a0s, a1s, a2s = a0.shift(1), a1.shift(1), a2.shift(1)
-    b3 = a1 * a2s * a2s * a2
-    b2 = a1s * a2 * (a0s * a2 - a1s * a1)
-    b1 = a0s * a1 * (a1s * a1 - a0s * a2)
-    b0 = -(a1s * a0s * a0 * a0)
+    a0s, ps, a2s = a0.shift(1), p.shift(1), a2.shift(1)
+    b3 = p * a2s * a2s * a2
+    b2 = ps * a2 * (a0s * a2 - D * ps * p)
+    b1 = a0s * p * (D * ps * p - a0s * a2)
+    b0 = -(ps * a0s * a0 * a0)
     return Operator((b0, b1, b2, b3)).canonical()
 
 

@@ -5,10 +5,6 @@ square is the entry's order-3 base operator, the solution family, and
 parameterized local-data templates (Gquo / ValG) used for matching.  The
 shipped table lives in data/base_table.json; SYMSOLVE_TABLE or an explicit
 path overrides it.
-
-The root middle coefficient may carry sqrt(D) (half-argument Gauss family,
-D = 1-z); the symmetric-square formulas are even in it, so the base
-operator is always rational.
 """
 
 import json
@@ -22,7 +18,7 @@ from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .evaluators import EVALUATORS, eval_special
-from .exprs import eval_fraction, eval_poly, eval_value
+from .exprs import ExprError, eval_fraction, eval_poly, eval_value, template_names
 from .fieldext import NumberField, field_sqrt, squarefree_core
 from .localdata import (GenExpRep, LocalData, SingularityClass, ValGEntry,
                         local_data, problem_points, r_equivalent)
@@ -59,15 +55,11 @@ class SolutionDescriptor:
     def display(self) -> str:
         out = self.expr
         for name, val in self.params:
-            out = _subst_word(out, name, _frac_str(val))
+            out = _subst_word(out, name, str(val))
         return out
 
     def eval(self, x: int, exact: bool = False):
         return eval_special(self.evaluator, x, self.param_map(), exact=exact)
-
-
-def _frac_str(v: Fraction) -> str:
-    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
 def _subst_word(text: str, name: str, repl: str) -> str:
@@ -94,8 +86,8 @@ def _canonical_class_rep(point: Fraction) -> Poly:
     return P(-r, 1)
 
 
-_REQUIRED_FIELDS = ("name", "params", "operator", "root", "solution",
-                    "gquo", "valg", "matcher")
+_REQUIRED_FIELDS = ("name", "params", "root", "solution", "gquo", "valg",
+                    "matcher")
 _MATCHER_KINDS = ("gauss_locus", "legendre_sq", "hermite_sq", "besseli_sq")
 
 
@@ -103,7 +95,6 @@ _MATCHER_KINDS = ("gauss_locus", "legendre_sq", "hermite_sq", "besseli_sq")
 class TableEntry:
     name: str
     params: Tuple[Tuple[str, str], ...]          # (name, domain text)
-    operator_templates: Tuple[str, str, str, str]
     root: Dict[str, str]
     solution_expr: str
     evaluator: str
@@ -139,21 +130,10 @@ class TableEntry:
             raise TableError(
                 f"entry {self.name!r}: middle root coefficient vanishes, "
                 "not a full operator")
-        sh = lambda q: q.shift(1)
-        c3 = p * sh(a2) * sh(a2) * a2
-        c2 = sh(p) * a2 * (sh(a0) * a2 - Poly.const(D) * sh(p) * p)
-        c1 = sh(a0) * p * (Poly.const(D) * sh(p) * p - sh(a0) * a2)
-        c0 = -(sh(p) * sh(a0) * a0 * a0)
-        M = Operator([c0, c1, c2, c3]).canonical()
+        M = symsquare_order2(Operator([a0, p, a2]), D)
         if M.order != 3 or not M.is_normal():
             raise TableError(
                 f"entry {self.name!r}: instantiation degenerates (a_d or a_0 = 0)")
-        tmpl = Operator([eval_poly(s, assignment)
-                         for s in self.operator_templates]).canonical()
-        if tmpl != M:
-            raise TableError(
-                f"entry {self.name!r}: field 'operator' disagrees with the "
-                "root symmetric square")
         desc = SolutionDescriptor(
             self.solution_expr, self.evaluator,
             tuple(sorted((k, Fraction(v)) for k, v in assignment.items()
@@ -334,6 +314,27 @@ def _require(cond: bool, entry: str, fieldname: str, msg: str) -> None:
         raise TableError(f"entry {entry!r}: field {fieldname!r} {msg}")
 
 
+def _parsed(conv, v):
+    """conv(v), or None when v does not convert."""
+    try:
+        return conv(v)
+    except (TypeError, ValueError, ZeroDivisionError):
+        return None
+
+
+def _check_template(entry: str, fieldname: str, text, allowed: set) -> None:
+    """text parses and uses no symbol outside allowed ('sqrt' included)."""
+    _require(isinstance(text, str), entry, fieldname,
+             f"template {text!r} must be a string")
+    try:
+        unknown = template_names(text) - allowed
+    except ExprError as e:
+        raise TableError(f"entry {entry!r}: field {fieldname!r} has malformed "
+                         f"template {text!r} ({e})") from None
+    _require(not unknown, entry, fieldname,
+             f"template {text!r} uses unknown symbols {sorted(unknown)}")
+
+
 def load_table(path: Optional[str] = None, validate: bool = False,
                seed: int = 0) -> BaseTable:
     fname = resolve_table_path(path)
@@ -343,46 +344,57 @@ def load_table(path: Optional[str] = None, validate: bool = False,
         raise TableError(f"table file not found: {fname}") from None
     except json.JSONDecodeError as e:
         raise TableError(f"table file {fname}: invalid JSON ({e})") from None
-    if not isinstance(raw, dict) or "entries" not in raw:
-        raise TableError(f"table file {fname}: missing top-level 'entries'")
+    if not isinstance(raw, dict) or not isinstance(raw.get("entries"), list):
+        raise TableError(f"table file {fname}: missing top-level 'entries' list")
     entries = []
     seen = set()
-    for item in raw["entries"]:
+    for i, item in enumerate(raw["entries"]):
+        if not isinstance(item, dict):
+            raise TableError(f"table entry #{i} is not an object")
         name = item.get("name")
         if not isinstance(name, str) or not name:
-            raise TableError("table entry without a 'name'")
+            raise TableError(f"table entry #{i} without a 'name'")
         if name in seen:
             raise TableError(f"entry {name!r}: duplicate name")
         seen.add(name)
         for f in _REQUIRED_FIELDS:
             _require(f in item, name, f, "is missing")
-        _require(isinstance(item["operator"], list)
-                 and len(item["operator"]) == 4
-                 and all(isinstance(s, str) for s in item["operator"]),
-                 name, "operator", "must be a list of 4 coefficient strings")
-        _require(isinstance(item["root"], dict)
-                 and set(item["root"]) == {"a0", "a1", "sqrt", "a2"},
+        _require(isinstance(item["params"], list) and all(
+            isinstance(p, dict) and isinstance(p.get("name"), str)
+            and "domain" in p for p in item["params"]), name, "params",
+            "must be a list of {name, domain}")
+        names = {p["name"] for p in item["params"]}
+        root = item["root"]
+        _require(isinstance(root, dict)
+                 and set(root) == {"a0", "a1", "sqrt", "a2"},
                  name, "root", "must have a0/a1/sqrt/a2")
+        for key, text in root.items():
+            # the radicand is a constant; the coefficients are polynomials in x
+            _check_template(name, "root", text,
+                            names if key == "sqrt" else names | {"x"})
         sol = item["solution"]
-        _require(isinstance(sol, dict) and "expr" in sol and "evaluator" in sol,
+        _require(isinstance(sol, dict) and isinstance(sol.get("expr"), str)
+                 and isinstance(sol.get("evaluator"), str),
                  name, "solution", "must have expr and evaluator")
         _require(sol["evaluator"] in EVALUATORS, name, "solution",
                  f"names unknown evaluator {sol['evaluator']!r}")
-        _require(isinstance(item["params"], list) and all(
-            isinstance(p, dict) and "name" in p and "domain" in p
-            for p in item["params"]), name, "params",
-            "must be a list of {name, domain}")
+        _require(isinstance(item["gquo"], list), name, "gquo", "must be a list")
         for g in item["gquo"]:
             _require(isinstance(g, dict)
                      and set(g) >= {"r", "v", "c", "tail"}
                      and isinstance(g["tail"], list)
-                     and len(g["tail"]) == int(g["r"]),
+                     and len(g["tail"]) == _parsed(int, g["r"])
+                     and _parsed(Fraction, g["v"]) is not None,
                      name, "gquo",
                      "elements need r/v/c/tail with r tail slots")
+            for text in [g["c"]] + g["tail"]:
+                _check_template(name, "gquo", text, names | {"sqrt"})
+        _require(isinstance(item["valg"], list), name, "valg", "must be a list")
         for v in item["valg"]:
-            _require(isinstance(v, dict) and "point" in v and "gap" in v
-                     and int(v["gap"]) > 0,
+            _require(isinstance(v, dict) and "point" in v
+                     and (_parsed(int, v.get("gap")) or 0) > 0,
                      name, "valg", "elements need point and a positive gap")
+            _check_template(name, "valg", v["point"], names)
         _require(isinstance(item["matcher"], dict)
                  and item["matcher"].get("kind") in _MATCHER_KINDS,
                  name, "matcher",
@@ -390,7 +402,6 @@ def load_table(path: Optional[str] = None, validate: bool = False,
         entries.append(TableEntry(
             name=name,
             params=tuple((p["name"], p["domain"]) for p in item["params"]),
-            operator_templates=tuple(item["operator"]),
             root=dict(item["root"]),
             solution_expr=sol["expr"],
             evaluator=sol["evaluator"],

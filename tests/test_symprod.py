@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symsolve.fieldext import NFElem, NumberField
 from symsolve.opformat import parse_operator
 from symsolve.ore import Operator, solution_window
 from symsolve.poly import P, Poly
@@ -105,6 +106,41 @@ class TestSymsquareOrder2:
         v = solution_window(K, [Fraction(rng.randint(1, 9), 3), 2], 1, 15)
         for w in ([a * a for a in u], [a * b for a, b in zip(u, v)], [b * b for b in v]):
             assert all(r == 0 for r in S.apply_window(w, 1))
+
+
+def _demote(L: Operator) -> Operator:
+    """Rational-valued number-field coefficients as Fractions."""
+    return Operator([
+        Poly(tuple(c.as_rational() if isinstance(c, NFElem) else c
+                   for c in rf.as_poly().coeffs))
+        for rf in L.coeffs])
+
+
+class TestSqrtMiddle:
+    """symsquare_order2(K, D) squares a2·S^2 + p·sqrt(D)·S + a0."""
+
+    @pytest.mark.parametrize("core", [3, -1, 5])
+    @pytest.mark.parametrize("a0, p, a2", [
+        (P(Fraction(1, 2), 1), P(-2, Fraction(3, 4)), P(3, 1)),
+        (P(-3), P(1, 1, 1), P(Fraction(2, 5))),
+    ])
+    def test_agrees_with_general_product_over_quadratic_field(self, core, a0, p, a2):
+        s = NumberField.quadratic(core).gen
+        K_D = Operator([a0, p * s, a2])
+        ref = symprod_general(K_D, K_D).canonical()
+        got = symsquare_order2(Operator([a0, p, a2]), Fraction(core))
+        assert got.order == 3
+        assert got == _demote(ref).canonical()
+
+    def test_rational_root(self):
+        K = parse_operator("(x+1)S^2 - (2x+3)S + x")
+        K2 = parse_operator("(x+1)S^2 - (6x+9)S + x")
+        assert symsquare_order2(K, Fraction(9)) == symsquare_order2(K2)
+
+    def test_zero_radicand_drops_the_middle(self):
+        K = parse_operator("(x+1)S^2 - (2x+3)S + x")
+        K0 = parse_operator("(x+1)S^2 + x")
+        assert symsquare_order2(K, Fraction(0)) == symsquare_order2(K0)
 
 
 class TestGeneral:

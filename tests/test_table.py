@@ -97,16 +97,59 @@ def test_schema_error_names_entry_and_field(tmp_path):
     with pytest.raises(TableError, match="'hermite_sq'.*unknown evaluator"):
         load_table(str(f))
 
+    # malformed values are TableErrors too, not raw int()/iteration errors
+    for path, value, pattern in [
+        (("gquo", 0, "r"), "two", "'gquo'"),
+        (("valg", 0, "gap"), "x", "'valg'"),
+        (("gquo",), 3, "'gquo'"),
+        (("valg",), 5, "'valg'"),
+        (("root", "a0"), "2*x+", "'root'.*malformed"),
+        (("root", "a1"), "(x", "'root'.*malformed"),
+        (("root", "a2"), "x+y", r"'root'.*unknown symbols \['y'\]"),
+        (("root", "sqrt"), "1-x", r"'root'.*unknown symbols \['x'\]"),
+        (("root", "a0"), "sqrt(x)", r"'root'.*unknown symbols \['sqrt'\]"),
+        (("root", "a0"), 2, "'root'.*must be a string"),
+        (("valg", 0, "point"), "2*a+", "'valg'.*malformed"),
+        (("gquo", 0, "c"), "z+w", r"'gquo'.*unknown symbols \['w'\]"),
+    ]:
+        raw = json.loads(Path(default_table_path()).read_text())
+        target = raw["entries"][0]
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        f.write_text(json.dumps(raw))
+        with pytest.raises(TableError, match="'gauss2f1_sq'.*" + pattern):
+            load_table(str(f))
 
-def test_template_tampering_is_caught(tmp_path):
     raw = json.loads(Path(default_table_path()).read_text())
-    ops = raw["entries"][2]["operator"]
-    ops[0] = "(" + ops[0] + ") + 1"
+    raw["entries"][1] = ["legendre_sq"]
+    f.write_text(json.dumps(raw))
+    with pytest.raises(TableError, match="entry #1 is not an object"):
+        load_table(str(f))
+
+
+def test_unknown_keys_are_ignored(tmp_path, table):
+    raw = json.loads(Path(default_table_path()).read_text())
+    for e in raw["entries"]:
+        e["operator"] = ["1", "2", "3", "4"]
     f = tmp_path / "t.json"
     f.write_text(json.dumps(raw))
     t = load_table(str(f))
-    with pytest.raises(TableError, match="disagrees"):
-        t.entry("hermite_sq").instantiate({"z": F(1)})
+    assert (t.entry("hermite_sq").instantiate({"z": F(1)})
+            == table.entry("hermite_sq").instantiate({"z": F(1)}))
+
+
+def test_template_tampering_is_caught(tmp_path):
+    # a wrong root still loads and instantiates; self-validation rejects it
+    f = tmp_path / "t.json"
+    for key, text in [("a1", "-3*z"), ("a0", "2*x+3")]:
+        raw = json.loads(Path(default_table_path()).read_text())
+        raw["entries"][2]["root"][key] = text
+        f.write_text(json.dumps(raw))
+        entry = load_table(str(f)).entry("hermite_sq")
+        entry.instantiate({"z": F(1)})
+        with pytest.raises(TableValidationError):
+            entry.self_validate({"z": F(1)})
 
 
 # -- instantiation --------------------------------------------------------
