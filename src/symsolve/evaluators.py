@@ -43,13 +43,6 @@ def _legendre(x: int, z: Fraction) -> Fraction:
     return cur
 
 
-def _rising(v: Fraction, k: int) -> Fraction:
-    out = Fraction(1)
-    for j in range(k):
-        out *= v + j
-    return out
-
-
 def _terminating_pfq(uppers, lowers, z: Fraction, n: int) -> Fraction:
     """Sum_{k=0..n} prod (u)_k / prod (l)_k * z^k / k! exactly."""
     total = Fraction(0)

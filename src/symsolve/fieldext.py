@@ -17,6 +17,7 @@ from .poly import P, Poly, poly_xgcd
 __all__ = [
     "NumberField",
     "NFElem",
+    "demote",
     "squarefree_core",
     "rational_sqrt",
     "sqrt_as_field_element",
@@ -249,6 +250,13 @@ class NFElem:
         for t in parts[1:]:
             s += " - " + t[1:] if t.startswith("-") else " + " + t
         return s
+
+
+def demote(v):
+    """NFElem with rational value -> Fraction; everything else unchanged."""
+    if isinstance(v, NFElem) and v.is_rational():
+        return v.as_rational()
+    return Fraction(v) if isinstance(v, int) else v
 
 
 # -- square roots -------------------------------------------------------------

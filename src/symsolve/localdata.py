@@ -19,7 +19,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .factorization import factor_over_Q, roots_in_field
-from .fieldext import NFElem, NumberField, field_sqrt, sqrt_as_field_element
+from .fieldext import (NFElem, NumberField, demote, field_sqrt,
+                       sqrt_as_field_element)
 from .ore import Operator
 from .poly import Poly
 from .series import TSeries
@@ -270,13 +271,6 @@ def _is_rational_value(v) -> bool:
     return isinstance(v, NFElem) and v.is_rational()
 
 
-def _demote(v):
-    """NFElem with rational value -> Fraction; everything else unchanged."""
-    if isinstance(v, NFElem) and v.is_rational():
-        return v.as_rational()
-    return Fraction(v) if isinstance(v, int) else v
-
-
 def _value_field(v) -> Optional[NumberField]:
     if isinstance(v, NFElem) and not v.is_rational():
         return v.field
@@ -296,7 +290,7 @@ def _join_field(values) -> Optional[NumberField]:
 
 def _coerce_value(v, fld: Optional[NumberField]):
     if fld is None:
-        return _demote(v)
+        return demote(v)
     if isinstance(v, NFElem):
         if v.is_rational():
             return fld.from_rational(v.as_rational())
@@ -305,7 +299,7 @@ def _coerce_value(v, fld: Optional[NumberField]):
 
 
 def _value_key(v):
-    v = _demote(v)
+    v = demote(v)
     if isinstance(v, Fraction):
         return (0, (), (v,))
     return (1, tuple(Fraction(c) for c in v.field.modulus.coeffs), tuple(v.coords))
@@ -322,9 +316,9 @@ class GenExpRep:
     multiplicity: int = field(default=1, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "c", _demote(self.c))
+        object.__setattr__(self, "c", demote(self.c))
         object.__setattr__(self, "v", Fraction(self.v))
-        object.__setattr__(self, "tail", tuple(_demote(a) for a in self.tail))
+        object.__setattr__(self, "tail", tuple(demote(a) for a in self.tail))
         if (self.v * self.r).denominator != 1:
             raise ValueError("valuation not representable at this ramification")
         if len(self.tail) != self.r:
@@ -400,7 +394,7 @@ def trunc(s: TSeries, r: Optional[int] = None) -> GenExpRep:
 
 
 def _values_equal(a, b) -> bool:
-    return _demote(a) == _demote(b)
+    return demote(a) == demote(b)
 
 
 def r_equivalent(a: GenExpRep, b: GenExpRep) -> bool:
@@ -413,8 +407,8 @@ def r_equivalent(a: GenExpRep, b: GenExpRep) -> bool:
     for k in range(r - 1):
         if not _values_equal(a.tail[k], b.tail[k]):
             return False
-    diff = _demote(a.tail[r - 1]) - _demote(b.tail[r - 1])
-    diff = _demote(diff)
+    diff = demote(a.tail[r - 1]) - demote(b.tail[r - 1])
+    diff = demote(diff)
     if not isinstance(diff, Fraction):
         return False
     return (diff * r).denominator == 1
@@ -463,7 +457,7 @@ def _roots_any_field(p: Poly, base: Optional[NumberField]):
 def _sqrt_value(v, base: Optional[NumberField]):
     """Square root of v as (value, field-or-None); raises when it would
     leave quadratic reach."""
-    v = _demote(v)
+    v = demote(v)
     if isinstance(v, Fraction):
         fld, s = sqrt_as_field_element(v)
         return (s, fld)
@@ -473,8 +467,8 @@ def _sqrt_value(v, base: Optional[NumberField]):
     return (s, v.field)
 
 
-def _twisted_ind(polys: Sequence[Poly], g: TSeries, slots: int):
-    """Indicial data of L ⊛ (τ - 1/g) for exact windowed g."""
+def _twisted_series(polys: Sequence[Poly], g: TSeries, slots: int) -> List[TSeries]:
+    """Coefficient series b_i of L ⊛ (τ - 1/g) for exact windowed g."""
     ram = g.ram
     d = len(polys) - 1
     rho = g.inverse().retrunc(slots)
@@ -486,8 +480,12 @@ def _twisted_ind(polys: Sequence[Poly], g: TSeries, slots: int):
     suffix[d] = TSeries(ram, 0, (Fraction(1),) + (Fraction(0),) * (slots - 1))
     for i in range(d - 1, -1, -1):
         suffix[i] = taus[i] * suffix[i + 1]
-    bs = [windows[i] * suffix[i] for i in range(d + 1)]
-    return _indicial_of_series(bs)
+    return [windows[i] * suffix[i] for i in range(d + 1)]
+
+
+def _twisted_ind(polys: Sequence[Poly], g: TSeries, slots: int):
+    """Indicial data of L ⊛ (τ - 1/g) for exact windowed g."""
+    return _indicial_of_series(_twisted_series(polys, g, slots))
 
 
 def _mult_of_zero(P: Poly) -> int:
@@ -556,18 +554,7 @@ def _ramified_branch(polys, c, v: Fraction, fld, want_beta_zero: bool):
     entries: List[GenExpRep] = []
     incomplete = False
     for slots in (6, 12):
-        g0 = _monomial_series(c, v, 2, slots)
-        ram = 2
-        rho = g0.inverse().retrunc(slots)
-        windows = _coeff_windows(polys, ram, slots)
-        taus = [rho]
-        for _ in range(d - 1):
-            taus.append(taus[-1].tau())
-        suffix = [None] * (d + 1)
-        suffix[d] = TSeries(ram, 0, (Fraction(1),) + (Fraction(0),) * (slots - 1))
-        for i in range(d - 1, -1, -1):
-            suffix[i] = taus[i] * suffix[i + 1]
-        bs = [windows[i] * suffix[i] for i in range(d + 1)]
+        bs = _twisted_series(polys, _monomial_series(c, v, 2, slots), slots)
         # τ = 1 + Δ: m_α = Σ_{i≥α} C(i,α)·b_i
         mal = []
         for alpha in range(d + 1):
@@ -685,9 +672,12 @@ def _dedupe_entries(entries: List[GenExpRep]) -> List[GenExpRep]:
     return out
 
 
-def gquo(L: Operator, max_ram: int = 2) -> List[GenExpRep]:
-    """Truncated pairwise quotients of distinct generalized exponents."""
-    ges = generalized_exponents(L, max_ram)
+def gquo(L: Operator, max_ram: int = 2,
+         ges: Optional[GenExpSet] = None) -> List[GenExpRep]:
+    """Truncated pairwise quotients of distinct generalized exponents;
+    ges, when given, is generalized_exponents(L, max_ram) already computed."""
+    if ges is None:
+        ges = generalized_exponents(L, max_ram)
     out: List[GenExpRep] = []
     for gi in ges:
         for gj in ges:
@@ -745,7 +735,7 @@ class LocalData:
 
 
 def _value_json(v):
-    v = _demote(v)
+    v = demote(v)
     if isinstance(v, Fraction):
         return str(v)
     return {
@@ -777,6 +767,6 @@ def local_data(L: Operator, max_ram: int = 2) -> LocalData:
             )
         ),
         genexp=ges.entries,
-        gquo=tuple(gquo(L, max_ram)),
+        gquo=tuple(gquo(L, max_ram, ges)),
         genexp_complete=ges.complete,
     )

@@ -1,26 +1,44 @@
-"""Text format for difference operators.
+"""Text format for difference operators and base-table templates.
 
-Grammar: polynomial expressions in `x` and the shift symbol `S` over Q,
-with + - * / ^ (also **), parentheses, and implicit multiplication by
-adjacency ("2x", "4(x+2)", "(x+1)S").  Multiplication respects the
-commutation rule S*f(x) = f(x+1)*S; division is by order-0 scalars only
-and multiplies by the reciprocal on the left.  print_operator emits the
-canonical form, and parse(print(L)) == L.canonical() exactly.
+One grammar serves both: polynomial expressions in `x`, the shift symbol
+`S` and named parameters, over Q, with square roots of rationals.
+
+    expr     := term (('+'|'-') term)*
+    term     := factor (('*' | '/' | adjacency) factor)*
+    factor   := atom ['^' exponent]                      ('**' is '^')
+    exponent := ['+'|'-'] integer | '(' ['+'|'-'] integer ')'
+    atom     := integer | name | 'sqrt' '(' expr ')' | '(' expr ')'
+              | ('+'|'-') factor
+
+Adjacency multiplies ("2x", "4(x+2)", "(x+1)S"), and a word made only of
+the letters x and S reads letter by letter ("xS" is x*S).  Values are the
+package's algebra: Fraction for numbers and parameters, NFElem for the
+square root of a rational (one quadratic field per expression; a value
+that turns out rational is a Fraction again), and Operator for x and S,
+with S*f(x) = f(x+1)*S.  Square roots do not mix with x or S.  Division
+is by order-0 scalars only and multiplies by the reciprocal on the left.
+
+parse_operator reads an operator; eval_poly, eval_fraction and eval_value
+evaluate table templates under a parameter assignment.  print_operator
+emits the canonical form, and parse(print(L)) == L.canonical() exactly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Mapping, Union
 
+from .fieldext import NFElem, demote, sqrt_as_field_element
 from .ore import Operator
 from .poly import Poly
-from .ratfunc import RatFunc
 
-__all__ = ["parse_operator", "parse_ratfunc", "print_operator", "OperatorSyntaxError"]
+__all__ = ["ExprError", "parse_operator", "print_operator", "eval_poly",
+           "eval_fraction", "eval_value", "template_names"]
 
 
-class OperatorSyntaxError(ValueError):
+class ExprError(ValueError):
+    """Malformed or ill-typed expression; pos is the offending offset."""
+
     def __init__(self, msg: str, pos: int):
         super().__init__(f"{msg} (at position {pos})")
         self.pos = pos
@@ -28,59 +46,58 @@ class OperatorSyntaxError(ValueError):
 
 # -- tokenizer ------------------------------------------------------------
 
-_TOK_NUM = "num"
-_TOK_SYM = "sym"
-_TOK_OP = "op"
-_TOK_END = "end"
 
-
-def _tokenize(text: str) -> List[Tuple[str, object, int]]:
+def _tokenize(text: str):
+    """(kind, value, position) triples; kind is num, name, op or end."""
     toks = []
-    i = 0
-    n = len(text)
+    i, n = 0, len(text)
     while i < n:
         ch = text[i]
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             if j < n and text[j] == ".":
-                raise OperatorSyntaxError("decimal literals are not exact; use fractions", i)
-            toks.append((_TOK_NUM, int(text[i:j]), i))
+                raise ExprError("decimal literals are not exact; use fractions", i)
+            toks.append(("num", int(text[i:j]), i))
             i = j
             continue
-        if ch.isalpha():
+        if ch.isalpha() or ch == "_":
             j = i
-            while j < n and text[j].isalnum():
+            while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             word = text[i:j]
             if len(word) > 1 and all(c in "xS" for c in word):
-                # adjacency of single-letter symbols: xS means x*S
-                for k, c in enumerate(word):
-                    toks.append((_TOK_SYM, c, i + k))
+                toks.extend(("name", c, i + k) for k, c in enumerate(word))
             else:
-                toks.append((_TOK_SYM, word, i))
+                toks.append(("name", word, i))
             i = j
             continue
         if text.startswith("**", i):
-            toks.append((_TOK_OP, "^", i))
+            toks.append(("op", "^", i))
             i += 2
             continue
         if ch in "+-*/^()":
-            toks.append((_TOK_OP, ch, i))
+            toks.append(("op", ch, i))
             i += 1
             continue
-        raise OperatorSyntaxError(f"unexpected character {ch!r}", i)
-    toks.append((_TOK_END, None, n))
+        raise ExprError(f"unexpected character {ch!r}", i)
+    toks.append(("end", None, n))
     return toks
+
+
+# -- parser: text -> AST ----------------------------------------------------
+#
+# Nodes are tuples (kind, pos, ...): ("num", pos, int), ("name", pos, str),
+# ("sqrt", pos, arg), ("neg", pos, arg), ("pow", pos, base, int) and
+# (op, pos, lhs, rhs) for op in + - * /.
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.toks = _tokenize(text)
         self.k = 0
 
@@ -92,133 +109,221 @@ class _Parser:
         self.k += 1
         return t
 
-    def parse(self) -> Operator:
-        v = self.expr()
+    def at(self, ops: str) -> bool:
+        kind, val, _ = self.toks[self.k]
+        return kind == "op" and val in ops
+
+    def expect(self, op: str) -> None:
+        kind, val, pos = self.next()
+        if kind != "op" or val != op:
+            raise ExprError(f"expected {op!r}", pos)
+
+    def parse(self):
+        node = self.expr()
         kind, _, pos = self.peek()
-        if kind != _TOK_END:
-            raise OperatorSyntaxError("trailing input", pos)
-        return v
+        if kind != "end":
+            raise ExprError("trailing input", pos)
+        return node
 
-    # expr := ['+'|'-'] term (('+'|'-') term)*
-    def expr(self) -> Operator:
-        kind, val, _ = self.peek()
-        neg = False
-        if kind == _TOK_OP and val in "+-":
-            self.next()
-            neg = val == "-"
-        acc = self.term()
-        if neg:
-            acc = -acc
-        while True:
-            kind, val, _ = self.peek()
-            if kind == _TOK_OP and val in "+-":
-                self.next()
-                rhs = self.term()
-                acc = acc - rhs if val == "-" else acc + rhs
-            else:
-                return acc
+    def expr(self):
+        node = self.term()
+        while self.at("+-"):
+            _, op, pos = self.next()
+            node = (op, pos, node, self.term())
+        return node
 
-    # term := factor (('*'|'/'| adjacency) factor)*
-    def term(self) -> Operator:
-        acc = self.factor()
+    def term(self):
+        node = self.factor()
         while True:
             kind, val, pos = self.peek()
-            if kind == _TOK_OP and val in "*/":
+            if kind == "op" and val in "*/":
                 self.next()
-                rhs = self.factor()
-                if val == "*":
-                    acc = acc * rhs
-                else:
-                    acc = self._divide(acc, rhs, pos)
-            elif kind in (_TOK_NUM, _TOK_SYM) or (kind == _TOK_OP and val == "("):
-                # adjacency: 2x, 4(x+2), (x+1)S, xS
-                rhs = self.factor()
-                acc = acc * rhs
+                node = (val, pos, node, self.factor())
+            elif kind in ("num", "name") or (kind == "op" and val == "("):
+                node = ("*", pos, node, self.factor())
             else:
-                return acc
+                return node
 
-    @staticmethod
-    def _divide(acc: Operator, rhs: Operator, pos: int) -> Operator:
-        if not rhs:
-            raise OperatorSyntaxError("division by zero", pos)
-        if rhs.order != 0:
-            raise OperatorSyntaxError("division only by scalar (order-0) expressions", pos)
-        inv = 1 / rhs.coeff(0)
-        return acc.scalar_mul(inv)
+    def factor(self):
+        node = self.atom()
+        if self.at("^"):
+            _, _, pos = self.next()
+            node = ("pow", pos, node, self.exponent())
+        return node
 
-    # factor := atom ['^' exponent]
-    def factor(self) -> Operator:
-        base = self.atom()
-        kind, val, pos = self.peek()
-        if kind == _TOK_OP and val == "^":
+    def exponent(self) -> int:
+        paren = self.at("(")
+        if paren:
             self.next()
-            e = self._exponent()
-            if e < 0:
-                if base.order != 0 or not base:
-                    raise OperatorSyntaxError("negative power of a non-scalar", pos)
-                return Operator((base.coeff(0) ** e,))
-            return base**e
-        return base
-
-    def _exponent(self) -> int:
-        kind, val, pos = self.peek()
-        if kind == _TOK_NUM:
+        sign = -1 if self.at("-") else 1
+        if self.at("+-"):
             self.next()
-            return val
-        if kind == _TOK_OP and val == "(":
-            self.next()
-            sign = 1
-            kind, val, pos2 = self.peek()
-            if kind == _TOK_OP and val in "+-":
-                self.next()
-                sign = -1 if val == "-" else 1
-            kind, val, pos2 = self.peek()
-            if kind != _TOK_NUM:
-                raise OperatorSyntaxError("integer exponent expected", pos2)
-            self.next()
-            self._expect(")")
-            return sign * val
-        raise OperatorSyntaxError("integer exponent expected", pos)
-
-    def _expect(self, op: str):
-        kind, val, pos = self.peek()
-        if kind != _TOK_OP or val != op:
-            raise OperatorSyntaxError(f"expected {op!r}", pos)
-        self.next()
-
-    def atom(self) -> Operator:
         kind, val, pos = self.next()
-        if kind == _TOK_NUM:
-            return Operator((RatFunc(Poly.const(Fraction(val)), reduce=False),))
-        if kind == _TOK_SYM:
-            if val == "x":
-                return Operator((RatFunc(Poly((Fraction(0), Fraction(1))), reduce=False),))
-            if val == "S":
-                return Operator.tau()
-            raise OperatorSyntaxError(f"unknown symbol {val!r} (use x and S)", pos)
-        if kind == _TOK_OP and val == "(":
-            v = self.expr()
-            self._expect(")")
-            return v
-        if kind == _TOK_OP and val in "+-":
-            v = self.factor()
-            return -v if val == "-" else v
-        raise OperatorSyntaxError("expression expected", pos)
+        if kind != "num":
+            raise ExprError("integer exponent expected", pos)
+        if paren:
+            self.expect(")")
+        return sign * val
+
+    def atom(self):
+        kind, val, pos = self.next()
+        if kind == "num":
+            return ("num", pos, val)
+        if kind == "name":
+            if val != "sqrt":
+                return ("name", pos, val)
+            self.expect("(")
+            node = self.expr()
+            self.expect(")")
+            return ("sqrt", pos, node)
+        if kind == "op" and val == "(":
+            node = self.expr()
+            self.expect(")")
+            return node
+        if kind == "op" and val in "+-":
+            node = self.factor()
+            return ("neg", pos, node) if val == "-" else node
+        if kind == "end":
+            raise ExprError("unexpected end of input", pos)
+        raise ExprError("expression expected", pos)
+
+
+def template_names(text: str) -> set:
+    """Symbols text refers to, with 'sqrt' when it takes a root; raises
+    ExprError when text does not parse."""
+    names = set()
+    todo = [_Parser(text).parse()]
+    while todo:
+        node = todo.pop()
+        kind = node[0]
+        if kind == "name":
+            names.add(node[2])
+        elif kind != "num":
+            if kind == "sqrt":
+                names.add("sqrt")
+            todo.extend(c for c in node[2:] if isinstance(c, tuple))
+    return names
+
+
+# -- evaluator: AST -> Fraction | NFElem | Operator ------------------------------
+
+_X = Operator((Poly((Fraction(0), Fraction(1))),))
+_S = Operator.tau()
+
+Value = Union[Fraction, NFElem, Operator]
+
+
+def _eval(node, params: Mapping[str, Fraction]) -> Value:
+    kind, pos = node[0], node[1]
+    if kind == "num":
+        return Fraction(node[2])
+    if kind == "name":
+        name = node[2]
+        if name == "x":
+            return _X
+        if name == "S":
+            return _S
+        if name in params:
+            return Fraction(params[name])
+        raise ExprError(f"unknown symbol {name!r}", pos)
+    if kind == "neg":
+        return -_eval(node[2], params)
+    if kind == "pow":
+        return _power(_eval(node[2], params), node[3], pos)
+    if kind == "sqrt":
+        v = _eval(node[2], params)
+        if isinstance(v, NFElem):
+            raise ExprError("nested radicals are not supported", pos)
+        if isinstance(v, Operator):
+            raise ExprError("sqrt does not mix with x or S", pos)
+        return sqrt_as_field_element(v)[1]
+    return _arith(kind, _eval(node[2], params), _eval(node[3], params), pos)
+
+
+def _arith(op: str, a: Value, b: Value, pos: int) -> Value:
+    lifted = isinstance(a, Operator) or isinstance(b, Operator)
+    if lifted and (isinstance(a, NFElem) or isinstance(b, NFElem)):
+        raise ExprError("sqrt does not mix with x or S", pos)
+    if isinstance(a, NFElem) and isinstance(b, NFElem) and a.field != b.field:
+        raise ExprError("incompatible radicals in one expression", pos)
+    if op == "+":
+        return demote(a + b)
+    if op == "-":
+        return demote(a - b)
+    if op == "*":
+        return demote(a * b)
+    if not b:
+        raise ExprError("division by zero", pos)
+    if not lifted:
+        return demote(a / b)
+    if isinstance(b, Operator):
+        if b.order != 0:
+            raise ExprError("division only by scalar (order-0) expressions", pos)
+        b = b.coeff(0)
+    if not isinstance(a, Operator):
+        a = Operator((a,))
+    return a.scalar_mul(1 / b)
+
+
+def _power(base: Value, e: int, pos: int) -> Value:
+    if e >= 0:
+        return demote(base ** e)
+    if isinstance(base, Operator):
+        if base.order != 0:
+            raise ExprError("negative power of a non-scalar", pos)
+        return Operator((base.coeff(0) ** e,))
+    if not base:
+        raise ExprError("zero to a negative power", pos)
+    return demote(base ** e)
+
+
+def _evaluate(text: str, params: Mapping[str, Fraction]) -> Value:
+    return _eval(_Parser(text).parse(), params)
+
+
+def _constant(v: Value) -> Union[Fraction, NFElem]:
+    """v as a number; an Operator only when it is a rational constant."""
+    if not isinstance(v, Operator):
+        return v
+    if v.order > 0 or not v.coeff(0).is_constant():
+        raise ExprError("x and S are not allowed here", 0)
+    return Fraction(v.coeff(0).num[0])
 
 
 def parse_operator(text: str, require_normal: bool = True) -> Operator:
     """Parse an operator; with require_normal, reject a_0 = 0 or L = 0."""
-    L = _Parser(text).parse()
+    L = _evaluate(text, {})
+    if isinstance(L, NFElem):
+        raise ExprError("operator coefficients must be rational", 0)
+    if not isinstance(L, Operator):
+        L = Operator((L,))
     if require_normal and not L.is_normal():
         raise ValueError("not normal (a_0 = 0)")
     return L
 
 
-def parse_ratfunc(text: str) -> RatFunc:
-    L = _Parser(text).parse()
-    if L.order > 0:
-        raise ValueError("expected a scalar rational expression without S")
-    return L.coeff(0)
+def eval_poly(text: str, params: Mapping[str, Fraction]) -> Poly:
+    """A polynomial in x over Q."""
+    v = _evaluate(text, params)
+    if isinstance(v, NFElem):
+        raise ExprError("sqrt is not allowed in polynomial templates", 0)
+    if not isinstance(v, Operator):
+        return Poly.const(v)
+    if v.order > 0 or not v.coeff(0).is_polynomial():
+        raise ExprError("expected a polynomial in x", 0)
+    return v.coeff(0).num
+
+
+def eval_fraction(text: str, params: Mapping[str, Fraction]) -> Fraction:
+    v = _constant(_evaluate(text, params))
+    if isinstance(v, NFElem):
+        raise ExprError("expected a rational number", 0)
+    return v
+
+
+def eval_value(text: str, params: Mapping[str, Fraction]) -> Union[Fraction, NFElem]:
+    """A Fraction, or an NFElem in Q(sqrt(core)) when irrational."""
+    return _constant(_evaluate(text, params))
 
 
 # -- printing ------------------------------------------------------------------

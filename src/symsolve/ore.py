@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .fieldext import NFElem
+from .fieldext import demote
 from .poly import Poly, poly_gcd, poly_lcm
 from .ratfunc import RatFunc
 
@@ -117,13 +117,19 @@ class Operator:
             self._canon = self
             return self
         polys = self.poly_coeffs()
+        rational = all(p.is_rational() for p in polys)
+        if not rational:
+            # rational values over a number field normalize as rationals
+            demoted = [p.map_coeffs(demote) for p in polys]
+            rational = all(p.is_rational() for p in demoted)
+            if rational:
+                polys = demoted
         g = Poly()
         for p in polys:
             if p:
                 g = poly_gcd(g, p)
         if g.degree > 0:
             polys = [p.exact_div(g) if p else p for p in polys]
-        rational = all(p.is_rational() for p in polys)
         if rational:
             content = Fraction(0)
             from math import gcd as igcd

@@ -233,9 +233,6 @@ class Poly:
     def __call__(self, v):
         return self.eval(v)
 
-    def derivative(self) -> "Poly":
-        return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
-
     def map_coeffs(self, f) -> "Poly":
         return Poly(tuple(f(c) for c in self.coeffs))
 

@@ -57,10 +57,6 @@ class RatFunc:
     def const(cls, c) -> "RatFunc":
         return cls(Poly.const(Fraction(c) if isinstance(c, int) else c))
 
-    @classmethod
-    def from_poly(cls, p: Poly) -> "RatFunc":
-        return cls(p)
-
     # -- queries ----------------------------------------------------------
 
     def __bool__(self):

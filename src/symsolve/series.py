@@ -201,10 +201,6 @@ class TSeries:
     def __rmul__(self, other):
         return self.map_coeffs(lambda c: other * c)
 
-    def scale_exponent(self, k: int) -> "TSeries":
-        """Multiply by t^(k/ram)."""
-        return TSeries(self.ram, self.val + k, self.coeffs)
-
     def inverse(self) -> "TSeries":
         s = self.strip()
         if not s.coeffs or _is_zero(s.coeffs[0]):

@@ -18,10 +18,11 @@ from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .evaluators import EVALUATORS, eval_special
-from .exprs import ExprError, eval_fraction, eval_poly, eval_value, template_names
 from .fieldext import NumberField, field_sqrt, squarefree_core
 from .localdata import (GenExpRep, LocalData, SingularityClass, ValGEntry,
                         local_data, problem_points, r_equivalent)
+from .opformat import (ExprError, eval_fraction, eval_poly, eval_value,
+                       template_names)
 from .ore import Operator
 from .poly import P, Poly
 from .symprod import interlace, symsquare_order2

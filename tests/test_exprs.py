@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from symsolve.exprs import ExprError, eval_fraction, eval_poly, eval_value
+from symsolve.opformat import ExprError, eval_fraction, eval_poly, eval_value
 from symsolve.fieldext import NumberField
 from symsolve.poly import P, Poly
 

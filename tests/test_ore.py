@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symsolve.fieldext import NumberField
 from symsolve.opformat import parse_operator
 from symsolve.ore import Operator, solution_window, tau_power
 from symsolve.poly import P, Poly
@@ -207,3 +208,11 @@ class TestCanonical:
         L = Operator([P(0, 2), P(4)])
         assert L.coeff(1) == RF(4)  # not silently rescaled
         assert L.canonical().coeff(1) == RF(2)
+
+    def test_rational_values_over_a_number_field(self):
+        # decided by value, not by coefficient type
+        L = Operator([P(2, 4), P(6)])
+        K = NumberField.quadratic(3)
+        LK = Operator([p.map_coeffs(K.from_rational) for p in (P(2, 4), P(6))])
+        assert L.canonical().coeff(1) == RF(3)
+        assert LK.canonical() == L.canonical()
