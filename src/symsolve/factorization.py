@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .fieldext import NFElem, NumberField, field_sqrt
+from .fieldext import NFElem, NumberField, demote, value_sqrt
 from .poly import Poly, poly_gcd
 
 __all__ = [
@@ -19,7 +19,7 @@ __all__ = [
     "roots_rational",
     "resultant",
     "is_irreducible",
-    "roots_in_field",
+    "roots",
     "root_multiplicity",
 ]
 
@@ -97,7 +97,7 @@ def is_irreducible(p: Poly) -> bool:
     return len(factors) == 1 and factors[0][1] == 1
 
 
-# -- roots inside a fixed (at most quadratic) extension ------------------------
+# -- roots in Q or one quadratic field -----------------------------------------
 
 
 def root_multiplicity(p: Poly, root) -> int:
@@ -118,61 +118,41 @@ def _deflate(p: Poly, root) -> Poly:
     return Poly(out)
 
 
-def roots_in_field(p: Poly, field: Optional[NumberField]) -> List[Tuple[object, int]]:
-    """Roots of p lying in Q (field None) or in the given quadratic field.
+def roots(p: Poly, base: Optional[NumberField] = None) -> List[Tuple[object, int]]:
+    """Distinct roots of p with multiplicities, demoted to Fraction when
+    rational.
 
-    Coefficients may be rational or elements of that same field; roots come
-    back as Fractions resp. field elements, with multiplicities, in a
-    deterministic order.  Roots generating larger extensions are ignored.
+    With base None, p is rational and the two roots of an irreducible
+    quadratic factor lie in their own Q(sqrt disc).  With a quadratic base,
+    p may have coefficients in it and every root must lie in it.  A root
+    outside that reach raises ValueError('unsupported extension degree').
     """
     if not p:
         raise ValueError("zero polynomial")
-    if field is None:
-        return [(r, m) for r, m in roots_rational(p)]
-    if field.degree != 2:
-        raise ValueError("only quadratic extensions supported")
-
-    candidates = []
+    p = p.map_coeffs(demote)
     if p.is_rational():
-        _, factors = factor_over_Q(p)
-        for f, m in factors:
-            if f.degree == 1:
-                candidates.append(field.from_rational(-Fraction(f[0]) / Fraction(f[1])))
-            elif f.degree == 2:
-                a2, a1, a0 = Fraction(f[2]), Fraction(f[1]), Fraction(f[0])
-                disc = a1 * a1 - 4 * a2 * a0
-                s = field_sqrt(disc, field)
-                if s is not None:
-                    candidates.append((-a1 + s) / (2 * a2))
-                    candidates.append((-a1 - s) / (2 * a2))
+        factors = factor_over_Q(p)[1]
     else:
-        pbar = p.map_coeffs(lambda c: c.conjugate() if isinstance(c, NFElem) else c)
-        nrm = p * pbar
-        nrm_q = nrm.map_coeffs(
-            lambda c: c.as_rational() if isinstance(c, NFElem) else Fraction(c)
-        )
-        _, factors = factor_over_Q(nrm_q)
-        pf = p.map_coeffs(field.coerce)
-        for f, _ in factors:
-            g = poly_gcd(pf, f.map_coeffs(field.coerce))
-            if g.degree == 1:
-                candidates.append(-g[0] / g[1])
-            elif g.degree == 2:
-                disc = g[1] * g[1] - 4 * g[2] * g[0]
-                s = field_sqrt(disc, field)
-                if s is not None:
-                    candidates.append((-g[1] + s) / (field.coerce(2) * g[2]))
-                    candidates.append((-g[1] - s) / (field.coerce(2) * g[2]))
-
-    seen = []
+        # p's factors over base are its gcds with the factors over Q of
+        # the norm p * conj(p)
+        pf = p.map_coeffs(base.coerce)
+        nrm = pf * pf.map_coeffs(NFElem.conjugate)
+        factors = []
+        for f, _ in factor_over_Q(nrm.map_coeffs(demote))[1]:
+            g = poly_gcd(pf, f.map_coeffs(base.coerce))
+            if g.degree >= 1:
+                factors.append((g, None))  # multiplicity counted per root
     out = []
-    for r in candidates:
-        r = field.coerce(r)
-        if r in seen:
-            continue
-        seen.append(r)
-        m = root_multiplicity(p.map_coeffs(field.coerce), r)
-        if m:
-            out.append((r, m))
-    out.sort(key=lambda rm: tuple(rm[0].coords))
+    for f, m in factors:
+        if f.degree == 1:
+            found = [-f[0] / f[1]]
+        elif f.degree == 2:
+            disc = f[1] * f[1] - 4 * f[2] * f[0]
+            got = value_sqrt(disc if base is None else base.coerce(disc))
+            if got is None:
+                raise ValueError("unsupported extension degree")
+            found = [(-f[1] + got[0]) / (2 * f[2]), (-f[1] - got[0]) / (2 * f[2])]
+        else:
+            raise ValueError("unsupported extension degree")
+        out += [(demote(r), m or root_multiplicity(pf, r)) for r in found]
     return out

@@ -1,10 +1,15 @@
-"""Number fields Q[y]/(m(y)) with exact element arithmetic.
+"""Number fields Q[y]/(m(y)) with exact element arithmetic, and the rules
+for values that are a Fraction or an element of one quadratic field.
 
-Only quadratic extensions are exercised by the solver (singularity classes
-of higher degree are rejected upstream), but the element arithmetic is
-written for any degree since it costs nothing.  Quadratic fields are
-normalized to generators with minimal polynomial y^2 - core, core a
-squarefree integer, which keeps square-root extraction elementary.
+Local data at infinity (generalized exponents, their quotients, the
+table's sqrt templates) live in Q or in one quadratic field Q(sqrt(core)),
+core a squarefree integer, which keeps square-root extraction elementary;
+`field_of` and `value_sqrt` enforce that reach.  The element arithmetic
+is written for any degree: `valuation_growth` computes over Q(theta) for
+singularity classes of higher degree.
+
+A rational-valued element of any field mixes and compares like a
+Fraction; irrational elements of two different fields do not mix.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ __all__ = [
     "NumberField",
     "NFElem",
     "demote",
+    "field_of",
+    "value_sqrt",
     "squarefree_core",
     "rational_sqrt",
     "sqrt_as_field_element",
@@ -82,9 +89,11 @@ class NumberField:
 
     def coerce(self, v) -> "NFElem":
         if isinstance(v, NFElem):
-            if v.field != self:
+            if v.field == self:
+                return v
+            if not v.is_rational():
                 raise ValueError("element from a different field")
-            return v
+            v = v.coords[0]
         return self.from_rational(v)
 
     def __eq__(self, other):
@@ -115,20 +124,27 @@ class NFElem:
     def __bool__(self):
         return any(self.coords)
 
-    def _same(self, other) -> Optional["NFElem"]:
+    def _pair(self, other) -> Optional[Tuple["NFElem", "NFElem"]]:
+        """(self, other) as elements of one field; None when other is
+        irrational in another field (or not a number)."""
         if isinstance(other, NFElem):
-            if other.field != self.field:
-                return None
-            return other
+            if other.field == self.field:
+                return self, other
+            if other.is_rational():
+                return self, self.field.from_rational(other.coords[0])
+            if self.is_rational():
+                return other.field.from_rational(self.coords[0]), other
+            return None
         if isinstance(other, (int, Fraction)):
-            return self.field.from_rational(other)
+            return self, self.field.from_rational(other)
         return None
 
     def __add__(self, other):
-        o = self._same(other)
-        if o is None:
+        pair = self._pair(other)
+        if pair is None:
             return NotImplemented
-        return NFElem(self.field, tuple(a + b for a, b in zip(self.coords, o.coords)))
+        a, b = pair
+        return NFElem(a.field, tuple(x + y for x, y in zip(a.coords, b.coords)))
 
     __radd__ = __add__
 
@@ -136,34 +152,37 @@ class NFElem:
         return NFElem(self.field, tuple(-a for a in self.coords))
 
     def __sub__(self, other):
-        o = self._same(other)
-        if o is None:
+        pair = self._pair(other)
+        if pair is None:
             return NotImplemented
-        return NFElem(self.field, tuple(a - b for a, b in zip(self.coords, o.coords)))
+        a, b = pair
+        return NFElem(a.field, tuple(x - y for x, y in zip(a.coords, b.coords)))
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        o = self._same(other)
-        if o is None:
+        pair = self._pair(other)
+        if pair is None:
             return NotImplemented
-        d = self.field.degree
+        a, b = pair
+        field = a.field
+        d = field.degree
         prod = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(self.coords):
-            if not a:
+        for i, x in enumerate(a.coords):
+            if not x:
                 continue
-            for j, b in enumerate(o.coords):
-                if b:
-                    prod[i + j] += a * b
+            for j, y in enumerate(b.coords):
+                if y:
+                    prod[i + j] += x * y
         out = list(prod[:d])
         for k in range(d, 2 * d - 1):
             c = prod[k]
             if c:
-                row = self.field._red[k - d]
+                row = field._red[k - d]
                 for i in range(d):
                     out[i] += c * row[i]
-        return NFElem(self.field, tuple(out))
+        return NFElem(field, tuple(out))
 
     __rmul__ = __mul__
 
@@ -177,16 +196,18 @@ class NFElem:
         return NFElem(self.field, tuple(Fraction(s[i]) for i in range(d)))
 
     def __truediv__(self, other):
-        o = self._same(other)
-        if o is None:
+        pair = self._pair(other)
+        if pair is None:
             return NotImplemented
-        return self * o.inverse()
+        a, b = pair
+        return a * b.inverse()
 
     def __rtruediv__(self, other):
-        o = self._same(other)
-        if o is None:
+        pair = self._pair(other)
+        if pair is None:
             return NotImplemented
-        return o * self.inverse()
+        a, b = pair
+        return b * a.inverse()
 
     def __pow__(self, n: int):
         if n < 0:
@@ -215,10 +236,11 @@ class NFElem:
         return (self * self.conjugate()).as_rational()
 
     def __eq__(self, other):
-        o = self._same(other)
-        if o is None:
+        pair = self._pair(other)
+        if pair is None:
             return NotImplemented
-        return self.coords == o.coords
+        a, b = pair
+        return a.coords == b.coords
 
     def __hash__(self):
         if self.is_rational():
@@ -259,6 +281,19 @@ def demote(v):
     return Fraction(v) if isinstance(v, int) else v
 
 
+def field_of(values) -> Optional[NumberField]:
+    """The one field holding the irrational values among Fractions and
+    NFElems, None when all are rational; two fields raise."""
+    found = None
+    for v in values:
+        if isinstance(v, NFElem) and not v.is_rational():
+            if found is None:
+                found = v.field
+            elif v.field != found:
+                raise ValueError("unsupported extension degree")
+    return found
+
+
 # -- square roots -------------------------------------------------------------
 
 
@@ -296,6 +331,17 @@ def sqrt_as_field_element(q) -> Tuple[Optional[NumberField], object]:
         return None, outside
     field = NumberField.quadratic(core)
     return field, field.element([0, outside])
+
+
+def value_sqrt(v) -> Optional[Tuple[object, Optional[NumberField]]]:
+    """A square root of v as (root, its field or None).  A Fraction always
+    has one, in Q or in Q(sqrt core); an NFElem only inside its own field,
+    else None."""
+    if isinstance(v, NFElem):
+        s = field_sqrt(v, v.field)
+        return None if s is None else (s, v.field)
+    fld, s = sqrt_as_field_element(v)
+    return s, fld
 
 
 def field_sqrt(v, field: NumberField) -> Optional["NFElem"]:

@@ -118,6 +118,7 @@ def first_dependency(vectors: Sequence[Sequence[RatFunc]]) -> Optional[List[RatF
 # -- modular nullspaces for rational matrices -------------------------------
 
 _PRIMES: List[int] = []
+_MAX_PRIMES = 40  # primes tried before nullspace_rational gives up
 
 
 def _prime(i: int) -> int:
@@ -200,9 +201,7 @@ def _int_rows(rows: Sequence[Sequence[Fraction]]) -> List[List[int]]:
     return out
 
 
-def nullspace_rational(
-    rows: Sequence[Sequence[Fraction]], max_primes: int = 40
-) -> List[List[Fraction]]:
+def nullspace_rational(rows: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
     """Exact rational nullspace basis of the matrix (list of rows).
 
     Solves modulo word-sized primes and reconstructs; the result is
@@ -217,7 +216,7 @@ def nullspace_rational(
     best: Optional[Tuple[int, List[int]]] = None  # (rank, pivots)
     residues: Optional[np.ndarray] = None
     modulus = 1
-    for pi in range(max_primes):
+    for pi in range(_MAX_PRIMES):
         p = _prime(pi)
         A = np.array([[c % p for c in r] for r in irows], dtype=np.int64)
         pivots, basis = _nullspace_mod_p(A, p)

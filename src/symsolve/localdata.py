@@ -16,15 +16,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .factorization import factor_over_Q, roots_in_field
-from .fieldext import (NFElem, NumberField, demote, field_sqrt,
-                       sqrt_as_field_element)
+from .factorization import factor_over_Q, roots
+from .fieldext import NumberField, demote, field_of, value_sqrt
 from .ore import Operator
 from .poly import Poly
 from .series import TSeries
-from .snf import canonical_shift, shift_equivalent
+from .snf import canonical_shift
 
 __all__ = [
     "SingularityClass",
@@ -72,39 +71,19 @@ def _class_poly(cls) -> Poly:
     return rep
 
 
-def _class_offsets(polys: Sequence[Poly], d: int, rep: Poly) -> List[int]:
-    """Integer positions k with rep's roots shifted by k among the roots
-    of a_0(x)·a_d(x-d)."""
-    prod = polys[0] * polys[d].shift(-d)
-    rep_prim = rep.primitive()
-    offsets: Set[int] = set()
-    _, factors = factor_over_Q(prod)
-    for f, _ in factors:
-        k = shift_equivalent(f, rep_prim)
-        if k is not None:
-            offsets.add(-k)
-    return sorted(offsets)
-
-
 def problem_points(L: Operator) -> List[Tuple[Poly, List[int]]]:
     """Shift classes of roots of a_0(x)·a_d(x-d): (monic SNF representative,
-    sorted integer positions)."""
+    sorted integer positions of the roots relative to its roots)."""
     if not L.is_normal():
         raise ValueError("operator must be normal")
     polys = L.poly_coeffs()
     d = L.order
-    prod = polys[0] * polys[d].shift(-d)
-    classes: List[Tuple[Poly, Poly]] = []  # (snf primitive, monic)
-    _, factors = factor_over_Q(prod)
-    for f, _ in factors:
-        rep, _k = canonical_shift(f)
-        if not any(rep == seen for seen, _ in classes):
-            classes.append((rep, rep.monic()))
-    out = []
-    for rep, rep_monic in classes:
-        out.append((rep_monic, _class_offsets(polys, d, rep)))
-    out.sort(key=lambda it: (it[0].degree, it[0].coeffs))
-    return out
+    classes: Dict[Poly, Set[int]] = {}
+    for f, _ in factor_over_Q(polys[0] * polys[d].shift(-d))[1]:
+        rep, k = canonical_shift(f)  # f(x) = rep(x + k)
+        classes.setdefault(rep.monic(), set()).add(-k)
+    return sorted(((rep, sorted(ks)) for rep, ks in classes.items()),
+                  key=lambda it: (it[0].degree, it[0].coeffs))
 
 
 def _eps_val(p: Poly) -> Optional[int]:
@@ -136,11 +115,13 @@ def valuation_growth(L: Operator, cls) -> Tuple[int, int]:
     if not L.is_normal():
         raise ValueError("non-normal at class")
     rep = _class_poly(cls)
-    polys = L.poly_coeffs()
-    d = L.order
-    offsets = _class_offsets(polys, d, rep)
+    hat, k = canonical_shift(rep.monic())  # rep(x) = hat(x + k), up to a unit
+    offsets = next(([o + k for o in ks] for p, ks in problem_points(L)
+                    if p == hat), [])
     if not offsets:
         return (0, 0)
+    polys = L.poly_coeffs()
+    d = L.order
 
     rep_m = rep.monic()
     if rep_m.degree == 1:
@@ -265,39 +246,6 @@ def indicial_polynomial(L: Operator) -> Tuple[Poly, Fraction]:
 # -- generalized exponents ----------------------------------------------------
 
 
-def _is_rational_value(v) -> bool:
-    if isinstance(v, (int, Fraction)):
-        return True
-    return isinstance(v, NFElem) and v.is_rational()
-
-
-def _value_field(v) -> Optional[NumberField]:
-    if isinstance(v, NFElem) and not v.is_rational():
-        return v.field
-    return None
-
-
-def _join_field(values) -> Optional[NumberField]:
-    fields = []
-    for v in values:
-        f = _value_field(v)
-        if f is not None and all(f != g for g in fields):
-            fields.append(f)
-    if len(fields) > 1:
-        raise ValueError("unsupported extension degree")
-    return fields[0] if fields else None
-
-
-def _coerce_value(v, fld: Optional[NumberField]):
-    if fld is None:
-        return demote(v)
-    if isinstance(v, NFElem):
-        if v.is_rational():
-            return fld.from_rational(v.as_rational())
-        return fld.coerce(v)
-    return fld.from_rational(Fraction(v))
-
-
 def _value_key(v):
     v = demote(v)
     if isinstance(v, Fraction):
@@ -393,25 +341,18 @@ def trunc(s: TSeries, r: Optional[int] = None) -> GenExpRep:
     return GenExpRep(r, c, Fraction(ss.val, r), tail)
 
 
-def _values_equal(a, b) -> bool:
-    return demote(a) == demote(b)
-
-
 def r_equivalent(a: GenExpRep, b: GenExpRep) -> bool:
     """Same E_r class: c, v, a_1..a_{r-1} equal and the level-r coefficients
     congruent mod (1/r)Z."""
     r = a.r * b.r // math.gcd(a.r, b.r)
     a, b = a.lift(r), b.lift(r)
-    if a.v != b.v or not _values_equal(a.c, b.c):
+    if a.v != b.v or a.c != b.c or a.tail[:-1] != b.tail[:-1]:
         return False
-    for k in range(r - 1):
-        if not _values_equal(a.tail[k], b.tail[k]):
-            return False
-    diff = demote(a.tail[r - 1]) - demote(b.tail[r - 1])
-    diff = demote(diff)
-    if not isinstance(diff, Fraction):
+    try:
+        diff = demote(a.tail[-1] - b.tail[-1])
+    except TypeError:  # irrational values of two different fields
         return False
-    return (diff * r).denominator == 1
+    return isinstance(diff, Fraction) and (diff * r).denominator == 1
 
 
 def _lower_hull(pts: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
@@ -428,43 +369,12 @@ def _lower_hull(pts: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
     return hull
 
 
-def _roots_any_field(p: Poly, base: Optional[NumberField]):
-    """All roots of p as (value, field-or-None); any root outside Q and
-    quadratic reach raises."""
-    if base is not None:
-        found = roots_in_field(p, base)
-        if sum(m for _, m in found) < p.degree:
-            raise ValueError("unsupported extension degree")
-        return [(r, base) for r, _ in found]
-    out = []
-    _, factors = factor_over_Q(p)
-    for f, _m in factors:
-        if f.degree == 1:
-            out.append((-Fraction(f[0]) / Fraction(f[1]), None))
-        elif f.degree == 2:
-            disc = Fraction(f[1]) ** 2 - 4 * Fraction(f[2]) * Fraction(f[0])
-            fld, s = sqrt_as_field_element(disc)
-            if fld is None:
-                raise ValueError("reducible quadratic factor")  # unreachable
-            half = Fraction(1, 2) / Fraction(f[2])
-            out.append(((s - Fraction(f[1])) * half, fld))
-            out.append(((-s - Fraction(f[1])) * half, fld))
-        else:
-            raise ValueError("unsupported extension degree")
-    return out
-
-
-def _sqrt_value(v, base: Optional[NumberField]):
-    """Square root of v as (value, field-or-None); raises when it would
-    leave quadratic reach."""
-    v = demote(v)
-    if isinstance(v, Fraction):
-        fld, s = sqrt_as_field_element(v)
-        return (s, fld)
-    s = field_sqrt(v, v.field)
-    if s is None:
+def _sqrt(v):
+    """A square root of the value v; raises outside quadratic reach."""
+    got = value_sqrt(v)
+    if got is None:
         raise ValueError("unsupported extension degree")
-    return (s, v.field)
+    return got[0]
 
 
 def _twisted_series(polys: Sequence[Poly], g: TSeries, slots: int) -> List[TSeries]:
@@ -504,19 +414,14 @@ def _definitional_mult(polys: Sequence[Poly], rep: GenExpRep) -> int:
     raise ValueError("increase truncation")
 
 
-def _monomial_series(c, v: Fraction, ram: int, slots: int) -> TSeries:
-    return TSeries(
-        ram, int(Fraction(v) * ram), (c,) + (Fraction(0),) * (slots - 1)
-    )
-
-
-def _tail_candidates(polys, c, v: Fraction, beta, fld, ram: int) -> List[GenExpRep]:
+def _tail_candidates(polys, c, v: Fraction, beta, ram: int) -> List[GenExpRep]:
     """Indicial-root step: with leading part c·t^v(1+beta·t^(1/2)) fixed,
     the level-1 tail coefficients are -n0 over the indicial roots n0."""
+    base = field_of([c, beta])  # the indicial roots must lie in it
     out = []
     for slots in (2 * ram + 2, 4 * ram + 4):
         if ram == 1:
-            g = _monomial_series(c, v, 1, slots)
+            g = TSeries.monomial(c, v, 1, slots)
         else:
             cs = [c, c * beta] + [Fraction(0)] * (slots - 2)
             g = TSeries(2, int(Fraction(v) * 2), cs[:slots])
@@ -526,17 +431,9 @@ def _tail_candidates(polys, c, v: Fraction, beta, fld, ram: int) -> List[GenExpR
         P, _lvl = got
         if not P.degree >= 1:
             return []  # no roots at this branch
-        for n0, rfld in _roots_any_field(P, fld):
-            joined = _join_field([c, beta, n0] if ram == 2 else [c, n0])
-            if joined is None and rfld is not None:
-                joined = rfld
-            cc = _coerce_value(c, joined)
-            n0c = _coerce_value(n0, joined)
-            if ram == 1:
-                tail = (-n0c,)
-            else:
-                tail = (_coerce_value(beta, joined), -n0c)
-            cand = GenExpRep(ram, cc, Fraction(v), tail)
+        for n0, _m in roots(P, base):
+            tail = (-n0,) if ram == 1 else (beta, -n0)
+            cand = GenExpRep(ram, c, Fraction(v), tail)
             m = _definitional_mult(polys, cand)
             if m > 0:
                 out.append(
@@ -546,7 +443,7 @@ def _tail_candidates(polys, c, v: Fraction, beta, fld, ram: int) -> List[GenExpR
     raise ValueError("increase truncation")
 
 
-def _ramified_branch(polys, c, v: Fraction, fld, want_beta_zero: bool):
+def _ramified_branch(polys, c, v: Fraction, want_beta_zero: bool):
     """Ramification-2 refinement at leading part c·t^v: find t^(1/2)-level
     ratio coefficients from the Δ-polygon, then finish with the indicial
     step.  Returns (entries, saw_higher_ramification)."""
@@ -554,7 +451,7 @@ def _ramified_branch(polys, c, v: Fraction, fld, want_beta_zero: bool):
     entries: List[GenExpRep] = []
     incomplete = False
     for slots in (6, 12):
-        bs = _twisted_series(polys, _monomial_series(c, v, 2, slots), slots)
+        bs = _twisted_series(polys, TSeries.monomial(c, v, 2, slots), slots)
         # τ = 1 + Δ: m_α = Σ_{i≥α} C(i,α)·b_i
         mal = []
         for alpha in range(d + 1):
@@ -589,33 +486,27 @@ def _ramified_branch(polys, c, v: Fraction, fld, want_beta_zero: bool):
             for alpha, va in touch:
                 lead = mal[alpha].coeff_at(va)
                 phi[(alpha - a0) // spacing] = phi[(alpha - a0) // spacing] + lead
-            phi_poly = Poly(phi)
-            base = _join_field([c] + [p for p in phi if not _is_rational_value(p)])
-            for B, bfld in _roots_any_field(phi_poly, base):
+            for B, _m in roots(Poly(phi), field_of([c, *phi])):
                 if spacing == 1:
-                    betas.append((B, bfld))
+                    betas.append(B)
                 elif spacing == 2:
-                    s, sfld = _sqrt_value(B, bfld)
-                    betas.append((s, sfld))
-                    betas.append((-s, sfld))
+                    s = _sqrt(B)
+                    betas += [s, -s]
                 else:
                     incomplete = True
         if want_beta_zero:
-            betas.append((Fraction(0), fld))
-        for beta, bfld in betas:
-            joined = _join_field([c, beta])
-            entries.extend(_tail_candidates(polys, c, v, beta, joined or bfld, 2))
+            betas.append(Fraction(0))
+        for beta in betas:
+            entries.extend(_tail_candidates(polys, c, v, beta, 2))
         return entries, incomplete
     raise ValueError("increase truncation")
 
 
-def generalized_exponents(L: Operator, max_ram: int = 2) -> GenExpSet:
+def generalized_exponents(L: Operator) -> GenExpSet:
     """Multiset of E_r representatives of the exponents of L at infinity,
-    each with its definitional multiplicity."""
+    ramification at most 2, each with its definitional multiplicity."""
     if not L.is_normal():
         raise ValueError("operator must be normal")
-    if max_ram not in (1, 2):
-        raise ValueError("max_ram must be 1 or 2")
     polys = L.poly_coeffs()
     d = L.order
     pts = [(i, -p.degree) for i, p in enumerate(polys) if p]
@@ -624,7 +515,7 @@ def generalized_exponents(L: Operator, max_ram: int = 2) -> GenExpSet:
 
     entries: List[GenExpRep] = []
     complete = True
-    integer_branches: List[Tuple[Fraction, object, Optional[NumberField]]] = []
+    integer_branches: List[Tuple[Fraction, object]] = []
 
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
         slope = Fraction(y2 - y1, x2 - x1)
@@ -634,27 +525,27 @@ def generalized_exponents(L: Operator, max_ram: int = 2) -> GenExpSet:
             for i in range(x1, x2 + 1):
                 if i in degmap and degmap[i] == y1 + slope * (i - x1):
                     phi[i - x1] = Fraction(polys[i].lead())
-            for c, fld in _roots_any_field(Poly(phi), None):
-                integer_branches.append((v, c, fld))
-                entries.extend(_tail_candidates(polys, c, v, None, fld, 1))
-        elif v.denominator == 2 and max_ram >= 2:
+            for c, _m in roots(Poly(phi)):
+                integer_branches.append((v, c))
+                entries.extend(_tail_candidates(polys, c, v, None, 1))
+        elif v.denominator == 2:
             phi = [Fraction(0)] * ((x2 - x1) // 2 + 1)
             for i in range(x1, x2 + 1, 2):
                 if i in degmap and degmap[i] == y1 + slope * (i - x1):
                     phi[(i - x1) // 2] = Fraction(polys[i].lead())
-            for C, cfld in _roots_any_field(Poly(phi), None):
-                s, sfld = _sqrt_value(C, cfld)
+            for C, _m in roots(Poly(phi)):
+                s = _sqrt(C)
                 for c in (s, -s):
-                    got, inc = _ramified_branch(polys, c, v, sfld, True)
+                    got, inc = _ramified_branch(polys, c, v, True)
                     entries.extend(got)
                     complete = complete and not inc
         else:
             complete = False
 
     entries = _dedupe_entries(entries)
-    if sum(e.multiplicity for e in entries) < d and max_ram >= 2:
-        for v, c, fld in integer_branches:
-            got, inc = _ramified_branch(polys, c, v, fld, False)
+    if sum(e.multiplicity for e in entries) < d:
+        for v, c in integer_branches:
+            got, inc = _ramified_branch(polys, c, v, False)
             entries.extend(got)
             complete = complete and not inc
         entries = _dedupe_entries(entries)
@@ -672,35 +563,24 @@ def _dedupe_entries(entries: List[GenExpRep]) -> List[GenExpRep]:
     return out
 
 
-def gquo(L: Operator, max_ram: int = 2,
-         ges: Optional[GenExpSet] = None) -> List[GenExpRep]:
+def gquo(L: Operator, ges: Optional[GenExpSet] = None) -> List[GenExpRep]:
     """Truncated pairwise quotients of distinct generalized exponents;
-    ges, when given, is generalized_exponents(L, max_ram) already computed."""
+    ges, when given, is generalized_exponents(L) already computed."""
     if ges is None:
-        ges = generalized_exponents(L, max_ram)
+        ges = generalized_exponents(L)
     out: List[GenExpRep] = []
     for gi in ges:
         for gj in ges:
             if gi == gj:
                 continue
             r = gi.r * gj.r // math.gcd(gi.r, gj.r)
-            fld = _join_field([gi.c, *gi.tail, gj.c, *gj.tail])
+            field_of([gi.c, *gi.tail, gj.c, *gj.tail])  # raises for two fields
             slots = 2 * r + 2
-            si = _rep_series_in_field(gi.lift(r), fld, slots)
-            sj = _rep_series_in_field(gj.lift(r), fld, slots)
-            q = trunc(si / sj, r)
+            q = trunc(gi.lift(r).series(slots) / gj.lift(r).series(slots), r)
             if not any(q == seen for seen in out):
                 out.append(q)
     out.sort(key=GenExpRep.sort_key)
     return out
-
-
-def _rep_series_in_field(rep: GenExpRep, fld: Optional[NumberField], slots: int) -> TSeries:
-    coeffs = [rep.c] + [rep.c * a for a in rep.tail]
-    if fld is not None:
-        coeffs = [_coerce_value(cv, fld) for cv in coeffs]
-    coeffs += [Fraction(0)] * max(0, slots - len(coeffs))
-    return TSeries(rep.r, int(rep.v * rep.r), coeffs)
 
 
 # -- aggregate + serialization -------------------------------------------------
@@ -754,8 +634,8 @@ def _rep_json(g: GenExpRep) -> dict:
     }
 
 
-def local_data(L: Operator, max_ram: int = 2) -> LocalData:
-    ges = generalized_exponents(L, max_ram)
+def local_data(L: Operator) -> LocalData:
+    ges = generalized_exponents(L)
     return LocalData(
         valg=tuple(
             sorted(
@@ -767,6 +647,6 @@ def local_data(L: Operator, max_ram: int = 2) -> LocalData:
             )
         ),
         genexp=ges.entries,
-        gquo=tuple(gquo(L, max_ram, ges)),
+        gquo=tuple(gquo(L, ges)),
         genexp_complete=ges.complete,
     )

@@ -122,8 +122,8 @@ def shift_quotient_inverse(r: RatFunc) -> Optional[RatFunc]:
     return RatFunc(num.monic(), den.monic())
 
 
-def dispersion_set(p: Poly, q: Poly, include_negative: bool = False) -> List[int]:
-    """All integers k >= 0 (or all of Z) with deg gcd(p(x), q(x+k)) > 0.
+def dispersion_set(p: Poly, q: Poly) -> List[int]:
+    """All integers k >= 0 with deg gcd(p(x), q(x+k)) > 0.
 
     Factor based: a common factor at shift k forces an irreducible f | p
     and g | q of equal degree with f(x) = g(x+k), and k is then pinned by
@@ -137,7 +137,7 @@ def dispersion_set(p: Poly, q: Poly, include_negative: bool = False) -> List[int
     for f, _ in pf:
         for g, _ in qf:
             k = shift_equivalent(f, g)
-            if k is not None and (include_negative or k >= 0):
+            if k is not None and k >= 0:
                 ks.add(k)
     return sorted(ks)
 

@@ -18,13 +18,14 @@ from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .evaluators import EVALUATORS, eval_special
-from .fieldext import NumberField, field_sqrt, squarefree_core
+from .fieldext import demote, rational_sqrt, value_sqrt
 from .localdata import (GenExpRep, LocalData, SingularityClass, ValGEntry,
                         local_data, problem_points, r_equivalent)
 from .opformat import (ExprError, eval_fraction, eval_poly, eval_value,
                        template_names)
 from .ore import Operator
 from .poly import P, Poly
+from .snf import canonical_shift
 from .symprod import interlace, symsquare_order2
 from .equivalence import hom_space
 
@@ -79,12 +80,6 @@ def _subst_word(text: str, name: str, repl: str) -> str:
         out.append(ch)
         i += 1
     return "".join(out)
-
-
-def _canonical_class_rep(point: Fraction) -> Poly:
-    """x - r with r the representative of point's class in (-1, 0]."""
-    r = point - math.ceil(point)
-    return P(-r, 1)
 
 
 _REQUIRED_FIELDS = ("name", "params", "root", "solution", "gquo", "valg",
@@ -151,7 +146,7 @@ class TableEntry:
         by_class: Dict[Poly, List[Tuple[Fraction, int]]] = {}
         for t in self.valg_templates:
             pt = eval_fraction(t["point"], assignment)
-            rep = _canonical_class_rep(pt)
+            rep, _k = canonical_shift(P(-pt, 1))
             by_class.setdefault(rep, []).append((pt, int(t["gap"])))
         out = set()
         for rep, dips in by_class.items():
@@ -476,38 +471,22 @@ class MatchDetail:
     warnings: List[str] = field(default_factory=list)
 
 
-def _as_rational(v) -> Optional[Fraction]:
-    if isinstance(v, Fraction):
-        return v
-    if hasattr(v, "is_rational") and v.is_rational():
-        return v.as_rational()
-    return None
-
-
 def _rational_sqrts(q: Fraction) -> List[Fraction]:
-    if q < 0:
+    s = rational_sqrt(q)
+    if s is None:
         return []
-    outside, core = squarefree_core(q)
-    if core != 1:
-        return []
-    return [abs(outside), -abs(outside)] if outside != 0 else [Fraction(0)]
+    return [s, -s] if s else [s]
 
 
 def _value_sqrts(v, warn: List[str]) -> list:
     """Square roots of a Fraction/NFElem, extending Q by one radical at most."""
-    if isinstance(v, Fraction):
-        outside, core = squarefree_core(v)
-        if core == 1:
-            return [outside, -outside] if outside else [Fraction(0)]
-        fld = NumberField.quadratic(core)
-        s = fld.element([Fraction(0), outside])
-        return [s, -s]
-    s = field_sqrt(v, v.field)
-    if s is None:
+    got = value_sqrt(v)
+    if got is None:
         warn.append("square root outside the quadratic field; branch "
                     "skipped (would need a degree-4 extension)")
         return []
-    return [s, -s]
+    s = got[0]
+    return [s, -s] if s else [s]
 
 
 def _sorted_unique(vals: Sequence[Fraction]) -> List[Fraction]:
@@ -543,10 +522,8 @@ def _match_gauss(entry: TableEntry, data: LocalData) -> MatchDetail:
         for R in ratios:
             if not R:
                 continue
-            zz = _as_rational((R + 1) * (R + 1) / (4 * R))
-            if zz is None:
-                continue
-            if 0 < zz < 1:
+            zz = demote((R + 1) * (R + 1) / (4 * R))
+            if isinstance(zz, Fraction) and 0 < zz < 1:
                 z_cands.append(zz)
     z_cands = _sorted_unique(z_cands)
 
@@ -571,13 +548,13 @@ def _match_legendre(entry: TableEntry, data: LocalData) -> MatchDetail:
             return MatchDetail([], {})
         aval = g.c
         # lambda^2-type element: z^2 = (a+1)^2 / (4a)
-        zz = _as_rational((aval + 1) * (aval + 1) / (4 * aval))
-        if zz is not None:
+        zz = demote((aval + 1) * (aval + 1) / (4 * aval))
+        if isinstance(zz, Fraction):
             z_cands.extend(_rational_sqrts(zz))
         # lambda^4-type element: z^2 = (2a +- sqrt(a^3+2a^2+a)) / (4a)
         for s in _value_sqrts(aval * (aval + 1) * (aval + 1), warn):
-            zz = _as_rational((2 * aval + s) / (4 * aval))
-            if zz is not None:
+            zz = demote((2 * aval + s) / (4 * aval))
+            if isinstance(zz, Fraction):
                 z_cands.extend(_rational_sqrts(zz))
     z_cands = [z for z in _sorted_unique(z_cands) if z != 0 and abs(z) != 1]
     return MatchDetail([{"z": z} for z in z_cands], {"z": z_cands}, warn)
@@ -589,15 +566,13 @@ def _match_hermite(entry: TableEntry, data: LocalData) -> MatchDetail:
     for g in data.gquo:
         if g.r != 2 or g.v != 0 or not g.tail:
             return MatchDetail([], {})
-        cval = _as_rational(g.c)
-        if cval not in (Fraction(1), Fraction(-1)):
+        if g.c not in (Fraction(1), Fraction(-1)):
             return MatchDetail([], {})
-        w = g.tail[0]
-        w2 = _as_rational(w * w)
-        if w2 is None:
+        w2 = demote(g.tail[0] * g.tail[0])
+        if not isinstance(w2, Fraction):
             warn.append("irrational tail square; branch skipped")
             continue
-        zz = -w2 / 2 if cval == -1 else -w2 / 8
+        zz = -w2 / 2 if g.c == -1 else -w2 / 8
         z_cands.extend(_rational_sqrts(zz))
     z_cands = [z for z in _sorted_unique(z_cands) if z != 0]
     return MatchDetail([{"z": z} for z in z_cands], {"z": z_cands}, warn)
@@ -609,15 +584,12 @@ def _match_bessel(entry: TableEntry, data: LocalData) -> MatchDetail:
     for g in data.gquo:
         if g.r != 1:
             return MatchDetail([], {})
-        cval = _as_rational(g.c)
-        if cval is None:
+        if not isinstance(g.c, Fraction):
             continue
         if g.v == 2:
-            z_sq.append(-4 * cval)
-        elif g.v == -2:
-            if cval == 0:
-                continue
-            z_sq.append(-4 / cval)
+            z_sq.append(-4 * g.c)
+        elif g.v == -2 and g.c != 0:
+            z_sq.append(-4 / g.c)
     z_cands: List[Fraction] = []
     for zz in z_sq:
         z_cands.extend(_rational_sqrts(zz))

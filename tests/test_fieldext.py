@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 
 from symsolve.fieldext import (
     NumberField,
+    field_of,
     field_sqrt,
     rational_sqrt,
     sqrt_as_field_element,
     squarefree_core,
+    value_sqrt,
 )
 from symsolve.poly import P
 
@@ -52,6 +54,19 @@ class TestFieldAxioms:
     def test_cross_field_mixing_rejected(self):
         with pytest.raises(TypeError):
             Q5.gen + Qm2.gen
+
+    def test_rational_values_mix_across_fields(self):
+        Q2, Q3 = NumberField.quadratic(2), NumberField.quadratic(3)
+        assert Q2.from_rational(1) == Q3.from_rational(1)
+        assert Q2.from_rational(1) != Q3.from_rational(2)
+        assert Q2.gen != Q3.gen
+        assert Q2.from_rational(2) + Q3.gen == Q3.element([2, 1])
+        assert Q3.gen - Q2.from_rational(2) == Q3.element([-2, 1])
+        assert Q2.from_rational(2) * Q3.gen == Q3.element([0, 2])
+        assert Q2.from_rational(6) / Q3.gen == Q3.element([0, 2])
+        assert Q3.coerce(Q2.from_rational(5)) == Q3.from_rational(5)
+        with pytest.raises(ValueError):
+            Q3.coerce(Q2.gen)
 
 
 class TestConjugation:
@@ -132,3 +147,29 @@ class TestModulusReduction:
         assert (phi**5) == 5 * phi + 3  # Fibonacci
         conj = phi.conjugate()
         assert phi + conj == 1 and phi * conj == -1
+
+
+class TestValues:
+    def test_field_of(self):
+        assert field_of([Fraction(1), 2, Q5.from_rational(3), None]) is None
+        assert field_of([Fraction(1), Q5.gen, Qm2.from_rational(1)]) == Q5
+        assert field_of([Q5.gen, 2 * Q5.gen + 1]) == Q5
+
+    def test_field_of_two_fields_raises(self):
+        with pytest.raises(ValueError, match="unsupported extension degree"):
+            field_of([Q5.gen, Qm2.gen])
+
+    def test_value_sqrt_of_rationals(self):
+        assert value_sqrt(Fraction(9, 4)) == (Fraction(3, 2), None)
+        assert value_sqrt(Fraction(0)) == (Fraction(0), None)
+        s, fld = value_sqrt(Fraction(-8))
+        assert fld == Qm2 and s == Qm2.element([0, 2])
+
+    def test_value_sqrt_stays_in_the_field_of_an_element(self):
+        v = Q5.element([6, 2])  # (1 + sqrt5)^2
+        s, fld = value_sqrt(v)
+        assert fld == Q5 and s * s == v
+        assert value_sqrt(Q5.element([1, 1])) is None
+        # a rational value carried by Q(sqrt5) has its root sought there
+        assert value_sqrt(Q5.from_rational(20)) == (Q5.element([0, 2]), Q5)
+        assert value_sqrt(Q5.from_rational(3)) is None

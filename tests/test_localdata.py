@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from symsolve.fieldext import sqrt_as_field_element
+from symsolve.fieldext import NumberField, sqrt_as_field_element
 from symsolve.localdata import (
     GenExpRep,
     SingularityClass,
@@ -107,6 +107,12 @@ class TestValuationGrowth:
             S = symsquare_order2(K).canonical()
             assert valuation_growth(S, X) == (2 * mn, 2 * mx)
 
+    def test_any_representative_of_the_class(self):
+        L = turan_op()
+        assert valuation_growth(L, X + P(5)) == valuation_growth(L, X)
+        assert valuation_growth(L, P(6, 2)) == valuation_growth(L, X)
+        assert valuation_growth(L, P(-3, 2)) == (0, 0)
+
     def test_non_normal_message(self):
         L = Operator([RatFunc(Poly(), reduce=False), RF([1])])
         with pytest.raises(ValueError, match="non-normal at class"):
@@ -191,10 +197,9 @@ class TestGenExp:
         abar = F(-7, 25) - F(24, 25) * SQRT_M1
         assert cs == {F(1), a, abar}
 
-    def test_max_ram_one_incomplete(self):
-        ge = generalized_exponents(turan_op(), max_ram=1)
-        assert not ge.complete
-        assert set(ge) == {rep(1, F(2), -1, F(3, 2))}
+    def test_ramification_three_incomplete(self):
+        # Newton polygon slope 1/3: an exponent t^(-1/3) needs ramification 3
+        assert generalized_exponents(parse_operator("S^3 - x")).complete is False
 
     def test_product_rule_first_order_twist(self):
         # GenExp(L ⊛ (τ-r)) = {Trunc(g · r(t))}
@@ -271,6 +276,14 @@ class TestREquivalent:
         a = rep(1, F(2), -1, F(1, 3))
         b = rep(2, F(2), -1, F(0), F(1, 3))
         assert r_equivalent(a, b)
+
+    def test_values_of_two_fields(self):
+        q2, q3 = NumberField.quadratic(2), NumberField.quadratic(3)
+        assert not r_equivalent(rep(1, F(1), 0, q2.gen), rep(1, F(1), 0, q3.gen))
+        assert not r_equivalent(rep(1, q2.gen, 0, F(0)), rep(1, q3.gen, 0, F(0)))
+        # rational values carried by different fields are plain rationals
+        assert r_equivalent(rep(1, q2.from_rational(3), 0, q2.gen),
+                            rep(1, q3.from_rational(3), 0, q2.gen + 1))
 
 
 class TestGquo:

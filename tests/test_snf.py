@@ -117,9 +117,6 @@ class TestDispersion:
     def test_none(self):
         assert dispersion(P(0, 1), P(1, 2)) is None
 
-    def test_negative_shifts_flag(self):
-        assert dispersion_set(P(-3, 1), P(0, 1), include_negative=True) == [-3]
-
     def test_agrees_with_resultant_oracle(self):
         import sympy
 
