@@ -12,6 +12,7 @@ solution are trapped between roots of the trailing and (shifted)
 leading data, which leaves a finite-dimensional polynomial search.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -144,16 +145,24 @@ def _integer_degree_bound(L: Operator) -> Optional[int]:
     return best
 
 
+def _power_columns(q: list, j: int, width: int) -> List[list]:
+    """Coefficient lists of q·(x+j)^k for k < width, each from the last
+    by one linear pass q'[m] = q[m-1] + j·q[m]."""
+    q = list(q)
+    block = [q]
+    for _ in range(width - 1):
+        q = [j * q[0]] + [a + j * b for a, b in zip(q, q[1:])] + [q[-1]]
+        block.append(q)
+    return block
+
+
 def _polynomial_solutions(L: Operator, bound: int) -> List[Poly]:
-    polys = L.poly_coeffs()
-    d = L.order
-    cols = []
-    for k in range(bound + 1):
-        img = Poly()
-        for i in range(d + 1):
-            if polys[i]:
-                img = img + polys[i] * Poly((Fraction(i), Fraction(1))) ** k
-        cols.append(img)
+    # column k is L applied to x^k: sum_i p_i(x)·(x+i)^k
+    cols = [Poly() for _ in range(bound + 1)]
+    for i, p in enumerate(L.poly_coeffs()):
+        if p:
+            for k, z in enumerate(_power_columns(p.coeffs, i, bound + 1)):
+                cols[k] = cols[k] + Poly(z)
     height = 1 + max(p.degree for p in cols if p) if any(cols) else 1
     rows = [[cols[k][m] for k in range(bound + 1)] for m in range(height)]
     return [Poly(vec) for vec in nullspace_rational(rows)]
@@ -217,6 +226,15 @@ def hom_space(
     matched coefficient by coefficient up to degree_cap beyond deg(u),
     so the basis is complete only within that cap (default: twice the
     largest coefficient degree plus ten).
+
+    The unknowns are the numerator coefficients z_{i,k} of c_i, and the
+    term with c_i(x+j) contributes base·(x+j)^k to column (i, k).  Each
+    column block is built by a running product q ← q·(x+j), one linear
+    pass q'[m] = q[m-1] + j·q[m] per column: the Taylor shift
+    z(x) ↦ z(x+j) applied column by column instead of a full polynomial
+    product per power.  The passes run on integers over one common
+    denominator per remainder coefficient s, so the rows come out as
+    exactly the rationals the products would give.
     """
     if not (L1.is_normal() and L2.is_normal()):
         raise ValueError("normal operators required")
@@ -253,17 +271,19 @@ def hom_space(
                 if t:
                     terms.append((i, j, t))
                     den = poly_lcm(den, t.den)
-        cols = [Poly() for _ in range(d1 * width)]
-        for i, j, t in terms:
-            base = (t * den).as_poly()
-            step = Poly((Fraction(j), Fraction(1)))
-            pw = Poly.const(Fraction(1))
-            for k in range(width):
-                cols[i * width + k] = cols[i * width + k] + base * pw
-                pw = pw * step
-        height = 1 + max(p.degree for p in cols if p)
+        bases = [(i, j, (t * den).as_poly().coeffs) for i, j, t in terms]
+        D = math.lcm(*(Fraction(c).denominator for _, _, b in bases for c in b))
+        size = max(len(b) for _, _, b in bases) + width - 1
+        cols = [[0] * size for _ in range(d1 * width)]
+        for i, j, b in bases:
+            block = _power_columns([int(c * D) for c in b], j, width)
+            for k, q in enumerate(block):
+                col = cols[i * width + k]
+                for m, c in enumerate(q):
+                    col[m] += c
+        height = 1 + max(m for c in cols for m, v in enumerate(c) if v)
         for m in range(height):
-            rows.append([c[m] for c in cols])
+            rows.append([Fraction(c[m], D) if c[m] else 0 for c in cols])
 
     basis = []
     for vec in nullspace_rational(rows):

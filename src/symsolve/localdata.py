@@ -93,7 +93,19 @@ def _eps_val(p: Poly) -> Optional[int]:
     return None
 
 
-def _minor_det(rows: List[List[Poly]]) -> Poly:
+def _mul_trunc(a: Poly, b: Poly, prec: int) -> Poly:
+    """a·b mod ε^prec, forming only the coefficients that are kept."""
+    a, b = a.coeffs, b.coeffs
+    out = [0] * min(prec, len(a) + len(b) - 1)
+    for i, ca in enumerate(a[:len(out)]):
+        if ca:
+            for j, cb in enumerate(b[:len(out) - i]):
+                out[i + j] = out[i + j] + ca * cb
+    return Poly(out)
+
+
+def _minor_det(rows: List[List[Poly]], prec: int) -> Poly:
+    """Determinant mod ε^prec, every partial product reduced as it is formed."""
     n = len(rows)
     if n == 1:
         return rows[0][0]
@@ -103,21 +115,42 @@ def _minor_det(rows: List[List[Poly]]) -> Poly:
         if not top:
             continue
         sub = [[r[k] for k in range(n) if k != j] for r in rows[1:]]
-        term = top * _minor_det(sub)
+        term = _mul_trunc(top, _minor_det(sub, prec), prec)
         acc = acc + term if j % 2 == 0 else acc - term
     return acc
 
 
-def valuation_growth(L: Operator, cls) -> Tuple[int, int]:
+def valuation_growth(L: Operator, cls, offsets: Optional[Sequence[int]] = None
+                     ) -> Tuple[int, int]:
     """Extreme ε-valuation growths of solutions across the singular region
     of the given shift class: (min, max).  (0, 0) for classes without
-    problem points."""
+    problem points.
+
+    ``offsets`` are the sorted positions of the class's problem points
+    relative to the roots of ``cls``, as ``problem_points`` lists them
+    for its representatives; they are computed from L when omitted.
+
+    The transition matrix N over Q(θ)[ε] is the product of the companion
+    numerators across the region, so det N = ±∏ a_0·a_d^(d-1) evaluated
+    along the way and v(det N) = vdet is known before any product is
+    formed.  Only two valuations of N are read: the least entry
+    valuation s_1 and the least cofactor valuation vdet - s_d, where
+    s_1 ≤ … ≤ s_d are the exponents of its Smith form over Q(θ)[[ε]].
+    Both are at most s_1 + … + s_d = vdet, so each is attained by an
+    entry or cofactor that is nonzero mod ε^(vdet+1), while an entry
+    or cofactor that vanishes there has valuation above vdet and cannot
+    be the least.  Entries and cofactors are polynomials in the
+    evaluations, so their residues mod ε^(vdet+1) follow from the
+    evaluations' residues: every evaluation and every product is
+    reduced mod ε^(vdet+1), and the result is exact.
+    """
     if not L.is_normal():
         raise ValueError("non-normal at class")
     rep = _class_poly(cls)
-    hat, k = canonical_shift(rep.monic())  # rep(x) = hat(x + k), up to a unit
-    offsets = next(([o + k for o in ks] for p, ks in problem_points(L)
-                    if p == hat), [])
+    if offsets is None:
+        hat, k = canonical_shift(rep.monic())  # rep(x) = hat(x + k), up to a unit
+        offsets = next(([o + k for o in ks] for p, ks in problem_points(L)
+                        if p == hat), [])
     if not offsets:
         return (0, 0)
     polys = L.poly_coeffs()
@@ -129,8 +162,7 @@ def valuation_growth(L: Operator, cls) -> Tuple[int, int]:
     else:
         theta = NumberField(rep_m, name="theta").gen
 
-    ident = Poly.const(Fraction(1))
-    N = [[ident if i == j else Poly() for j in range(d)] for i in range(d)]
+    steps = []
     vden = 0
     vdet = 0
     for k in range(offsets[0] - d, offsets[-1] + 1):
@@ -140,15 +172,23 @@ def valuation_growth(L: Operator, cls) -> Tuple[int, int]:
             raise ValueError("non-normal at class")
         vden += _eps_val(ad)
         vdet += _eps_val(a0) + (d - 1) * _eps_val(ad)
+        steps.append(evals)
+    prec = vdet + 1
+
+    ident = Poly.const(Fraction(1))
+    N = [[ident if i == j else Poly() for j in range(d)] for i in range(d)]
+    for evals in steps:
+        evals = [Poly(e.coeffs[:prec]) for e in evals]
         # companion numerator: rows 0..d-2 carry ad on the superdiagonal
         M = [[Poly() for _ in range(d)] for _ in range(d)]
         for i in range(d - 1):
-            M[i][i + 1] = ad
+            M[i][i + 1] = evals[d]
         for j in range(d):
             M[d - 1][j] = -evals[j]
         N = [
             [
-                sum((M[i][l] * N[l][j] for l in range(d) if M[i][l] and N[l][j]), Poly())
+                sum((_mul_trunc(M[i][l], N[l][j], prec)
+                     for l in range(d) if M[i][l] and N[l][j]), Poly())
                 for j in range(d)
             ]
             for i in range(d)
@@ -165,7 +205,7 @@ def valuation_growth(L: Operator, cls) -> Tuple[int, int]:
                 sub = [
                     [N[r][c] for c in range(d) if c != j] for r in range(d) if r != i
                 ]
-                cof = _minor_det(sub)
+                cof = _minor_det(sub, prec)
                 if cof:
                     cof_vals.append(_eps_val(cof))
         vadj = min(cof_vals)
@@ -175,8 +215,8 @@ def valuation_growth(L: Operator, cls) -> Tuple[int, int]:
 def valg_set(L: Operator) -> Set[ValGEntry]:
     """Essential singularity classes (gap > 0) with their gaps."""
     out = set()
-    for rep, _offs in problem_points(L):
-        mn, mx = valuation_growth(L, rep)
+    for rep, offs in problem_points(L):
+        mn, mx = valuation_growth(L, rep, offs)
         if mx - mn > 0:
             out.add(ValGEntry(SingularityClass(rep), mx - mn))
     return out

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symsolve.equivalence import (
+    _power_columns,
     GaugeMap,
     GTTransform,
     case_diagnosis,
@@ -19,9 +20,10 @@ from symsolve.equivalence import (
     term_candidates,
     transformed_operator,
 )
+from symsolve.linalg import nullspace_rational
 from symsolve.opformat import parse_operator, print_operator
 from symsolve.ore import Operator
-from symsolve.poly import P, Poly
+from symsolve.poly import P, Poly, poly_lcm
 from symsolve.ratfunc import RF, RatFunc
 from symsolve.snf import shift_normal_form
 from symsolve.symprod import symprod_first_order, symsquare_order2
@@ -112,7 +114,49 @@ class TestRationalSolutions:
         assert (sols[0] / y).is_constant()
 
 
+def _in_span(G: Operator, basis, L: Operator) -> bool:
+    # G == sum of constants times the basis maps, modulo L
+    ops = [gm.G for gm in basis] + [G % L if G.order >= L.order else G]
+    den = Poly.const(F(1))
+    for op in ops:
+        for i in range(L.order):
+            den = poly_lcm(den, op.coeff(i).den)
+    nums = [[(op.coeff(i) * RatFunc(den)).as_poly() for i in range(L.order)]
+            for op in ops]
+    size = 1 + max(p.degree for ps in nums for p in ps)
+    vecs = [[p[m] for p in ps for m in range(size)] for ps in nums]
+    return any(v[-1] for v in nullspace_rational([list(r) for r in zip(*vecs)]))
+
+
+class TestPowerColumns:
+    @given(
+        nums=st.lists(st.integers(-9, 9), min_size=1, max_size=6),
+        dens=st.lists(st.integers(1, 9), min_size=6, max_size=6),
+        j=st.integers(0, 3),
+        width=st.integers(1, 20),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_block_is_base_times_powers(self, nums, dens, j, width):
+        if not any(nums):
+            return
+        base = Poly([F(n, d) for n, d in zip(nums, dens)])
+        block = _power_columns(base.coeffs, j, width)
+        assert len(block) == width
+        for k, col in enumerate(block):
+            assert Poly(col) == base * Poly((F(j), F(1))) ** k
+
+
 class TestHomSpace:
+    def test_planted_gauge_in_span(self):
+        # target of order 3, so the columns run through (x+j)^k for j = 0..3
+        G = Operator([P(1), P(0, 1), P(2)])  # 1 + x*tau + 2*tau^2
+        L2 = transformed_operator(L_CUBIC, G)
+        assert L2.order == 3 and L2.coeff(3)
+        basis = hom_space(L_CUBIC, L2, degree_cap=4)
+        assert basis
+        assert _in_span(G, basis, L_CUBIC)
+        assert not _in_span(Operator([P(1), P(1)]), basis, L_CUBIC)
+
     def test_identity_present(self):
         basis = hom_space(L_CUBIC, L_CUBIC, degree_cap=4)
         assert len(basis) == 1

@@ -2,7 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from symsolve import localdata
+from symsolve.factorization import factor_over_Q
 from symsolve.fieldext import NumberField, sqrt_as_field_element
 from symsolve.localdata import (
     GenExpRep,
@@ -23,6 +27,7 @@ from symsolve.ore import Operator
 from symsolve.poly import P, Poly
 from symsolve.ratfunc import RF, RatFunc
 from symsolve.series import TSeries
+from symsolve.snf import canonical_shift
 from symsolve.symprod import symprod_first_order, symprod_general, symsquare_order2
 
 X = P(0, 1)
@@ -119,7 +124,139 @@ class TestValuationGrowth:
             valuation_growth(L, X)
 
 
+def _eps_val(p: Poly) -> int:
+    return next(k for k, c in enumerate(p.coeffs) if c)
+
+
+def _det(rows):
+    if len(rows) == 1:
+        return rows[0][0]
+    acc = Poly()
+    for j, top in enumerate(rows[0]):
+        sub = [[r[k] for k in range(len(rows)) if k != j] for r in rows[1:]]
+        acc = acc + top * _det(sub) if j % 2 == 0 else acc - top * _det(sub)
+    return acc
+
+
+def _reference_transition(L: Operator, cls: Poly):
+    """Untruncated transition matrix N over Q(θ)[ε] across the singular
+    region of cls, with the valuations vden and vdet = v(det N)."""
+    hat, k = canonical_shift(cls.monic())
+    offsets = next(([o + k for o in ks] for p, ks in problem_points(L) if p == hat))
+    polys, d = L.poly_coeffs(), L.order
+    rep = cls.monic()
+    theta = -F(rep[0]) if rep.degree == 1 else NumberField(rep, name="theta").gen
+    N = [[P(1) if i == j else Poly() for j in range(d)] for i in range(d)]
+    vden = vdet = 0
+    for k in range(offsets[0] - d, offsets[-1] + 1):
+        ev = [p.shift(theta + k) for p in polys]
+        vden += _eps_val(ev[d])
+        vdet += _eps_val(ev[0]) + (d - 1) * _eps_val(ev[d])
+        M = [[ev[d] if j == i + 1 else Poly() for j in range(d)] for i in range(d - 1)]
+        M.append([-e for e in ev[:d]])
+        N = [[sum((M[i][l] * N[l][j] for l in range(d)), Poly()) for j in range(d)]
+             for i in range(d)]
+    return N, vden, vdet
+
+
+def _reference_valuations(N):
+    """Entry and cofactor valuations of N, zero entries left out."""
+    d = len(N)
+    entries = [_eps_val(e) for row in N for e in row if e]
+    if d == 1:
+        return entries, [0]
+    cofs = [_det([[N[r][c] for c in range(d) if c != j] for r in range(d) if r != i])
+            for i in range(d) for j in range(d)]
+    return entries, [_eps_val(c) for c in cofs if c]
+
+
+def _reference_growth(L: Operator, cls: Poly):
+    N, vden, vdet = _reference_transition(L, cls)
+    entries, cofs = _reference_valuations(N)
+    return (min(entries) - vden, vdet - min(cofs) - vden)
+
+
+CLASSES = (X, X * X - P(2), X * X + P(1), X ** 3 - P(2), X ** 3 - X - P(1))
+
+
+@st.composite
+def _operator_with_class(draw):
+    """Small normal operator of order 1 to 3 whose a_0, and maybe a_d,
+    vanish on shifted copies of a class of degree 1, 2 or 3; and the class.
+    Cubic classes come with order at most 2, where the untruncated
+    reference stays fast; test_cubic_class covers one at order 3."""
+    f = draw(st.sampled_from(CLASSES))
+    d = draw(st.integers(1, 2 if f.degree == 3 else 3))
+    small = st.lists(st.integers(-3, 3), min_size=1, max_size=2)
+    coeffs = [Poly(draw(small)) for _ in range(d + 1)]
+    coeffs[0] = (coeffs[0] or P(1)) * f.shift(draw(st.integers(0, 1)))
+    coeffs[d] = coeffs[d] or P(1)
+    if draw(st.booleans()):
+        coeffs[d] = coeffs[d] * f.shift(draw(st.integers(0, 1)))
+    if draw(st.booleans()):
+        # a factor shared by all coefficients lifts every Smith exponent
+        g = f.shift(draw(st.integers(0, 1)))
+        coeffs = [c * g for c in coeffs]
+    return Operator(coeffs), f
+
+
+class TestTruncatedGrowth:
+    """valuation_growth reduces everything mod ε^(vdet+1); an untruncated
+    reference must give the same growths."""
+
+    @given(_operator_with_class())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_untruncated(self, case):
+        L, f = case
+        assert valuation_growth(L, f) == _reference_growth(L, f)
+        for rep, offs in problem_points(L):
+            assert valuation_growth(L, rep, offs) == _reference_growth(L, rep)
+
+    def test_cubic_class(self):
+        f = X ** 3 - P(2)
+        L = Operator([f * f.shift(1), X, P(-1), f.shift(2)])
+        assert valuation_growth(L, f) == _reference_growth(L, f)
+
+    def test_kept_and_dropped_valuations(self):
+        # one entry of N has valuation exactly vdet, the last coefficient
+        # the truncation keeps, and another lies above it and is dropped
+        L = Operator([-X, -X, P(1)])
+        N, _, vdet = _reference_transition(L, X)
+        entries, cofs = _reference_valuations(N)
+        assert vdet in entries and vdet in cofs
+        assert max(entries) > vdet and max(cofs) > vdet
+        assert valuation_growth(L, X) == _reference_growth(L, X)
+
+    def test_order_one_bound_attained(self):
+        # The bound is tight here.  For d >= 2 the least cofactor
+        # valuation is vdet - s_d < vdet once the class has a problem
+        # point; for d = 1, N is the product of the -a_0 and its only
+        # entry has valuation vdet, the last coefficient kept.
+        L = Operator([-(X * X - P(2)) * P(2, 4, 1), P(1)])  # (x+2)^2 - 2
+        N, _, vdet = _reference_transition(L, X * X - P(2))
+        assert _reference_valuations(N)[0] == [vdet] and vdet == 2
+        assert valuation_growth(L, X * X - P(2)) == _reference_growth(L, X * X - P(2))
+
+    def test_offsets_given_or_computed(self):
+        L = turan_op()
+        [(rep, offs)] = problem_points(L)
+        assert valuation_growth(L, rep, offs) == valuation_growth(L, rep) == (0, 2)
+
+
 class TestValgSet:
+    def test_factors_once(self, monkeypatch):
+        calls = []
+
+        def counting(p):
+            calls.append(p)
+            return factor_over_Q(p)
+
+        monkeypatch.setattr(localdata, "factor_over_Q", counting)
+        # two classes, x and x^2 - 2: one factorization serves both
+        L = Operator([(X * X - P(2)) * X, P(1), X.shift(3)])
+        valg_set(L)
+        assert len(calls) == 1
+
     def test_no_essential_points(self):
         assert valg_set(Operator([-X, P(1)])) == set()
 
