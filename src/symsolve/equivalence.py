@@ -34,7 +34,6 @@ __all__ = [
     "hom_space",
     "term_candidates",
     "gt_find",
-    "inverse_gauge",
     "transformed_operator",
     "case_diagnosis",
 ]
@@ -157,14 +156,17 @@ def _power_columns(q: list, j: int, width: int) -> List[list]:
 
 
 def _polynomial_solutions(L: Operator, bound: int) -> List[Poly]:
-    # column k is L applied to x^k: sum_i p_i(x)·(x+i)^k
-    cols = [Poly() for _ in range(bound + 1)]
-    for i, p in enumerate(L.poly_coeffs()):
+    # column k is L applied to x^k: sum_i p_i(x)·(x+i)^k; L is canonical,
+    # so the p_i have integer coefficients
+    ps = L.poly_coeffs()
+    cols = [[0] * (max(len(p) for p in ps) + bound) for _ in range(bound + 1)]
+    for i, p in enumerate(ps):
         if p:
-            for k, z in enumerate(_power_columns(p.coeffs, i, bound + 1)):
-                cols[k] = cols[k] + Poly(z)
-    height = 1 + max(p.degree for p in cols if p) if any(cols) else 1
-    rows = [[cols[k][m] for k in range(bound + 1)] for m in range(height)]
+            for col, z in zip(cols, _power_columns(p.int_coeffs(), i, bound + 1)):
+                for m, c in enumerate(z):
+                    col[m] += c
+    height = max((m + 1 for c in cols for m, v in enumerate(c) if v), default=1)
+    rows = [[c[m] for c in cols] for m in range(height)]
     return [Poly(vec) for vec in nullspace_rational(rows)]
 
 
@@ -233,8 +235,9 @@ def hom_space(
     pass q'[m] = q[m-1] + j·q[m] per column: the Taylor shift
     z(x) ↦ z(x+j) applied column by column instead of a full polynomial
     product per power.  The passes run on integers over one common
-    denominator per remainder coefficient s, so the rows come out as
-    exactly the rationals the products would give.
+    denominator D per remainder coefficient s; the rows are the
+    rationals the products would give, times D, which leaves the
+    nullspace unchanged.
     """
     if not (L1.is_normal() and L2.is_normal()):
         raise ValueError("normal operators required")
@@ -258,7 +261,7 @@ def hom_space(
 
     # remainder coefficient at tau^s:
     #   sum_{j,i} b_j(x) R[j+i][s](x) / u(x+j) * p_i(x+j)  =  0
-    rows: List[List[Fraction]] = []
+    rows: List[List[int]] = []
     for s in range(d1):
         terms: List[Tuple[int, int, RatFunc]] = []
         den = Poly.const(Fraction(1))
@@ -282,8 +285,7 @@ def hom_space(
                 for m, c in enumerate(q):
                     col[m] += c
         height = 1 + max(m for c in cols for m, v in enumerate(c) if v)
-        for m in range(height):
-            rows.append([Fraction(c[m], D) if c[m] else 0 for c in cols])
+        rows += [[c[m] for c in cols] for m in range(height)]
 
     basis = []
     for vec in nullspace_rational(rows):
@@ -332,22 +334,6 @@ def gt_find(
             if gm.bijective:
                 return GTTransform(r, gm, L1)
     return None
-
-
-def inverse_gauge(gm: GaugeMap) -> GaugeMap:
-    """Inverse bijection as a gauge map from target back to source.
-
-    Extended right Euclid gives u*G + v*source = 1; u is the inverse
-    modulo the source, reduced modulo the target where it acts.
-    """
-    g, cof, _ = gm.G.xgcrd(gm.source)
-    if g.order != 0:
-        raise ValueError("gauge map is not bijective")
-    inv = cof % gm.target if cof.order >= gm.target.order else cof
-    out = GaugeMap(inv, gm.target, gm.source)
-    if (out.G * gm.G - Operator.identity()) % gm.source:
-        raise AssertionError("inverse failed the remainder identity")
-    return out
 
 
 def transformed_operator(L1: Operator, G: Operator) -> Operator:

@@ -14,14 +14,7 @@ from typing import List, Optional, Tuple
 from .fieldext import NFElem, NumberField, demote, value_sqrt
 from .poly import Poly, poly_gcd
 
-__all__ = [
-    "factor_over_Q",
-    "roots_rational",
-    "resultant",
-    "is_irreducible",
-    "roots",
-    "root_multiplicity",
-]
+__all__ = ["factor_over_Q", "roots", "root_multiplicity"]
 
 _x = None
 
@@ -69,32 +62,6 @@ def factor_over_Q(p: Poly) -> Tuple[Fraction, List[Tuple[Poly, int]]]:
         out.append((prim, int(m)))
     out.sort(key=lambda fm: (fm[0].degree, tuple(Fraction(c) for c in fm[0].coeffs)))
     return unit, out
-
-
-def roots_rational(p: Poly) -> List[Tuple[Fraction, int]]:
-    """Rational roots with multiplicities, sorted."""
-    _, factors = factor_over_Q(p)
-    roots = []
-    for f, m in factors:
-        if f.degree == 1:
-            roots.append((-Fraction(f[0]) / Fraction(f[1]), m))
-    roots.sort(key=lambda rm: rm[0])
-    return roots
-
-
-def resultant(p: Poly, q: Poly) -> Fraction:
-    sp = _to_sympy(p).resultant(_to_sympy(q))
-    import sympy
-
-    r = sympy.Rational(sp)
-    return Fraction(int(r.p), int(r.q))
-
-
-def is_irreducible(p: Poly) -> bool:
-    if p.degree < 1:
-        return False
-    _, factors = factor_over_Q(p)
-    return len(factors) == 1 and factors[0][1] == 1
 
 
 # -- roots in Q or one quadratic field -----------------------------------------

@@ -2,23 +2,23 @@
 
 Two kits live here: an exact incremental dependency finder over F(x)
 (fraction-free rows, used for minimal-order annihilators), and a
-modular nullspace solver for large rational systems (row reduce mod
+modular nullspace solver for large integer systems (row reduce mod
 word-sized primes, CRT, rational reconstruction, then verify exactly;
 a reconstruction that verifies is a proof, so primes never need trust).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-import sympy
 
-from .poly import Poly, poly_gcd
+from .poly import Poly, poly_gcd, rational_content
 from .ratfunc import RatFunc
 
-__all__ = ["DependencyFinder", "first_dependency", "nullspace_rational"]
+__all__ = ["DependencyFinder", "nullspace_rational"]
 
 
 # -- exact dependency search over F(x) ------------------------------------
@@ -48,15 +48,7 @@ def _strip_row(main: List[Poly], aug: List[Poly]) -> None:
                 if p:
                     row[i] = p.exact_div(g)
     if rational:
-        from math import gcd as igcd
-
-        num, den = 0, 1
-        for p in main + aug:
-            if p:
-                pc = p.content()
-                num = igcd(num, pc.numerator)
-                den = den * pc.denominator // igcd(den, pc.denominator)
-        c = Fraction(num, den)
+        c = rational_content(p.content() for p in main + aug)
         if c != 1:
             inv = 1 / c
             for row in (main, aug):
@@ -102,19 +94,6 @@ class DependencyFinder:
         return None
 
 
-def first_dependency(vectors: Sequence[Sequence[RatFunc]]) -> Optional[List[RatFunc]]:
-    """Coefficients c_0..c_k (c_k = 1) of the first vector lying in the
-    span of its predecessors, or None if all are independent."""
-    if not vectors:
-        return None
-    finder = DependencyFinder(len(vectors[0]))
-    for v in vectors:
-        dep = finder.feed(v)
-        if dep is not None:
-            return dep
-    return None
-
-
 # -- modular nullspaces for rational matrices -------------------------------
 
 _PRIMES: List[int] = []
@@ -122,10 +101,12 @@ _MAX_PRIMES = 40  # primes tried before nullspace_rational gives up
 
 
 def _prime(i: int) -> int:
+    from sympy import prevprime
+
     # descending from 2^29 keeps intermediate products inside int64
     while len(_PRIMES) <= i:
         p = _PRIMES[-1] if _PRIMES else (1 << 29)
-        _PRIMES.append(int(sympy.prevprime(p)))
+        _PRIMES.append(int(prevprime(p)))
     return _PRIMES[i]
 
 
@@ -176,7 +157,7 @@ def _crt(r1: int, m1: int, r2: int, m2: int) -> Tuple[int, int]:
 
 def _rat_recon(r: int, m: int) -> Optional[Fraction]:
     """Wang reconstruction: n/d = r mod m with |n|, d <= sqrt(m/2)."""
-    bound = sympy.integer_nthroot(m // 2, 2)[0]
+    bound = math.isqrt(m // 2)
     a0, a1 = m, r % m
     b0, b1 = 0, 1
     while a1 > bound:
@@ -185,40 +166,33 @@ def _rat_recon(r: int, m: int) -> Optional[Fraction]:
         b0, b1 = b1, b0 - q * b1
     if abs(b1) > bound or b1 == 0:
         return None
-    if sympy.igcd(a1, b1) != 1:
+    if math.gcd(a1, b1) != 1:
         return None
     return Fraction(a1, b1) if b1 > 0 else Fraction(-a1, -b1)
 
 
-def _int_rows(rows: Sequence[Sequence[Fraction]]) -> List[List[int]]:
-    out = []
-    for row in rows:
-        den = 1
-        for c in row:
-            c = Fraction(c)
-            den = den * c.denominator // sympy.igcd(den, c.denominator)
-        out.append([int(Fraction(c) * den) for c in row])
-    return out
+def nullspace_rational(rows: Sequence[Sequence[int]]) -> List[List[Fraction]]:
+    """Exact rational nullspace basis of an integer matrix (list of rows).
 
-
-def nullspace_rational(rows: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
-    """Exact rational nullspace basis of the matrix (list of rows).
-
-    Solves modulo word-sized primes and reconstructs; the result is
-    verified against the exact matrix, so a returned basis is certified.
-    An empty list certifies a trivial nullspace (full column rank seen
-    mod a prime bounds the rank from below).
+    A rational matrix is passed with each row's denominators cleared,
+    which leaves its nullspace unchanged.  Solves modulo word-sized
+    primes and reconstructs; the result is verified against the exact
+    matrix, so a returned basis is certified.  An empty list certifies a
+    trivial nullspace (full column rank seen mod a prime bounds the rank
+    from below).
     """
     if not rows:
         return []
+    if not all(isinstance(c, int) for r in rows for c in r):
+        # a Fraction would be truncated on its way into int64
+        raise TypeError("nullspace_rational takes integer rows")
     n = len(rows[0])
-    irows = _int_rows(rows)
     best: Optional[Tuple[int, List[int]]] = None  # (rank, pivots)
     residues: Optional[np.ndarray] = None
     modulus = 1
     for pi in range(_MAX_PRIMES):
         p = _prime(pi)
-        A = np.array([[c % p for c in r] for r in irows], dtype=np.int64)
+        A = np.array([[c % p for c in r] for r in rows], dtype=np.int64)
         pivots, basis = _nullspace_mod_p(A, p)
         rank = len(pivots)
         if best is None or rank > best[0]:
@@ -239,7 +213,7 @@ def nullspace_rational(rows: Sequence[Sequence[Fraction]]) -> List[List[Fraction
         else:
             continue
         cand = _reconstruct(residues, modulus)
-        if cand is not None and _verify_null(irows, cand):
+        if cand is not None and _verify_null(rows, cand):
             return cand
     raise ArithmeticError("modular nullspace did not stabilize")
 
@@ -257,13 +231,11 @@ def _reconstruct(residues: np.ndarray, modulus: int) -> Optional[List[List[Fract
     return out
 
 
-def _verify_null(irows: List[List[int]], basis: List[List[Fraction]]) -> bool:
+def _verify_null(rows: Sequence[Sequence[int]], basis: List[List[Fraction]]) -> bool:
     for vec in basis:
-        den = 1
-        for c in vec:
-            den = den * c.denominator // sympy.igcd(den, c.denominator)
+        den = math.lcm(*(c.denominator for c in vec))
         ivec = [int(c * den) for c in vec]
-        for row in irows:
+        for row in rows:
             if sum(a * b for a, b in zip(row, ivec)):
                 return False
     return True

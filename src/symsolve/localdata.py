@@ -355,9 +355,6 @@ class GenExpSet:
     def __len__(self):
         return len(self.entries)
 
-    def total_multiplicity(self) -> int:
-        return sum(e.multiplicity for e in self.entries)
-
 
 def trunc(s: TSeries, r: Optional[int] = None) -> GenExpRep:
     """E_r representative of a nonzero series: keep the leading constant,

@@ -13,10 +13,10 @@ from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .fieldext import demote
-from .poly import Poly, poly_gcd, poly_lcm
+from .poly import Poly, poly_gcd, poly_lcm, rational_content
 from .ratfunc import RatFunc
 
-__all__ = ["Operator", "tau_power", "solution_window"]
+__all__ = ["Operator", "solution_window"]
 
 
 def _to_ratfunc(c) -> RatFunc:
@@ -77,9 +77,6 @@ class Operator:
         """a_0 != 0 (and nonzero operator)."""
         return bool(self.coeffs) and bool(self.coeffs[0])
 
-    def is_full(self) -> bool:
-        return bool(self.coeffs) and all(bool(c) for c in self.coeffs)
-
     def __eq__(self, other):
         if not isinstance(other, Operator):
             return NotImplemented
@@ -131,16 +128,7 @@ class Operator:
         if g.degree > 0:
             polys = [p.exact_div(g) if p else p for p in polys]
         if rational:
-            content = Fraction(0)
-            from math import gcd as igcd
-
-            num = 0
-            den = 1
-            for p in polys:
-                c = p.content()
-                num = igcd(num, c.numerator)
-                den = den * c.denominator // igcd(den, c.denominator)
-            content = Fraction(num, den)
+            content = rational_content(p.content() for p in polys)
             if polys[-1].lead() < 0:
                 content = -content
             polys = [p * (Fraction(1) / content) for p in polys]
@@ -152,14 +140,7 @@ class Operator:
         self._canon = canon
         return canon
 
-    def same_solution_space(self, other: "Operator") -> bool:
-        return self.canonical() == other.canonical()
-
     # -- ring operations ---------------------------------------------------------
-
-    def shift_coeffs(self, k: int) -> "Operator":
-        """S^k · L · S^(-k): substitute x -> x+k in every coefficient."""
-        return Operator(tuple(c.shift(k) if c else c for c in self.coeffs))
 
     def __add__(self, other):
         if not isinstance(other, Operator):
@@ -256,34 +237,7 @@ class Operator:
             return a
         return a.scalar_mul(1 / a.leading())
 
-    def xgcrd(self, other: "Operator"):
-        """(g, u, v) with u·self + v·other = g, g normalized monic."""
-        r0, r1 = self, other
-        u0, u1 = Operator.identity(), Operator()
-        v0, v1 = Operator(), Operator.identity()
-        while r1:
-            q, r = r0.right_divmod(r1)
-            r0, r1 = r1, r
-            u0, u1 = u1, u0 - q * u1
-            v0, v1 = v1, v0 - q * v1
-        if not r0:
-            return r0, u0, v0
-        inv = Operator((1 / r0.leading(),))
-        return inv * r0, inv * u0, inv * v0
-
     # -- difference-specific maps ----------------------------------------------------
-
-    def adjoint(self) -> "Operator":
-        """L* = sum a_{d-i}(x+i) S^i."""
-        d = self.order
-        return Operator(tuple(self.coeff(d - i).shift(i) for i in range(d + 1)))
-
-    def vee_adjoint(self) -> "Operator":
-        """Monic variant: (L/a_d) -> sum a_{d-i}(x+i-1) S^i."""
-        d = self.order
-        lead = self.leading()
-        cs = [self.coeff(i) / lead for i in range(d + 1)]
-        return Operator(tuple(cs[d - i].shift(i - 1) for i in range(d + 1)))
 
     def det(self) -> RatFunc:
         """Companion determinant (-1)^d a_0/a_d."""
@@ -292,21 +246,6 @@ class Operator:
         d = self.order
         val = self.trailing() / self.leading()
         return -val if d % 2 else val
-
-    def companion(self) -> List[List[RatFunc]]:
-        d = self.order
-        if d < 1:
-            raise ValueError("companion matrix needs order >= 1")
-        zero = RatFunc(Poly(), reduce=False)
-        one = RatFunc(Poly.const(Fraction(1)), reduce=False)
-        rows = []
-        for i in range(d - 1):
-            row = [zero] * d
-            row[i + 1] = one
-            rows.append(row)
-        lead = self.leading()
-        rows.append([-(self.coeff(j) / lead) for j in range(d)])
-        return rows
 
     def apply_window(self, values: Sequence, n0) -> List:
         """Residuals sum_i a_i(n) v(n+i) for n = n0 .. n0+len-1-d, exact.
@@ -347,15 +286,6 @@ class Operator:
             else:
                 parts.append(f"({cs})" + ("*" + term if term else ""))
         return "Operator(" + " + ".join(parts) + ")"
-
-
-def tau_power(k: int) -> Operator:
-    """S^k as an operator, k >= 0."""
-    if k < 0:
-        raise ValueError("negative shift power")
-    one = RatFunc(Poly.const(Fraction(1)), reduce=False)
-    zero = RatFunc(Poly(), reduce=False)
-    return Operator((zero,) * k + (one,))
 
 
 def solution_window(L: Operator, inits: Sequence, n0: int, length: int) -> List:

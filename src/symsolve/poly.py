@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd as _igcd
 from typing import Iterable, Sequence
 
-__all__ = ["Poly", "P", "x_poly", "poly_gcd", "poly_xgcd", "poly_lcm"]
+__all__ = ["Poly", "P", "x_poly", "poly_gcd", "poly_xgcd", "poly_lcm", "rational_content"]
 
 
 def _fieldify(c):
@@ -211,14 +211,6 @@ class Poly:
                 cs[k] = cs[k] + a * cs[k + 1]
         return Poly(cs)
 
-    def reverse(self, n: int | None = None) -> "Poly":
-        """x^n * p(1/x); n defaults to deg p."""
-        if n is None:
-            n = self.degree
-        if n < self.degree:
-            raise ValueError("reversal order below degree")
-        return Poly((0,) * (n - self.degree) + tuple(reversed(self.coeffs)))
-
     def eval(self, v):
         """Horner evaluation; v may be a scalar or a Poly (composition)."""
         if not self.coeffs:
@@ -243,15 +235,7 @@ class Poly:
 
     def content(self) -> Fraction:
         """Positive rational content; content(0) = 0."""
-        if not self.coeffs:
-            return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.coeffs:
-            c = Fraction(c)
-            num = _igcd(num, c.numerator)
-            den = den * c.denominator // _igcd(den, c.denominator)
-        return Fraction(num, den)
+        return rational_content(self.coeffs)
 
     def primitive(self) -> "Poly":
         """self / content, leading coefficient made positive."""
@@ -302,6 +286,18 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.to_str()})"
+
+
+def rational_content(values: Iterable) -> Fraction:
+    """gcd of the numerators over lcm of the denominators: the positive
+    rational c with every value / c an integer and their gcd 1; 0 when
+    every value is 0."""
+    num, den = 0, 1
+    for c in values:
+        c = Fraction(c)
+        num = _igcd(num, c.numerator)
+        den = den * c.denominator // _igcd(den, c.denominator)
+    return Fraction(num, den)
 
 
 def _coeff_str(c) -> str:

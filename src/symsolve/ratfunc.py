@@ -73,12 +73,6 @@ class RatFunc:
     def is_constant(self) -> bool:
         return self.num.degree <= 0 and self.den.degree == 0
 
-    def valuation_at_infinity(self) -> int:
-        """deg den - deg num; raises on 0."""
-        if not self.num:
-            raise ValueError("zero has no valuation")
-        return self.den.degree - self.num.degree
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:

@@ -7,8 +7,8 @@ elements, or polynomials in a symbol for indicial work); arithmetic
 propagates the usable window, never inventing unknown terms.
 
 The shift x -> x+1 acts on t by t -> t/(1+t), so on a term by
-t^e -> t^e (1+t)^(-e); binomial_series provides (1+t)^alpha with an
-exact or symbolic exponent.
+t^e -> t^e (1+t)^(-e); TSeries.tau expands that binomial on the known
+window.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Callable, List, Sequence, Tuple, Union
 
 from .poly import Poly
 
-__all__ = ["TSeries", "binomial_series", "binomial_coeff"]
+__all__ = ["TSeries"]
 
 
 def _is_zero(c) -> bool:
@@ -140,19 +140,6 @@ class TSeries:
     def __bool__(self):
         return not self.is_zero()
 
-    def same_series(self, other: "TSeries") -> bool:
-        """Equal on the common known window (mathematical comparison)."""
-        r = self.ram * other.ram // gcd(self.ram, other.ram)
-        a, b = self.lift(r), other.lift(r)
-        lo = min(a.val, b.val)
-        hi = min(a.end, b.end)
-        for k in range(lo, hi):
-            ca = a.coeffs[k - a.val] if k >= a.val else Fraction(0)
-            cb = b.coeffs[k - b.val] if k >= b.val else Fraction(0)
-            if not _is_zero(ca - cb):
-                return False
-        return True
-
     # -- ring operations ---------------------------------------------------------
 
     def _aligned(self, other: "TSeries") -> Tuple["TSeries", "TSeries"]:
@@ -222,21 +209,6 @@ class TSeries:
             return self.map_coeffs(lambda c: c / other)
         return self * other.inverse()
 
-    def __pow__(self, m: int):
-        if m < 0:
-            return self.inverse() ** (-m)
-        result = TSeries(self.ram, 0, (Fraction(1),) * max(1, self.nterms))
-        base = self
-        first = True
-        while m:
-            if m & 1:
-                result = base if first else result * base
-                first = False
-            m >>= 1
-            if m:
-                base = base * base
-        return result if not first else TSeries(self.ram, 0, (Fraction(1),) * max(1, self.nterms))
-
     # -- the shift action -------------------------------------------------------
 
     def tau(self, times: int = 1) -> "TSeries":
@@ -269,24 +241,3 @@ class TSeries:
         tail = f"O(t^({Fraction(self.end, self.ram)}))"
         return "TSeries(" + (" + ".join(parts + [tail])) + ")"
 
-
-def binomial_coeff(alpha, j: int):
-    """binom(alpha, j) for a scalar or polynomial alpha."""
-    acc = Fraction(1)
-    for i in range(j):
-        acc = acc * (alpha - i) / (i + 1)
-    return acc
-
-
-def binomial_series(alpha, nterms: int, ram: int = 1) -> TSeries:
-    """(1+t)^alpha on nterms known levels; alpha may be a Poly in a
-    symbol (for indicial work) or an exact scalar."""
-    if nterms < 1:
-        raise ValueError("need at least one term")
-    out = []
-    b = Fraction(1) if not isinstance(alpha, Poly) else Poly.const(Fraction(1))
-    for j in range((nterms + ram - 1) // ram):
-        out.append(b)
-        out.extend([Fraction(0)] * (ram - 1))
-        b = b * (alpha - j) / (j + 1)
-    return TSeries(ram, 0, out[:nterms])

@@ -27,7 +27,6 @@ __all__ = [
     "shift_quotient_inverse",
     "shift_equivalent",
     "dispersion_set",
-    "dispersion",
     "nth_root_ratfunc",
 ]
 
@@ -140,11 +139,6 @@ def dispersion_set(p: Poly, q: Poly) -> List[int]:
             if k is not None and k >= 0:
                 ks.add(k)
     return sorted(ks)
-
-
-def dispersion(p: Poly, q: Poly) -> Optional[int]:
-    ks = dispersion_set(p, q)
-    return ks[-1] if ks else None
 
 
 def _rational_nth_root(c: Fraction, n: int) -> Optional[Fraction]:

@@ -17,14 +17,7 @@ from .ore import Operator
 from .poly import Poly
 from .ratfunc import RatFunc
 
-__all__ = [
-    "symprod_first_order",
-    "symsquare_order2",
-    "symprod_general",
-    "sympower",
-    "interlace",
-    "conjugate_order2",
-]
+__all__ = ["symprod_first_order", "symsquare_order2", "symprod_general", "interlace"]
 
 
 def symprod_first_order(L: Operator, r: RatFunc) -> Operator:
@@ -115,25 +108,6 @@ def symprod_general(M: Operator, N: Operator) -> Operator:
     raise AssertionError("no dependency within the product-space dimension")
 
 
-def sympower(L: Operator, m: int) -> Operator:
-    """Iterated symmetric power L^{⊛m}, with the order-2 shortcuts."""
-    if m < 1:
-        raise ValueError("power must be at least 1")
-    if m == 1:
-        return L
-    if L.order == 2 and not L.coeff(1) and L.is_normal():
-        # u(x+2) = rho(x) u(x) for every solution, so any m-fold product
-        # satisfies tau^2 - rho^m
-        rho = -(L.coeff(0) / L.coeff(2))
-        return Operator((-(rho**m), RatFunc(Poly(), reduce=False), 1)).canonical()
-    if L.order == 2 and m == 2:
-        return symsquare_order2(L)
-    out = L
-    for _ in range(m - 1):
-        out = symprod_general(out, L)
-    return out
-
-
 def interlace(L: Operator, m: int) -> Operator:
     """Section-interlacing: sum a_i(x/m) τ^{m·i}; solutions of L read on
     the arithmetic progression x ≡ 0 (mod m) solve the result."""
@@ -150,10 +124,3 @@ def interlace(L: Operator, m: int) -> Operator:
             out[m * i] = RatFunc(c.num.eval(sub), c.den.eval(sub))
     return Operator(out)
 
-
-def conjugate_order2(K: Operator) -> Operator:
-    """Flip the middle coefficient; (-1)^x·u solves the result when u
-    solves K, and both share the same symmetric square."""
-    if K.order != 2:
-        raise ValueError("order-2 operator required")
-    return Operator((K.coeff(0), -K.coeff(1), K.coeff(2)))

@@ -310,6 +310,11 @@ def _require(cond: bool, entry: str, fieldname: str, msg: str) -> None:
         raise TableError(f"entry {entry!r}: field {fieldname!r} {msg}")
 
 
+def _is_int(v) -> bool:
+    """v is a JSON integer (not a float, string or boolean)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _parsed(conv, v):
     """conv(v), or None when v does not convert."""
     try:
@@ -379,7 +384,7 @@ def load_table(path: Optional[str] = None, validate: bool = False,
             _require(isinstance(g, dict)
                      and set(g) >= {"r", "v", "c", "tail"}
                      and isinstance(g["tail"], list)
-                     and len(g["tail"]) == _parsed(int, g["r"])
+                     and _is_int(g["r"]) and len(g["tail"]) == g["r"]
                      and _parsed(Fraction, g["v"]) is not None,
                      name, "gquo",
                      "elements need r/v/c/tail with r tail slots")
@@ -388,7 +393,7 @@ def load_table(path: Optional[str] = None, validate: bool = False,
         _require(isinstance(item["valg"], list), name, "valg", "must be a list")
         for v in item["valg"]:
             _require(isinstance(v, dict) and "point" in v
-                     and (_parsed(int, v.get("gap")) or 0) > 0,
+                     and _is_int(v.get("gap")) and v["gap"] > 0,
                      name, "valg", "elements need point and a positive gap")
             _check_template(name, "valg", v["point"], names)
         _require(isinstance(item["matcher"], dict)

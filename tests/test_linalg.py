@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symsolve.linalg import DependencyFinder, first_dependency, nullspace_rational
+from symsolve.linalg import DependencyFinder, nullspace_rational
 from symsolve.poly import P, Poly
 from symsolve.ratfunc import RF
 
@@ -16,18 +17,19 @@ class TestFirstDependency:
         v0 = [RF(1), RF([0, 1])]
         v1 = [RF([0, 1]), RF(1)]
         v2 = [v0[0] + v1[0], v0[1] + v1[1]]
-        dep = first_dependency([v0, v1, v2])
-        assert dep == [RF(-1), RF(-1), RF(1)]
+        f = DependencyFinder(2)
+        assert [f.feed(v) for v in (v0, v1, v2)] == [None, None, [RF(-1), RF(-1), RF(1)]]
 
     def test_independent(self):
-        assert first_dependency([[RF(1), RF(0)], [RF(0), RF(1)]]) is None
+        f = DependencyFinder(2)
+        assert [f.feed(v) for v in ([RF(1), RF(0)], [RF(0), RF(1)])] == [None, None]
 
     def test_earliest_dependency_wins(self):
         v0 = [RF(1), RF(2)]
         v1 = [RF(2), RF(4)]  # dependent already here
-        v2 = [RF(0), RF(1)]
-        dep = first_dependency([v0, v1, v2])
-        assert dep == [RF(-2), RF(1)]
+        f = DependencyFinder(2)
+        assert f.feed(v0) is None
+        assert f.feed(v1) == [RF(-2), RF(1)]
 
     def test_rational_function_combination(self):
         # v2 = x*v0 + (1/(x+1))*v1 detected with exact coefficients
@@ -36,15 +38,16 @@ class TestFirstDependency:
         x = RF([0, 1])
         c = RF(1, [1, 1])
         v2 = [x * v0[0] + c * v1[0], x * v0[1] + c * v1[1]]
-        dep = first_dependency([v0, v1, v2])
+        f = DependencyFinder(2)
+        assert f.feed(v0) is None and f.feed(v1) is None
+        dep = f.feed(v2)
         assert dep is not None
         for a, b, d in zip(v0, v1, v2):
             assert dep[0] * a + dep[1] * b + dep[2] * d == RF(0)
         assert dep[2] == RF(1)
 
     def test_zero_vector(self):
-        dep = first_dependency([[RF(0), RF(0)]])
-        assert dep == [RF(1)]
+        assert DependencyFinder(2).feed([RF(0), RF(0)]) == [RF(1)]
 
     def test_width_mismatch(self):
         f = DependencyFinder(2)
@@ -61,15 +64,28 @@ class TestFirstDependency:
             vs.append([RF(P(rng.randint(-3, 3), rng.randint(-2, 2))) for _ in range(w)])
         a, b = RF([rng.randint(-2, 2), 1]), RF(rng.randint(1, 3))
         planted = [a * p + b * q for p, q in zip(*vs)]
-        dep = first_dependency(vs + [planted])
-        assert dep is not None
         rows = vs + [planted]
+        f = DependencyFinder(w)
+        for v in rows:  # the two random vectors may already be dependent
+            dep = f.feed(v)
+            if dep is not None:
+                break
+        assert dep is not None
         k = len(dep)
         for col in range(w):
             acc = RF(0)
             for i in range(k):
                 acc = acc + dep[i] * rows[i][col]
             assert acc == RF(0)
+
+
+def _cleared(rows):
+    # each row times the lcm of its denominators: integer entries, same nullspace
+    out = []
+    for r in rows:
+        d = math.lcm(*(c.denominator for c in r))
+        out.append([int(c * d) for c in r])
+    return out
 
 
 def _sympy_nullity(rows):
@@ -80,27 +96,30 @@ def _sympy_nullity(rows):
 
 class TestModularNullspace:
     def test_simple(self):
-        basis = nullspace_rational([[Fraction(1), Fraction(1), Fraction(0)]])
+        basis = nullspace_rational([[1, 1, 0]])
         assert len(basis) == 2
         for v in basis:
             assert v[0] + v[1] == 0
 
     def test_full_rank_certified_empty(self):
-        rows = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]
-        assert nullspace_rational(rows) == []
+        assert nullspace_rational([[2, 1], [1, 1]]) == []
 
     def test_rational_entries(self):
         rows = [[Fraction(1, 3), Fraction(1, 6)], [Fraction(2), Fraction(1)]]
-        basis = nullspace_rational(rows)
+        basis = nullspace_rational(_cleared(rows))
         assert len(basis) == 1
         v = basis[0]
         assert v[0] * Fraction(1, 3) + v[1] * Fraction(1, 6) == 0
 
+    def test_fraction_entries_rejected(self):
+        # int64 conversion would truncate them
+        with pytest.raises(TypeError, match="integer rows"):
+            nullspace_rational([[Fraction(1, 3), 1]])
+
     def test_big_coefficients_reconstruct(self):
         # answer needs several primes worth of CRT
         big = Fraction(123456789012345678901234567, 987654321098765)
-        rows = [[Fraction(1), big]]
-        basis = nullspace_rational(rows)
+        basis = nullspace_rational(_cleared([[Fraction(1), big]]))
         assert len(basis) == 1
         assert basis[0][0] + big * basis[0][1] == 0
 
@@ -113,7 +132,7 @@ class TestModularNullspace:
             [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
             for _ in range(m)
         ]
-        basis = nullspace_rational(rows)
+        basis = nullspace_rational(_cleared(rows))
         assert len(basis) == _sympy_nullity(rows)
         for v in basis:
             for row in rows:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from symsolve.fieldext import NumberField
 from symsolve.opformat import parse_operator
-from symsolve.ore import Operator, solution_window, tau_power
+from symsolve.ore import Operator, solution_window
 from symsolve.poly import P, Poly
 from symsolve.ratfunc import RF
 
@@ -46,7 +46,7 @@ class TestRing:
         assert S * X != X * S
 
     def test_pow(self):
-        assert S**3 == tau_power(3)
+        assert S**3 == S * S * S
         assert (S - 1) ** 2 == S * S - 2 * S + 1
 
     def test_zero_and_identity(self):
@@ -89,47 +89,21 @@ class TestDivision:
         # f is a right factor of both, so of the gcrd
         assert g.right_divmod(f)[1] == Operator()
 
-    @given(small_ops(2), small_ops(2))
-    @settings(max_examples=30, deadline=None)
-    def test_xgcrd_identity(self, a, b):
-        if not a or not b:
-            return
-        g, u, v = a.xgcrd(b)
-        assert u * a + v * b == g
-
 
 class TestAdjointAndDet:
-    def test_adjoint_example(self):
-        L = parse_operator("S^2 - (2x+2)S + x + 1")
-        assert L.adjoint() == parse_operator("(x+3)S^2 - (2x+4)S + 1")
-
-    def test_adjoint_twice_is_coefficient_shift(self):
-        L = parse_operator("(x+1)S^3 + xS + 1")
-        assert L.adjoint().adjoint() == L.shift_coeffs(L.order)
-
-    @given(small_ops(2), small_ops(2))
-    @settings(max_examples=30, deadline=None)
-    def test_adjoint_antihomomorphism(self, m, n):
-        # (M N)* = (S^ord(M) N* S^-ord(M)) M*
-        if not m or not n:
-            return
-        lhs = (m * n).adjoint()
-        rhs = n.adjoint().shift_coeffs(m.order) * m.adjoint()
-        assert lhs.canonical() == rhs.canonical()
-
     def test_det_example(self):
         L = parse_operator("S^2 - (2x+2)S + x + 1")
         assert L.det() == RF([1, 1])
 
     def test_det_matches_companion_determinant(self):
+        # the companion matrix moves the Casoratian of a fundamental set,
+        # C(n) = det (u_j(n+i)), so C(n+1) = det(n)·C(n)
         def laplace(rows):
             n = len(rows)
             if n == 1:
                 return rows[0][0]
-            acc = RF(0)
+            acc = Fraction(0)
             for j in range(n):
-                if not rows[0][j]:
-                    continue
                 minor = [[r[k] for k in range(n) if k != j] for r in rows[1:]]
                 term = rows[0][j] * laplace(minor)
                 acc = acc - term if j % 2 else acc + term
@@ -137,31 +111,20 @@ class TestAdjointAndDet:
 
         for s in ["S^2 - (2x+2)S + x + 1", "(x+1)S^3 + xS + 1", "S - x"]:
             L = parse_operator(s)
-            assert laplace(L.companion()) == L.det()
+            d = L.order
+            sols = [solution_window(L, [int(i == j) for i in range(d)], 1, d + 4)
+                    for j in range(d)]
+            cas = [laplace([[u[n + i] for u in sols] for i in range(d)])
+                   for n in range(5)]
+            for n in range(4):
+                assert cas[n + 1] == L.det().eval(n + 1) * cas[n]
 
     def test_det_requires_normal(self):
         with pytest.raises(ValueError):
             parse_operator("S^2 - S", require_normal=False).det()
 
-    def test_vee_adjoint_on_monic(self):
-        L = parse_operator("S^2 - (2x+2)S + x + 1")
-        V = L.vee_adjoint()
-        # coefficient of S^i is a_{d-i}(x+i-1)
-        assert V.coeff(0) == RF(1)
-        assert V.coeff(1) == RF([-2, -2])
-        assert V.coeff(2) == RF([2, 1])
-
 
 class TestCompanionAndWindows:
-    def test_companion_shape(self):
-        L = parse_operator("(x+1)S^3 + xS + 1")
-        M = L.companion()
-        assert len(M) == 3 and all(len(r) == 3 for r in M)
-        assert M[0][1] == RF(1) and M[1][2] == RF(1)
-        assert M[2][0] == RF(-1, [1, 1])
-        assert M[2][1] == RF([0, -1], [1, 1])
-        assert M[2][2] == RF(0)
-
     def test_apply_window_annihilates(self):
         # S - 2 kills 2^n
         L = parse_operator("S - 2")
@@ -202,7 +165,7 @@ class TestCanonical:
         if not L:
             return
         assert L.scalar_mul(Fraction(a, b)).canonical() == L.canonical()
-        assert L.scalar_mul(RF([a, b])).same_solution_space(L)
+        assert L.scalar_mul(RF([a, b])).canonical() == L.canonical()
 
     def test_storage_is_exact(self):
         L = Operator([P(0, 2), P(4)])

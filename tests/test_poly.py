@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symsolve.poly import P, Poly, poly_gcd, poly_lcm, poly_xgcd, x_poly
+from symsolve.poly import P, Poly, poly_gcd, poly_lcm, poly_xgcd, rational_content, x_poly
 
 rationals = st.fractions(
     min_value=-20, max_value=20, max_denominator=6
@@ -42,16 +42,17 @@ class TestBasics:
         assert p.shift(-1) == P(1, -2, 1)
         assert p.shift(Fraction(1, 2)) == P(Fraction(1, 4), 1, 1)
 
-    def test_reverse(self):
-        p = P(1, 2, 3)
-        assert p.reverse() == P(3, 2, 1)
-        assert p.reverse(4) == P(0, 0, 3, 2, 1)
-
     def test_content_primitive(self):
         p = P(Fraction(2, 3), Fraction(4, 3))
         assert p.content() == Fraction(2, 3)
         assert p.primitive() == P(1, 2)
         assert P(-2, -4).primitive() == P(1, 2)  # sign moves into the content
+
+    def test_rational_content(self):
+        # gcd of numerators over lcm of denominators, positive
+        assert rational_content([Fraction(-4, 3), 2, Fraction(6, 5), 0]) == Fraction(2, 15)
+        assert rational_content([0, Fraction(0)]) == 0
+        assert rational_content([]) == 0
 
     def test_int_coeffs(self):
         assert P(1, -2).int_coeffs() == [1, -2]

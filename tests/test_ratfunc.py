@@ -69,11 +69,6 @@ class TestMaps:
         with pytest.raises(ZeroDivisionError):
             r.eval(-1)
 
-    def test_valuation_at_infinity(self):
-        assert RF([0, 1]).valuation_at_infinity() == -1
-        assert RF(1, [0, 0, 1]).valuation_at_infinity() == 2
-        assert RF(5).valuation_at_infinity() == 0
-
     def test_pow(self):
         r = RF([0, 1], [1, 1])
         assert r**3 == RF([0, 0, 0, 1], P(1, 1) ** 3)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symsolve.poly import P, Poly
-from symsolve.series import TSeries, binomial_coeff, binomial_series
+from symsolve.poly import P
+from symsolve.series import TSeries
 
 
 def S(ram, val, *coeffs):
@@ -61,26 +61,26 @@ class TestArithmetic:
 
     def test_inverse_roundtrip(self):
         a = S(1, -2, 3, 1, 4, 1, 5)
-        assert (a * a.inverse()).same_series(TSeries.one(1, 5))
+        assert (a * a.inverse() - TSeries.one(1, 5)).is_zero()
 
     def test_div_pow(self):
         a = S(2, 1, 1, 2, 1, 7)
-        assert ((a ** 3) / (a * a)).same_series(a)
+        assert ((a * a * a) / (a * a) - a).is_zero()
 
     def test_lift_reduce(self):
         a = S(1, -1, 2, 0, 5)
-        assert a.lift(3).reduce_ram().same_series(a)
+        assert (a.lift(3).reduce_ram() - a).is_zero()
 
     @given(small_series(), small_series())
     @settings(max_examples=40, deadline=None)
     def test_mul_commutes(self, a, b):
-        assert (a * b).same_series(b * a)
+        assert (a * b - b * a).is_zero()
 
 
 class TestTau:
     def test_tau_fixes_one(self):
         one = TSeries.one(1, 5)
-        assert one.tau().same_series(one)
+        assert (one.tau() - one).is_zero()
 
     def test_tau_on_t(self):
         # tau(t) = t/(1+t) = t - t^2 + t^3 - ...
@@ -97,33 +97,15 @@ class TestTau:
 
     def test_tau_inverse_shift(self):
         a = S(1, -1, 1, 2, 3, 4, 5)
-        assert a.tau(1).tau(-1).same_series(a)
+        assert (a.tau(1).tau(-1) - a).is_zero()
 
     @given(small_series(), small_series())
     @settings(max_examples=40, deadline=None)
     def test_tau_is_additive(self, a, b):
-        assert (a + b).tau().same_series(a.tau() + b.tau())
+        assert ((a + b).tau() - (a.tau() + b.tau())).is_zero()
 
     @given(small_series(2), small_series(2))
     @settings(max_examples=40, deadline=None)
     def test_tau_is_multiplicative(self, a, b):
-        assert (a * b).tau().same_series(a.tau() * b.tau())
+        assert ((a * b).tau() - (a.tau() * b.tau())).is_zero()
 
-
-class TestBinomial:
-    def test_scalar_coeffs(self):
-        assert binomial_coeff(Fraction(1, 2), 2) == Fraction(-1, 8)
-        assert binomial_coeff(Fraction(-1), 3) == -1
-
-    def test_symbolic_exponent(self):
-        # (1+t)^(-n) = 1 - n t + n(n+1)/2 t^2 - ...
-        n = P(0, 1)
-        s = binomial_series(-n, 3)
-        assert s.coeffs[0] == Poly.const(Fraction(1))
-        assert s.coeffs[1] == -n
-        assert s.coeffs[2] == (n * n + n) * Fraction(1, 2)
-
-    def test_matches_pow(self):
-        # (1+t)^3 by series vs direct cube
-        one_plus_t = S(1, 0, 1, 1, 0, 0, 0)
-        assert binomial_series(Fraction(3), 5).same_series(one_plus_t ** 3)

@@ -4,12 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symsolve.factorization import factor_over_Q, is_irreducible, resultant, roots_rational
+from symsolve.factorization import factor_over_Q
 from symsolve.poly import P, Poly
 from symsolve.ratfunc import RF
 from symsolve.snf import (
     canonical_shift,
-    dispersion,
     dispersion_set,
     nth_root_ratfunc,
     shift_equivalent,
@@ -27,7 +26,6 @@ class TestFactorization:
     def test_irreducible_quadratic(self):
         unit, fs = factor_over_Q(P(1, 0, 1))
         assert fs == [(P(1, 0, 1), 1)]
-        assert is_irreducible(P(1, 0, 1))
 
     def test_content_and_multiplicity(self):
         unit, fs = factor_over_Q(P(0, 0, 4, 2))  # 2x^2(x? ) -> 2*x^2*(x+2)
@@ -46,14 +44,6 @@ class TestFactorization:
         for f, m in fs:
             prod = prod * f**m
         assert prod == p
-
-    def test_rational_roots(self):
-        p = P(-1, 1) * P(-1, 1) * P(1, 2)
-        assert roots_rational(p) == [(Fraction(-1, 2), 1), (Fraction(1), 2)]
-
-    def test_resultant_vanishes_iff_common_root(self):
-        assert resultant(P(-1, 1), P(-1, 0, 1)) == 0
-        assert resultant(P(-2, 1), P(-1, 0, 1)) != 0
 
 
 class TestCanonicalShift:
@@ -115,7 +105,7 @@ class TestDispersion:
         assert dispersion_set(P(0, 1) * P(1, 1), P(0, 1)) == [0, 1]
 
     def test_none(self):
-        assert dispersion(P(0, 1), P(1, 2)) is None
+        assert dispersion_set(P(0, 1), P(1, 2)) == []
 
     def test_agrees_with_resultant_oracle(self):
         import sympy

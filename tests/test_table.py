@@ -101,6 +101,12 @@ def test_schema_error_names_entry_and_field(tmp_path):
     for path, value, pattern in [
         (("gquo", 0, "r"), "two", "'gquo'"),
         (("valg", 0, "gap"), "x", "'valg'"),
+        # JSON integers only: no truncated floats, booleans or strings
+        (("gquo", 0, "r"), 1.5, "'gquo'"),
+        (("gquo", 0, "r"), True, "'gquo'"),
+        (("valg", 0, "gap"), 2.7, "'valg'"),
+        (("valg", 0, "gap"), True, "'valg'"),
+        (("valg", 0, "gap"), "2", "'valg'"),
         (("gquo",), 3, "'gquo'"),
         (("valg",), 5, "'valg'"),
         (("root", "a0"), "2*x+", "'root'.*malformed"),
