@@ -25,7 +25,7 @@ from .ore import Operator
 from .poly import Poly, poly_gcd, poly_lcm
 from .ratfunc import RatFunc
 from .snf import dispersion_set, nth_root_ratfunc, shift_normal_form
-from .symprod import _shift_reduce_step, symprod_first_order, symprod_general
+from .symprod import _shift_reduce_step, symprod_first_order
 
 __all__ = [
     "GaugeMap",
@@ -264,7 +264,6 @@ def hom_space(
     rows: List[List[int]] = []
     for s in range(d1):
         terms: List[Tuple[int, int, RatFunc]] = []
-        den = Poly.const(Fraction(1))
         for j in range(d2 + 1):
             if not p2[j]:
                 continue
@@ -273,8 +272,13 @@ def hom_space(
                 t = RatFunc(p2[j]) * reduced[j + i][s] / ushift
                 if t:
                     terms.append((i, j, t))
-                    den = poly_lcm(den, t.den)
-        bases = [(i, j, (t * den).as_poly().coeffs) for i, j, t in terms]
+        # terms share denominators: fold the lcm over the distinct ones
+        dens = dict.fromkeys(t.den for _, _, t in terms)
+        den = Poly.const(Fraction(1))
+        for q in dens:
+            den = poly_lcm(den, q)
+        cofactor = {q: den.exact_div(q) for q in dens}
+        bases = [(i, j, (t.num * cofactor[t.den]).coeffs) for i, j, t in terms]
         D = math.lcm(*(Fraction(c).denominator for _, _, b in bases for c in b))
         size = max(len(b) for _, _, b in bases) + width - 1
         cols = [[0] * size for _ in range(d1 * width)]
@@ -364,15 +368,102 @@ def transformed_operator(L1: Operator, G: Operator) -> Operator:
     raise AssertionError("no dependency within the solution-space dimension")
 
 
+def _int_rank(rows: List[List[int]]) -> int:
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination.
+
+    After the step with pivot p, every entry below the pivot rows is a
+    minor of the input, so the division by the previous pivot is exact.
+    """
+    m = [list(r) for r in rows]
+    width = len(m[0]) if m else 0
+    rank, prev = 0, 1
+    for col in range(width):
+        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        top = m[rank]
+        p = top[col]
+        for row in m[rank + 1 :]:
+            f = row[col]
+            for j in range(col + 1, width):
+                row[j] = (p * row[j] - f * top[j]) // prev
+            row[col] = 0
+        prev = p
+        rank += 1
+    return rank
+
+
+def _eval_int(c: List[int], v: int) -> int:
+    acc = 0
+    for a in reversed(c):
+        acc = acc * v + a
+    return acc
+
+
+def _square_rows(cs: List[List[int]], x0: int) -> List[List[int]]:
+    """Rows w_0 .. w_5 of the symmetric-square Krylov matrix at x = x0.
+
+    ã_k(x0) = M(x0)·M(x0+1)···M(x0+k-1)·e_0, where M = c_3·T is the
+    fold of one shift through L with the division by c_3 cleared; w_k
+    holds the products ã_k,i·ã_k,j for i <= j.
+    """
+    prod = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    rows = []
+    for k in range(6):
+        a = [prod[0][0], prod[1][0], prod[2][0]]
+        rows.append([a[i] * a[j] for i in range(3) for j in range(i, 3)])
+        if k == 5:
+            break
+        v = x0 + k
+        c0, c1, c2, c3 = (_eval_int(c, v) for c in cs)
+        # prod·M with M = [[0, 0, -c0], [c3, 0, -c1], [0, c3, -c2]]
+        prod = [
+            [r[1] * c3, r[2] * c3, -(r[0] * c0 + r[1] * c1 + r[2] * c2)]
+            for r in prod
+        ]
+    return rows
+
+
 def case_diagnosis(L: Operator) -> int:
     """Order of the symmetric square of an order-3 operator.
 
     5 points at a term twist of the square of a second-order operator,
     6 at a square disguised by a proper gauge map; anything else is
     outside the two-case split.
+
+    The order is computed as a rank, exactly, from integer matrices.
+    With c_0 .. c_3 the integer coefficients of L.canonical() and D
+    their largest degree, τ^k u has coordinates a_k in the basis
+    u, τu, τ²u, and a_k(x) = T(x)·a_(k-1)(x+1) with T the fold of
+    τ³u through L.  Clearing c_3 at every step gives the polynomial
+    vectors ã_k = c_3(x)···c_3(x+k-1)·a_k of degree <= kD, and
+    τ^k(u²) has coordinates w_k = (ã_k,i·ã_k,j)_(i<=j), scaled by a
+    nonzero polynomial, of degree <= 2kD.  The first k with w_k
+    dependent on w_0 .. w_(k-1) is the order of the square, and then
+    every later w is dependent too (a shift carries a dependency one
+    step on), so the order is the rank over Q(x) of W = [w_0 .. w_5].
+
+    Every minor of W has degree <= 2D·(0+1+...+5) = 30D.  Evaluating
+    at an integer x0 cannot raise the rank, so each rank of W(x0) is a
+    lower bound, and 6 is final.  A nonzero minor of degree <= 30D
+    cannot vanish at all of x0 = 0 .. 30D, so the largest rank over
+    those points is the rank of W.  W(x0) is built from the values of
+    the c_i at x0 .. x0+4 with no division, and its rank comes from
+    fraction-free elimination.
     """
     if L.order != 3:
         raise ValueError("order-3 operator required")
     if not L.is_normal():
         raise ValueError("operator must be normal")
-    return symprod_general(L, L).order
+    polys = L.canonical().poly_coeffs()
+    if not all(p.is_rational() for p in polys):
+        raise ValueError("rational coefficients required")
+    cs = [p.int_coeffs() for p in polys]
+    bound = 30 * max(p.degree for p in polys)
+    best = 0
+    for x0 in range(bound + 1):
+        best = max(best, _int_rank(_square_rows(cs, x0)))
+        if best == 6:
+            break
+    return best

@@ -449,7 +449,8 @@ def poly_xgcd(a: Poly, b: Poly):
 def poly_lcm(a: Poly, b: Poly) -> Poly:
     if not a or not b:
         return Poly()
-    return (a * b).exact_div(poly_gcd(a, b)).monic()
+    # a·(b/g) equals (a·b)/g, and b/g is the shorter division
+    return (a * b.exact_div(poly_gcd(a, b))).monic()
 
 
 # -- convenience for the rational case ----------------------------------------

@@ -385,9 +385,11 @@ def load_table(path: Optional[str] = None, validate: bool = False,
                      and set(g) >= {"r", "v", "c", "tail"}
                      and isinstance(g["tail"], list)
                      and _is_int(g["r"]) and len(g["tail"]) == g["r"]
-                     and _parsed(Fraction, g["v"]) is not None,
+                     and (_is_int(g["v"]) or isinstance(g["v"], str)
+                          and _parsed(Fraction, g["v"]) is not None),
                      name, "gquo",
-                     "elements need r/v/c/tail with r tail slots")
+                     "elements need r/v/c/tail with r tail slots and v an "
+                     "integer or a fraction string")
             for text in [g["c"]] + g["tail"]:
                 _check_template(name, "gquo", text, names | {"sqrt"})
         _require(isinstance(item["valg"], list), name, "valg", "must be a list")

@@ -20,13 +20,14 @@ from symsolve.equivalence import (
     term_candidates,
     transformed_operator,
 )
-from symsolve.linalg import nullspace_rational
+from symsolve.fieldext import NumberField
+from symsolve.linalg import DependencyFinder, nullspace_rational
 from symsolve.opformat import parse_operator, print_operator
 from symsolve.ore import Operator
 from symsolve.poly import P, Poly, poly_lcm
 from symsolve.ratfunc import RF, RatFunc
 from symsolve.snf import shift_normal_form
-from symsolve.symprod import symprod_first_order, symsquare_order2
+from symsolve.symprod import symprod_first_order, symprod_general, symsquare_order2
 
 X = P(0, 1)
 L_CUBIC = parse_operator("2S^3 + x^2 S^2 - 3S + (x+1)")
@@ -349,6 +350,66 @@ class TestCaseDiagnosis:
     def test_wrong_order_rejected(self):
         with pytest.raises(ValueError, match="order-3"):
             case_diagnosis(parse_operator("S^2 - 1"))
+
+    @pytest.mark.parametrize(
+        "text, order", [("S^3 - 1", 3), ("S^3 + S^2 + S + 1", 4)]
+    )
+    def test_constant_coefficients(self, text, order):
+        # one evaluation point: products of the roots {1, w, w^2} and {-1, i, -i}
+        assert case_diagnosis(parse_operator(text)) == order
+
+    def test_lead_vanishing_at_the_first_points(self):
+        # the square's lead vanishes at x = -1 .. 4, so W(x0) loses rank at
+        # x0 = 0 .. 4 and the order shows only further out
+        K = Operator([X + 1, (X - 3) * (X - 4), X * (X - 1) * (X - 2)])
+        L = symsquare_order2(K)
+        assert case_diagnosis(L) == 5 == symprod_general(L, L).order
+
+    def test_no_rational_function_arithmetic(self, monkeypatch):
+        L = parse_operator(E_TEXT)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("case_diagnosis left integer arithmetic")
+
+        for name in ("__add__", "__sub__", "__mul__", "__truediv__", "shift"):
+            monkeypatch.setattr(RatFunc, name, forbidden)
+        monkeypatch.setattr(DependencyFinder, "feed", forbidden)
+        assert case_diagnosis(L) == 5
+
+    def test_number_field_rejected(self):
+        K = NumberField.quadratic(2)
+        # S^3 + x + sqrt(2)
+        L = Operator([Poly((K.gen, K.one)), Poly(), Poly(), Poly((K.one,))])
+        with pytest.raises(ValueError, match="rational coefficients"):
+            case_diagnosis(L)
+
+    @given(
+        cs=st.lists(
+            st.lists(st.integers(-3, 3), min_size=1, max_size=4), min_size=4, max_size=4
+        )
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_matches_symmetric_product(self, cs):
+        L = Operator([Poly([F(c) for c in cf]) for cf in cs])
+        if L.order != 3 or not L.is_normal():
+            return
+        assert case_diagnosis(L) == symprod_general(L, L).order
+
+    @given(
+        cs=st.lists(
+            st.lists(st.integers(-3, 3), min_size=1, max_size=2), min_size=3, max_size=3
+        ),
+        r=st.lists(st.integers(-3, 3), min_size=1, max_size=2),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_twisted_squares_match_symmetric_product(self, cs, r):
+        K = Operator([Poly([F(c) for c in cf]) for cf in cs])
+        if K.order != 2 or not K.is_normal() or not any(r):
+            return
+        L = symprod_first_order(symsquare_order2(K), RF(r))
+        if L.order != 3 or not L.is_normal():
+            return
+        assert case_diagnosis(L) == symprod_general(L, L).order
 
 
 class TestTypes:

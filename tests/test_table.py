@@ -107,6 +107,10 @@ def test_schema_error_names_entry_and_field(tmp_path):
         (("valg", 0, "gap"), 2.7, "'valg'"),
         (("valg", 0, "gap"), True, "'valg'"),
         (("valg", 0, "gap"), "2", "'valg'"),
+        # a valuation is a JSON integer or a string Fraction parses
+        (("gquo", 0, "v"), True, "'gquo'"),
+        (("gquo", 0, "v"), 0.5, "'gquo'"),
+        (("gquo", 0, "v"), 1e-300, "'gquo'"),
         (("gquo",), 3, "'gquo'"),
         (("valg",), 5, "'valg'"),
         (("root", "a0"), "2*x+", "'root'.*malformed"),
