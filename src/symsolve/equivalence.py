@@ -40,6 +40,8 @@ __all__ = [
 
 _ZERO = RatFunc(Poly(), reduce=False)
 _ONE = RatFunc(Poly.const(Fraction(1)), reduce=False)
+#: largest numerator degree rational_solutions will search
+_DEGREE_BUDGET = 100
 
 
 @dataclass(frozen=True)
@@ -170,14 +172,15 @@ def _polynomial_solutions(L: Operator, bound: int) -> List[Poly]:
     return [Poly(vec) for vec in nullspace_rational(rows)]
 
 
-def rational_solutions(L: Operator, degree_cap: int = 100) -> List[RatFunc]:
+def rational_solutions(L: Operator) -> List[RatFunc]:
     """Basis of the rational solutions of L(y) = 0.
 
     The denominator of any solution divides a universal denominator u
     read off the trailing coefficient and the shifted leading
     coefficient; substituting y = z/u leaves polynomial solutions of
     the twisted operator, with degrees bounded through the integer
-    roots of its indicial data at infinity.
+    roots of its indicial data at infinity.  A bound above
+    _DEGREE_BUDGET raises ValueError naming both.
     """
     if not L.is_normal():
         raise ValueError("operator must be normal")
@@ -192,10 +195,10 @@ def rational_solutions(L: Operator, degree_cap: int = 100) -> List[RatFunc]:
     bound = _integer_degree_bound(M)
     if bound is None:
         return []
-    if bound > degree_cap:
+    if bound > _DEGREE_BUDGET:
         raise ValueError(
-            f"numerator degree bound {bound} exceeds degree_cap={degree_cap}; "
-            "pass a larger degree_cap"
+            f"numerator degree bound {bound} exceeds the degree budget "
+            f"{_DEGREE_BUDGET}"
         )
     return [RatFunc(z, u) for z in _polynomial_solutions(M, bound)]
 
@@ -217,17 +220,21 @@ def _hom_denominator(p1: List[Poly], p2: List[Poly]) -> Poly:
     return _abramov_denominator(A, B)
 
 
-def hom_space(
-    L1: Operator, L2: Operator, degree_cap: Optional[int] = None
-) -> List[GaugeMap]:
+def _degree_cap(p1: List[Poly], p2: List[Poly]) -> int:
+    # heuristic: twice the largest coefficient degree plus ten, until a
+    # bound proven from the indicial data at infinity replaces it
+    return 2 * max(p.degree for p in p1 + p2) + 10
+
+
+def hom_space(L1: Operator, L2: Operator) -> List[GaugeMap]:
     """Basis of the maps carrying solutions of L1 to solutions of L2.
 
     Ansatz G = sum_{i < ord(L1)} c_i(x) tau^i; the remainder of L2*G
     under right division by L1 must vanish, a coupled linear system for
     the c_i.  All c_i share one universal denominator u; numerators are
-    matched coefficient by coefficient up to degree_cap beyond deg(u),
-    so the basis is complete only within that cap (default: twice the
-    largest coefficient degree plus ten).
+    matched coefficient by coefficient up to a degree cap beyond deg(u)
+    (twice the largest coefficient degree plus ten), so the basis is
+    complete only within that cap.
 
     The unknowns are the numerator coefficients z_{i,k} of c_i, and the
     term with c_i(x+j) contributes base·(x+j)^k to column (i, k).  Each
@@ -247,12 +254,9 @@ def hom_space(
     p1, p2 = L1.poly_coeffs(), L2.poly_coeffs()
     if not all(p.is_rational() for p in p1 + p2):
         raise ValueError("rational coefficients required")
-    if degree_cap is None:
-        degree_cap = 2 * max(p.degree for p in p1 + p2) + 10
     L1c = Operator(p1)
     u = _hom_denominator(p1, p2)
-    nans = degree_cap + u.degree
-    width = nans + 1
+    width = _degree_cap(p1, p2) + u.degree + 1
 
     # coordinates of tau^k modulo L1, k = 0 .. d1+d2-1
     reduced = [[_ONE if i == k else _ZERO for i in range(d1)] for k in range(d1)]
@@ -322,9 +326,7 @@ def _gauge_rank(gm: GaugeMap):
     return (gm.G.order, print_operator(gm.G.canonical()))
 
 
-def gt_find(
-    L1: Operator, L2: Operator, degree_cap: Optional[int] = None
-) -> Optional[GTTransform]:
+def gt_find(L1: Operator, L2: Operator) -> Optional[GTTransform]:
     """Combined transformation taking solutions of L1 to solutions of
     L2, or None.  Candidates for the term ratio are ranked, then the
     first bijective gauge map out of the twisted operator wins; ties
@@ -334,7 +336,7 @@ def gt_find(
         raise ValueError("operators must have the same order")
     for r in term_candidates(L1, L2):
         M = symprod_first_order(L1, r)
-        for gm in sorted(hom_space(M, L2, degree_cap), key=_gauge_rank):
+        for gm in sorted(hom_space(M, L2), key=_gauge_rank):
             if gm.bijective:
                 return GTTransform(r, gm, L1)
     return None

@@ -14,7 +14,7 @@ from typing import List, Optional, Tuple
 from .fieldext import NFElem, NumberField, demote, value_sqrt
 from .poly import Poly, poly_gcd
 
-__all__ = ["factor_over_Q", "roots", "root_multiplicity"]
+__all__ = ["ExtensionDegreeError", "factor_over_Q", "roots", "root_multiplicity"]
 
 _x = None
 
@@ -67,6 +67,15 @@ def factor_over_Q(p: Poly) -> Tuple[Fraction, List[Tuple[Poly, int]]]:
 # -- roots in Q or one quadratic field -----------------------------------------
 
 
+class ExtensionDegreeError(ValueError):
+    """A root outside Q and the one quadratic field allowed; ``factor`` is
+    the irreducible factor that holds it."""
+
+    def __init__(self, factor: Poly):
+        super().__init__("unsupported extension degree")
+        self.factor = factor
+
+
 def root_multiplicity(p: Poly, root) -> int:
     m = 0
     while p.degree >= 1 and not p.eval(root):
@@ -92,7 +101,7 @@ def roots(p: Poly, base: Optional[NumberField] = None) -> List[Tuple[object, int
     With base None, p is rational and the two roots of an irreducible
     quadratic factor lie in their own Q(sqrt disc).  With a quadratic base,
     p may have coefficients in it and every root must lie in it.  A root
-    outside that reach raises ValueError('unsupported extension degree').
+    outside that reach raises ExtensionDegreeError naming its factor.
     """
     if not p:
         raise ValueError("zero polynomial")
@@ -117,9 +126,9 @@ def roots(p: Poly, base: Optional[NumberField] = None) -> List[Tuple[object, int
             disc = f[1] * f[1] - 4 * f[2] * f[0]
             got = value_sqrt(disc if base is None else base.coerce(disc))
             if got is None:
-                raise ValueError("unsupported extension degree")
+                raise ExtensionDegreeError(f)
             found = [(-f[1] + got[0]) / (2 * f[2]), (-f[1] - got[0]) / (2 * f[2])]
         else:
-            raise ValueError("unsupported extension degree")
+            raise ExtensionDegreeError(f)
         out += [(demote(r), m or root_multiplicity(pf, r)) for r in found]
     return out

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .factorization import factor_over_Q, roots
+from .factorization import ExtensionDegreeError, factor_over_Q, roots
 from .fieldext import NumberField, demote, field_of, value_sqrt
 from .ore import Operator
 from .poly import Poly
@@ -348,6 +348,7 @@ class GenExpRep:
 class GenExpSet:
     entries: Tuple[GenExpRep, ...]
     complete: bool
+    rejection: Optional[str] = None  # why L has no closed form, if proven here
 
     def __iter__(self):
         return iter(self.entries)
@@ -430,53 +431,31 @@ def _twisted_series(polys: Sequence[Poly], g: TSeries, slots: int) -> List[TSeri
     return [windows[i] * suffix[i] for i in range(d + 1)]
 
 
-def _twisted_ind(polys: Sequence[Poly], g: TSeries, slots: int):
-    """Indicial data of L ⊛ (τ - 1/g) for exact windowed g."""
-    return _indicial_of_series(_twisted_series(polys, g, slots))
-
-
-def _mult_of_zero(P: Poly) -> int:
-    for k, c in enumerate(P.coeffs):
-        if c:
-            return k
-    return 0
-
-
-def _definitional_mult(polys: Sequence[Poly], rep: GenExpRep) -> int:
-    r = rep.r
-    for slots in (2 * r + 2, 4 * r + 4):
-        got = _twisted_ind(polys, rep.series(slots), slots)
-        if got:
-            return _mult_of_zero(got[0])
-    raise ValueError("increase truncation")
-
-
 def _tail_candidates(polys, c, v: Fraction, beta, ram: int) -> List[GenExpRep]:
     """Indicial-root step: with leading part c·t^v(1+beta·t^(1/2)) fixed,
-    the level-1 tail coefficients are -n0 over the indicial roots n0."""
+    the level-1 tail coefficients are -n0 over the indicial roots n0 of
+    the twisted operator, each with the multiplicity of n0.
+
+    That multiplicity is the definitional one: twisting further by the
+    factor (1 - n0·t) shifts the indicial variable, so the indicial
+    polynomial of the further twist is a constant times P(n + n0), at
+    the same level, and the multiplicity of its root 0 is that of n0
+    in P."""
     base = field_of([c, beta])  # the indicial roots must lie in it
-    out = []
     for slots in (2 * ram + 2, 4 * ram + 4):
         if ram == 1:
             g = TSeries.monomial(c, v, 1, slots)
         else:
             cs = [c, c * beta] + [Fraction(0)] * (slots - 2)
             g = TSeries(2, int(Fraction(v) * 2), cs[:slots])
-        got = _twisted_ind(polys, g, slots)
+        got = _indicial_of_series(_twisted_series(polys, g, slots))
         if got is None:
             continue
         P, _lvl = got
         if not P.degree >= 1:
             return []  # no roots at this branch
-        for n0, _m in roots(P, base):
-            tail = (-n0,) if ram == 1 else (beta, -n0)
-            cand = GenExpRep(ram, c, Fraction(v), tail)
-            m = _definitional_mult(polys, cand)
-            if m > 0:
-                out.append(
-                    GenExpRep(cand.r, cand.c, cand.v, cand.tail, m)
-                )
-        return out
+        return [GenExpRep(ram, c, Fraction(v), (-n0,) if ram == 1 else (beta, -n0), m)
+                for n0, m in roots(P, base)]
     raise ValueError("increase truncation")
 
 
@@ -541,7 +520,20 @@ def _ramified_branch(polys, c, v: Fraction, want_beta_zero: bool):
 
 def generalized_exponents(L: Operator) -> GenExpSet:
     """Multiset of E_r representatives of the exponents of L at infinity,
-    ramification at most 2, each with its definitional multiplicity."""
+    ramification at most 2, each with its definitional multiplicity.
+
+    An edge polynomial at infinity with an irreducible factor of degree
+    >= 3 rejects L: the set is empty and ``rejection`` names the factor.
+    This is a proof that L is no GT disguise of a symmetric square
+    Sym²(K) with K of order 2 over Q(x).  The leading constants of the
+    exponents of such a disguise are ρ·{c₁², c₁c₂, c₂²}, with ρ ∈ Q the
+    lead of the term ratio and c₁, c₂ roots of the edge polynomials of
+    K, so in Q or in one quadratic field; gauge maps keep these
+    constants.  So every root of an edge polynomial of L (at a
+    half-integer slope, every square c² of a leading constant) lies in
+    a field of degree <= 2, and every irreducible factor has degree
+    <= 2.
+    """
     if not L.is_normal():
         raise ValueError("operator must be normal")
     polys = L.poly_coeffs()
@@ -557,27 +549,31 @@ def generalized_exponents(L: Operator) -> GenExpSet:
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
         slope = Fraction(y2 - y1, x2 - x1)
         v = -slope
-        if v.denominator == 1:
-            phi = [Fraction(0)] * (x2 - x1 + 1)
-            for i in range(x1, x2 + 1):
-                if i in degmap and degmap[i] == y1 + slope * (i - x1):
-                    phi[i - x1] = Fraction(polys[i].lead())
-            for c, _m in roots(Poly(phi)):
-                integer_branches.append((v, c))
-                entries.extend(_tail_candidates(polys, c, v, None, 1))
-        elif v.denominator == 2:
-            phi = [Fraction(0)] * ((x2 - x1) // 2 + 1)
-            for i in range(x1, x2 + 1, 2):
-                if i in degmap and degmap[i] == y1 + slope * (i - x1):
-                    phi[(i - x1) // 2] = Fraction(polys[i].lead())
-            for C, _m in roots(Poly(phi)):
-                s = _sqrt(C)
+        step = v.denominator  # the edge polynomial is in c^step
+        if step > 2:
+            complete = False
+            continue
+        phi = [Fraction(0)] * ((x2 - x1) // step + 1)
+        for i in range(x1, x2 + 1, step):
+            if i in degmap and degmap[i] == y1 + slope * (i - x1):
+                phi[(i - x1) // step] = Fraction(polys[i].lead())
+        try:
+            edge_roots = roots(Poly(phi))
+        except ExtensionDegreeError as exc:
+            return GenExpSet((), False, (
+                f"edge polynomial at infinity of slope {slope} has the "
+                f"irreducible factor {exc.factor.to_str('T')} of degree "
+                f"{exc.factor.degree} > 2"))
+        for root, _m in edge_roots:
+            if step == 1:
+                integer_branches.append((v, root))
+                entries.extend(_tail_candidates(polys, root, v, None, 1))
+            else:
+                s = _sqrt(root)
                 for c in (s, -s):
                     got, inc = _ramified_branch(polys, c, v, True)
                     entries.extend(got)
                     complete = complete and not inc
-        else:
-            complete = False
 
     entries = _dedupe_entries(entries)
     if sum(e.multiplicity for e in entries) < d:
@@ -600,11 +596,8 @@ def _dedupe_entries(entries: List[GenExpRep]) -> List[GenExpRep]:
     return out
 
 
-def gquo(L: Operator, ges: Optional[GenExpSet] = None) -> List[GenExpRep]:
-    """Truncated pairwise quotients of distinct generalized exponents;
-    ges, when given, is generalized_exponents(L) already computed."""
-    if ges is None:
-        ges = generalized_exponents(L)
+def gquo(ges: GenExpSet) -> List[GenExpRep]:
+    """Truncated pairwise quotients of distinct generalized exponents."""
     out: List[GenExpRep] = []
     for gi in ges:
         for gj in ges:
@@ -629,9 +622,10 @@ class LocalData:
     genexp: Tuple[GenExpRep, ...]
     gquo: Tuple[GenExpRep, ...]
     genexp_complete: bool
+    rejection: Optional[str] = None  # GenExpSet.rejection
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "valg": [
                 {
                     "class": [str(Fraction(c)) for c in e.cls.representative.coeffs],
@@ -649,6 +643,9 @@ class LocalData:
             "gquo": [_rep_json(g) for g in self.gquo],
             "genexp_complete": self.genexp_complete,
         }
+        if self.rejection is not None:
+            out["rejection"] = self.rejection
+        return out
 
 
 def _value_json(v):
@@ -684,6 +681,7 @@ def local_data(L: Operator) -> LocalData:
             )
         ),
         genexp=ges.entries,
-        gquo=tuple(gquo(L, ges)),
+        gquo=tuple(gquo(ges)),
         genexp_complete=ges.complete,
+        rejection=ges.rejection,
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _igcd
-from typing import Iterable, Sequence
+from typing import Iterable
 
 __all__ = ["Poly", "P", "x_poly", "poly_gcd", "poly_xgcd", "poly_lcm", "rational_content"]
 
@@ -76,15 +76,14 @@ class Poly:
             if len(self.coeffs) != len(other.coeffs):
                 return False
             return all(a == b for a, b in zip(self.coeffs, other.coeffs))
-        if isinstance(other, (int, Fraction)) or not isinstance(other, Poly):
-            if len(self.coeffs) > 1:
-                return False
-            return (self.coeffs[0] if self.coeffs else 0) == other
-        return NotImplemented
+        if len(self.coeffs) > 1:
+            return NotImplemented  # a scalar never equals it; a RatFunc decides
+        return (self.coeffs[0] if self.coeffs else 0) == other
 
     def __hash__(self):
-        if len(self.coeffs) == 1:
-            return hash(self.coeffs[0])
+        # a constant hashes as the scalar it equals
+        if len(self.coeffs) <= 1:
+            return hash(self.coeffs[0] if self.coeffs else 0)
         return hash(self.coeffs)
 
     # -- ring operations -----------------------------------------------
@@ -125,9 +124,6 @@ class Poly:
             return Poly(tuple(a[0] * c for c in b))
         if len(b) == 1:
             return Poly(tuple(c * b[0] for c in a))
-        fast = _try_int_mul(a, b)
-        if fast is not None:
-            return fast
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if not ca:
@@ -307,63 +303,6 @@ def _coeff_str(c) -> str:
     if any(op in s[1:] for op in "+-*/ ") and not isinstance(c, (int, Fraction)):
         return f"({s})"
     return s
-
-
-# -- integer fast path ------------------------------------------------------
-
-
-def _try_int_mul(a: Sequence, b: Sequence):
-    """Kronecker-substitution product when both inputs are rational."""
-    if len(a) * len(b) < 1024:
-        return None
-    try:
-        na, da = _to_int_list(a)
-        nb, db = _to_int_list(b)
-    except TypeError:
-        return None
-    prod = _int_list_mul(na, nb)
-    den = da * db
-    return Poly(tuple(Fraction(c, den) for c in prod))
-
-
-def _to_int_list(cs):
-    den = 1
-    for c in cs:
-        if isinstance(c, int):
-            continue
-        if isinstance(c, Fraction):
-            den = den * c.denominator // _igcd(den, c.denominator)
-        else:
-            raise TypeError
-    out = []
-    for c in cs:
-        if isinstance(c, int):
-            out.append(c * den)
-        else:
-            out.append(c.numerator * (den // c.denominator))
-    return out, den
-
-
-def _int_list_mul(a: list, b: list) -> list:
-    """Product of integer coefficient lists via packing into one big int."""
-    ma = max(abs(c) for c in a)
-    mb = max(abs(c) for c in b)
-    blk = ma.bit_length() + mb.bit_length() + min(len(a), len(b)).bit_length() + 2
-    pa = sum(c << (i * blk) for i, c in enumerate(a))
-    pb = sum(c << (i * blk) for i, c in enumerate(b))
-    z = pa * pb
-    half = 1 << (blk - 1)
-    full = 1 << blk
-    mask = full - 1
-    out = []
-    for _ in range(len(a) + len(b) - 1):
-        d = z & mask
-        z >>= blk
-        if d >= half:
-            d -= full
-            z += 1
-        out.append(d)
-    return out
 
 
 # -- gcd machinery -----------------------------------------------------------

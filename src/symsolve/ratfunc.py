@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .fieldext import NFElem
 from .poly import P, Poly, poly_gcd
 
 __all__ = ["RatFunc", "RF"]
@@ -80,23 +81,25 @@ class RatFunc:
         return self.num == o.num and self.den == o.den
 
     def __hash__(self):
+        # a polynomial hashes as the Poly it equals
+        if self.den.degree == 0:
+            return hash(self.num)
         return hash((self.num.coeffs, self.den.coeffs))
 
     # -- arithmetic ---------------------------------------------------------
 
     def _coerce(self, other):
+        """other as a RatFunc; None (so NotImplemented) unless it is a
+        RatFunc, a Poly or a scalar: int, Fraction or NFElem."""
         if isinstance(other, RatFunc):
             return other
         if isinstance(other, Poly):
             return RatFunc(other, reduce=False)
-        # scalar of the coefficient field (int, Fraction, number field element)
-        try:
-            return RatFunc(
-                Poly.const(Fraction(other) if isinstance(other, int) else other),
-                reduce=False,
-            )
-        except Exception:
-            return None
+        if isinstance(other, int):
+            other = Fraction(other)
+        if isinstance(other, (Fraction, NFElem)):
+            return RatFunc(Poly.const(other), reduce=False)
+        return None
 
     def __add__(self, other):
         o = self._coerce(other)

@@ -211,10 +211,10 @@ class TSeries:
 
     # -- the shift action -------------------------------------------------------
 
-    def tau(self, times: int = 1) -> "TSeries":
-        """Apply x -> x+times: t^e -> t^e (1+times·t)^(-e) expanded on the
-        known window (exact for each stored term)."""
-        if times == 0 or self.is_zero():
+    def tau(self) -> "TSeries":
+        """Apply x -> x+1: t^e -> t^e (1+t)^(-e) expanded on the known
+        window (exact for each stored term)."""
+        if self.is_zero():
             return self
         n = self.nterms
         out = [Fraction(0)] * n
@@ -222,12 +222,12 @@ class TSeries:
             if _is_zero(c):
                 continue
             e = Fraction(self.val + k, self.ram)
-            # (1 + times·t)^(-e): integer powers of t = ram steps
+            # (1 + t)^(-e): integer powers of t = ram steps
             b = Fraction(1)
             j = 0
             while k + j * self.ram < n:
                 out[k + j * self.ram] = out[k + j * self.ram] + c * b
-                b = b * (-e - j) * times / (j + 1)
+                b = b * (-e - j) / (j + 1)
                 j += 1
         return TSeries(self.ram, self.val, out)
 

@@ -474,7 +474,6 @@ def match_local_data(data: LocalData, table: BaseTable) -> List[TableEntry]:
 @dataclass
 class MatchDetail:
     assignments: List[Dict[str, Fraction]]
-    param_candidates: Dict[str, List[Fraction]]
     warnings: List[str] = field(default_factory=list)
 
 
@@ -506,7 +505,7 @@ def _match_gauss(entry: TableEntry, data: LocalData) -> MatchDetail:
     for e in data.valg:
         rep = e.cls.representative.monic()
         if rep.degree != 1:
-            return MatchDetail([], {})
+            return MatchDetail([])
         roots.append(-Fraction(rep[0]))
     a_cands = [Fraction(0), Fraction(1, 2)]
     nonzero = [r for r in roots if r != 0]
@@ -516,14 +515,14 @@ def _match_gauss(entry: TableEntry, data: LocalData) -> MatchDetail:
         # merged classes (summed or cancelled): both points sit over 0
         beta = Fraction(0)
     else:
-        return MatchDetail([], {})
+        return MatchDetail([])
     b_cands = [beta, beta + Fraction(1, 2)]
     c_cands = [beta + 1, beta + Fraction(3, 2)]
 
     z_cands: List[Fraction] = []
     for g in data.gquo:
         if g.r != 1 or g.v != 0:
-            return MatchDetail([], {})
+            return MatchDetail([])
         ratios = [-g.c]                            # value read as -R
         ratios += _value_sqrts(g.c, warn)          # value read as R^2
         for R in ratios:
@@ -542,9 +541,7 @@ def _match_gauss(entry: TableEntry, data: LocalData) -> MatchDetail:
                 if c in c_cands:
                     assignments.append({"a": a, "b": b, "c": c, "z": z})
     assignments.sort(key=lambda m: (m["z"], m["a"], m["b"], m["c"]))
-    return MatchDetail(assignments,
-                       {"a": a_cands, "b": b_cands, "c": c_cands,
-                        "z": z_cands}, warn)
+    return MatchDetail(assignments, warn)
 
 
 def _match_legendre(entry: TableEntry, data: LocalData) -> MatchDetail:
@@ -552,7 +549,7 @@ def _match_legendre(entry: TableEntry, data: LocalData) -> MatchDetail:
     z_cands: List[Fraction] = []
     for g in data.gquo:
         if g.r != 1 or g.v != 0:
-            return MatchDetail([], {})
+            return MatchDetail([])
         aval = g.c
         # lambda^2-type element: z^2 = (a+1)^2 / (4a)
         zz = demote((aval + 1) * (aval + 1) / (4 * aval))
@@ -564,7 +561,7 @@ def _match_legendre(entry: TableEntry, data: LocalData) -> MatchDetail:
             if isinstance(zz, Fraction):
                 z_cands.extend(_rational_sqrts(zz))
     z_cands = [z for z in _sorted_unique(z_cands) if z != 0 and abs(z) != 1]
-    return MatchDetail([{"z": z} for z in z_cands], {"z": z_cands}, warn)
+    return MatchDetail([{"z": z} for z in z_cands], warn)
 
 
 def _match_hermite(entry: TableEntry, data: LocalData) -> MatchDetail:
@@ -572,9 +569,9 @@ def _match_hermite(entry: TableEntry, data: LocalData) -> MatchDetail:
     z_cands: List[Fraction] = []
     for g in data.gquo:
         if g.r != 2 or g.v != 0 or not g.tail:
-            return MatchDetail([], {})
+            return MatchDetail([])
         if g.c not in (Fraction(1), Fraction(-1)):
-            return MatchDetail([], {})
+            return MatchDetail([])
         w2 = demote(g.tail[0] * g.tail[0])
         if not isinstance(w2, Fraction):
             warn.append("irrational tail square; branch skipped")
@@ -582,7 +579,7 @@ def _match_hermite(entry: TableEntry, data: LocalData) -> MatchDetail:
         zz = -w2 / 2 if g.c == -1 else -w2 / 8
         z_cands.extend(_rational_sqrts(zz))
     z_cands = [z for z in _sorted_unique(z_cands) if z != 0]
-    return MatchDetail([{"z": z} for z in z_cands], {"z": z_cands}, warn)
+    return MatchDetail([{"z": z} for z in z_cands], warn)
 
 
 def _match_bessel(entry: TableEntry, data: LocalData) -> MatchDetail:
@@ -590,7 +587,7 @@ def _match_bessel(entry: TableEntry, data: LocalData) -> MatchDetail:
     z_sq: List[Fraction] = []
     for g in data.gquo:
         if g.r != 1:
-            return MatchDetail([], {})
+            return MatchDetail([])
         if not isinstance(g.c, Fraction):
             continue
         if g.v == 2:
@@ -601,7 +598,7 @@ def _match_bessel(entry: TableEntry, data: LocalData) -> MatchDetail:
     for zz in z_sq:
         z_cands.extend(_rational_sqrts(zz))
     z_cands = [z for z in _sorted_unique(z_cands) if z != 0]
-    return MatchDetail([{"z": z} for z in z_cands], {"z": z_cands}, warn)
+    return MatchDetail([{"z": z} for z in z_cands], warn)
 
 
 _MATCHERS = {

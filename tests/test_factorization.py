@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from symsolve.factorization import roots
+from symsolve.factorization import ExtensionDegreeError, roots
 from symsolve.fieldext import NumberField, field_of
 from symsolve.localdata import local_data
 from symsolve.opformat import parse_operator
@@ -77,8 +77,12 @@ class TestBaseField:
 
 
 def test_cubic_edge_at_infinity_unsupported():
-    # Newton polygon at infinity with an edge of length 3 whose
-    # characteristic polynomial is an irreducible cubic
+    # (x - 1)*S^3 + 2*S^2 - (x - 3)*S - 3*x has an edge of length 3 at
+    # infinity whose characteristic polynomial is an irreducible cubic;
+    # local_data turns the error into a rejection naming the factor
+    edge = P(-3, -1, 0, 1)
+    with pytest.raises(ExtensionDegreeError, match="unsupported extension degree") as err:
+        roots(edge)
+    assert err.value.factor == edge
     L = parse_operator("(x - 1)*S^3 + 2*S^2 - (x - 3)*S - 3*x")
-    with pytest.raises(ValueError, match="unsupported extension degree"):
-        local_data(L)
+    assert "T^3 - T - 3" in local_data(L).rejection

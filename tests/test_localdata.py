@@ -293,6 +293,41 @@ class TestIndicial:
             assert not Pn.eval(root)
 
 
+def _definitional_mult(L: Operator, e: GenExpRep) -> int:
+    """Multiplicity of e by its definition: the multiplicity of the root 0
+    of the indicial polynomial of L twisted by the represented element."""
+    polys = L.poly_coeffs()
+    for slots in (2 * e.r + 2, 4 * e.r + 4):
+        got = localdata._indicial_of_series(
+            localdata._twisted_series(polys, e.series(slots), slots))
+        if got:
+            P0 = got[0]
+            return next(k for k, c in enumerate(P0.coeffs) if c)
+    raise AssertionError("increase truncation")
+
+
+@st.composite
+def _small_order3(draw):
+    """Random normal operator of order 3 with coefficient degrees <= 2."""
+    coeffs = [Poly([F(c) for c in draw(st.lists(st.integers(-3, 3),
+                                                 min_size=1, max_size=3))])
+              for _ in range(4)]
+    coeffs[0] = coeffs[0] or P(1)
+    coeffs[3] = coeffs[3] or P(1)
+    return Operator(coeffs)
+
+
+@st.composite
+def _first_order_products(draw):
+    """Product of three factors x·S - c·(x + k) from a small pool, so
+    that exponents of multiplicity 2 and 3 are common."""
+    L = Operator([P(1)])
+    for _ in range(3):
+        c, k = draw(st.sampled_from([1, 2, -1])), draw(st.integers(0, 2))
+        L = L * Operator([P(k, 1) * F(-c), P(0, 1)])
+    return L
+
+
 class TestGenExp:
     def test_tau_minus_x(self):
         ge = generalized_exponents(Operator([-X, P(1)]))
@@ -360,6 +395,44 @@ class TestGenExp:
             ge = generalized_exponents(L)
             assert all(e.multiplicity >= 1 for e in ge)
             assert sum(e.multiplicity for e in ge) == L.order
+            assert all(e.multiplicity == _definitional_mult(L, e) for e in ge)
+
+    def test_double_indicial_root(self):
+        # the twist by 1 at v = 0 has the double indicial root -2
+        L = parse_operator("(x^3 + x^2)*S^2 - (2*x^3 + 5*x^2 + x)*S"
+                           " + x^3 + 4*x^2 + 5*x + 2")
+        ge = generalized_exponents(L)
+        assert ge.complete
+        assert [(e.c, e.v, e.tail, e.multiplicity) for e in ge] == [
+            (F(1), F(0), (F(2),), 2)]
+        assert _definitional_mult(L, ge.entries[0]) == 2
+
+    @given(st.one_of(_small_order3(), _first_order_products()))
+    @settings(max_examples=40, deadline=None)
+    def test_multiplicity_is_definitional(self, L):
+        try:
+            ge = generalized_exponents(L)
+        except ValueError:  # an indicial root outside the quadratic field
+            return
+        for e in ge:
+            assert e.multiplicity == _definitional_mult(L, e)
+
+    def test_cubic_edge_factor_rejects(self):
+        # the edge of slope 0 at infinity has the polynomial T^3 - T - 3
+        L = parse_operator("(x - 1)*S^3 + 2*S^2 - (x - 3)*S - 3*x")
+        ge = generalized_exponents(L)
+        assert ge.entries == () and not ge.complete
+        assert "T^3 - T - 3" in ge.rejection
+        data = local_data(L)
+        assert data.genexp == () and data.gquo == ()
+        assert data.to_json()["rejection"] == ge.rejection
+        assert "rejection" not in local_data(hermite_sq()).to_json()
+
+    def test_cubic_edge_factor_at_half_slope_rejects(self):
+        # slope 1/2: the edge polynomial in c^2 is T^3 - 2
+        ge = generalized_exponents(parse_operator("S^6 - 2*x^3"))
+        assert ge.entries == ()
+        assert "T^3 - 2" in ge.rejection
 
 
 class TestTrunc:
@@ -427,13 +500,13 @@ class TestGquo:
     def test_first_order_pair(self):
         # (tau-2)(tau-3): exponents {2, 3}, quotients {2/3, 3/2}
         L = Operator([P(6), P(-5), P(1)])
-        assert set(gquo(L)) == {
+        assert set(gquo(generalized_exponents(L))) == {
             rep(1, F(2, 3), 0, F(0)),
             rep(1, F(3, 2), 0, F(0)),
         }
 
     def test_turan_display(self):
-        got = set(gquo(turan_op()))
+        got = set(gquo(generalized_exponents(turan_op())))
         want = {
             rep(2, F(-1), 0, -SQRT_M2, F(-2)),
             rep(2, F(-1), 0, -SQRT_M2, F(0)),
@@ -445,7 +518,7 @@ class TestGquo:
         assert got == want
 
     def test_hermite_square_display(self):
-        got = set(gquo(hermite_sq()))
+        got = set(gquo(generalized_exponents(hermite_sq())))
         want = {
             rep(2, F(-1), 0, -SQRT_M2, F(-1)),
             rep(2, F(-1), 0, SQRT_M2, F(-1)),
@@ -455,12 +528,13 @@ class TestGquo:
         assert got == want
 
     def test_gauge_pair_matches_up_to_r_equivalence(self):
-        qa, qb = gquo(turan_op()), gquo(hermite_sq())
+        qa = gquo(generalized_exponents(turan_op()))
+        qb = gquo(generalized_exponents(hermite_sq()))
         assert all(any(r_equivalent(a, b) for b in qb) for a in qa)
         assert all(any(r_equivalent(a, b) for a in qa) for b in qb)
 
     def test_legendre_square_constants(self):
-        got = {e.c for e in gquo(legendre_sq())}
+        got = {e.c for e in gquo(generalized_exponents(legendre_sq()))}
         a = F(-7, 25) + F(24, 25) * SQRT_M1
         abar = F(-7, 25) - F(24, 25) * SQRT_M1
         a2 = F(-527, 625) + F(336, 625) * SQRT_M1
@@ -469,14 +543,14 @@ class TestGquo:
 
     def test_invariant_under_term_twist(self):
         L = hermite_sq()
-        base = gquo(L)
+        base = gquo(generalized_exponents(L))
         for r in (RF([2, 1], [0, 1]), RF([5]), RF([1, 1], [3, 1])):
             tw = symprod_first_order(L, r).canonical()
-            assert gquo(tw) == base
+            assert gquo(generalized_exponents(tw)) == base
 
     def test_closed_under_inversion(self):
         for L in (turan_op(), hermite_sq()):
-            q = gquo(L)
+            q = gquo(generalized_exponents(L))
             for e in q:
                 inv = trunc(TSeries.one(e.r, 2 * e.r + 2) / e.series(2 * e.r + 2), e.r)
                 assert any(inv == other for other in q)

@@ -54,6 +54,12 @@ class TestBasics:
         assert rational_content([0, Fraction(0)]) == 0
         assert rational_content([]) == 0
 
+    def test_hash_agrees_with_equality(self):
+        half = Fraction(1, 2)
+        for p, c in ((Poly(), 0), (Poly(), Fraction(0)), (P(3), 3), (P(half), half)):
+            assert p == c and hash(p) == hash(c)
+        assert len({Poly(), 0}) == 1
+
     def test_int_coeffs(self):
         assert P(1, -2).int_coeffs() == [1, -2]
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symsolve.fieldext import NumberField
 from symsolve.poly import P, Poly
 from symsolve.ratfunc import RF, RatFunc
 
@@ -35,6 +36,30 @@ class TestNormalization:
 
     def test_zero_num_canonical(self):
         assert RF(0, [1, 5]) == RF(0, 7)
+
+
+class TestEquality:
+    def test_foreign_objects_are_not_coerced(self):
+        for other in (None, "", [], "x"):
+            assert RF(0) != other and not RF(0) == other
+            with pytest.raises(TypeError):
+                RF(1) * other
+            with pytest.raises(TypeError):
+                RF(1) + other
+
+    def test_scalars_and_polys_are_coerced(self):
+        q2 = NumberField.quadratic(2)
+        assert RF(0) == 0 and RF(3) == Fraction(3) and RF(3) == q2.from_rational(3)
+        assert RatFunc(Poly.const(q2.gen)) == q2.gen
+        assert RF([0, 1]) * 2 == RF([0, 2]) and 2 * RF([0, 1]) == RF([0, 2])
+
+    def test_hash_agrees_with_equality(self):
+        pairs = [(RF(0), 0), (RF(0), Poly()), (RF(3), Fraction(3)), (RF(3), P(3)),
+                 (RF([0, 1]), P(0, 1)), (RF([1, 2, 1], [1, 1]), P(1, 1))]
+        for a, b in pairs:
+            assert a == b and b == a
+            assert hash(a) == hash(b)
+        assert len({RF([0, 1]), P(0, 1)}) == 1
 
 
 class TestFieldAxioms:

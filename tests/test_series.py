@@ -95,10 +95,6 @@ class TestTau:
         assert out.coeff_at(Fraction(3, 2)) == Fraction(-1, 2)
         assert out.coeff_at(Fraction(5, 2)) == Fraction(3, 8)
 
-    def test_tau_inverse_shift(self):
-        a = S(1, -1, 1, 2, 3, 4, 5)
-        assert (a.tau(1).tau(-1) - a).is_zero()
-
     @given(small_series(), small_series())
     @settings(max_examples=40, deadline=None)
     def test_tau_is_additive(self, a, b):
