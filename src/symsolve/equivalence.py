@@ -12,17 +12,16 @@ solution are trapped between roots of the trailing and (shifted)
 leading data, which leaves a finite-dimensional polynomial search.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from .factorization import factor_over_Q
 from .linalg import DependencyFinder, nullspace_rational
 from .localdata import indicial_polynomial
 from .opformat import print_operator
 from .ore import Operator
-from .poly import Poly, poly_gcd, poly_lcm
+from .poly import Poly, _int_cleared, _list_mul, _list_shift, _list_sub, poly_gcd
 from .ratfunc import RatFunc
 from .snf import dispersion_set, nth_root_ratfunc, shift_normal_form
 from .symprod import _shift_reduce_step, symprod_first_order
@@ -38,8 +37,6 @@ __all__ = [
     "case_diagnosis",
 ]
 
-_ZERO = RatFunc(Poly(), reduce=False)
-_ONE = RatFunc(Poly.const(Fraction(1)), reduce=False)
 #: largest numerator degree rational_solutions will search
 _DEGREE_BUDGET = 100
 
@@ -226,6 +223,56 @@ def _degree_cap(p1: List[Poly], p2: List[Poly]) -> int:
     return 2 * max(p.degree for p in p1 + p2) + 10
 
 
+def _hom_rows(p1: List[Poly], p2: List[Poly], u: Poly, width: int
+              ) -> List[List[int]]:
+    """Integer rows of the hom_space system; see hom_space."""
+    d1, d2 = len(p1) - 1, len(p2) - 1
+    P1, P2 = _int_cleared(p1), _int_cleared(p2)
+    (U,) = _int_cleared([u])
+    lead = P1[d1]
+    # numerators N[k] of tau^k modulo L1 over Delta_k, k = 0 .. d1+d2-1
+    N = [[[1] if s == k else [] for s in range(d1)] for k in range(d1)]
+    while len(N) < d1 + d2:
+        prev = [_list_shift(c, 1) for c in N[-1]]
+        top = prev[d1 - 1]
+        N.append([
+            _list_sub(_list_mul(lead, prev[s - 1]) if s else [],
+                     _list_mul(top, P1[s]))
+            for s in range(d1)
+        ])
+    # tail[a] = l(x+a)···l(x+d2-1) = Delta_K / Delta_k for a = max(0, k-d1+1)
+    tail = [[1]]
+    for m in range(d2 - 1, -1, -1):
+        tail.insert(0, _list_mul(_list_shift(lead, m), tail[0]))
+    ushift = [_list_shift(U, j) for j in range(d2 + 1)]
+    # mult[i, j]: P2_j times the cofactor of term (i, j), shared by every s
+    mult = {}
+    for j in range(d2 + 1):
+        if not P2[j]:
+            continue
+        others = P2[j]
+        for jj in range(d2 + 1):
+            if jj != j:
+                others = _list_mul(others, ushift[jj])
+        for i in range(d1):
+            mult[i, j] = _list_mul(others, tail[max(0, i + j - d1 + 1)])
+
+    rows: List[List[int]] = []
+    for s in range(d1):
+        bases = [(i, j, _list_mul(m, N[i + j][s])) for (i, j), m in mult.items()]
+        bases = [t for t in bases if t[2]]
+        size = max(len(b) for _, _, b in bases) + width - 1
+        cols = [[0] * size for _ in range(d1 * width)]
+        for i, j, b in bases:
+            for k, q in enumerate(_power_columns(b, j, width)):
+                col = cols[i * width + k]
+                for m, c in enumerate(q):
+                    col[m] += c
+        height = 1 + max(m for c in cols for m, v in enumerate(c) if v)
+        rows += [[c[m] for c in cols] for m in range(height)]
+    return rows
+
+
 def hom_space(L1: Operator, L2: Operator) -> List[GaugeMap]:
     """Basis of the maps carrying solutions of L1 to solutions of L2.
 
@@ -236,67 +283,44 @@ def hom_space(L1: Operator, L2: Operator) -> List[GaugeMap]:
     (twice the largest coefficient degree plus ten), so the basis is
     complete only within that cap.
 
+    The system is built on integer polynomials.  With p_i and q_j the
+    coefficients of L1 and L2, each scaled by one integer over the whole
+    operator, l = p_(d1) and c_i = z_i/u, tau^k is reduced modulo L1
+    fraction-free: its coordinates are integer polynomials N_k[s] over
+    Delta_k(x) = l(x)·l(x+1)···l(x+k-d1) (1 for k < d1), with
+    N_k[s] = l·N_(k-1)[s-1](x+1) - N_(k-1)[d1-1](x+1)·p_s.  The
+    remainder coefficient at tau^s is
+
+        sum_{j,i} q_j(x)·z_i(x+j)/u(x+j)·N_(i+j)[s](x)/Delta_(i+j)(x) = 0,
+
+    and equation s is multiplied by Delta_K·u(x)···u(x+d2), K = d1+d2-1.
+    Term (i, j) then has the cofactor l(x+a)···l(x+d2-1), a =
+    max(0, i+j-d1+1), times the u(x+j') with j' != j: products of
+    shifts, with no gcd, no exact division and no rational function.
+    Multiplying a polynomial identity by a nonzero polynomial keeps its
+    solutions, and nullspace_rational returns the canonical basis of
+    the solution space (a unit at each free column), so the basis does
+    not depend on the scaling; only the number of rows does.
+
     The unknowns are the numerator coefficients z_{i,k} of c_i, and the
     term with c_i(x+j) contributes base·(x+j)^k to column (i, k).  Each
     column block is built by a running product q ← q·(x+j), one linear
     pass q'[m] = q[m-1] + j·q[m] per column: the Taylor shift
     z(x) ↦ z(x+j) applied column by column instead of a full polynomial
-    product per power.  The passes run on integers over one common
-    denominator D per remainder coefficient s; the rows are the
-    rationals the products would give, times D, which leaves the
-    nullspace unchanged.
+    product per power.
     """
     if not (L1.is_normal() and L2.is_normal()):
         raise ValueError("normal operators required")
-    d1, d2 = L1.order, L2.order
+    d1 = L1.order
     if d1 < 1:
         raise ValueError("positive source order required")
     p1, p2 = L1.poly_coeffs(), L2.poly_coeffs()
     if not all(p.is_rational() for p in p1 + p2):
         raise ValueError("rational coefficients required")
-    L1c = Operator(p1)
     u = _hom_denominator(p1, p2)
     width = _degree_cap(p1, p2) + u.degree + 1
-
-    # coordinates of tau^k modulo L1, k = 0 .. d1+d2-1
-    reduced = [[_ONE if i == k else _ZERO for i in range(d1)] for k in range(d1)]
-    while len(reduced) < d1 + d2:
-        reduced.append(_shift_reduce_step(reduced[-1], L1c))
-
-    # remainder coefficient at tau^s:
-    #   sum_{j,i} b_j(x) R[j+i][s](x) / u(x+j) * p_i(x+j)  =  0
-    rows: List[List[int]] = []
-    for s in range(d1):
-        terms: List[Tuple[int, int, RatFunc]] = []
-        for j in range(d2 + 1):
-            if not p2[j]:
-                continue
-            ushift = RatFunc(u.shift(j))
-            for i in range(d1):
-                t = RatFunc(p2[j]) * reduced[j + i][s] / ushift
-                if t:
-                    terms.append((i, j, t))
-        # terms share denominators: fold the lcm over the distinct ones
-        dens = dict.fromkeys(t.den for _, _, t in terms)
-        den = Poly.const(Fraction(1))
-        for q in dens:
-            den = poly_lcm(den, q)
-        cofactor = {q: den.exact_div(q) for q in dens}
-        bases = [(i, j, (t.num * cofactor[t.den]).coeffs) for i, j, t in terms]
-        D = math.lcm(*(Fraction(c).denominator for _, _, b in bases for c in b))
-        size = max(len(b) for _, _, b in bases) + width - 1
-        cols = [[0] * size for _ in range(d1 * width)]
-        for i, j, b in bases:
-            block = _power_columns([int(c * D) for c in b], j, width)
-            for k, q in enumerate(block):
-                col = cols[i * width + k]
-                for m, c in enumerate(q):
-                    col[m] += c
-        height = 1 + max(m for c in cols for m, v in enumerate(c) if v)
-        rows += [[c[m] for c in cols] for m in range(height)]
-
     basis = []
-    for vec in nullspace_rational(rows):
+    for vec in nullspace_rational(_hom_rows(p1, p2, u, width)):
         numerators = [Poly(vec[i * width : (i + 1) * width]) for i in range(d1)]
         G = Operator([RatFunc(z, u) for z in numerators])
         basis.append(GaugeMap(G, L1, L2))

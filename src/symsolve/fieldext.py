@@ -8,12 +8,22 @@ core a squarefree integer, which keeps square-root extraction elementary;
 is written for any degree: `valuation_growth` computes over Q(theta) for
 singularity classes of higher degree.
 
-A rational-valued element of any field mixes and compares like a
+An element is stored as integer numerators over one positive integer
+denominator, (n_0 + n_1·y + ... + n_(d-1)·y^(d-1)) / den, with
+gcd(n_0, ..., n_(d-1), den) = 1, so equality is structural.  The field
+keeps y^d, ..., y^(2d-2) reduced modulo m as integer rows over one
+denominator (a monic m may have non-integral coefficients), so a product
+is one integer convolution, one fold of its high part through those rows
+and one gcd.  ``coords`` gives the coordinates as Fractions for printing,
+keys and square roots; the arithmetic never reads it.
+
+A rational-valued element of any field mixes, compares and hashes like a
 Fraction; irrational elements of two different fields do not mix.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional, Tuple
 
@@ -32,10 +42,20 @@ __all__ = [
 ]
 
 
+def _normal(field: "NumberField", nums, den: int) -> "NFElem":
+    """nums/den with the common factor of numerators and den removed."""
+    if den != 1:
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = [n // g for n in nums]
+            den //= g
+    return NFElem(field, tuple(nums), den)
+
+
 class NumberField:
     """Q[y]/(m(y)) for monic irreducible m over Q."""
 
-    __slots__ = ("modulus", "name", "_red", "zero", "one", "gen")
+    __slots__ = ("modulus", "name", "_red", "_red_den", "zero", "one", "gen")
 
     def __init__(self, modulus: Poly, name: str = "s"):
         if not modulus or modulus.degree < 1:
@@ -44,25 +64,26 @@ class NumberField:
         self.modulus = modulus
         self.name = name
         d = modulus.degree
-        # y^k mod m for k = d .. 2d-2, as coefficient tuples
-        red = []
-        cur = Poly(tuple(-Fraction(c) for c in modulus.coeffs[:-1]))  # y^d
+        # y^k mod m for k = d .. 2d-2, as Fraction coefficient lists
+        low = [-Fraction(c) for c in modulus.coeffs[:-1]]  # y^d
+        rows = []
+        cur = low
         for _ in range(d - 1):
-            red.append(tuple(cur[i] for i in range(d)))
-            cur = Poly((0,) + cur.coeffs)  # * y
-            top = cur[d]
+            rows.append(cur)
+            top = cur[-1]
+            cur = [Fraction(0)] + cur[:-1]  # * y
             if top:
-                cur = Poly(tuple(cur[i] for i in range(d))) + Poly(
-                    tuple(-top * Fraction(c) for c in modulus.coeffs[:-1])
-                )
-            else:
-                cur = Poly(tuple(cur[i] for i in range(d)))
-        self._red = tuple(red)
-        self.zero = NFElem(self, (Fraction(0),) * d)
-        self.one = NFElem(self, (Fraction(1),) + (Fraction(0),) * (d - 1))
-        self.gen = NFElem(
-            self, (Fraction(0), Fraction(1)) + (Fraction(0),) * (d - 2)
+                cur = [a + top * b for a, b in zip(cur, low)]
+        # ... as integer rows over one denominator
+        self._red_den = math.lcm(*(c.denominator for row in rows for c in row))
+        self._red = tuple(
+            tuple((c * self._red_den).numerator for c in row) for row in rows
         )
+        zeros = (0,) * (d - 1)
+        self.zero = NFElem(self, (0,) + zeros, 1)
+        self.one = NFElem(self, (1,) + zeros, 1)
+        # y itself; over a linear modulus that is the rational root
+        self.gen = self.element([0, 1]) if d > 1 else self.from_rational(low[0])
 
     @classmethod
     def quadratic(cls, core: int, name: Optional[str] = None) -> "NumberField":
@@ -82,10 +103,17 @@ class NumberField:
         if len(cs) > self.degree:
             raise ValueError("too many coordinates")
         cs += [Fraction(0)] * (self.degree - len(cs))
-        return NFElem(self, tuple(cs))
+        # over the lcm of the denominators the numerators are coprime to it
+        den = math.lcm(*(c.denominator for c in cs))
+        return NFElem(self, tuple((c * den).numerator for c in cs), den)
 
     def from_rational(self, q) -> "NFElem":
-        return self.element([Fraction(q)])
+        q = Fraction(q)
+        return self._rational(q.numerator, q.denominator)
+
+    def _rational(self, num: int, den: int) -> "NFElem":
+        # num/den in lowest terms, den > 0
+        return NFElem(self, (num,) + (0,) * (self.degree - 1), den)
 
     def coerce(self, v) -> "NFElem":
         if isinstance(v, NFElem):
@@ -93,7 +121,7 @@ class NumberField:
                 return v
             if not v.is_rational():
                 raise ValueError("element from a different field")
-            v = v.coords[0]
+            return self._rational(v.nums[0], v.den)
         return self.from_rational(v)
 
     def __eq__(self, other):
@@ -107,36 +135,45 @@ class NumberField:
 
 
 class NFElem:
-    __slots__ = ("field", "coords")
+    """(nums[0] + nums[1]·y + ...) / den in a NumberField, in lowest terms."""
 
-    def __init__(self, field: NumberField, coords: Tuple[Fraction, ...]):
+    __slots__ = ("field", "nums", "den")
+
+    def __init__(self, field: NumberField, nums: Tuple[int, ...], den: int):
         self.field = field
-        self.coords = coords
+        self.nums = nums
+        self.den = den
+
+    @property
+    def coords(self) -> Tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     def is_rational(self) -> bool:
-        return not any(self.coords[1:])
+        return not any(self.nums[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is irrational")
-        return self.coords[0]
+        return Fraction(self.nums[0], self.den)
 
     def __bool__(self):
-        return any(self.coords)
+        return any(self.nums)
 
     def _pair(self, other) -> Optional[Tuple["NFElem", "NFElem"]]:
         """(self, other) as elements of one field; None when other is
         irrational in another field (or not a number)."""
         if isinstance(other, NFElem):
-            if other.field == self.field:
+            if other.field is self.field or other.field == self.field:
                 return self, other
             if other.is_rational():
-                return self, self.field.from_rational(other.coords[0])
+                return self, self.field._rational(other.nums[0], other.den)
             if self.is_rational():
-                return other.field.from_rational(self.coords[0]), other
+                return other.field._rational(self.nums[0], self.den), other
             return None
-        if isinstance(other, (int, Fraction)):
-            return self, self.field.from_rational(other)
+        if isinstance(other, int):
+            return self, self.field._rational(other, 1)
+        if isinstance(other, Fraction):
+            return self, self.field._rational(other.numerator, other.denominator)
         return None
 
     def __add__(self, other):
@@ -144,19 +181,24 @@ class NFElem:
         if pair is None:
             return NotImplemented
         a, b = pair
-        return NFElem(a.field, tuple(x + y for x, y in zip(a.coords, b.coords)))
+        if a.den == b.den:
+            nums = [x + y for x, y in zip(a.nums, b.nums)]
+            return _normal(a.field, nums, a.den)
+        da, db = a.den, b.den
+        nums = [x * db + y * da for x, y in zip(a.nums, b.nums)]
+        return _normal(a.field, nums, da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NFElem(self.field, tuple(-a for a in self.coords))
+        return NFElem(self.field, tuple(-a for a in self.nums), self.den)
 
     def __sub__(self, other):
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
         a, b = pair
-        return NFElem(a.field, tuple(x - y for x, y in zip(a.coords, b.coords)))
+        return a + (-b)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -167,22 +209,26 @@ class NFElem:
             return NotImplemented
         a, b = pair
         field = a.field
-        d = field.degree
-        prod = [Fraction(0)] * (2 * d - 1)
-        for i, x in enumerate(a.coords):
-            if not x:
-                continue
-            for j, y in enumerate(b.coords):
-                if y:
-                    prod[i + j] += x * y
-        out = list(prod[:d])
-        for k in range(d, 2 * d - 1):
-            c = prod[k]
-            if c:
-                row = field._red[k - d]
-                for i in range(d):
-                    out[i] += c * row[i]
-        return NFElem(field, tuple(out))
+        d = len(a.nums)
+        prod = [0] * (2 * d - 1)
+        for i, x in enumerate(a.nums):
+            if x:
+                for j, y in enumerate(b.nums):
+                    if y:
+                        prod[i + j] += x * y
+        den = a.den * b.den
+        out = prod[:d]
+        if any(prod[d:]):
+            # prod[k]·y^k for k >= d folds in as prod[k]·_red[k-d] / _red_den
+            rd = field._red_den
+            if rd != 1:
+                out = [c * rd for c in out]
+                den *= rd
+            for c, row in zip(prod[d:], field._red):
+                if c:
+                    for i in range(d):
+                        out[i] += c * row[i]
+        return _normal(field, out, den)
 
     __rmul__ = __mul__
 
@@ -192,8 +238,7 @@ class NFElem:
         g, s, _ = poly_xgcd(Poly(self.coords), self.field.modulus)
         if g.degree != 0:
             raise ZeroDivisionError("modulus not coprime to element")
-        d = self.field.degree
-        return NFElem(self.field, tuple(Fraction(s[i]) for i in range(d)))
+        return self.field.element([s[i] for i in range(self.field.degree)])
 
     def __truediv__(self, other):
         pair = self._pair(other)
@@ -228,7 +273,7 @@ class NFElem:
             raise ValueError("conjugate implemented for quadratic fields only")
         p = self.field.modulus[1]
         a, b = self.coords
-        return NFElem(self.field, (a - b * p, -b))
+        return self.field.element([a - b * p, -b])
 
     def norm(self) -> Fraction:
         if self.field.degree != 2:
@@ -240,11 +285,11 @@ class NFElem:
         if pair is None:
             return NotImplemented
         a, b = pair
-        return a.coords == b.coords
+        return a.den == b.den and a.nums == b.nums
 
     def __hash__(self):
         if self.is_rational():
-            return hash(self.coords[0])
+            return hash(Fraction(self.nums[0], self.den))
         return hash((self.field.modulus.coeffs, self.coords))
 
     def __repr__(self):

@@ -669,11 +669,14 @@ def _rep_json(g: GenExpRep) -> dict:
 
 
 def local_data(L: Operator) -> LocalData:
+    """Local data of L.  An operator rejected at infinity matches no table
+    entry whatever its finite singularities, so its ValG is left empty."""
     ges = generalized_exponents(L)
+    valg = () if ges.rejection is not None else valg_set(L)
     return LocalData(
         valg=tuple(
             sorted(
-                valg_set(L),
+                valg,
                 key=lambda e: (
                     e.cls.representative.degree,
                     e.cls.representative.coeffs,

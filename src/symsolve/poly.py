@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _igcd
+from math import lcm as _lcm
 from typing import Iterable
 
 __all__ = ["Poly", "P", "x_poly", "poly_gcd", "poly_xgcd", "poly_lcm", "rational_content"]
@@ -124,13 +125,7 @@ class Poly:
             return Poly(tuple(a[0] * c for c in b))
         if len(b) == 1:
             return Poly(tuple(c * b[0] for c in a))
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if not ca:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] = out[i + j] + ca * cb
-        return Poly(out)
+        return Poly(_list_mul(a, b))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -200,12 +195,7 @@ class Poly:
         """p(x + a), synthetic Taylor shift."""
         if not self or not a:
             return self
-        cs = list(self.coeffs)
-        n = len(cs)
-        for i in range(n - 1):
-            for k in range(n - 2, i - 1, -1):
-                cs[k] = cs[k] + a * cs[k + 1]
-        return Poly(cs)
+        return Poly(_list_shift(self.coeffs, a))
 
     def eval(self, v):
         """Horner evaluation; v may be a scalar or a Poly (composition)."""
@@ -367,6 +357,50 @@ def _int_primitive(a: list) -> list:
     if g > 1:
         a = [c // g for c in a]
     return a
+
+
+# Coefficient-list kernels.  They serve Poly over any coefficient ring and,
+# on lists of Python ints, integer polynomials with no Fraction at all.
+
+
+def _list_mul(a, b) -> list:
+    """Product of coefficient lists; [] is zero."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return out
+
+
+def _list_sub(a: list, b: list) -> list:
+    """a - b for coefficient lists, trailing zeros stripped."""
+    if len(a) < len(b):
+        a = a + [0] * (len(b) - len(a))
+    out = [x - y for x, y in zip(a, b)] + a[len(b):]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _list_shift(a, h) -> list:
+    """a(x + h) for a coefficient list, by synthetic Taylor shift."""
+    cs = list(a)
+    if h:
+        n = len(cs)
+        for i in range(n - 1):
+            for k in range(n - 2, i - 1, -1):
+                cs[k] += h * cs[k + 1]
+    return cs
+
+
+def _int_cleared(polys) -> list:
+    """Integer coefficient lists of c·p for every p, with c the least
+    common denominator of all their coefficients: one scalar for all."""
+    c = _lcm(*(Fraction(a).denominator for p in polys for a in p.coeffs))
+    return [[(Fraction(a) * c).numerator for a in p.coeffs] for p in polys]
 
 
 def poly_xgcd(a: Poly, b: Poly):

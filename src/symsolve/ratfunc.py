@@ -15,16 +15,24 @@ from .poly import P, Poly, poly_gcd
 __all__ = ["RatFunc", "RF"]
 
 
+def _as_poly(v, what: str) -> Poly:
+    """A Poly, or a scalar (int, Fraction or NFElem) as a constant Poly."""
+    if isinstance(v, Poly):
+        return v
+    if isinstance(v, int):
+        return Poly.const(Fraction(v))
+    if isinstance(v, (Fraction, NFElem)):
+        return Poly.const(v)
+    raise TypeError(f"RatFunc {what} must be a Poly, int, Fraction or NFElem, "
+                    f"not {type(v).__name__}")
+
+
 class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly, den: Poly = None, reduce: bool = True):
-        if not isinstance(num, Poly):
-            num = Poly.const(Fraction(num) if isinstance(num, int) else num)
-        if den is None:
-            den = Poly.const(Fraction(1))
-        elif not isinstance(den, Poly):
-            den = Poly.const(Fraction(den) if isinstance(den, int) else den)
+        num = _as_poly(num, "numerator")
+        den = Poly.const(Fraction(1)) if den is None else _as_poly(den, "denominator")
         if not den:
             raise ZeroDivisionError("rational function with zero denominator")
         if not num:

@@ -10,6 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symsolve.equivalence import (
+    _degree_cap,
+    _hom_denominator,
+    _hom_rows,
     _power_columns,
     GaugeMap,
     GTTransform,
@@ -27,7 +30,12 @@ from symsolve.ore import Operator
 from symsolve.poly import P, Poly, poly_lcm
 from symsolve.ratfunc import RF, RatFunc
 from symsolve.snf import shift_normal_form
-from symsolve.symprod import symprod_first_order, symprod_general, symsquare_order2
+from symsolve.symprod import (
+    _shift_reduce_step,
+    symprod_first_order,
+    symprod_general,
+    symsquare_order2,
+)
 
 X = P(0, 1)
 L_CUBIC = parse_operator("2S^3 + x^2 S^2 - 3S + (x+1)")
@@ -309,6 +317,111 @@ class TestGtFind:
         assert t is not None
         assert shift_normal_form(t.r) == shift_normal_form(r)
         assert t.G.bijective
+
+
+def _reference_rows(p1, p2, u, width):
+    """The hom_space rows as built over Q(x) with RatFunc: tau^k reduced
+    modulo L1 with rational coordinates, each remainder coefficient put
+    over the lcm of its term denominators and cleared of its rational
+    denominators.  The integer kernel must give the same nullspace."""
+    d1, d2 = len(p1) - 1, len(p2) - 1
+    L1c = Operator(p1)
+    one, zero = RatFunc(P(1)), RatFunc(Poly())
+    reduced = [[one if i == k else zero for i in range(d1)] for k in range(d1)]
+    while len(reduced) < d1 + d2:
+        reduced.append(_shift_reduce_step(reduced[-1], L1c))
+    rows = []
+    for s in range(d1):
+        terms = []
+        for j in range(d2 + 1):
+            if not p2[j]:
+                continue
+            for i in range(d1):
+                t = RatFunc(p2[j]) * reduced[j + i][s] / RatFunc(u.shift(j))
+                if t:
+                    terms.append((i, j, t))
+        den = P(1)
+        for _, _, t in terms:
+            den = poly_lcm(den, t.den)
+        bases = [(i, j, (t.num * den.exact_div(t.den)).coeffs) for i, j, t in terms]
+        D = math.lcm(*(F(c).denominator for _, _, b in bases for c in b))
+        size = max(len(b) for _, _, b in bases) + width - 1
+        cols = [[0] * size for _ in range(d1 * width)]
+        for i, j, b in bases:
+            for k, q in enumerate(_power_columns([int(c * D) for c in b], j, width)):
+                for m, c in enumerate(q):
+                    cols[i * width + k][m] += c
+        height = 1 + max(m for c in cols for m, v in enumerate(c) if v)
+        rows += [[c[m] for c in cols] for m in range(height)]
+    return rows
+
+
+def _bases_agree(L1: Operator, L2: Operator) -> int:
+    """Check the integer rows against the reference; the dimension."""
+    p1, p2 = L1.poly_coeffs(), L2.poly_coeffs()
+    u = _hom_denominator(p1, p2)
+    width = _degree_cap(p1, p2) + u.degree + 1
+    want = nullspace_rational(_reference_rows(p1, p2, u, width))
+    assert nullspace_rational(_hom_rows(p1, p2, u, width)) == want
+    d1 = L1.order
+    want_G = [
+        Operator([RatFunc(Poly(v[i * width:(i + 1) * width]), u) for i in range(d1)])
+        for v in want
+    ]
+    assert [gm.G for gm in hom_space(L1, L2)] == want_G
+    return len(want)
+
+
+def _mixed_rational(rng, L: Operator) -> Operator:
+    """L times a polynomial with non-integral coefficients: the same
+    operator up to a unit of Q(x), with rationals in poly_coeffs."""
+    f = P(F(rng.randint(1, 5), rng.randint(2, 7)), F(rng.randint(1, 5), rng.randint(2, 7)))
+    return Operator([c * RatFunc(f) for c in L.coeffs])
+
+
+# polynomial coefficients whose rational denominators differ from one
+# coefficient to the next, so one scalar must clear them all
+L_FRACTIONAL = Operator([P(F(1, 2), F(1, 3)), P(F(2, 3), 1), P(F(1, 5)), P(F(3, 7), F(1, 2))])
+
+
+class TestHomRows:
+    def test_fractional_source_keeps_the_planted_gauge(self):
+        assert any(c.denominator > 1 for p in L_FRACTIONAL.poly_coeffs() for c in p.coeffs)
+        G = Operator([P(1), P(0, 1)])
+        L2 = transformed_operator(L_FRACTIONAL, G)
+        assert _bases_agree(L_FRACTIONAL, L2) == 1
+        assert _bases_agree(L_FRACTIONAL, _mixed_rational(random.Random(0), L2)) == 1
+        (gm,) = hom_space(L_FRACTIONAL, L2)
+        assert _proportional(gm.G, G, L_FRACTIONAL)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_planted_gauges(self, seed):
+        rng = random.Random(100 + seed)
+        L1 = _random_order3(rng)
+        G = _random_gauge(rng, L1)
+        L2 = transformed_operator(L1, G)
+        if seed % 2:
+            L1 = _mixed_rational(rng, L1)
+        assert _bases_agree(L1, L2) >= 1
+
+    @given(st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_random_normal_pairs(self, data):
+        def operator(order):
+            cs = data.draw(st.lists(
+                st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=3),
+                         min_size=1, max_size=3).map(lambda c: P(*c)),
+                min_size=order + 1, max_size=order + 1))
+            L = Operator(cs)
+            if L.order != order or not L.is_normal():
+                return None
+            return L
+        order = data.draw(st.integers(1, 2))
+        L1, L2 = operator(order), operator(order)
+        if L1 is None or L2 is None:
+            return
+        _bases_agree(L1, L2)
+        _bases_agree(L1, L1)
 
 
 class TestTransformedOperator:

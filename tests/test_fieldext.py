@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from symsolve.fieldext import (
     squarefree_core,
     value_sqrt,
 )
-from symsolve.poly import P
+from symsolve.poly import P, Poly, poly_xgcd
 
 Q5 = NumberField.quadratic(5)
 Qm2 = NumberField.quadratic(-2)
@@ -173,3 +174,121 @@ class TestValues:
         # a rational value carried by Q(sqrt5) has its root sought there
         assert value_sqrt(Q5.from_rational(20)) == (Q5.element([0, 2]), Q5)
         assert value_sqrt(Q5.from_rational(3)) is None
+
+
+# -- reference: elements as Fraction coordinate tuples ---------------------------
+
+
+class _RefElem:
+    """An element as a tuple of Fraction coordinates, reduced through
+    Fraction rows y^k mod m: the representation the integer kernel
+    replaced, kept to check it."""
+
+    def __init__(self, field, coords):
+        self.field = field
+        self.coords = tuple(Fraction(c) for c in coords)
+
+    @staticmethod
+    def red_rows(field):
+        m = field.modulus
+        d = m.degree
+        red = []
+        cur = P(*[-Fraction(c) for c in m.coeffs[:-1]])  # y^d
+        for _ in range(d - 1):
+            red.append(tuple(cur[i] for i in range(d)))
+            cur = Poly((0,) + cur.coeffs)  # * y
+            top = cur[d]
+            cur = Poly(tuple(cur[i] for i in range(d)))
+            if top:
+                cur = cur + Poly(tuple(-top * Fraction(c) for c in m.coeffs[:-1]))
+        return red
+
+    def __add__(self, o):
+        return _RefElem(self.field, [a + b for a, b in zip(self.coords, o.coords)])
+
+    def __sub__(self, o):
+        return _RefElem(self.field, [a - b for a, b in zip(self.coords, o.coords)])
+
+    def __mul__(self, o):
+        d = self.field.degree
+        prod = [Fraction(0)] * (2 * d - 1)
+        for i, x in enumerate(self.coords):
+            for j, y in enumerate(o.coords):
+                prod[i + j] += x * y
+        out = prod[:d]
+        for k, row in enumerate(self.red_rows(self.field)):
+            for i in range(d):
+                out[i] += prod[d + k] * row[i]
+        return _RefElem(self.field, out)
+
+    def inverse(self):
+        g, s, _ = poly_xgcd(Poly(self.coords), self.field.modulus)
+        return _RefElem(self.field, [Fraction(s[i]) for i in range(self.field.degree)])
+
+    def __truediv__(self, o):
+        return self * o.inverse()
+
+    def __eq__(self, o):
+        return self.coords == o.coords
+
+    def __hash__(self):
+        if not any(self.coords[1:]):
+            return hash(self.coords[0])
+        return hash((self.field.modulus.coeffs, self.coords))
+
+
+# 2y^3 + 3y^2 - 3y + 3 is irreducible (Eisenstein at 3); its monic form
+# y^3 + 3/2 y^2 - 3/2 y + 3/2 reduces through rows over the denominator 4
+CUBIC = NumberField(P(3, -3, 3, 2), name="t")
+SMALL = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+def _coord_lists(field):
+    d = field.degree
+    return st.one_of(
+        st.lists(SMALL, min_size=d, max_size=d),
+        st.tuples(SMALL).map(lambda c: [c[0]] + [0] * (d - 1)),  # rational values
+    )
+
+
+def _agrees(new, ref):
+    # same value, lowest terms over a positive denominator, same hash
+    assert new.coords == ref.coords
+    assert new.den > 0 and math.gcd(new.den, *new.nums) == 1
+    assert new == new.field.element(ref.coords)
+    assert hash(new) == hash(ref)
+
+
+class TestIntegerKernel:
+    def test_cubic_reduction_rows_are_integral_over_one_denominator(self):
+        assert CUBIC._red_den == 4
+        t = CUBIC.gen
+        assert t * t * t == CUBIC.element([Fraction(-3, 2), Fraction(3, 2), Fraction(-3, 2)])
+
+    @given(st.sampled_from([Q5, Qm2, NumberField(P(-1, -1, 1)), CUBIC]), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_operations_agree_with_fraction_coordinates(self, field, data):
+        ca = data.draw(_coord_lists(field))
+        cb = data.draw(_coord_lists(field))
+        a, b = field.element(ca), field.element(cb)
+        ra, rb = _RefElem(field, ca), _RefElem(field, cb)
+        _agrees(a, ra)
+        _agrees(a + b, ra + rb)
+        _agrees(a - b, ra - rb)
+        _agrees(a * b, ra * rb)
+        if rb.coords != (0,) * field.degree:
+            _agrees(a / b, ra / rb)
+        assert (a == b) == (ra == rb)
+        assert (a * b - b * a).nums == (0,) * field.degree and (a - a).den == 1
+        if ra.coords[1:] == (0,) * (field.degree - 1):
+            assert a == ra.coords[0] and hash(a) == hash(ra.coords[0])
+
+    @given(st.lists(SMALL, min_size=2, max_size=2), st.fractions(max_denominator=9))
+    @settings(max_examples=60, deadline=None)
+    def test_scalars_and_rational_elements_of_other_fields(self, cs, q):
+        a = Q5.element(cs)
+        r = Qm2.from_rational(q)
+        _agrees(a * q, _RefElem(Q5, cs) * _RefElem(Q5, [q, 0]))
+        _agrees(a + r, _RefElem(Q5, cs) + _RefElem(Q5, [q, 0]))
+        _agrees(q - a, _RefElem(Q5, [q, 0]) - _RefElem(Q5, cs))
+        assert (a * 1).field is Q5 and a + 0 == a

@@ -428,6 +428,16 @@ class TestGenExp:
         assert data.to_json()["rejection"] == ge.rejection
         assert "rejection" not in local_data(hermite_sq()).to_json()
 
+    def test_rejected_operator_skips_valuation_growth(self, monkeypatch):
+        # the rejection decides the match, so ValG is not computed
+        L = parse_operator("(x - 1)*S^3 + 2*S^2 - (x - 3)*S - 3*x")
+        assert valg_set(L)  # x is an essential class
+        def fail(*args):
+            raise AssertionError("valuation_growth called on a rejected operator")
+        monkeypatch.setattr(localdata, "valuation_growth", fail)
+        data = local_data(L)
+        assert data.valg == () and data.to_json()["valg"] == []
+
     def test_cubic_edge_factor_at_half_slope_rejects(self):
         # slope 1/2: the edge polynomial in c^2 is T^3 - 2
         ge = generalized_exponents(parse_operator("S^6 - 2*x^3"))

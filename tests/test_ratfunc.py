@@ -47,6 +47,18 @@ class TestEquality:
             with pytest.raises(TypeError):
                 RF(1) + other
 
+    def test_foreign_objects_are_not_constructed(self):
+        for other in (None, "", [], "x", 1.5, (1, 2)):
+            with pytest.raises(TypeError, match="numerator"):
+                RatFunc(other)
+            if other is not None:  # an omitted denominator is 1
+                with pytest.raises(TypeError, match="denominator"):
+                    RatFunc(P(1), other)
+        q2 = NumberField.quadratic(2)
+        assert RatFunc(0) == RatFunc(Poly()) and RatFunc(3, 6) == Fraction(1, 2)
+        assert RatFunc(Fraction(1, 2), q2.gen) == RatFunc(Poly.const(q2.gen / 4))
+        assert RatFunc(P(1)) == RatFunc(P(1), None) == 1
+
     def test_scalars_and_polys_are_coerced(self):
         q2 = NumberField.quadratic(2)
         assert RF(0) == 0 and RF(3) == Fraction(3) and RF(3) == q2.from_rational(3)
