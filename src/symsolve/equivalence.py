@@ -12,18 +12,19 @@ solution are trapped between roots of the trailing and (shifted)
 leading data, which leaves a finite-dimensional polynomial search.
 """
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from .factorization import factor_over_Q
 from .linalg import DependencyFinder, nullspace_rational
 from .localdata import indicial_polynomial
 from .opformat import print_operator
 from .ore import Operator
-from .poly import Poly, _int_cleared, _list_mul, _list_shift, _list_sub, poly_gcd
+from .poly import Poly, _int_cleared, _list_mul, _list_shift, _list_sub
 from .ratfunc import RatFunc
-from .snf import dispersion_set, nth_root_ratfunc, shift_normal_form
+from .snf import shift_classes
 from .symprod import _shift_reduce_step, symprod_first_order
 
 __all__ = [
@@ -108,22 +109,42 @@ class GTTransform:
 # -- rational solutions ------------------------------------------------------
 
 
-def _abramov_denominator(A: Poly, B: Poly) -> Poly:
+def _class_counts(parts) -> Dict[Poly, Counter]:
+    # offset counts of prod p(x + s) over the parts (shift classes of p, s)
+    counts: Dict[Poly, Counter] = defaultdict(Counter)
+    for classes, s in parts:
+        for rep, offsets in classes.items():
+            counts[rep].update({k + s: m for k, m in offsets.items()})
+    return counts
+
+
+def _abramov_denominator(A, B) -> Poly:
     """Universal denominator when pole chains of a solution must start
-    at a root of A and end at a root of B."""
+    at a root of A and end at a root of B.
+
+    A and B are products of shifted polynomials, each a list of (shift
+    classes of p, s) for the factor p(x + s).  Only the offset counts
+    of each class are read, with no product, gcd or exact division.
+    Abramov's loop runs per class, largest dispersion h first: A's
+    rep(x + k) and B's rep(x + k - h) each lose m = min of their counts,
+    and u gains rep(x + k - i)^m for i = 0..h.
+    """
+    A, B = _class_counts(A), _class_counts(B)
+    exps: Counter = Counter()
+    for rep, a in A.items():
+        b = B.get(rep, {})
+        for h in sorted({ka - kb for ka in a for kb in b if ka >= kb}, reverse=True):
+            for k in a:
+                m = min(a[k], b[k - h])
+                if m:
+                    a[k] -= m
+                    b[k - h] -= m
+                    for i in range(h + 1):
+                        exps[rep, k - i] += m
     u = Poly.const(Fraction(1))
-    if A.degree < 1 or B.degree < 1:
-        return u
-    A, B = A.primitive(), B.primitive()
-    for h in reversed(dispersion_set(A, B)):
-        g = poly_gcd(A, B.shift(h))
-        if g.degree < 1:
-            continue
-        A = A.exact_div(g)
-        B = B.exact_div(g.shift(-h))
-        for i in range(h + 1):
-            u = u * g.shift(-i)
-    return u
+    for (rep, k), m in exps.items():
+        u = u * rep.shift(k) ** m
+    return u.monic()
 
 
 def _integer_degree_bound(L: Operator) -> Optional[int]:
@@ -187,7 +208,8 @@ def rational_solutions(L: Operator) -> List[RatFunc]:
     polys = L.poly_coeffs()
     if not all(p.is_rational() for p in polys):
         raise ValueError("rational coefficients required")
-    u = _abramov_denominator(polys[d].shift(-d), polys[0])
+    u = _abramov_denominator([(shift_classes(polys[d])[1], -d)],
+                             [(shift_classes(polys[0])[1], 0)])
     M = Operator([RatFunc(polys[i], u.shift(i)) for i in range(d + 1)]).canonical()
     bound = _integer_degree_bound(M)
     if bound is None:
@@ -207,13 +229,15 @@ def _hom_denominator(p1: List[Poly], p2: List[Poly]) -> Poly:
     # Pole chains of the ansatz coefficients: a rightmost pole needs the
     # trailing coefficient of the target (or a reduction pole of the
     # source lead) to vanish there, a leftmost pole the same for the
-    # shifted leading data.  Conservative on both ends.
+    # shifted leading data.  Conservative on both ends.  Each end
+    # coefficient is factored once; the products are read as shifts.
     d1, d2 = len(p1) - 1, len(p2) - 1
-    B = p2[0]
-    A = p2[d2].shift(-d2)
+    src0, src_lead, tgt0, tgt_lead = (shift_classes(p)[1]
+                                      for p in (p1[0], p1[d1], p2[0], p2[d2]))
+    B = [(tgt0, 0)] + [(src_lead, m) for m in range(d2)]
+    A = [(tgt_lead, -d2)]
     for m in range(d2):
-        B = B * p1[d1].shift(m)
-        A = A * p1[0].shift(m - d2) * p1[d1].shift(m - d2)
+        A += [(src0, m - d2), (src_lead, m - d2)]
     return _abramov_denominator(A, B)
 
 
@@ -330,17 +354,53 @@ def hom_space(L1: Operator, L2: Operator) -> List[GaugeMap]:
 # -- term candidates and the combined search ---------------------------------
 
 
+def _rational_nth_root(c: Fraction, n: int) -> Optional[Fraction]:
+    from sympy import integer_nthroot
+
+    if c < 0 and n % 2 == 0:
+        return None
+    (rn, okn), (rd, okd) = (integer_nthroot(abs(c.numerator), n),
+                            integer_nthroot(c.denominator, n))
+    if not (okn and okd):
+        return None
+    return Fraction(int(rn), int(rd)) * (-1 if c < 0 else 1)
+
+
 def term_candidates(L1: Operator, L2: Operator) -> List[RatFunc]:
     """Ratios r for which a twist of L1 by (tau - r) can be gauge
     equivalent to L2: d-th roots of the shift-normalized determinant
-    ratio, with both signs when d is even."""
+    ratio, with both signs when d is even.
+
+    For L1 = sum a_i tau^i and L2 = sum b_i tau^i that ratio is
+    b_0·a_d/(a_0·b_d), and its normal form c·prod rep^e keeps the unit
+    c and sums each class's exponents into e.  Both are read from the
+    shift classes of the four end coefficients.
+    """
+    if not (L1.is_normal() and L2.is_normal()):
+        raise ValueError("normal operators required")
     d = L1.order
     if d != L2.order:
         raise ValueError("operators must have the same order")
-    ratio = shift_normal_form(L2.det() / L1.det())
-    root = nth_root_ratfunc(ratio, d)
-    if root is None:
+    a, b = L1.poly_coeffs(), L2.poly_coeffs()
+    c = Fraction(1)
+    exps: Counter = Counter()
+    for p, sign in ((b[0], 1), (a[d], 1), (a[0], -1), (b[d], -1)):
+        unit, classes = shift_classes(p)
+        c *= unit ** sign
+        for rep, offsets in classes.items():
+            exps[rep] += sign * sum(offsets.values())
+    if any(e % d for e in exps.values()):
         return []
+    c = _rational_nth_root(c, d)
+    if c is None:
+        return []
+    num, den = Poly.const(c), Poly.const(Fraction(1))
+    for rep, e in exps.items():
+        if e > 0:
+            num = num * rep ** (e // d)
+        elif e < 0:
+            den = den * rep ** (-e // d)
+    root = RatFunc(num, den)
     if d % 2 == 0:
         return [root, -root]
     return [root]

@@ -18,12 +18,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .factorization import ExtensionDegreeError, factor_over_Q, roots
+from .factorization import ExtensionDegreeError, roots
 from .fieldext import NumberField, demote, field_of, value_sqrt
 from .ore import Operator
 from .poly import Poly
 from .series import TSeries
-from .snf import canonical_shift
+from .snf import canonical_shift, shift_classes
 
 __all__ = [
     "SingularityClass",
@@ -73,15 +73,18 @@ def _class_poly(cls) -> Poly:
 
 def problem_points(L: Operator) -> List[Tuple[Poly, List[int]]]:
     """Shift classes of roots of a_0(x)·a_d(x-d): (monic SNF representative,
-    sorted integer positions of the roots relative to its roots)."""
+    sorted integer positions of the roots relative to its roots), merged
+    from the shift classes of a_0 and of a_d."""
     if not L.is_normal():
         raise ValueError("operator must be normal")
     polys = L.poly_coeffs()
     d = L.order
     classes: Dict[Poly, Set[int]] = {}
-    for f, _ in factor_over_Q(polys[0] * polys[d].shift(-d))[1]:
-        rep, k = canonical_shift(f)  # f(x) = rep(x + k)
-        classes.setdefault(rep.monic(), set()).add(-k)
+    for p, s in ((polys[0], 0), (polys[d], -d)):
+        for rep, offsets in shift_classes(p)[1].items():
+            # rep(x + k + s) has its roots at -(k + s) relative to rep's,
+            # with s = -d for a_d(x - d)
+            classes.setdefault(rep.monic(), set()).update(-(k + s) for k in offsets)
     return sorted(((rep, sorted(ks)) for rep, ks in classes.items()),
                   key=lambda it: (it[0].degree, it[0].coeffs))
 
@@ -533,6 +536,13 @@ def generalized_exponents(L: Operator) -> GenExpSet:
     half-integer slope, every square c² of a leading constant) lies in
     a field of degree <= 2, and every irreducible factor has degree
     <= 2.
+
+    A slope with denominator >= 3 rejects L the same way, naming the
+    slope.  The slopes of the order-2 K have denominator <= 2, and each
+    slope of Sym²(K) is a sum of two of them; a term twist shifts every
+    slope by an integer, and gauge maps keep them.  Without a rejection,
+    ``complete`` is False when a ramified branch needs more terms or
+    ramification above 2.
     """
     if not L.is_normal():
         raise ValueError("operator must be normal")
@@ -551,8 +561,9 @@ def generalized_exponents(L: Operator) -> GenExpSet:
         v = -slope
         step = v.denominator  # the edge polynomial is in c^step
         if step > 2:
-            complete = False
-            continue
+            return GenExpSet((), False, (
+                f"edge at infinity of slope {slope} has slope denominator "
+                f"{step} > 2"))
         phi = [Fraction(0)] * ((x2 - x1) // step + 1)
         for i in range(x1, x2 + 1, step):
             if i in degmap and degmap[i] == y1 + slope * (i - x1):

@@ -1,21 +1,19 @@
-"""Shift normalization of rational functions and shift structure of polynomials.
+"""Shift structure of polynomials and shift quotients.
 
-Two rational functions r, r~ are gauge-related when r~/r = u(x+1)/u(x) for
-some rational u; the canonical representative of that orbit is obtained by
-translating every irreducible factor so its root sum lands in (-deg, 0],
-keeping the multiplicative constant.  At r = 1 the orbit map u ->
-u(x+1)/u(x) is inverted by `shift_quotient_inverse`, which recovers the
-monic u from a shift quotient, so a rational term ratio can be shown as
-the term u itself.  Integer-shift structure (dispersion sets, shift
-equivalence of factors) lives here too.
+`shift_classes` is the one place that reads shift structure.  It factors
+p once and groups the irreducible factors by shift class, each named by
+its canonical representative (root sum in (-deg, 0]) with the integer
+offsets where it occurs; the factors of p(x+k) are the shifts of those
+of p.  `shift_quotient_inverse` recovers the monic u from a shift
+quotient r = u(x+1)/u(x), so a rational term ratio can be shown as the
+term u itself.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .factorization import factor_over_Q
 from .poly import Poly
@@ -23,12 +21,12 @@ from .ratfunc import RatFunc
 
 __all__ = [
     "canonical_shift",
-    "shift_normal_form",
+    "shift_classes",
     "shift_quotient_inverse",
-    "shift_equivalent",
-    "dispersion_set",
-    "nth_root_ratfunc",
 ]
+
+#: shift class representative -> {offset k: multiplicity of rep(x + k)}
+ShiftClasses = Dict[Poly, Dict[int, int]]
 
 
 def _root_sum(f: Poly) -> Fraction:
@@ -46,37 +44,21 @@ def canonical_shift(f: Poly) -> Tuple[Poly, int]:
     return f.shift(k), -k
 
 
-def shift_equivalent(f: Poly, g: Poly) -> Optional[int]:
-    """Integer k with f(x) = g(x + k), or None.  Both primitive with
-    positive leading coefficient and the same degree, typically
-    irreducible factors."""
-    if f.degree != g.degree or f.degree < 1:
-        return None
-    if f.lead() != g.lead():
-        return None
-    diff = _root_sum(g) - _root_sum(f)
-    k = diff / f.degree
-    if k.denominator != 1:
-        return None
-    k = k.numerator
-    if g.shift(k) == f:
-        return k
-    return None
+def shift_classes(p: Poly) -> Tuple[Fraction, ShiftClasses]:
+    """(unit, classes) with p = unit·∏ rep(x + k)^m over the classes
+    {rep: {k: m}}, from one factorization of p over Q.
 
-
-def shift_normal_form(r: RatFunc) -> RatFunc:
-    """Canonical orbit representative under r -> r * u(x+1)/u(x)."""
-    if not r:
-        return r
-    un, nf = factor_over_Q(r.num)
-    ud, df = factor_over_Q(r.den)
-    num = Poly.const(un)
-    for f, m in nf:
-        num = num * canonical_shift(f)[0] ** m
-    den = Poly.const(ud)
-    for f, m in df:
-        den = den * canonical_shift(f)[0] ** m
-    return RatFunc(num, den)
+    Each rep is primitive with positive leading coefficient and is its
+    own canonical shift, so two factors lie in one class exactly when
+    they are integer shifts of each other.  p must be rational.
+    """
+    unit, factors = factor_over_Q(p)
+    classes: ShiftClasses = {}
+    for f, m in factors:
+        rep, k = canonical_shift(f)  # f(x) = rep(x + k)
+        offsets = classes.setdefault(rep, {})
+        offsets[k] = offsets.get(k, 0) + m
+    return unit, classes
 
 
 def shift_quotient_inverse(r: RatFunc) -> Optional[RatFunc]:
@@ -98,84 +80,23 @@ def shift_quotient_inverse(r: RatFunc) -> Optional[RatFunc]:
         raise ValueError("rational coefficients required")
     if not r:
         return None
-    un, nf = factor_over_Q(r.num)
-    ud, df = factor_over_Q(r.den)
+    un, classes = shift_classes(r.num)
+    ud, den_classes = shift_classes(r.den)
     if un != ud:
         return None
-    classes: Dict[Poly, Dict[int, int]] = defaultdict(lambda: defaultdict(int))
-    for factors, sign in ((nf, 1), (df, -1)):
-        for f, m in factors:
-            g, k = canonical_shift(f)
-            classes[g][k] += sign * m
+    for g, offsets in den_classes.items():
+        exps = classes.setdefault(g, {})
+        for k, m in offsets.items():
+            exps[k] = exps.get(k, 0) - m
     num = den = Poly.const(Fraction(1))
     for g, exps in classes.items():
         if sum(exps.values()):
             return None
         d = 0
         for k in range(min(exps), max(exps)):
-            d -= exps[k]
+            d -= exps.get(k, 0)
             if d > 0:
                 num = num * g.shift(k) ** d
             elif d < 0:
                 den = den * g.shift(k) ** -d
     return RatFunc(num.monic(), den.monic())
-
-
-def dispersion_set(p: Poly, q: Poly) -> List[int]:
-    """All integers k >= 0 with deg gcd(p(x), q(x+k)) > 0.
-
-    Factor based: a common factor at shift k forces an irreducible f | p
-    and g | q of equal degree with f(x) = g(x+k), and k is then pinned by
-    the root sums.
-    """
-    if p.degree < 1 or q.degree < 1:
-        return []
-    _, pf = factor_over_Q(p)
-    _, qf = factor_over_Q(q)
-    ks = set()
-    for f, _ in pf:
-        for g, _ in qf:
-            k = shift_equivalent(f, g)
-            if k is not None and k >= 0:
-                ks.add(k)
-    return sorted(ks)
-
-
-def _rational_nth_root(c: Fraction, n: int) -> Optional[Fraction]:
-    from sympy import integer_nthroot
-
-    if not c:
-        return Fraction(0)
-    if c < 0:
-        if n % 2 == 0:
-            return None
-        r = _rational_nth_root(-c, n)
-        return -r if r is not None else None
-    rn, okn = integer_nthroot(c.numerator, n)
-    rd, okd = integer_nthroot(c.denominator, n)
-    if okn and okd:
-        return Fraction(int(rn), int(rd))
-    return None
-
-
-def nth_root_ratfunc(r: RatFunc, n: int) -> Optional[RatFunc]:
-    """s with s^n = r, positive constant preferred for even n; None if
-    r is not an n-th power in Q(x)."""
-    if n < 1:
-        raise ValueError("root order must be positive")
-    if not r:
-        return r
-    un, nf = factor_over_Q(r.num)
-    ud, df = factor_over_Q(r.den)
-    if any(m % n for _, m in nf) or any(m % n for _, m in df):
-        return None
-    c = _rational_nth_root(un / ud, n)
-    if c is None:
-        return None
-    num = Poly.const(c)
-    for f, m in nf:
-        num = num * f ** (m // n)
-    den = Poly.const(Fraction(1))
-    for f, m in df:
-        den = den * f ** (m // n)
-    return RatFunc(num, den)

@@ -11,8 +11,7 @@ import json
 import math
 import os
 import random
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -31,7 +30,7 @@ from .equivalence import hom_space
 
 __all__ = [
     "TableError", "TableValidationError", "TableEntry", "BaseTable",
-    "SolutionDescriptor", "MatchDetail", "load_table", "default_table_path",
+    "SolutionDescriptor", "load_table", "default_table_path",
     "resolve_table_path", "match_local_data", "solve_parameters",
     "interlaced_gate",
 ]
@@ -470,12 +469,8 @@ def match_local_data(data: LocalData, table: BaseTable) -> List[TableEntry]:
 
 
 # -- parameter matchers -------------------------------------------------------
-
-@dataclass
-class MatchDetail:
-    assignments: List[Dict[str, Fraction]]
-    warnings: List[str] = field(default_factory=list)
-
+# All table parameters are rational, so a branch that can only give an
+# irrational z is skipped; each matcher's docstring says why.
 
 def _rational_sqrts(q: Fraction) -> List[Fraction]:
     s = rational_sqrt(q)
@@ -484,12 +479,11 @@ def _rational_sqrts(q: Fraction) -> List[Fraction]:
     return [s, -s] if s else [s]
 
 
-def _value_sqrts(v, warn: List[str]) -> list:
-    """Square roots of a Fraction/NFElem, extending Q by one radical at most."""
+def _value_sqrts(v) -> list:
+    """Square roots of a Fraction/NFElem, extending Q by one radical at most;
+    none for an NFElem that is no square in its own field."""
     got = value_sqrt(v)
     if got is None:
-        warn.append("square root outside the quadratic field; branch "
-                    "skipped (would need a degree-4 extension)")
         return []
     s = got[0]
     return [s, -s] if s else [s]
@@ -499,13 +493,16 @@ def _sorted_unique(vals: Sequence[Fraction]) -> List[Fraction]:
     return sorted(set(vals), key=lambda q: (abs(q), q < 0, q))
 
 
-def _match_gauss(entry: TableEntry, data: LocalData) -> MatchDetail:
-    warn: List[str] = []
+def _match_gauss(entry: TableEntry, data: LocalData
+                 ) -> List[Dict[str, Fraction]]:
+    """Assignments of the half-argument Gauss entry.  When g.c has no
+    square root in its field, a root R of R² = g.c has degree 4, but a
+    rational zz = (R+1)²/(4R) makes R a root of R² + (2-4zz)·R + 1."""
     roots = []
     for e in data.valg:
         rep = e.cls.representative.monic()
         if rep.degree != 1:
-            return MatchDetail([])
+            return []
         roots.append(-Fraction(rep[0]))
     a_cands = [Fraction(0), Fraction(1, 2)]
     nonzero = [r for r in roots if r != 0]
@@ -515,16 +512,16 @@ def _match_gauss(entry: TableEntry, data: LocalData) -> MatchDetail:
         # merged classes (summed or cancelled): both points sit over 0
         beta = Fraction(0)
     else:
-        return MatchDetail([])
+        return []
     b_cands = [beta, beta + Fraction(1, 2)]
     c_cands = [beta + 1, beta + Fraction(3, 2)]
 
     z_cands: List[Fraction] = []
     for g in data.gquo:
         if g.r != 1 or g.v != 0:
-            return MatchDetail([])
+            return []
         ratios = [-g.c]                            # value read as -R
-        ratios += _value_sqrts(g.c, warn)          # value read as R^2
+        ratios += _value_sqrts(g.c)                # value read as R^2
         for R in ratios:
             if not R:
                 continue
@@ -541,53 +538,58 @@ def _match_gauss(entry: TableEntry, data: LocalData) -> MatchDetail:
                 if c in c_cands:
                     assignments.append({"a": a, "b": b, "c": c, "z": z})
     assignments.sort(key=lambda m: (m["z"], m["a"], m["b"], m["c"]))
-    return MatchDetail(assignments, warn)
+    return assignments
 
 
-def _match_legendre(entry: TableEntry, data: LocalData) -> MatchDetail:
-    warn: List[str] = []
+def _match_legendre(entry: TableEntry, data: LocalData
+                    ) -> List[Dict[str, Fraction]]:
+    """Assignments of the Legendre entry.  In the λ⁴-type reading a
+    rational zz = (2a+s)/(4a) forces s = (4zz-2)·a, which lies in Q(a)."""
     z_cands: List[Fraction] = []
     for g in data.gquo:
         if g.r != 1 or g.v != 0:
-            return MatchDetail([])
+            return []
         aval = g.c
         # lambda^2-type element: z^2 = (a+1)^2 / (4a)
         zz = demote((aval + 1) * (aval + 1) / (4 * aval))
         if isinstance(zz, Fraction):
             z_cands.extend(_rational_sqrts(zz))
         # lambda^4-type element: z^2 = (2a +- sqrt(a^3+2a^2+a)) / (4a)
-        for s in _value_sqrts(aval * (aval + 1) * (aval + 1), warn):
+        for s in _value_sqrts(aval * (aval + 1) * (aval + 1)):
             zz = demote((2 * aval + s) / (4 * aval))
             if isinstance(zz, Fraction):
                 z_cands.extend(_rational_sqrts(zz))
     z_cands = [z for z in _sorted_unique(z_cands) if z != 0 and abs(z) != 1]
-    return MatchDetail([{"z": z} for z in z_cands], warn)
+    return [{"z": z} for z in z_cands]
 
 
-def _match_hermite(entry: TableEntry, data: LocalData) -> MatchDetail:
-    warn: List[str] = []
+def _match_hermite(entry: TableEntry, data: LocalData
+                   ) -> List[Dict[str, Fraction]]:
+    """Assignments of the Hermite entry: z² is -w²/2 or -w²/8 for the
+    tail w, so an irrational w² gives an irrational z²."""
     z_cands: List[Fraction] = []
     for g in data.gquo:
         if g.r != 2 or g.v != 0 or not g.tail:
-            return MatchDetail([])
+            return []
         if g.c not in (Fraction(1), Fraction(-1)):
-            return MatchDetail([])
+            return []
         w2 = demote(g.tail[0] * g.tail[0])
         if not isinstance(w2, Fraction):
-            warn.append("irrational tail square; branch skipped")
             continue
         zz = -w2 / 2 if g.c == -1 else -w2 / 8
         z_cands.extend(_rational_sqrts(zz))
     z_cands = [z for z in _sorted_unique(z_cands) if z != 0]
-    return MatchDetail([{"z": z} for z in z_cands], warn)
+    return [{"z": z} for z in z_cands]
 
 
-def _match_bessel(entry: TableEntry, data: LocalData) -> MatchDetail:
-    warn: List[str] = []
+def _match_bessel(entry: TableEntry, data: LocalData
+                  ) -> List[Dict[str, Fraction]]:
+    """Assignments of the Bessel entry: z² is -4c or -4/c for the
+    quotient constant c, so an irrational c gives an irrational z²."""
     z_sq: List[Fraction] = []
     for g in data.gquo:
         if g.r != 1:
-            return MatchDetail([])
+            return []
         if not isinstance(g.c, Fraction):
             continue
         if g.v == 2:
@@ -598,7 +600,7 @@ def _match_bessel(entry: TableEntry, data: LocalData) -> MatchDetail:
     for zz in z_sq:
         z_cands.extend(_rational_sqrts(zz))
     z_cands = [z for z in _sorted_unique(z_cands) if z != 0]
-    return MatchDetail([{"z": z} for z in z_cands], warn)
+    return [{"z": z} for z in z_cands]
 
 
 _MATCHERS = {
@@ -609,16 +611,9 @@ _MATCHERS = {
 }
 
 
-def solve_parameters_detailed(entry: TableEntry, data: LocalData) -> MatchDetail:
-    detail = _MATCHERS[entry.matcher["kind"]](entry, data)
-    for w in detail.warnings:
-        warnings.warn(f"{entry.name}: {w}", RuntimeWarning, stacklevel=2)
-    return detail
-
-
 def solve_parameters(entry: TableEntry, data: LocalData
                      ) -> List[Dict[str, Fraction]]:
-    return solve_parameters_detailed(entry, data).assignments
+    return _MATCHERS[entry.matcher["kind"]](entry, data)
 
 
 # -- interlaced presentation gate ---------------------------------------------

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symsolve import equivalence, snf
 from symsolve.equivalence import (
+    _abramov_denominator,
     _degree_cap,
     _hom_denominator,
     _hom_rows,
@@ -23,19 +25,22 @@ from symsolve.equivalence import (
     term_candidates,
     transformed_operator,
 )
+from symsolve.factorization import factor_over_Q
 from symsolve.fieldext import NumberField
 from symsolve.linalg import DependencyFinder, nullspace_rational
 from symsolve.opformat import parse_operator, print_operator
 from symsolve.ore import Operator
 from symsolve.poly import P, Poly, poly_lcm
 from symsolve.ratfunc import RF, RatFunc
-from symsolve.snf import shift_normal_form
+from symsolve.snf import shift_quotient_inverse
 from symsolve.symprod import (
     _shift_reduce_step,
     symprod_first_order,
     symprod_general,
     symsquare_order2,
 )
+
+import shift_reference
 
 X = P(0, 1)
 L_CUBIC = parse_operator("2S^3 + x^2 S^2 - 3S + (x+1)")
@@ -251,6 +256,140 @@ class TestTermCandidates:
             term_candidates(L_CUBIC, parse_operator("S - 1"))
 
 
+# Shift structure read from single coefficients against the products the
+# direct way builds (shift_reference), on end coefficients that share
+# shifted, repeated and quadratic factors across several classes.
+
+CLASS_POOL = (P(0, 1), P(1, 2), P(1, 0, 1), P(1, 1, 1))
+
+
+@st.composite
+def end_coefficient(draw):
+    p = Poly.const(draw(st.sampled_from([F(1), F(-2), F(3, 2), F(-1, 4)])))
+    for i, k, m in draw(st.lists(st.tuples(st.integers(0, 3), st.integers(-3, 3),
+                                           st.integers(1, 2)), max_size=3)):
+        p = p * CLASS_POOL[i].shift(k) ** m
+    return p
+
+
+@st.composite
+def end_data(draw):
+    """Coefficient list of order 1..3 whose middle coefficients are 1."""
+    d = draw(st.integers(1, 3))
+    return [draw(end_coefficient())] + [P(1)] * (d - 1) + [draw(end_coefficient())]
+
+
+class _Stop(Exception):
+    pass
+
+
+class TestUniversalDenominator:
+    @given(end_data(), end_data())
+    @settings(max_examples=60, deadline=None)
+    def test_hom_denominator_matches_products(self, p1, p2):
+        assert _hom_denominator(p1, p2) == shift_reference.hom_denominator(p1, p2)
+
+    @given(end_data())
+    @settings(max_examples=40, deadline=None)
+    def test_rational_solutions_denominator_matches_products(self, ps):
+        L = Operator(ps)
+        got = []
+
+        def capture(A, B):
+            got.append(_abramov_denominator(A, B))
+            raise _Stop
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(equivalence, "_abramov_denominator", capture)
+            with pytest.raises(_Stop):
+                rational_solutions(L)
+        assert got == [shift_reference.rational_denominator(L.poly_coeffs())]
+
+    def test_same_class_at_two_dispersions(self):
+        # A = x·(x+1)^2, B = (x-2)·(x+1): h = 3 pairs x+1 with x-2, then
+        # h = 0 pairs the second x+1 with B's x+1
+        A = [(snf.shift_classes(P(0, 1) * P(1, 1) ** 2)[1], 0)]
+        B = [(snf.shift_classes(P(-2, 1) * P(1, 1))[1], 0)]
+        u = _abramov_denominator(A, B)
+        assert u == P(1, 1) ** 2 * P(0, 1) * P(-1, 1) * P(-2, 1)
+        assert u == shift_reference.abramov_denominator(
+            P(0, 1) * P(1, 1) ** 2, P(-2, 1) * P(1, 1))
+
+
+class TestTermCandidatesReference:
+    @given(st.integers(1, 3), end_coefficient(), end_coefficient(),
+           st.lists(st.tuples(st.integers(0, 3), st.integers(-3, 3)), max_size=3),
+           st.sampled_from([F(1), F(-1), F(2), F(-3, 2)]), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_shift_normal_form_and_root(self, d, a0, ad, planted, c, spoil):
+        # b_0·a_d/(a_0·b_d) = c^d·prod f(x+k_1)···f(x+k_d), each copy of f
+        # at its own shift, times x when spoiled
+        b0 = a0 * Poly.const(c ** d)
+        bd = ad
+        for i, k in planted:
+            for j in range(d):
+                if (k + j) % 2:
+                    b0 = b0 * CLASS_POOL[i].shift(k + j)
+                else:
+                    bd = bd * CLASS_POOL[(i + 1) % 4].shift(j - k)
+        if spoil:
+            b0 = b0 * P(0, 1)
+        L1 = Operator([a0] + [P(1)] * (d - 1) + [ad])
+        L2 = Operator([b0] + [P(2)] * (d - 1) + [bd])
+        got = term_candidates(L1, L2)
+        want = shift_reference.term_candidates(L1, L2)
+        assert got == want
+        assert [r.to_str() for r in got] == [r.to_str() for r in want]
+
+    @pytest.mark.parametrize("d, c, roots", [
+        (2, F(9, 4), ["3/2", "-3/2"]),
+        (2, F(-4), []),
+        (3, F(-27, 8), ["-3/2"]),
+        (3, F(2), []),
+    ])
+    def test_units(self, d, c, roots):
+        L1 = Operator([P(1, 1)] + [P(1)] * (d - 1) + [P(0, 2)])
+        L2 = Operator([P(1, 1) * Poly.const(c)] + [P(1)] * (d - 1) + [P(0, 2)])
+        got = term_candidates(L1, L2)
+        assert [r.to_str() for r in got] == roots
+        assert got == shift_reference.term_candidates(L1, L2)
+
+
+def _count_factoring(monkeypatch) -> list:
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return factor_over_Q(p)
+
+    monkeypatch.setattr(snf, "factor_over_Q", counting)
+    return calls
+
+
+def _end_coefficients(*ops) -> list:
+    return [p for L in ops for p in (L.poly_coeffs()[0], L.poly_coeffs()[-1])]
+
+
+class TestFactorsEndCoefficients:
+    def test_hom_space(self, monkeypatch):
+        M = symprod_first_order(L_CUBIC, RF([0, 1]))
+        L2 = transformed_operator(M, Operator([P(1), P(0, 1)]))
+        calls = _count_factoring(monkeypatch)
+        hom_space(M, L2)
+        ends = _end_coefficients(M, L2)
+        assert len(calls) == 4
+        assert all(any(p == e for e in ends) for p in calls)
+
+    def test_term_candidates(self, monkeypatch):
+        L2 = transformed_operator(symprod_first_order(L_CUBIC, RF([1, 1])),
+                                  Operator([P(1), P(0, 1)]))
+        calls = _count_factoring(monkeypatch)
+        assert term_candidates(L_CUBIC, L2) == [RF([0, 1])]
+        ends = _end_coefficients(L_CUBIC, L2)
+        assert len(calls) == 4
+        assert all(any(p == e for e in ends) for p in calls)
+
+
 TERM_POOL = (
     RF([1]),
     RF([2]),
@@ -315,7 +454,7 @@ class TestGtFind:
         L2 = transformed_operator(M, G)
         t = gt_find(L1, L2)
         assert t is not None
-        assert shift_normal_form(t.r) == shift_normal_form(r)
+        assert shift_quotient_inverse(t.r / r) is not None
         assert t.G.bijective
 
 

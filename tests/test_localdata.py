@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symsolve import localdata
+from symsolve import localdata, snf
 from symsolve.factorization import factor_over_Q
 from symsolve.fieldext import NumberField, sqrt_as_field_element
 from symsolve.localdata import (
@@ -251,11 +251,14 @@ class TestValgSet:
             calls.append(p)
             return factor_over_Q(p)
 
-        monkeypatch.setattr(localdata, "factor_over_Q", counting)
-        # two classes, x and x^2 - 2: one factorization serves both
+        monkeypatch.setattr(snf, "factor_over_Q", counting)
+        # two classes, x and x^2 - 2: each end coefficient is factored once
+        # and serves every class
         L = Operator([(X * X - P(2)) * X, P(1), X.shift(3)])
         valg_set(L)
-        assert len(calls) == 1
+        ends = [L.poly_coeffs()[0], L.poly_coeffs()[-1]]
+        assert len(calls) == 2
+        assert all(any(p == e for e in ends) for p in calls)
 
     def test_no_essential_points(self):
         assert valg_set(Operator([-X, P(1)])) == set()
@@ -370,8 +373,16 @@ class TestGenExp:
         assert cs == {F(1), a, abar}
 
     def test_ramification_three_incomplete(self):
-        # Newton polygon slope 1/3: an exponent t^(-1/3) needs ramification 3
-        assert generalized_exponents(parse_operator("S^3 - x")).complete is False
+        # Newton polygon slope k/3: an exponent t^(-k/3) needs ramification
+        # 3, and no disguise of a symmetric square has such a slope
+        for text, slope in (("S^3 - x", "1/3"), ("x S^3 - 1", "-1/3"),
+                            ("S^3 - x^2", "2/3")):
+            L = parse_operator(text)
+            ge = generalized_exponents(L)
+            assert ge.complete is False and ge.entries == ()
+            assert ge.rejection == (f"edge at infinity of slope {slope} has "
+                                    "slope denominator 3 > 2")
+            assert local_data(L).to_json()["rejection"] == ge.rejection
 
     def test_product_rule_first_order_twist(self):
         # GenExp(L ⊛ (τ-r)) = {Trunc(g · r(t))}

@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 from symsolve.factorization import factor_over_Q
 from symsolve.poly import P, Poly
 from symsolve.ratfunc import RF
-from symsolve.snf import (
-    canonical_shift,
+from symsolve.snf import canonical_shift, shift_classes, shift_quotient_inverse
+
+# the oracles of equivalence's shift reading; their own tests stay here
+from shift_reference import (
     dispersion_set,
     nth_root_ratfunc,
     shift_equivalent,
     shift_normal_form,
-    shift_quotient_inverse,
 )
 
 
@@ -66,6 +67,43 @@ class TestCanonicalShift:
         a = canonical_shift(base)[0]
         b = canonical_shift(base.shift(k))[0]
         assert a == b
+
+
+class TestShiftClasses:
+    def test_classes_and_offsets(self):
+        # 3·x²·(x+2)·(2x+1)·(2x-3)²: two classes, the second at offsets 0, -2
+        p = P(0, 1) ** 2 * P(2, 1) * P(1, 2) * P(-3, 2) ** 2 * 3
+        unit, classes = shift_classes(p)
+        assert unit == 3
+        assert classes == {P(0, 1): {0: 2, 2: 1}, P(1, 2): {0: 1, -2: 2}}
+
+    def test_constant(self):
+        assert shift_classes(Poly.const(Fraction(-5, 2))) == (Fraction(-5, 2), {})
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 4), st.integers(-3, 3), st.integers(1, 3)),
+            max_size=5,
+        ),
+        st.sampled_from([Fraction(1), Fraction(-2), Fraction(3, 4), Fraction(-1, 6)]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rebuilds_and_separates(self, picks, c):
+        # shifted, repeated and quadratic factors, some classes sharing reps
+        pool = [P(0, 1), P(1, 2), P(1, 0, 1), P(-2, 0, 1), P(1, 1, 1)]
+        p = Poly.const(c)
+        for i, k, m in picks:
+            p = p * pool[i].shift(k) ** m
+        unit, classes = shift_classes(p)
+        rebuilt = Poly.const(unit)
+        for rep, offsets in classes.items():
+            for k, m in offsets.items():
+                rebuilt = rebuilt * rep.shift(k) ** m
+        assert rebuilt == p
+        reps = list(classes)
+        assert all(canonical_shift(rep) == (rep, 0) for rep in reps)
+        assert all(shift_equivalent(f, g) is None
+                   for i, f in enumerate(reps) for g in reps[i + 1:])
 
 
 class TestShiftEquivalence:

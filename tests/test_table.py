@@ -9,9 +9,10 @@ from symsolve.localdata import local_data, valg_set
 from symsolve.ore import Operator
 from symsolve.poly import P, Poly
 from symsolve.symprod import symsquare_order2
+from symsolve.equivalence import gt_find
 from symsolve.table import (TableError, TableValidationError, default_table_path,
                             interlaced_gate, load_table, match_local_data,
-                            solve_parameters, solve_parameters_detailed)
+                            solve_parameters)
 
 X = P(0, 1)
 
@@ -281,35 +282,30 @@ def test_gauss_candidates_small_parameter(table):
     al = F(1, 3)
     asn = {"a": F(0), "b": al / 2 + F(1, 2), "c": al / 2 + 1, "z": F(1, 4)}
     M, _ = e.instantiate(asn)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        det = solve_parameters_detailed(e, local_data(M))
-    assert _values(det.assignments, "a") == [F(0), F(1, 2)]
-    assert _values(det.assignments, "b") == [F(1, 6), F(2, 3)]
-    assert _values(det.assignments, "c") == [F(7, 6), F(5, 3)]
-    assert _values(det.assignments, "z") == [F(1, 4), F(3, 4)]
+    got = solve_parameters(e, local_data(M))
+    assert _values(got, "a") == [F(0), F(1, 2)]
+    assert _values(got, "b") == [F(1, 6), F(2, 3)]
+    assert _values(got, "c") == [F(7, 6), F(5, 3)]
+    assert _values(got, "z") == [F(1, 4), F(3, 4)]
     # the locus c = a + b + 1/2 keeps three of the eight triples
-    assert [(m["a"], m["b"], m["c"]) for m in det.assignments[:3]] == [
+    assert [(m["a"], m["b"], m["c"]) for m in got[:3]] == [
         (F(0), F(2, 3), F(7, 6)),
         (F(1, 2), F(1, 6), F(7, 6)),
         (F(1, 2), F(2, 3), F(5, 3)),
     ]
-    assert len(det.assignments) == 6
-    assert det.assignments[0]["z"] == F(1, 4)
-    assert any("degree-4" in w for w in det.warnings)
+    assert len(got) == 6
+    assert got[0]["z"] == F(1, 4)
 
 
 def test_gauss_candidates_merged_class(table):
     e = gauss_entry(table)
     asn = {"a": F(0), "b": F(3, 2), "c": F(2), "z": F(1, 4)}
     M, _ = e.instantiate(asn)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        det = solve_parameters_detailed(e, local_data(M))
-    assert _values(det.assignments, "b") == [F(0), F(1, 2)]
-    assert _values(det.assignments, "c") == [F(1), F(3, 2)]
-    assert _values(det.assignments, "z") == [F(1, 4), F(3, 4)]
-    assert (det.assignments[0]["a"], det.assignments[0]["b"]) == (F(0), F(1, 2))
+    got = solve_parameters(e, local_data(M))
+    assert _values(got, "b") == [F(0), F(1, 2)]
+    assert _values(got, "c") == [F(1), F(3, 2)]
+    assert _values(got, "z") == [F(1, 4), F(3, 4)]
+    assert (got[0]["a"], got[0]["b"]) == (F(0), F(1, 2))
 
 
 def test_gauss_constant_collision_still_recovers_z(table):
@@ -320,12 +316,23 @@ def test_gauss_constant_collision_still_recovers_z(table):
     d = local_data(M)
     assert len(d.gquo) == 3 and not d.valg
     assert [x.name for x in match_local_data(d, table)] == ["gauss2f1_sq"]
+    got = solve_parameters(e, d)
+    assert _values(got, "z") == [F(1, 2)]
+    assert {"a": F(1, 2), "b": F(1, 2), "c": F(3, 2), "z": F(1, 2)} in got
+
+
+def test_undisguised_gauss_solves_without_warnings(table):
+    # g.c without a square root in its field holds no rational z, so the
+    # branch is skipped silently and another branch finds the operator
+    e = gauss_entry(table)
+    M, _ = e.instantiate({"a": F(0), "b": F(1, 3), "c": F(5, 6), "z": F(1, 4)})
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        det = solve_parameters_detailed(e, d)
-    assert _values(det.assignments, "z") == [F(1, 2)]
-    assert {"a": F(1, 2), "b": F(1, 2), "c": F(3, 2), "z": F(1, 2)} \
-        in det.assignments
+        warnings.simplefilter("error")
+        data = local_data(M)
+        assert [x.name for x in match_local_data(data, table)] == ["gauss2f1_sq"]
+        found = next(asn for asn in solve_parameters(e, data)
+                     if gt_find(e.instantiate(asn)[0], M) is not None)
+    assert found["z"] == F(1, 4)
 
 
 # -- self-validation and the interlaced gate ---------------------------------
