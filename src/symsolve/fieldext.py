@@ -5,8 +5,9 @@ Local data at infinity (generalized exponents, their quotients, the
 table's sqrt templates) live in Q or in one quadratic field Q(sqrt(core)),
 core a squarefree integer, which keeps square-root extraction elementary;
 `field_of` and `value_sqrt` enforce that reach.  The element arithmetic
-is written for any degree: `valuation_growth` computes over Q(theta) for
-singularity classes of higher degree.
+is written for any degree.  (`valuation_growth` does not use it: for a
+singularity class of any degree it works on integer coordinates in
+Z[theta'] itself.)
 
 An element is stored as integer numerators over one positive integer
 denominator, (n_0 + n_1·y + ... + n_(d-1)·y^(d-1)) / den, with

@@ -19,9 +19,9 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .factorization import ExtensionDegreeError, roots
-from .fieldext import NumberField, demote, field_of, value_sqrt
+from .fieldext import demote, field_of, value_sqrt
 from .ore import Operator
-from .poly import Poly
+from .poly import Poly, _fieldify, _int_cleared, _list_shift
 from .series import TSeries
 from .snf import canonical_shift, shift_classes
 
@@ -89,38 +89,66 @@ def problem_points(L: Operator) -> List[Tuple[Poly, List[int]]]:
                   key=lambda it: (it[0].degree, it[0].coeffs))
 
 
-def _eps_val(p: Poly) -> Optional[int]:
-    for k, c in enumerate(p.coeffs):
-        if c:
-            return k
-    return None
+def _fold(w: list, lo: int, hi: int, mu: list) -> None:
+    """Reduce w[lo:hi], an integer polynomial in y, modulo the monic
+    μ(y) = y^e + mu[e-1]·y^(e-1) + … + mu[0], in place: every coefficient
+    from index lo + e on is folded into the e below it and zeroed.  μ is
+    monic, so the result stays integral."""
+    e = len(mu)
+    for p in range(hi - 1, lo + e - 1, -1):
+        q = w[p]
+        if q:
+            w[p] = 0
+            for i in range(e):
+                w[p - e + i] -= q * mu[i]
 
 
-def _mul_trunc(a: Poly, b: Poly, prec: int) -> Poly:
-    """a·b mod ε^prec, forming only the coefficients that are kept."""
-    a, b = a.coeffs, b.coeffs
-    out = [0] * min(prec, len(a) + len(b) - 1)
-    for i, ca in enumerate(a[:len(out)]):
-        if ca:
-            for j, cb in enumerate(b[:len(out) - i]):
-                out[i + j] = out[i + j] + ca * cb
-    return Poly(out)
+def _dot(terms: List[tuple], mu: list) -> list:
+    """Σ sign·a·b over (sign, a, b), in the layout of ``valuation_growth``:
+    only the indices below len(a) are formed (the truncation mod ε^prec),
+    and each ε-block is reduced modulo μ once, after the sum."""
+    w = [0] * len(terms[0][1])
+    for sign, a, b in terms:
+        for i, ca in enumerate(a):
+            if ca:
+                ca *= sign
+                w[i:] = [o + ca * cb for o, cb in zip(w[i:], b)]
+    s = 2 * len(mu) - 1
+    for lo in range(0, len(w), s):
+        _fold(w, lo, lo + s, mu)
+    return w
 
 
-def _minor_det(rows: List[List[Poly]], prec: int) -> Poly:
-    """Determinant mod ε^prec, every partial product reduced as it is formed."""
-    n = len(rows)
-    if n == 1:
+def _minor_det(rows: List[list], mu: list) -> list:
+    """Determinant mod ε^prec, every partial product reduced mod μ."""
+    if len(rows) == 1:
         return rows[0][0]
-    acc = Poly()
-    for j in range(n):
-        top = rows[0][j]
-        if not top:
-            continue
-        sub = [[r[k] for k in range(n) if k != j] for r in rows[1:]]
-        term = _mul_trunc(top, _minor_det(sub, prec), prec)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
+    return _dot([((-1) ** j, top,
+                  _minor_det([r[:j] + r[j + 1:] for r in rows[1:]], mu))
+                 for j, top in enumerate(rows[0])], mu)
+
+
+def _taylor(b: list, h: int, lead: int, mu: list, count: int) -> list:
+    """The first ``count`` ε-coefficients of b(θ′ + h + ℓ·ε), ℓ = lead, in
+    the layout of ``valuation_growth``: the j-th is ℓ^j·T_j(θ′), with
+    T_j(y) = Σ_m C(m, j)·c_m·y^(m-j) and c = b(y + h)."""
+    c = _list_shift(b, h)
+    e = len(mu)
+    out = []
+    scale = 1
+    for j in range(min(count, len(c))):
+        t = [math.comb(m, j) * c[m] for m in range(j, len(c))]
+        _fold(t, 0, len(t), mu)
+        t = (t + [0] * e)[:e]
+        out += [scale * a for a in t] + [0] * (e - 1)
+        scale *= lead
+    return out
+
+
+def _eps_val(w: list, s: int) -> Optional[int]:
+    """ε-valuation of an element in the layout of ``valuation_growth``,
+    None for zero."""
+    return next((i // s for i, c in enumerate(w) if c), None)
 
 
 def valuation_growth(L: Operator, cls, offsets: Optional[Sequence[int]] = None
@@ -145,7 +173,37 @@ def valuation_growth(L: Operator, cls, offsets: Optional[Sequence[int]] = None
     be the least.  Entries and cofactors are polynomials in the
     evaluations, so their residues mod ε^(vdet+1) follow from the
     evaluations' residues: every evaluation and every product is
-    reduced mod ε^(vdet+1), and the result is exact.
+    reduced mod ε^(vdet+1), and the result is exact.  Only a_0 and a_d
+    are expanded in full, for vdet; the other coefficients only up to
+    ε^vdet.
+
+    All of this runs on Python integers, with one integer scale per
+    step.  L is cleared to integer coefficients by one scalar c, and the
+    class is written as its primitive integer form f = ℓ·x^e + …, ℓ > 0.
+    Then θ′ = ℓθ is a root of the monic integer polynomial
+    μ(y) = ℓ^(e-1)·f(y/ℓ).  With D the largest coefficient degree and
+    b_i(y) = c·ℓ^D·a_i(y/ℓ), an integer polynomial,
+
+        c·ℓ^D·a_i(θ + k + ε) = b_i(θ′ + ℓk + ℓε),
+
+    whose ε-coefficients lie in Z[θ′]; products reduced modulo μ stay
+    there, because μ is monic.  Every evaluation of a step is scaled by
+    the same nonzero integer c·ℓ^D, so the step's companion numerator
+    is that integer times the true one, N is a nonzero integer times
+    the true N, and so is each cofactor: no entry or cofactor valuation
+    moves, vdet is unchanged, and the argument above holds word for
+    word.  After each step N is divided by the gcd of all its integers,
+    again one integer for the whole matrix, which keeps them small.  A
+    scale per coefficient (such as ℓ^(deg a_i)) or per row is
+    not allowed: it turns a step into U·M·V with diagonal units U and
+    V, and the V·U left between two steps does not commute with the
+    next companion numerator, so the product need not have the Smith
+    form of N.  One integer commutes with every factor.  For e = 1,
+    μ = y - θ′ is linear and the reduction of products does nothing.
+
+    An element of Z[θ′][ε] mod ε^(vdet+1) is one integer list with the
+    coordinates of ε^j at j·s .. j·s + e - 1, s = 2e - 1; the gap holds
+    the θ′-degrees up to 2e - 2 of a product before it is reduced.
     """
     if not L.is_normal():
         raise ValueError("non-normal at class")
@@ -156,62 +214,55 @@ def valuation_growth(L: Operator, cls, offsets: Optional[Sequence[int]] = None
                         if p == hat), [])
     if not offsets:
         return (0, 0)
-    polys = L.poly_coeffs()
     d = L.order
 
-    rep_m = rep.monic()
-    if rep_m.degree == 1:
-        theta = -Fraction(rep_m[0])
-    else:
-        theta = NumberField(rep_m, name="theta").gen
+    f = rep.primitive().int_coeffs()
+    e, lead = len(f) - 1, f[-1]
+    mu = [f[i] * lead ** (e - 1 - i) for i in range(e)]
+    bs = _int_cleared(L.poly_coeffs())
+    D = max(len(b) for b in bs) - 1
+    bs = [[a * lead ** (D - m) for m, a in enumerate(b)] for b in bs]
+    s = 2 * e - 1
 
-    steps = []
+    ks = range(offsets[0] - d, offsets[-1] + 1)
+    ends = []
     vden = 0
     vdet = 0
-    for k in range(offsets[0] - d, offsets[-1] + 1):
-        evals = [p.shift(theta + k) for p in polys]  # polynomials in ε
-        ad, a0 = evals[d], evals[0]
-        if not ad or not a0:
+    for k in ks:
+        a0, ad = (_taylor(bs[i], lead * k, lead, mu, len(bs[i])) for i in (0, d))
+        v0, vd = _eps_val(a0, s), _eps_val(ad, s)
+        if v0 is None or vd is None:
             raise ValueError("non-normal at class")
-        vden += _eps_val(ad)
-        vdet += _eps_val(a0) + (d - 1) * _eps_val(ad)
-        steps.append(evals)
-    prec = vdet + 1
+        vden += vd
+        vdet += v0 + (d - 1) * vd
+        ends.append((a0, ad))
+    n = (vdet + 1) * s
 
-    ident = Poly.const(Fraction(1))
-    N = [[ident if i == j else Poly() for j in range(d)] for i in range(d)]
-    for evals in steps:
-        evals = [Poly(e.coeffs[:prec]) for e in evals]
-        # companion numerator: rows 0..d-2 carry ad on the superdiagonal
-        M = [[Poly() for _ in range(d)] for _ in range(d)]
-        for i in range(d - 1):
-            M[i][i + 1] = evals[d]
-        for j in range(d):
-            M[d - 1][j] = -evals[j]
-        N = [
-            [
-                sum((_mul_trunc(M[i][l], N[l][j], prec)
-                     for l in range(d) if M[i][l] and N[l][j]), Poly())
-                for j in range(d)
-            ]
-            for i in range(d)
-        ]
+    def fit(w):  # mod ε^(vdet+1)
+        return (w + [0] * n)[:n]
 
-    entry_vals = [_eps_val(e) for row in N for e in row if e]
-    vmin = min(entry_vals)
+    N = [[fit([1]) if i == j else [0] * n for j in range(d)] for i in range(d)]
+    for k, (a0, ad) in zip(ks, ends):
+        ev = ([fit(a0)]
+              + [fit(_taylor(bs[i], lead * k, lead, mu, vdet + 1)) for i in range(1, d)]
+              + [fit(ad)])
+        # companion numerator: rows 0..d-2 carry a_d on the superdiagonal,
+        # row d-1 is -a_0, ..., -a_(d-1)
+        N = ([[_dot([(1, ev[d], N[i + 1][j])], mu) for j in range(d)]
+              for i in range(d - 1)]
+             + [[_dot([(-1, ev[m], N[m][j]) for m in range(d)], mu)
+                 for j in range(d)]])
+        g = math.gcd(*(a for row in N for w in row for a in w))
+        if g > 1:
+            N = [[[a // g for a in w] for w in row] for row in N]
+
+    vmin = min(v for row in N for v in (_eps_val(w, s) for w in row) if v is not None)
     if d == 1:
         vadj = 0
     else:
-        cof_vals = []
-        for i in range(d):
-            for j in range(d):
-                sub = [
-                    [N[r][c] for c in range(d) if c != j] for r in range(d) if r != i
-                ]
-                cof = _minor_det(sub, prec)
-                if cof:
-                    cof_vals.append(_eps_val(cof))
-        vadj = min(cof_vals)
+        cofs = (_minor_det([r[:j] + r[j + 1:] for r in N[:i] + N[i + 1:]], mu)
+                for i in range(d) for j in range(d))
+        vadj = min(v for v in (_eps_val(c, s) for c in cofs) if v is not None)
     return (vmin - vden, vdet - vadj - vden)
 
 
@@ -240,32 +291,30 @@ def _coeff_windows(polys: Sequence[Poly], ram: int, pad: int) -> List[TSeries]:
 
 def _indicial_of_series(bs: Sequence[TSeries]):
     """First t-level of sum_i b_i(t)·(1+it)^(-n) with a nonzero coefficient,
-    as (Poly in n, level as Fraction); None when the window shows nothing."""
+    as (Poly in n, level as Fraction); None when the window shows nothing.
+
+    (1+it)^(-n) = Σ_j i^j·β_j(n)·t^j with β_j(n) = C(-n, j), the same
+    polynomial for every i.  So level m, in 1/ram units from the least
+    valuation, is Σ_j β_j(n)·S_(m,j) with the scalar
+    S_(m,j) = Σ_i i^j·c_(i, m - j·ram), c_(i,k) the coefficient of b_i
+    at level k: one Poly product per (level, j), and the levels are
+    formed in order until one is nonzero."""
     ram = bs[0].ram
     vmin = min(s.val for s in bs)
     end = min(s.end for s in bs)
-    if end <= vmin:
-        return None
-    levels = end - vmin
-    acc = [Poly() for _ in range(levels)]
-    for i, s in enumerate(bs):
-        if s.is_zero():
-            continue
-        jmax = levels // ram + 1
-        bins = [Poly.const(Fraction(1))]
-        if i:
-            for j in range(jmax):
-                bins.append(bins[-1] * (-_N - j) * i / (j + 1))
-        for k, c in enumerate(s.coeffs):
-            if not c:
-                continue
-            base = s.val + k - vmin
-            for j, B in enumerate(bins):
-                lvl = base + j * ram
-                if lvl >= levels:
-                    break
-                acc[lvl] = acc[lvl] + B * c
-    for m, Pm in enumerate(acc):
+    betas = [Poly.const(Fraction(1))]
+    for m in range(end - vmin):
+        Pm = Poly()
+        for j in range(m // ram + 1):
+            if j == len(betas):
+                betas.append(betas[-1] * (-_N - (j - 1)) / j)
+            S = 0
+            for i, s in enumerate(bs):
+                k = m - j * ram + vmin - s.val  # index of level m - j·ram in b_i
+                if k >= 0 and s.coeffs[k]:
+                    S = S + i ** j * s.coeffs[k]
+            if S:
+                Pm = Pm + betas[j] * S
         if Pm:
             return Pm, Fraction(vmin + m, ram)
     return None
@@ -377,7 +426,7 @@ def trunc(s: TSeries, r: Optional[int] = None) -> GenExpRep:
     if ss.nterms < r + 1:
         raise ValueError("insufficient truncation for an E_r representative")
     c = ss.coeffs[0]
-    inv = Fraction(1) / c if isinstance(c, Fraction) else c.inverse()
+    inv = 1 / _fieldify(c)
     tail = tuple(ss.coeffs[k] * inv for k in range(1, r + 1))
     return GenExpRep(r, c, Fraction(ss.val, r), tail)
 

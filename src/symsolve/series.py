@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, List, Sequence, Tuple, Union
 
-from .poly import Poly
+from .poly import Poly, _fieldify
 
 __all__ = ["TSeries"]
 
@@ -194,7 +194,7 @@ class TSeries:
             raise ZeroDivisionError("inverting a series with no known leading term")
         c0 = s.coeffs[0]
         n = len(s.coeffs)
-        inv0 = 1 / c0 if not isinstance(c0, Fraction) else Fraction(1) / c0
+        inv0 = 1 / _fieldify(c0)
         out = [inv0]
         for k in range(1, n):
             acc = None
@@ -206,7 +206,8 @@ class TSeries:
 
     def __truediv__(self, other):
         if not isinstance(other, TSeries):
-            return self.map_coeffs(lambda c: c / other)
+            inv = 1 / _fieldify(other)
+            return self.map_coeffs(lambda c: c * inv)
         return self * other.inverse()
 
     # -- the shift action -------------------------------------------------------

@@ -30,6 +30,8 @@ from symsolve.series import TSeries
 from symsolve.snf import canonical_shift
 from symsolve.symprod import symprod_first_order, symprod_general, symsquare_order2
 
+from indicial_reference import indicial_of_series
+
 X = P(0, 1)
 F = Fraction
 
@@ -176,7 +178,11 @@ def _reference_growth(L: Operator, cls: Poly):
     return (min(entries) - vden, vdet - min(cofs) - vden)
 
 
-CLASSES = (X, X * X - P(2), X * X + P(1), X ** 3 - P(2), X ** 3 - X - P(1))
+# the last three have primitive integer forms with leading coefficient
+# l != 1, so valuation_growth works with the root l·θ of a scaled minimal
+# polynomial
+CLASSES = (X, X * X - P(2), X * X + P(1), X ** 3 - P(2), X ** 3 - X - P(1),
+           P(-1, 2), P(-2, 0, 3), P(-3, 0, 0, 2))
 
 
 @st.composite
@@ -205,7 +211,7 @@ class TestTruncatedGrowth:
     reference must give the same growths."""
 
     @given(_operator_with_class())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=64, deadline=None)
     def test_matches_untruncated(self, case):
         L, f = case
         assert valuation_growth(L, f) == _reference_growth(L, f)
@@ -294,6 +300,67 @@ class TestIndicial:
             Pn, _ = indicial_polynomial(S)
             root = F(-(p.degree + q.degree))
             assert not Pn.eval(root)
+
+
+@st.composite
+def _series_windows(draw):
+    """1 to 4 windows at one ramification (1 or 2), with Fraction or
+    Q(sqrt(-2)) coefficients; some windows are all zero, and the i = 0
+    window is drawn like the others."""
+    ram = draw(st.sampled_from([1, 2]))
+    small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    if draw(st.booleans()):
+        value = st.builds(lambda a, b: Q_SQRT_M2.element([a, b]), small, small)
+    else:
+        value = small
+    windows = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(2, 7))
+        if draw(st.integers(0, 4)) == 0:
+            coeffs = [F(0)] * n
+        else:
+            coeffs = draw(st.lists(st.one_of(st.just(F(0)), value),
+                                   min_size=n, max_size=n))
+        windows.append(TSeries(ram, draw(st.integers(-3, 1)), coeffs))
+    # as in a twisted operator, the plain sum may cancel at the lowest
+    # levels, which leaves them to the j >= 1 terms of the expansion
+    cancel = draw(st.integers(0, 3)) if len(windows) > 1 else 0
+    if cancel:
+        vmin = min(w.val for w in windows)
+        last = [F(0)] * (windows[-1].val - vmin) + list(windows[-1].coeffs)
+        for m in range(min(cancel, len(last))):
+            last[m] = -sum((w.coeffs[vmin + m - w.val] for w in windows[:-1]
+                            if 0 <= vmin + m - w.val < w.nterms), F(0))
+        windows[-1] = TSeries(ram, vmin, last)
+    return windows
+
+
+class TestIndicialOfSeries:
+    """The indicial step sums Σ_i i^j·c_(i,k) before the one product by
+    β_j(n) per (level, j); the direct expansion must give the same."""
+
+    @given(_series_windows())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_direct_expansion(self, bs):
+        assert localdata._indicial_of_series(bs) == indicial_of_series(bs)
+
+    def test_only_the_i0_term(self):
+        # b_0 alone is never expanded: (1 + 0·t)^(-n) = 1
+        bs = [TSeries(1, -1, (F(3), F(5))), TSeries(1, 0, (F(0), F(0)))]
+        got = localdata._indicial_of_series(bs)
+        assert got == indicial_of_series(bs) == (P(3), F(-1))
+
+    def test_all_zero_window(self):
+        bs = [TSeries(2, 0, (F(0),) * 4), TSeries(2, -1, (F(0),) * 5)]
+        assert localdata._indicial_of_series(bs) is None
+        assert indicial_of_series(bs) is None
+
+    def test_quadratic_coefficients(self):
+        bs = [TSeries(2, -2, (SQRT_M2, F(0), F(1))),
+              TSeries(2, -2, (-SQRT_M2, F(1), F(0)))]
+        got = localdata._indicial_of_series(bs)
+        assert got == indicial_of_series(bs)
+        assert got[1] == F(-1, 2)
 
 
 def _definitional_mult(L: Operator, e: GenExpRep) -> int:
@@ -473,6 +540,11 @@ class TestTrunc:
     def test_zero_series_rejected(self):
         with pytest.raises(ValueError):
             trunc(TSeries(1, 0, (F(0), F(0))))
+
+    def test_int_leading_coefficient(self):
+        t = trunc(TSeries(1, -1, (2, 1, 5)))
+        assert t == rep(1, F(2), -1, F(1, 2))
+        assert isinstance(t.tail[0], Fraction)
 
 
 class TestREquivalent:

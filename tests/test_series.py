@@ -67,6 +67,15 @@ class TestArithmetic:
         a = S(2, 1, 1, 2, 1, 7)
         assert ((a * a * a) / (a * a) - a).is_zero()
 
+    def test_int_coefficients_stay_exact(self):
+        a = TSeries(1, 0, (2, 1, 0))
+        inv = a.inverse()
+        assert inv.coeffs == (Fraction(1, 2), Fraction(-1, 4), Fraction(1, 8))
+        assert all(isinstance(c, Fraction) for c in inv.coeffs)
+        third = a / 3
+        assert third.coeffs == (Fraction(2, 3), Fraction(1, 3), Fraction(0))
+        assert all(isinstance(c, Fraction) for c in third.coeffs)
+
     def test_lift_reduce(self):
         a = S(1, -1, 2, 0, 5)
         assert (a.lift(3).reduce_ram() - a).is_zero()
