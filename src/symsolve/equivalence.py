@@ -24,7 +24,6 @@ from .opformat import print_operator
 from .ore import Operator
 from .poly import Poly, _int_cleared, _list_mul, _list_shift, _list_sub
 from .ratfunc import RatFunc
-from .snf import shift_classes
 from .symprod import _shift_reduce_step, symprod_first_order
 
 __all__ = [
@@ -208,8 +207,8 @@ def rational_solutions(L: Operator) -> List[RatFunc]:
     polys = L.poly_coeffs()
     if not all(p.is_rational() for p in polys):
         raise ValueError("rational coefficients required")
-    u = _abramov_denominator([(shift_classes(polys[d])[1], -d)],
-                             [(shift_classes(polys[0])[1], 0)])
+    u = _abramov_denominator([(L.shift_classes(d)[1], -d)],
+                             [(L.shift_classes(0)[1], 0)])
     M = Operator([RatFunc(polys[i], u.shift(i)) for i in range(d + 1)]).canonical()
     bound = _integer_degree_bound(M)
     if bound is None:
@@ -225,15 +224,16 @@ def rational_solutions(L: Operator) -> List[RatFunc]:
 # -- homomorphisms -----------------------------------------------------------
 
 
-def _hom_denominator(p1: List[Poly], p2: List[Poly]) -> Poly:
+def _hom_denominator(L1: Operator, L2: Operator) -> Poly:
     # Pole chains of the ansatz coefficients: a rightmost pole needs the
     # trailing coefficient of the target (or a reduction pole of the
     # source lead) to vanish there, a leftmost pole the same for the
     # shifted leading data.  Conservative on both ends.  Each end
-    # coefficient is factored once; the products are read as shifts.
-    d1, d2 = len(p1) - 1, len(p2) - 1
-    src0, src_lead, tgt0, tgt_lead = (shift_classes(p)[1]
-                                      for p in (p1[0], p1[d1], p2[0], p2[d2]))
+    # coefficient is factored once per operator; the products are read
+    # as shifts.
+    d1, d2 = L1.order, L2.order
+    src0, src_lead, tgt0, tgt_lead = (L.shift_classes(i)[1]
+                                      for L, i in ((L1, 0), (L1, d1), (L2, 0), (L2, d2)))
     B = [(tgt0, 0)] + [(src_lead, m) for m in range(d2)]
     A = [(tgt_lead, -d2)]
     for m in range(d2):
@@ -341,7 +341,7 @@ def hom_space(L1: Operator, L2: Operator) -> List[GaugeMap]:
     p1, p2 = L1.poly_coeffs(), L2.poly_coeffs()
     if not all(p.is_rational() for p in p1 + p2):
         raise ValueError("rational coefficients required")
-    u = _hom_denominator(p1, p2)
+    u = _hom_denominator(L1, L2)
     width = _degree_cap(p1, p2) + u.degree + 1
     basis = []
     for vec in nullspace_rational(_hom_rows(p1, p2, u, width)):
@@ -381,11 +381,10 @@ def term_candidates(L1: Operator, L2: Operator) -> List[RatFunc]:
     d = L1.order
     if d != L2.order:
         raise ValueError("operators must have the same order")
-    a, b = L1.poly_coeffs(), L2.poly_coeffs()
     c = Fraction(1)
     exps: Counter = Counter()
-    for p, sign in ((b[0], 1), (a[d], 1), (a[0], -1), (b[d], -1)):
-        unit, classes = shift_classes(p)
+    for L, i, sign in ((L2, 0, 1), (L1, d, 1), (L1, 0, -1), (L2, d, -1)):
+        unit, classes = L.shift_classes(i)
         c *= unit ** sign
         for rep, offsets in classes.items():
             exps[rep] += sign * sum(offsets.values())

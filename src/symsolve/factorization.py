@@ -1,13 +1,14 @@
 """Factorization over Q and root finding, on top of sympy's exact kernels.
 
-Everything converts through coefficient lists, so sympy objects never leak
-into the rest of the package.  Factor lists are normalized to primitive
-integer-coefficient polynomials with positive leading coefficient and a
-rational unit, sorted deterministically.
+Everything converts through integer coefficient lists, so sympy objects
+never leak into the rest of the package.  Factor lists are normalized to
+primitive integer-coefficient polynomials with positive leading
+coefficient and a rational unit, sorted deterministically.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -16,52 +17,28 @@ from .poly import Poly, poly_gcd
 
 __all__ = ["ExtensionDegreeError", "factor_over_Q", "roots", "root_multiplicity"]
 
-_x = None
-
-
-def _sym_x():
-    global _x
-    if _x is None:
-        import sympy
-
-        _x = sympy.Symbol("x")
-    return _x
-
-
-def _to_sympy(p: Poly):
-    import sympy
-
-    x = _sym_x()
-    cs = [sympy.Rational(Fraction(c).numerator, Fraction(c).denominator) for c in p.coeffs]
-    return sympy.Poly(list(reversed(cs)) or [0], x, domain="QQ")
-
-
-def _from_sympy(sp) -> Poly:
-    cs = [Fraction(int(c.p), int(c.q)) for c in sp.all_coeffs()]
-    return Poly(tuple(reversed(cs)))
-
 
 def factor_over_Q(p: Poly) -> Tuple[Fraction, List[Tuple[Poly, int]]]:
     """p = unit * prod f_i^{m_i} with f_i primitive integer polynomials,
-    positive leading coefficients, sorted by (degree, coefficients)."""
+    positive leading coefficients, sorted by (degree, coefficients).
+
+    p is cleared to one integer list by the lcm of its denominators and
+    factored by sympy's dense integer kernel, whose factors are primitive
+    with positive leading coefficients and whose content carries the sign."""
     if not p:
         return Fraction(0), []
     if p.degree == 0:
         return Fraction(p.coeffs[0]), []
-    unit_sym, factors = _to_sympy(p).factor_list()
-    unit = Fraction(int(unit_sym.p), int(unit_sym.q))
-    out = []
-    for f, m in factors:
-        fp = _from_sympy(f)
-        prim = fp.primitive()
-        # fp = c * prim with c = content carrying the sign of lc
-        c = Fraction(fp.content())
-        if fp.lead() < 0:
-            c = -c
-        unit *= c**m
-        out.append((prim, int(m)))
-    out.sort(key=lambda fm: (fm[0].degree, tuple(Fraction(c) for c in fm[0].coeffs)))
-    return unit, out
+    # imported here: loading sympy's factoring costs more than a table load
+    from sympy.polys.domains import ZZ
+    from sympy.polys.factortools import dup_factor_list
+
+    den = math.lcm(*(Fraction(c).denominator for c in p.coeffs))
+    ints = [ZZ((Fraction(c) * den).numerator) for c in reversed(p.coeffs)]
+    cont, factors = dup_factor_list(ints, ZZ)
+    out = [(Poly([Fraction(int(c)) for c in reversed(f)]), int(m)) for f, m in factors]
+    out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
+    return Fraction(int(cont), den), out
 
 
 # -- roots in Q or one quadratic field -----------------------------------------

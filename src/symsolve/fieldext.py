@@ -236,6 +236,17 @@ class NFElem:
     def inverse(self) -> "NFElem":
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
+        n0 = self.nums[0]
+        if self.is_rational():
+            return self.field._rational(self.den if n0 > 0 else -self.den, abs(n0))
+        if self.field.degree == 2:
+            # (n0 + n1·y)·(n0 + n1·y') = n0² - n0·n1·m1 + n1²·m0 for the
+            # conjugate root y' = -m1 - y of y² + m1·y + m0
+            m0, m1 = self.field.modulus.coeffs[:2]
+            n1 = self.nums[1]
+            norm = n0 * n0 - n0 * n1 * m1 + n1 * n1 * m0
+            return self.field.element([(n0 - n1 * m1) * self.den / norm,
+                                       -n1 * self.den / norm])
         g, s, _ = poly_xgcd(Poly(self.coords), self.field.modulus)
         if g.degree != 0:
             raise ZeroDivisionError("modulus not coprime to element")

@@ -6,9 +6,9 @@ class of such roots gets a valuation-growth gap, read off the Smith
 form (over power series in a local parameter ε) of the transition
 matrix that carries solution windows across the singular region.
 
-Infinity side: the indicial polynomial, generalized exponents with
-their ramification-2 refinement, truncation to E_r representatives,
-r-equivalence, and the quotient set used for table matching.
+Infinity side: the indicial polynomial, generalized exponents (E_r
+representatives) with their ramification-2 refinement, r-equivalence,
+and the quotient set used for table matching.
 """
 
 from __future__ import annotations
@@ -19,11 +19,11 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .factorization import ExtensionDegreeError, roots
-from .fieldext import demote, field_of, value_sqrt
+from .fieldext import NFElem, demote, field_of, value_sqrt
 from .ore import Operator
-from .poly import Poly, _fieldify, _int_cleared, _list_shift
+from .poly import Poly, _int_cleared, _list_mul, _list_shift
 from .series import TSeries
-from .snf import canonical_shift, shift_classes
+from .snf import canonical_shift
 
 __all__ = [
     "SingularityClass",
@@ -36,7 +36,6 @@ __all__ = [
     "valg_set",
     "indicial_polynomial",
     "generalized_exponents",
-    "trunc",
     "r_equivalent",
     "gquo",
     "local_data",
@@ -77,11 +76,10 @@ def problem_points(L: Operator) -> List[Tuple[Poly, List[int]]]:
     from the shift classes of a_0 and of a_d."""
     if not L.is_normal():
         raise ValueError("operator must be normal")
-    polys = L.poly_coeffs()
     d = L.order
     classes: Dict[Poly, Set[int]] = {}
-    for p, s in ((polys[0], 0), (polys[d], -d)):
-        for rep, offsets in shift_classes(p)[1].items():
+    for i, s in ((0, 0), (d, -d)):
+        for rep, offsets in L.shift_classes(i)[1].items():
             # rep(x + k + s) has its roots at -(k + s) relative to rep's,
             # with s = -d for a_d(x - d)
             classes.setdefault(rep.monic(), set()).update(-(k + s) for k in offsets)
@@ -129,8 +127,8 @@ def _minor_det(rows: List[list], mu: list) -> list:
 
 
 def _taylor(b: list, h: int, lead: int, mu: list, count: int) -> list:
-    """The first ``count`` ε-coefficients of b(θ′ + h + ℓ·ε), ℓ = lead, in
-    the layout of ``valuation_growth``: the j-th is ℓ^j·T_j(θ′), with
+    """The first ``count`` ε-coefficients of b(θ′ + h + λ·ε), λ = lead, in
+    the layout of ``valuation_growth``: the j-th is λ^j·T_j(θ′), with
     T_j(y) = Σ_m C(m, j)·c_m·y^(m-j) and c = b(y + h)."""
     c = _list_shift(b, h)
     e = len(mu)
@@ -143,6 +141,30 @@ def _taylor(b: list, h: int, lead: int, mu: list, count: int) -> list:
         out += [scale * a for a in t] + [0] * (e - 1)
         scale *= lead
     return out
+
+
+def _least_scale(f: list) -> int:
+    """The least λ > 0 with λ^(e-k)·f_k/f_e an integer for every k < e,
+    f = f_0 + … + f_e·x^e an integer polynomial: then λθ is a root of a
+    monic integer polynomial whenever θ is a root of f.  Each
+    denominator divides f_e, so λ is ∏ p^(max_k ⌈v_p(f_e/gcd(f_k, f_e))/(e-k)⌉)
+    over the primes p of f_e."""
+    e, lead = len(f) - 1, f[-1]
+    lam = 1
+    if lead > 1:
+        from sympy import factorint
+
+        dens = [lead // math.gcd(f[k], lead) for k in range(e)]
+        for p in factorint(lead):
+            need = 0
+            for k, den in enumerate(dens):
+                v = 0
+                while den % p == 0:
+                    den //= p
+                    v += 1
+                need = max(need, -(-v // (e - k)))
+            lam *= int(p) ** need
+    return lam
 
 
 def _eps_val(w: list, s: int) -> Optional[int]:
@@ -180,21 +202,23 @@ def valuation_growth(L: Operator, cls, offsets: Optional[Sequence[int]] = None
     All of this runs on Python integers, with one integer scale per
     step.  L is cleared to integer coefficients by one scalar c, and the
     class is written as its primitive integer form f = ℓ·x^e + …, ℓ > 0.
-    Then θ′ = ℓθ is a root of the monic integer polynomial
-    μ(y) = ℓ^(e-1)·f(y/ℓ).  With D the largest coefficient degree and
-    b_i(y) = c·ℓ^D·a_i(y/ℓ), an integer polynomial,
+    With λ the least positive integer that makes μ(y) = λ^e·f(y/λ)/ℓ
+    an integer polynomial (``_least_scale``; ℓ itself is one such
+    integer, and λ only needs the primes of ℓ), θ′ = λθ is a root of
+    the monic μ.  With D the largest coefficient degree and
+    b_i(y) = c·λ^D·a_i(y/λ), an integer polynomial,
 
-        c·ℓ^D·a_i(θ + k + ε) = b_i(θ′ + ℓk + ℓε),
+        c·λ^D·a_i(θ + k + ε) = b_i(θ′ + λk + λε),
 
     whose ε-coefficients lie in Z[θ′]; products reduced modulo μ stay
     there, because μ is monic.  Every evaluation of a step is scaled by
-    the same nonzero integer c·ℓ^D, so the step's companion numerator
+    the same nonzero integer c·λ^D, so the step's companion numerator
     is that integer times the true one, N is a nonzero integer times
     the true N, and so is each cofactor: no entry or cofactor valuation
     moves, vdet is unchanged, and the argument above holds word for
     word.  After each step N is divided by the gcd of all its integers,
     again one integer for the whole matrix, which keeps them small.  A
-    scale per coefficient (such as ℓ^(deg a_i)) or per row is
+    scale per coefficient (such as λ^(deg a_i)) or per row is
     not allowed: it turns a step into U·M·V with diagonal units U and
     V, and the V·U left between two steps does not commute with the
     next companion numerator, so the product need not have the Smith
@@ -217,11 +241,11 @@ def valuation_growth(L: Operator, cls, offsets: Optional[Sequence[int]] = None
     d = L.order
 
     f = rep.primitive().int_coeffs()
-    e, lead = len(f) - 1, f[-1]
-    mu = [f[i] * lead ** (e - 1 - i) for i in range(e)]
+    e, lam = len(f) - 1, _least_scale(f)
+    mu = [f[k] * lam ** (e - k) // f[-1] for k in range(e)]
     bs = _int_cleared(L.poly_coeffs())
     D = max(len(b) for b in bs) - 1
-    bs = [[a * lead ** (D - m) for m, a in enumerate(b)] for b in bs]
+    bs = [[a * lam ** (D - m) for m, a in enumerate(b)] for b in bs]
     s = 2 * e - 1
 
     ks = range(offsets[0] - d, offsets[-1] + 1)
@@ -229,7 +253,7 @@ def valuation_growth(L: Operator, cls, offsets: Optional[Sequence[int]] = None
     vden = 0
     vdet = 0
     for k in ks:
-        a0, ad = (_taylor(bs[i], lead * k, lead, mu, len(bs[i])) for i in (0, d))
+        a0, ad = (_taylor(bs[i], lam * k, lam, mu, len(bs[i])) for i in (0, d))
         v0, vd = _eps_val(a0, s), _eps_val(ad, s)
         if v0 is None or vd is None:
             raise ValueError("non-normal at class")
@@ -244,7 +268,7 @@ def valuation_growth(L: Operator, cls, offsets: Optional[Sequence[int]] = None
     N = [[fit([1]) if i == j else [0] * n for j in range(d)] for i in range(d)]
     for k, (a0, ad) in zip(ks, ends):
         ev = ([fit(a0)]
-              + [fit(_taylor(bs[i], lead * k, lead, mu, vdet + 1)) for i in range(1, d)]
+              + [fit(_taylor(bs[i], lam * k, lam, mu, vdet + 1)) for i in range(1, d)]
               + [fit(ad)])
         # companion numerator: rows 0..d-2 carry a_d on the superdiagonal,
         # row d-1 is -a_0, ..., -a_(d-1)
@@ -375,12 +399,6 @@ class GenExpRep:
             tail[k * f - 1] = a
         return GenExpRep(r, self.c, self.v, tuple(tail), self.multiplicity)
 
-    def series(self, slots: int) -> TSeries:
-        """Exact window of the represented element."""
-        coeffs = [self.c] + [self.c * a for a in self.tail]
-        coeffs += [Fraction(0)] * max(0, slots - len(coeffs))
-        return TSeries(self.r, int(self.v * self.r), coeffs[:max(slots, len(coeffs))])
-
     def sort_key(self):
         return (
             self.r,
@@ -407,28 +425,6 @@ class GenExpSet:
 
     def __len__(self):
         return len(self.entries)
-
-
-def trunc(s: TSeries, r: Optional[int] = None) -> GenExpRep:
-    """E_r representative of a nonzero series: keep the leading constant,
-    the valuation, and tail coefficients through t^(r/r)."""
-    if r is None:
-        r = s.ram
-    ss = s
-    if ss.ram != r:
-        ss = ss.reduce_ram()
-        if r % ss.ram:
-            raise ValueError("series not representable at this ramification")
-        ss = ss.lift(r)
-    ss = ss.strip()
-    if not ss.coeffs or not ss.coeffs[0]:
-        raise ValueError("series is zero to truncation order")
-    if ss.nterms < r + 1:
-        raise ValueError("insufficient truncation for an E_r representative")
-    c = ss.coeffs[0]
-    inv = 1 / _fieldify(c)
-    tail = tuple(ss.coeffs[k] * inv for k in range(1, r + 1))
-    return GenExpRep(r, c, Fraction(ss.val, r), tail)
 
 
 def r_equivalent(a: GenExpRep, b: GenExpRep) -> bool:
@@ -467,23 +463,145 @@ def _sqrt(v):
     return got[0]
 
 
-def _twisted_series(polys: Sequence[Poly], g: TSeries, slots: int) -> List[TSeries]:
-    """Coefficient series b_i of L ⊛ (τ - 1/g) for exact windowed g."""
-    ram = g.ram
-    d = len(polys) - 1
-    rho = g.inverse().retrunc(slots)
-    windows = _coeff_windows(polys, ram, slots)
-    taus = [rho]
-    for _ in range(d - 1):
-        taus.append(taus[-1].tau())
-    suffix = [None] * (d + 1)
-    suffix[d] = TSeries(ram, 0, (Fraction(1),) + (Fraction(0),) * (slots - 1))
-    for i in range(d - 1, -1, -1):
-        suffix[i] = taus[i] * suffix[i + 1]
-    return [windows[i] * suffix[i] for i in range(d + 1)]
+def _add_into(acc: list, p: list) -> None:
+    """acc += p for integer coefficient lists, acc grown in place."""
+    if len(acc) < len(p):
+        acc.extend([0] * (len(p) - len(acc)))
+    for m, a in enumerate(p):
+        acc[m] += a
 
 
-def _tail_candidates(polys, c, v: Fraction, beta, ram: int) -> List[GenExpRep]:
+def _series_mul(A: list, B: list, slots: int) -> list:
+    """Product of two series truncated to ``slots`` terms; coefficients
+    are integer polynomials in β (lists, [] for zero)."""
+    out: List[list] = [[] for _ in range(slots)]
+    for i, pa in enumerate(A[:slots]):
+        if pa:
+            for j, pb in enumerate(B[:slots - i]):
+                if pb:
+                    _add_into(out[i + j], _list_mul(pa, pb))
+    return out
+
+
+class _Slope:
+    """The twist of L by one leading term at infinity, for all leading
+    constants at once.
+
+    At slope -v and ramification ``ram`` (u = t^(1/ram)), the twist by
+    g = c·t^v·h, h = 1 + β·u (β = 0 unless ram = 2), has the coefficient
+    series b_i = a_i(1/t)·∏_(k=i..d-1) τ^k(1/g), and since τ^k(c) = c,
+
+        b_i = c^(i-d)·W_i,   W_i = a_i(1/t)·∏_(k=i..d-1) τ^k(t^(-v)·h^(-1)).
+
+    W_i does not depend on c.  With τ^k(t) = t/(1 + k·t) and
+    τ^k(u) = u·(1 + k·t)^(-1/2), the factor k is
+
+        τ^k(t^(-v)·h^(-1)) = t^(-v)·Σ_q (-β·u)^q·(1 + k·t)^(v - q/2),
+
+    binomial series in Z[β] at integer v - q/2 and in Z[1/2][β] at
+    half-integer v - q/2, where C(e, j)·4^j is an integer.  So every
+    series is kept with the coefficient at u^m multiplied by 2^m when
+    ram = 2 (the substitution u -> 2u, a ring map, under which those
+    binomial terms are integers), and at the end coefficient m of W_i
+    is multiplied by 2^(slots-1-m), which leaves all of them over the
+    one denominator 2^(slots-1).  L enters with its coefficients cleared
+    to integers by one scalar.  ``twisted`` returns c^i·W_i(β): the true
+    b_i times one nonzero constant shared by every i and level.
+
+    Each W_i is exact on ``slots`` terms from the valuation ``vals[i]``
+    (in 1/ram units), the window the series product gives; a zero a_i
+    counts as degree 0.
+    """
+
+    def __init__(self, bs: List[list], v: Fraction, ram: int):
+        d = len(bs) - 1
+        self.bs, self.v, self.ram = bs, v, ram
+        self.vals = [int((-max(len(b) - 1, 0) - (d - i) * v) * ram)
+                     for i, b in enumerate(bs)]
+        self._w: Dict[int, List[List[list]]] = {}
+
+    def _factor(self, k: int, slots: int) -> List[list]:
+        """t^v·τ^k(t^(-v)·h^(-1)) on ``slots`` terms, scaled."""
+        ram, e2 = self.ram, int(2 * self.v)
+        out: List[list] = [[] for _ in range(slots)]
+        for q in range(slots if ram == 2 else 1):
+            x, j = (-ram) ** q, 0  # (-1)^q·2^q·4^j·C(v - q/2, j)·k^j
+            while x and q + ram * j < slots:
+                p = out[q + ram * j]
+                p.extend([0] * (q + 1 - len(p)))
+                p[q] = x
+                x = x * ram ** ram * (e2 - q - 2 * j) * k // (2 * (j + 1))
+                j += 1
+        return out
+
+    def _coefficients(self, slots: int) -> List[List[list]]:
+        w = self._w.get(slots)
+        if w is None:
+            ram, d = self.ram, len(self.bs) - 1
+            w = [None] * (d + 1)
+            suffix: List[list] = [[1]] + [[] for _ in range(slots - 1)]
+            for i in range(d, -1, -1):
+                if i < d:
+                    suffix = _series_mul(self._factor(i, slots), suffix, slots)
+                b = self.bs[i]
+                window: List[list] = [[] for _ in range(slots)]
+                for m, a in enumerate(b):  # a_i(1/t) = t^(-deg)·Σ a_m·t^(deg-m)
+                    pos = ram * (len(b) - 1 - m)
+                    if a and pos < slots:
+                        window[pos] = [a * ram ** pos]
+                w[i] = [[x * ram ** (slots - 1 - m) for x in p]
+                        for m, p in enumerate(_series_mul(window, suffix, slots))]
+            self._w[slots] = w
+        return w
+
+    def twisted(self, c, beta, slots: int) -> List[TSeries]:
+        """The series c^i·W_i(β), i = 0..d, on ``slots`` terms."""
+        out = []
+        ci = 1
+        for val, wi in zip(self.vals, self._coefficients(slots)):
+            coeffs = []
+            for p in wi:
+                x = p[0] if p else 0
+                if beta and len(p) > 1:
+                    x = 0
+                    for a in reversed(p):
+                        x = x * beta + a
+                coeffs.append(ci * x if x else 0)
+            out.append(TSeries(self.ram, val, coeffs))
+            ci = ci * c
+        return out
+
+
+def _conj(x):
+    """Galois conjugate of an irrational quadratic value; others as they are."""
+    return x.conjugate() if isinstance(x, NFElem) and not x.is_rational() else x
+
+
+class _Orbits:
+    """Branch results by their inputs (c, or c and β, with the slope).
+
+    W_i is rational, so a branch computed at the Galois conjugates of
+    the inputs of another is that branch conjugated: every scalar it
+    forms is a polynomial with rational coefficients in c and β, and
+    every decision (a level that vanishes, a valuation, a slope, the
+    roots of a polynomial and their multiplicities, a square root
+    inside the field) is invariant under the automorphism.  So each
+    pair of conjugate inputs costs one computation."""
+
+    def __init__(self):
+        self._done: Dict[tuple, Tuple[List[GenExpRep], bool]] = {}
+
+    def run(self, key: tuple, compute) -> Tuple[List[GenExpRep], bool]:
+        twin = tuple(_conj(x) for x in key)
+        if twin != key and twin in self._done:
+            entries, incomplete = self._done[twin]
+            return [GenExpRep(e.r, _conj(e.c), e.v, tuple(_conj(a) for a in e.tail),
+                              e.multiplicity) for e in entries], incomplete
+        got = self._done[key] = compute()
+        return got
+
+
+def _tail_candidates(slope: _Slope, c, beta) -> List[GenExpRep]:
     """Indicial-root step: with leading part c·t^v(1+beta·t^(1/2)) fixed,
     the level-1 tail coefficients are -n0 over the indicial roots n0 of
     the twisted operator, each with the multiplicity of n0.
@@ -492,47 +610,52 @@ def _tail_candidates(polys, c, v: Fraction, beta, ram: int) -> List[GenExpRep]:
     factor (1 - n0·t) shifts the indicial variable, so the indicial
     polynomial of the further twist is a constant times P(n + n0), at
     the same level, and the multiplicity of its root 0 is that of n0
-    in P."""
+    in P.
+
+    The twisted series are ``slope.twisted``, the true ones times one
+    constant, so P is the true indicial polynomial times that constant:
+    same level, roots and multiplicities.  Over a quadratic field the
+    caller runs this once per pair of conjugate inputs (``_Orbits``)."""
+    ram = slope.ram
     base = field_of([c, beta])  # the indicial roots must lie in it
     for slots in (2 * ram + 2, 4 * ram + 4):
-        if ram == 1:
-            g = TSeries.monomial(c, v, 1, slots)
-        else:
-            cs = [c, c * beta] + [Fraction(0)] * (slots - 2)
-            g = TSeries(2, int(Fraction(v) * 2), cs[:slots])
-        got = _indicial_of_series(_twisted_series(polys, g, slots))
+        got = _indicial_of_series(slope.twisted(c, beta, slots))
         if got is None:
             continue
         P, _lvl = got
         if not P.degree >= 1:
             return []  # no roots at this branch
-        return [GenExpRep(ram, c, Fraction(v), (-n0,) if ram == 1 else (beta, -n0), m)
+        return [GenExpRep(ram, c, slope.v, (-n0,) if ram == 1 else (beta, -n0), m)
                 for n0, m in roots(P, base)]
     raise ValueError("increase truncation")
 
 
-def _ramified_branch(polys, c, v: Fraction, want_beta_zero: bool):
+def _ramified_branch(slope: _Slope, c, want_beta_zero: bool, orbits: _Orbits):
     """Ramification-2 refinement at leading part c·t^v: find t^(1/2)-level
     ratio coefficients from the Δ-polygon, then finish with the indicial
-    step.  Returns (entries, saw_higher_ramification)."""
-    d = len(polys) - 1
+    step.  Returns (entries, saw_higher_ramification).
+
+    With τ = 1 + Δ the twist has the Δ-coefficients
+    m_α = Σ_(i≥α) C(i, α)·b_i, read level by level from the scaled
+    series of ``slope.twisted``: the common constant moves no valuation,
+    and it scales the edge polynomial φ of the Δ-polygon, so its roots
+    stay.  The caller runs this once per pair of conjugate c; here each
+    pair of conjugate β at a rational c gets one indicial step."""
+    d = len(slope.vals) - 1
     entries: List[GenExpRep] = []
     incomplete = False
     for slots in (6, 12):
-        bs = _twisted_series(polys, TSeries.monomial(c, v, 2, slots), slots)
-        # τ = 1 + Δ: m_α = Σ_{i≥α} C(i,α)·b_i
-        mal = []
+        bs = slope.twisted(c, None, slots)
+        vals, lead = [], {}
         for alpha in range(d + 1):
-            acc = None
-            for i in range(alpha, d + 1):
-                term = bs[i] * Fraction(math.comb(i, alpha))
-                acc = term if acc is None else acc + term
-            mal.append(acc)
-        vals = []
-        for alpha, m in enumerate(mal):
-            va = m.valuation()
-            if va is not None:
-                vals.append((alpha, va))
+            lo = min(b.val for b in bs[alpha:])
+            for e in range(lo, lo + slots):
+                x = sum(math.comb(i, alpha) * bs[i].coeffs[e - bs[i].val]
+                        for i in range(alpha, d + 1) if bs[i].val <= e)
+                if x:
+                    vals.append((alpha, Fraction(e, 2)))
+                    lead[alpha] = x
+                    break
         if not vals:
             continue  # window too small to see anything
         # supporting line of slope -1/2 in (α, valuation)
@@ -551,9 +674,8 @@ def _ramified_branch(polys, c, v: Fraction, want_beta_zero: bool):
             for alpha, _ in touch[1:]:
                 spacing = math.gcd(spacing, alpha - a0)
             phi = [Fraction(0)] * ((touch[-1][0] - a0) // spacing + 1)
-            for alpha, va in touch:
-                lead = mal[alpha].coeff_at(va)
-                phi[(alpha - a0) // spacing] = phi[(alpha - a0) // spacing] + lead
+            for alpha, _va in touch:
+                phi[(alpha - a0) // spacing] = phi[(alpha - a0) // spacing] + lead[alpha]
             for B, _m in roots(Poly(phi), field_of([c, *phi])):
                 if spacing == 1:
                     betas.append(B)
@@ -565,7 +687,9 @@ def _ramified_branch(polys, c, v: Fraction, want_beta_zero: bool):
         if want_beta_zero:
             betas.append(Fraction(0))
         for beta in betas:
-            entries.extend(_tail_candidates(polys, c, v, beta, 2))
+            got, _ = orbits.run(("tail", slope.v, c, beta),
+                                lambda: (_tail_candidates(slope, c, beta), False))
+            entries.extend(got)
         return entries, incomplete
     raise ValueError("increase truncation")
 
@@ -592,10 +716,21 @@ def generalized_exponents(L: Operator) -> GenExpSet:
     slope by an integer, and gauge maps keep them.  Without a rejection,
     ``complete`` is False when a ramified branch needs more terms or
     ramification above 2.
+
+    The twist of L by a leading term c·t^v·h has the coefficient series
+    c^(i-d)·W_i with W_i independent of c (``_Slope``).  So the W_i are
+    built once per slope and ramification, on integers, and each root
+    c of the edge polynomial reads its indicial step and Δ-polygon off
+    c^i·W_i: the common factor c^(-d) moves no root, multiplicity,
+    valuation or first nonzero level.  Because W_i is rational, the
+    branch at conj(c) is the conjugate of the branch at c, entries,
+    multiplicities and ``complete`` alike, so each conjugate pair of
+    roots is searched once (``_Orbits``).
     """
     if not L.is_normal():
         raise ValueError("operator must be normal")
     polys = L.poly_coeffs()
+    bs = _int_cleared(polys)
     d = L.order
     pts = [(i, -p.degree) for i, p in enumerate(polys) if p]
     hull = _lower_hull(pts)
@@ -604,6 +739,17 @@ def generalized_exponents(L: Operator) -> GenExpSet:
     entries: List[GenExpRep] = []
     complete = True
     integer_branches: List[Tuple[Fraction, object]] = []
+    slopes: Dict[Tuple[Fraction, int], _Slope] = {}
+    orbits = _Orbits()
+
+    def at(v: Fraction, ram: int) -> _Slope:
+        if (v, ram) not in slopes:
+            slopes[v, ram] = _Slope(bs, v, ram)
+        return slopes[v, ram]
+
+    def ramified(v: Fraction, c, want_beta_zero: bool):
+        return orbits.run(("ramified", v, want_beta_zero, c),
+                          lambda: _ramified_branch(at(v, 2), c, want_beta_zero, orbits))
 
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
         slope = Fraction(y2 - y1, x2 - x1)
@@ -627,18 +773,20 @@ def generalized_exponents(L: Operator) -> GenExpSet:
         for root, _m in edge_roots:
             if step == 1:
                 integer_branches.append((v, root))
-                entries.extend(_tail_candidates(polys, root, v, None, 1))
+                got, _ = orbits.run(("tail", v, root, None),
+                                    lambda: (_tail_candidates(at(v, 1), root, None), False))
+                entries.extend(got)
             else:
                 s = _sqrt(root)
                 for c in (s, -s):
-                    got, inc = _ramified_branch(polys, c, v, True)
+                    got, inc = ramified(v, c, True)
                     entries.extend(got)
                     complete = complete and not inc
 
     entries = _dedupe_entries(entries)
     if sum(e.multiplicity for e in entries) < d:
         for v, c in integer_branches:
-            got, inc = _ramified_branch(polys, c, v, False)
+            got, inc = ramified(v, c, False)
             entries.extend(got)
             complete = complete and not inc
         entries = _dedupe_entries(entries)
@@ -657,7 +805,16 @@ def _dedupe_entries(entries: List[GenExpRep]) -> List[GenExpRep]:
 
 
 def gquo(ges: GenExpSet) -> List[GenExpRep]:
-    """Truncated pairwise quotients of distinct generalized exponents."""
+    """Truncated pairwise quotients of distinct generalized exponents.
+
+    With both lifted to the common ramification r, tails a of g_i and b
+    of g_j, the quotient is
+
+        g_i/g_j = (c_i/c_j)·t^(v_i - v_j)·(1 + Σ_(k=1..r) e_k·t^(k/r)) + ...,
+
+    where e_0 = 1 and e_k = a_k - Σ_(m=1..k) b_m·e_(k-m): the
+    coefficients of (1 + Σ a_k·t^(k/r))/(1 + Σ b_k·t^(k/r)) through
+    t^(r/r), which only the first r + 1 terms of each factor reach."""
     out: List[GenExpRep] = []
     for gi in ges:
         for gj in ges:
@@ -665,13 +822,15 @@ def gquo(ges: GenExpSet) -> List[GenExpRep]:
                 continue
             r = gi.r * gj.r // math.gcd(gi.r, gj.r)
             field_of([gi.c, *gi.tail, gj.c, *gj.tail])  # raises for two fields
-            slots = 2 * r + 2
-            q = trunc(gi.lift(r).series(slots) / gj.lift(r).series(slots), r)
+            a, b = gi.lift(r).tail, gj.lift(r).tail
+            e = [Fraction(1)]
+            for k in range(1, r + 1):
+                e.append(a[k - 1] - sum(b[m - 1] * e[k - m] for m in range(1, k + 1)))
+            q = GenExpRep(r, gi.c / gj.c, gi.v - gj.v, tuple(e[1:]))
             if not any(q == seen for seen in out):
                 out.append(q)
     out.sort(key=GenExpRep.sort_key)
     return out
-
 
 # -- aggregate + serialization -------------------------------------------------
 

@@ -15,6 +15,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from .fieldext import demote
 from .poly import Poly, poly_gcd, poly_lcm, rational_content
 from .ratfunc import RatFunc
+from .snf import ShiftClasses, shift_classes
 
 __all__ = ["Operator", "solution_window"]
 
@@ -32,7 +33,7 @@ def _to_ratfunc(c) -> RatFunc:
 class Operator:
     """Difference operator sum a_i * S^i with rational-function a_i."""
 
-    __slots__ = ("coeffs", "_canon")
+    __slots__ = ("coeffs", "_canon", "_polys", "_classes")
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [_to_ratfunc(c) for c in coeffs]
@@ -40,6 +41,8 @@ class Operator:
             cs.pop()
         self.coeffs = tuple(cs)
         self._canon = None
+        self._polys = None
+        self._classes = {}
 
     # -- constructors ----------------------------------------------------
 
@@ -87,22 +90,26 @@ class Operator:
 
     # -- canonical form -------------------------------------------------------
 
-    def poly_coeffs(self) -> List[Poly]:
+    def poly_coeffs(self) -> Tuple[Poly, ...]:
         """Coefficients with denominators cleared by their least common
-        multiple (this multiplies the operator by a unit of F(x))."""
-        if not self.coeffs:
-            return []
-        den = Poly.const(Fraction(1))
-        for c in self.coeffs:
-            if c:
-                den = poly_lcm(den, c.den)
-        out = []
-        for c in self.coeffs:
-            if not c:
-                out.append(Poly())
-            else:
-                out.append(c.num * den.exact_div(c.den))
-        return out
+        multiple (this multiplies the operator by a unit of F(x)).  Kept
+        after the first call, as ``canonical()`` is."""
+        if self._polys is None:
+            den = Poly.const(Fraction(1))
+            for c in self.coeffs:
+                if c:
+                    den = poly_lcm(den, c.den)
+            self._polys = tuple(c.num * den.exact_div(c.den) if c else Poly()
+                                for c in self.coeffs)
+        return self._polys
+
+    def shift_classes(self, i: int) -> Tuple[Fraction, ShiftClasses]:
+        """``snf.shift_classes`` of ``poly_coeffs()[i]``, kept per index, so
+        each coefficient is factored once however often it is read."""
+        got = self._classes.get(i)
+        if got is None:
+            got = self._classes[i] = shift_classes(self.poly_coeffs()[i])
+        return got
 
     def canonical(self) -> "Operator":
         """Representative of {f(x)·L}: cleared polynomial coefficients,

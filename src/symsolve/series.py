@@ -1,4 +1,4 @@
-"""Truncated Laurent/Puiseux series in t = 1/x with the shift action.
+"""Truncated Laurent/Puiseux series in t = 1/x.
 
 A TSeries holds a window of known coefficients: terms at exponents
 (val+k)/ram for k < len(coeffs), plus an O(t^((val+len)/ram)) tail.
@@ -6,18 +6,19 @@ Coefficients are any field-like values (Fraction, number-field
 elements, or polynomials in a symbol for indicial work); arithmetic
 propagates the usable window, never inventing unknown terms.
 
-The shift x -> x+1 acts on t by t -> t/(1+t), so on a term by
-t^e -> t^e (1+t)^(-e); TSeries.tau expands that binomial on the known
-window.
+The twist of an operator at infinity, and the indicial step read off
+it, are formed in `localdata` on integer coefficient lists; a TSeries
+carries the resulting windows (and the coefficient windows of the
+indicial polynomial) into the indicial step.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Callable, List, Sequence, Tuple, Union
+from typing import Callable, List, Sequence, Tuple
 
-from .poly import Poly, _fieldify
+from .poly import Poly
 
 __all__ = ["TSeries"]
 
@@ -116,21 +117,6 @@ class TSeries:
             out = out[: len(out) - (f - 1)]
         return TSeries(ram, self.val * f, out)
 
-    def reduce_ram(self) -> "TSeries":
-        """Smallest ramification representing the known window."""
-        s = self.strip()
-        if s.is_zero() or s.ram == 1:
-            return s
-        g = s.ram
-        g = gcd(g, s.val % s.ram if s.val % s.ram else s.ram)
-        for k, c in enumerate(s.coeffs):
-            if not _is_zero(c):
-                g = gcd(g, k)
-            if g == 1:
-                return s
-        f = g
-        return TSeries(s.ram // f, s.val // f, s.coeffs[::f])
-
     def map_coeffs(self, fn: Callable) -> "TSeries":
         return TSeries(self.ram, self.val, tuple(fn(c) for c in self.coeffs))
 
@@ -187,50 +173,6 @@ class TSeries:
 
     def __rmul__(self, other):
         return self.map_coeffs(lambda c: other * c)
-
-    def inverse(self) -> "TSeries":
-        s = self.strip()
-        if not s.coeffs or _is_zero(s.coeffs[0]):
-            raise ZeroDivisionError("inverting a series with no known leading term")
-        c0 = s.coeffs[0]
-        n = len(s.coeffs)
-        inv0 = 1 / _fieldify(c0)
-        out = [inv0]
-        for k in range(1, n):
-            acc = None
-            for j in range(1, k + 1):
-                term = s.coeffs[j] * out[k - j]
-                acc = term if acc is None else acc + term
-            out.append(-inv0 * acc)
-        return TSeries(s.ram, -s.val, out)
-
-    def __truediv__(self, other):
-        if not isinstance(other, TSeries):
-            inv = 1 / _fieldify(other)
-            return self.map_coeffs(lambda c: c * inv)
-        return self * other.inverse()
-
-    # -- the shift action -------------------------------------------------------
-
-    def tau(self) -> "TSeries":
-        """Apply x -> x+1: t^e -> t^e (1+t)^(-e) expanded on the known
-        window (exact for each stored term)."""
-        if self.is_zero():
-            return self
-        n = self.nterms
-        out = [Fraction(0)] * n
-        for k, c in enumerate(self.coeffs):
-            if _is_zero(c):
-                continue
-            e = Fraction(self.val + k, self.ram)
-            # (1 + t)^(-e): integer powers of t = ram steps
-            b = Fraction(1)
-            j = 0
-            while k + j * self.ram < n:
-                out[k + j * self.ram] = out[k + j * self.ram] + c * b
-                b = b * (-e - j) / (j + 1)
-                j += 1
-        return TSeries(self.ram, self.val, out)
 
     def __repr__(self):
         parts = []

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, Mapping, Optional, Tuple
 
 from .factorization import factor_over_Q
 from .poly import Poly
@@ -25,8 +26,9 @@ __all__ = [
     "shift_quotient_inverse",
 ]
 
-#: shift class representative -> {offset k: multiplicity of rep(x + k)}
-ShiftClasses = Dict[Poly, Dict[int, int]]
+#: shift class representative -> {offset k: multiplicity of rep(x + k)},
+#: read-only, since operators keep and share them
+ShiftClasses = Mapping[Poly, Mapping[int, int]]
 
 
 def _root_sum(f: Poly) -> Fraction:
@@ -50,15 +52,17 @@ def shift_classes(p: Poly) -> Tuple[Fraction, ShiftClasses]:
 
     Each rep is primitive with positive leading coefficient and is its
     own canonical shift, so two factors lie in one class exactly when
-    they are integer shifts of each other.  p must be rational.
+    they are integer shifts of each other.  p must be rational.  The
+    mappings are read-only.
     """
     unit, factors = factor_over_Q(p)
-    classes: ShiftClasses = {}
+    classes: Dict[Poly, Dict[int, int]] = {}
     for f, m in factors:
         rep, k = canonical_shift(f)  # f(x) = rep(x + k)
         offsets = classes.setdefault(rep, {})
         offsets[k] = offsets.get(k, 0) + m
-    return unit, classes
+    return unit, MappingProxyType({rep: MappingProxyType(offsets)
+                                   for rep, offsets in classes.items()})
 
 
 def shift_quotient_inverse(r: RatFunc) -> Optional[RatFunc]:
@@ -80,10 +84,11 @@ def shift_quotient_inverse(r: RatFunc) -> Optional[RatFunc]:
         raise ValueError("rational coefficients required")
     if not r:
         return None
-    un, classes = shift_classes(r.num)
+    un, num_classes = shift_classes(r.num)
     ud, den_classes = shift_classes(r.den)
     if un != ud:
         return None
+    classes = {g: dict(offsets) for g, offsets in num_classes.items()}
     for g, offsets in den_classes.items():
         exps = classes.setdefault(g, {})
         for k, m in offsets.items():

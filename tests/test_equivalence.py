@@ -28,6 +28,7 @@ from symsolve.equivalence import (
 from symsolve.factorization import factor_over_Q
 from symsolve.fieldext import NumberField
 from symsolve.linalg import DependencyFinder, nullspace_rational
+from symsolve.localdata import problem_points
 from symsolve.opformat import parse_operator, print_operator
 from symsolve.ore import Operator
 from symsolve.poly import P, Poly, poly_lcm
@@ -287,7 +288,8 @@ class TestUniversalDenominator:
     @given(end_data(), end_data())
     @settings(max_examples=60, deadline=None)
     def test_hom_denominator_matches_products(self, p1, p2):
-        assert _hom_denominator(p1, p2) == shift_reference.hom_denominator(p1, p2)
+        got = _hom_denominator(Operator(p1), Operator(p2))
+        assert got == shift_reference.hom_denominator(p1, p2)
 
     @given(end_data())
     @settings(max_examples=40, deadline=None)
@@ -383,11 +385,33 @@ class TestFactorsEndCoefficients:
     def test_term_candidates(self, monkeypatch):
         L2 = transformed_operator(symprod_first_order(L_CUBIC, RF([1, 1])),
                                   Operator([P(1), P(0, 1)]))
+        L1 = Operator(L_CUBIC.coeffs)  # operators keep their factored ends
         calls = _count_factoring(monkeypatch)
-        assert term_candidates(L_CUBIC, L2) == [RF([0, 1])]
-        ends = _end_coefficients(L_CUBIC, L2)
+        assert term_candidates(L1, L2) == [RF([0, 1])]
+        ends = _end_coefficients(L1, L2)
         assert len(calls) == 4
         assert all(any(p == e for e in ends) for p in calls)
+
+    def test_second_read_factors_nothing(self, monkeypatch):
+        # an operator keeps its cleared coefficients and their shift
+        # classes, so the readers of one input share one factorization
+        L = Operator(L_CUBIC.coeffs)
+        calls = _count_factoring(monkeypatch)
+        problem_points(L)
+        term_candidates(L, L)
+        assert len(calls) == 2
+        problem_points(L)
+        term_candidates(L, L)
+        hom_space(L, L)
+        rational_solutions(L)
+        assert len(calls) == 2
+        assert L.poly_coeffs() is L.poly_coeffs()
+        assert isinstance(L.poly_coeffs(), tuple)
+        classes = L.shift_classes(0)[1]
+        with pytest.raises(TypeError):
+            classes[P(0, 1)] = {}
+        with pytest.raises(TypeError):
+            next(iter(classes.values()))[0] = 1
 
 
 TERM_POOL = (
@@ -498,7 +522,7 @@ def _reference_rows(p1, p2, u, width):
 def _bases_agree(L1: Operator, L2: Operator) -> int:
     """Check the integer rows against the reference; the dimension."""
     p1, p2 = L1.poly_coeffs(), L2.poly_coeffs()
-    u = _hom_denominator(p1, p2)
+    u = _hom_denominator(L1, L2)
     width = _degree_cap(p1, p2) + u.degree + 1
     want = nullspace_rational(_reference_rows(p1, p2, u, width))
     assert nullspace_rational(_hom_rows(p1, p2, u, width)) == want

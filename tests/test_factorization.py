@@ -1,8 +1,11 @@
 from fractions import Fraction as F
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from symsolve.factorization import ExtensionDegreeError, roots
+from symsolve.factorization import ExtensionDegreeError, factor_over_Q, roots
 from symsolve.fieldext import NumberField, field_of
 from symsolve.localdata import local_data
 from symsolve.opformat import parse_operator
@@ -16,6 +19,52 @@ Qm3 = NumberField.quadratic(-3)
 def over(field, *coeffs):
     """Polynomial with ascending coefficients in the given field."""
     return Poly(tuple(field.coerce(c) for c in coeffs))
+
+
+# factors with non-integral coefficients and negative leads; their
+# products repeat factors and share none of them
+FACTOR_POOL = (P(0, 1), P(-3, 2), P(F(1, 3), F(-1, 2)), P(1, 0, 1),
+               P(1, F(-1, 2), -3), P(-2, 0, 0, 1), P(F(5, 7), F(2, 3), F(-4, 9), 1))
+
+
+def _sympy_factor_list(p: Poly):
+    x = sympy.Symbol("x")
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+    unit, factors = sympy.factor_list(sympy.Poly(coeffs, x, domain="QQ"))
+    got = [(Poly([F(int(c.p), int(c.q)) for c in reversed(f.all_coeffs())]), m)
+           for f, m in factors]
+    return F(int(unit.p), int(unit.q)), sorted(got, key=lambda fm: (fm[0].degree, fm[0].coeffs))
+
+
+class TestFactorOverQ:
+    """Integer-list factoring against sympy's own rational factor_list."""
+
+    @given(st.fractions(min_value=-9, max_value=9, max_denominator=12).filter(bool),
+           st.lists(st.tuples(st.integers(0, len(FACTOR_POOL) - 1), st.integers(1, 3)),
+                    max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_sympy(self, unit, picks):
+        p = Poly.const(unit)
+        for i, m in picks:
+            p = p * FACTOR_POOL[i] ** m
+        got = factor_over_Q(p)
+        assert got == (_sympy_factor_list(p) if picks else (unit, []))
+        prod = Poly.const(got[0])
+        for f, m in got[1]:
+            assert f.lead() > 0 and f.content() == 1
+            prod = prod * f ** m
+        assert prod == p
+
+    def test_repeated_factor_and_negative_lead(self):
+        p = P(F(-1, 2), 0, F(1, 3)) ** 2 * P(3, -6)  # (x^2/3 - 1/2)^2 (3 - 6x)
+        unit, factors = factor_over_Q(p)
+        assert unit == F(-3, 36)
+        assert factors == [(P(-1, 2), 1), (P(-3, 0, 2), 2)]
+        assert (unit, factors) == _sympy_factor_list(p)
+
+    def test_constants(self):
+        assert factor_over_Q(Poly.const(F(-5, 3))) == (F(-5, 3), [])
+        assert factor_over_Q(Poly()) == (F(0), [])
 
 
 class TestRationalCoefficients:

@@ -1,8 +1,9 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from symsolve import localdata, snf
@@ -18,7 +19,6 @@ from symsolve.localdata import (
     local_data,
     problem_points,
     r_equivalent,
-    trunc,
     valg_set,
     valuation_growth,
 )
@@ -30,6 +30,8 @@ from symsolve.series import TSeries
 from symsolve.snf import canonical_shift
 from symsolve.symprod import symprod_first_order, symprod_general, symsquare_order2
 
+import genexp_reference
+from genexp_reference import div, series, trunc
 from indicial_reference import indicial_of_series
 
 X = P(0, 1)
@@ -178,11 +180,11 @@ def _reference_growth(L: Operator, cls: Poly):
     return (min(entries) - vden, vdet - min(cofs) - vden)
 
 
-# the last three have primitive integer forms with leading coefficient
-# l != 1, so valuation_growth works with the root l·θ of a scaled minimal
-# polynomial
+# the last five have primitive integer forms with leading coefficient
+# l != 1, so valuation_growth works with the root λ·θ of a scaled minimal
+# polynomial; for the last two the least scale λ = 2 is below l
 CLASSES = (X, X * X - P(2), X * X + P(1), X ** 3 - P(2), X ** 3 - X - P(1),
-           P(-1, 2), P(-2, 0, 3), P(-3, 0, 0, 2))
+           P(-1, 2), P(-2, 0, 3), P(-3, 0, 0, 2), P(1, 0, 4), P(-3, 0, 0, 8))
 
 
 @st.composite
@@ -222,6 +224,31 @@ class TestTruncatedGrowth:
         f = X ** 3 - P(2)
         L = Operator([f * f.shift(1), X, P(-1), f.shift(2)])
         assert valuation_growth(L, f) == _reference_growth(L, f)
+
+    @pytest.mark.parametrize("f, lam", [
+        ([1, 0, 4], 2),                    # x^2 + 1/4
+        ([-3, 0, 0, 8], 2),                # x^3 - 3/8
+        ([1] + [0] * 6 + [625000], 10),    # x^7 + 1/(2^4·5^7)
+        ([3, 2, 12], 6),                   # x^2 + x/6 + 1/4
+        ([-1, 0, 2], 2), ([5, 7], 7), ([1, 0, 1], 1),
+    ])
+    def test_least_scale(self, f, lam):
+        assert localdata._least_scale(f) == lam
+        e = len(f) - 1
+        assert all((F(f[k], f[-1]) * lam ** (e - k)).denominator == 1 for k in range(e))
+        for p in (2, 3, 5, 7):  # no proper divisor of λ will do
+            if lam % p == 0:
+                assert any((F(f[k], f[-1]) * (lam // p) ** (e - k)).denominator > 1
+                           for k in range(e))
+
+    def test_scale_below_the_leading_coefficient(self):
+        # 8x^3 - 3 has l = 8, and θ′ = 2θ is already integral
+        f = P(-3, 0, 0, 8)
+        L = Operator([f * f.shift(1), X, P(-1), f.shift(2)])
+        assert valuation_growth(L, f) == _reference_growth(L, f)
+        g = P(1, 0, 4)
+        L = Operator([g * g.shift(-1), P(2), g.shift(1) * X])
+        assert valuation_growth(L, g) == _reference_growth(L, g)
 
     def test_kept_and_dropped_valuations(self):
         # one entry of N has valuation exactly vdet, the last coefficient
@@ -369,7 +396,7 @@ def _definitional_mult(L: Operator, e: GenExpRep) -> int:
     polys = L.poly_coeffs()
     for slots in (2 * e.r + 2, 4 * e.r + 4):
         got = localdata._indicial_of_series(
-            localdata._twisted_series(polys, e.series(slots), slots))
+            genexp_reference.twisted_series(polys, series(e, slots), slots))
         if got:
             P0 = got[0]
             return next(k for k, c in enumerate(P0.coeffs) if c)
@@ -459,12 +486,11 @@ class TestGenExp:
         left = {
             (e.r, e.c, e.v, e.tail) for e in generalized_exponents(tw)
         }
-        rt = TSeries.from_poly_in_invx(r.num, 2, 8) / TSeries.from_poly_in_invx(
-            r.den, 2, 8
-        )
+        rt = div(TSeries.from_poly_in_invx(r.num, 2, 8),
+                 TSeries.from_poly_in_invx(r.den, 2, 8))
         right = set()
         for g in generalized_exponents(L):
-            q = trunc(g.series(8) * rt, g.r)
+            q = trunc(series(g, 8) * rt, g.r)
             right.add((q.r, q.c, q.v, q.tail))
         assert left == right
 
@@ -521,6 +547,123 @@ class TestGenExp:
         ge = generalized_exponents(parse_operator("S^6 - 2*x^3"))
         assert ge.entries == ()
         assert "T^3 - 2" in ge.rejection
+
+
+def _edge_operator(integer) -> Operator:
+    """Normal operator of order 2 or 3, from integer(lo, hi) draws.
+
+    Coefficient degrees 0..2 put integer and half-integer slopes on the
+    polygon at infinity; leading coefficients ±1..±3 give irreducible
+    quadratic edge factors; a middle coefficient is sometimes zero."""
+    d = integer(2, 3)
+    coeffs = []
+    for i in range(d + 1):
+        if 0 < i < d and integer(0, 4) == 0:
+            coeffs.append(Poly())
+            continue
+        deg = integer(0, 2)
+        lead = integer(1, 3) * (-1) ** integer(0, 1)
+        coeffs.append(P(*[integer(-3, 3) for _ in range(deg)], lead))
+    return Operator(coeffs)
+
+
+@st.composite
+def _edge_operators(draw):
+    return _edge_operator(lambda lo, hi: draw(st.integers(lo, hi)))
+
+
+def _genexp_outcome(module, L):
+    """Generalized exponents and their quotients as JSON, or the error."""
+    try:
+        ges = module.generalized_exponents(L)
+        return ([localdata._rep_json(e) for e in ges], ges.complete, ges.rejection,
+                [localdata._rep_json(q) for q in module.gquo(ges)])
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+BRANCH_KINDS = ("integer slope", "half-integer slope", "quadratic edge factor",
+                "beta != 0")
+
+
+def _branch_kinds(outcome) -> set:
+    if isinstance(outcome[0], str):
+        return set()
+    kinds = set()
+    for e in outcome[0]:
+        if e["r"] == 1:
+            kinds.add("integer slope")
+            if isinstance(e["c"], dict):  # an irrational root of the edge
+                kinds.add("quadratic edge factor")
+        if F(e["v"]).denominator == 2:
+            kinds.add("half-integer slope")
+        if e["r"] == 2 and e["tail"][0] != "0":
+            kinds.add("beta != 0")
+    return kinds
+
+
+class TestGenExpOracle:
+    """The twist built once per slope, one root search per conjugate
+    pair and the closed-form quotients must give what the twist built
+    per root, every root searched and series division give
+    (``genexp_reference``): entries with their multiplicities,
+    ``complete``, ``rejection`` and the quotients, as JSON."""
+
+    @given(_edge_operators())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_one_root_at_a_time(self, L):
+        got = _genexp_outcome(localdata, L)
+        assert got == _genexp_outcome(genexp_reference, L)
+        for kind in sorted(_branch_kinds(got)):
+            event(kind)  # --hypothesis-show-statistics reports how often
+
+    def test_draws_reach_every_branch_kind(self):
+        rng = random.Random(13)
+        seen = Counter()
+        for _ in range(40):
+            seen.update(_branch_kinds(_genexp_outcome(localdata, _edge_operator(rng.randint))))
+        assert all(seen[k] >= 3 for k in BRANCH_KINDS), seen
+
+    def test_conjugates_that_are_not_negatives(self):
+        # slope 1/2 with edge polynomial T^2 + T + 1 in T = c^2: the four
+        # constants ±(1 ± sqrt(-3))/2, where conj(c) is not -c
+        L = parse_operator("S^4 + x*S^2 + x^2")
+        got = _genexp_outcome(localdata, L)
+        assert got == _genexp_outcome(genexp_reference, L)
+        assert len(got[0]) == 4 and got[1]
+
+
+def _count_roots(monkeypatch, module) -> list:
+    calls = []
+    real = module.roots
+
+    def counting(p, base=None):
+        calls.append(base is not None)
+        return real(p, base)
+
+    monkeypatch.setattr(module, "roots", counting)
+    return calls
+
+
+class TestOneSearchPerConjugatePair:
+    """Every root search over a quadratic field serves a conjugate pair,
+    so there are half as many as when each root is searched."""
+
+    @pytest.mark.parametrize("make", [
+        hermite_sq, legendre_sq, turan_op,
+        lambda: parse_operator("S^4 + x*S^2 + x^2"),
+    ], ids=["hermite_sq", "legendre_sq", "turan_op", "order4_slope_half"])
+    def test_roots_calls(self, monkeypatch, make):
+        L = make()
+        calls = _count_roots(monkeypatch, localdata)
+        got = generalized_exponents(L)
+        ref_calls = _count_roots(monkeypatch, genexp_reference)
+        want = genexp_reference.generalized_exponents(L)
+        assert [(e, e.multiplicity) for e in got] == [(e, e.multiplicity) for e in want]
+        quadratic = calls.count(True)
+        assert quadratic >= 1
+        assert 2 * quadratic == ref_calls.count(True)
+        assert calls.count(False) == ref_calls.count(False)
 
 
 class TestTrunc:
@@ -645,7 +788,7 @@ class TestGquo:
         for L in (turan_op(), hermite_sq()):
             q = gquo(generalized_exponents(L))
             for e in q:
-                inv = trunc(TSeries.one(e.r, 2 * e.r + 2) / e.series(2 * e.r + 2), e.r)
+                inv = trunc(div(TSeries.one(e.r, 2 * e.r + 2), series(e, 2 * e.r + 2)), e.r)
                 assert any(inv == other for other in q)
 
 
