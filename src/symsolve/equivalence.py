@@ -19,7 +19,7 @@ from typing import Dict, List, Optional
 
 from .factorization import factor_over_Q
 from .linalg import DependencyFinder, nullspace_rational
-from .localdata import indicial_polynomial
+from .localdata import edges_at_infinity, indicial_polynomial
 from .opformat import print_operator
 from .ore import Operator
 from .poly import Poly, _int_cleared, _list_mul, _list_shift, _list_sub
@@ -411,14 +411,37 @@ def _gauge_rank(gm: GaugeMap):
 
 def gt_find(L1: Operator, L2: Operator) -> Optional[GTTransform]:
     """Combined transformation taking solutions of L1 to solutions of
-    L2, or None.  Candidates for the term ratio are ranked, then the
-    first bijective gauge map out of the twisted operator wins; ties
-    inside one hom space go to the lowest order, then the smallest
-    canonical coefficient string."""
+    L2, or None.
+
+    The term ratios r are those of ``term_candidates``, tried in its
+    order.  For each, the first bijective gauge map out of the twisted
+    operator M = L1 ⊛ (τ - r) wins; ties inside one hom space go to the
+    lowest order, then the smallest canonical coefficient string.
+
+    An r whose M has other edges at infinity than L2
+    (``edges_at_infinity``: slopes and monic edge polynomials) is
+    skipped without building a hom_space system, because no bijective
+    map exists for it.  With D = Q(x)[τ] and d the common order, a
+    bijective G gives the isomorphism P ↦ P·G from D/D·L2 onto D/D·M.
+    It is well defined because L2·G is a left multiple of M.  Its
+    kernel {P : P·G ∈ D·M} is the left ideal of an operator of order
+    d - ord gcrd(G, M) = d, and L2, of order d, lies in it, so the
+    kernel is D·L2; both sides have dimension d over Q(x).  Over the
+    formal series at infinity the two modules stay isomorphic, so
+    their formal solutions match, with the same growth c·x^s of
+    y(x+1)/y(x) and the same dimension for each (c, s).  Those
+    dimensions are the multiplicities of the roots c^step of the monic
+    edge polynomials, so M and L2 have equal edges (van Hoeij, JPAA
+    1999; Cha, van Hoeij and Levy, ISSAC 2010).  The test reads only
+    degrees and leading coefficients, in rational arithmetic.
+    """
     if L1.order != L2.order:
         raise ValueError("operators must have the same order")
+    edges = edges_at_infinity(L2)
     for r in term_candidates(L1, L2):
         M = symprod_first_order(L1, r)
+        if edges_at_infinity(M) != edges:
+            continue
         for gm in sorted(hom_space(M, L2), key=_gauge_rank):
             if gm.bijective:
                 return GTTransform(r, gm, L1)

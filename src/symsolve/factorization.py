@@ -79,10 +79,13 @@ def roots(p: Poly, base: Optional[NumberField] = None) -> List[Tuple[object, int
     quadratic factor lie in their own Q(sqrt disc).  With a quadratic base,
     p may have coefficients in it and every root must lie in it.  A root
     outside that reach raises ExtensionDegreeError naming its factor.
+    A linear p gives its one root directly, with no factoring.
     """
     if not p:
         raise ValueError("zero polynomial")
     p = p.map_coeffs(demote)
+    if p.degree == 1:
+        return [(demote(-p[0] / p[1]), 1)]
     if p.is_rational():
         factors = factor_over_Q(p)[1]
     else:

@@ -35,6 +35,7 @@ __all__ = [
     "valuation_growth",
     "valg_set",
     "indicial_polynomial",
+    "edges_at_infinity",
     "generalized_exponents",
     "r_equivalent",
     "gquo",
@@ -455,6 +456,37 @@ def _lower_hull(pts: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
     return hull
 
 
+def edges_at_infinity(L: Operator) -> List[Tuple[Fraction, Poly]]:
+    """The Newton polygon of L at infinity: (slope, monic edge polynomial)
+    for each edge, in order of increasing slope.
+
+    The points are (i, -deg a_i) for the nonzero coefficients a_i, and
+    the edges are those of their lower hull.  On an edge of slope s from
+    i_0 to i_1, with step the denominator of s, the edge polynomial is
+    Σ lead(a_i)·T^((i - i_0)/step) over the points i on the edge, in
+    T = c^step.  A root T of multiplicity m stands for the step·m
+    dimensions of formal solutions at infinity with
+    y(x+1)/y(x) = c·x^s·(1 + o(1)), c^step = T, so the monic polynomial
+    describes the solution space, not the way L is written: multiplying
+    L on the left by a nonzero rational function moves every point by
+    the same height and scales every edge polynomial by one constant.
+    """
+    polys = L.poly_coeffs()
+    pts = [(i, -p.degree) for i, p in enumerate(polys) if p]
+    degmap: Dict[int, int] = dict(pts)
+    hull = _lower_hull(pts)
+    out = []
+    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+        slope = Fraction(y2 - y1, x2 - x1)
+        step = slope.denominator
+        phi = [Fraction(0)] * ((x2 - x1) // step + 1)
+        for i in range(x1, x2 + 1, step):
+            if degmap.get(i) == y1 + slope * (i - x1):
+                phi[(i - x1) // step] = Fraction(polys[i].lead())
+        out.append((slope, Poly(phi).monic()))
+    return out
+
+
 def _sqrt(v):
     """A square root of the value v; raises outside quadratic reach."""
     got = value_sqrt(v)
@@ -729,13 +761,8 @@ def generalized_exponents(L: Operator) -> GenExpSet:
     """
     if not L.is_normal():
         raise ValueError("operator must be normal")
-    polys = L.poly_coeffs()
-    bs = _int_cleared(polys)
+    bs = _int_cleared(L.poly_coeffs())
     d = L.order
-    pts = [(i, -p.degree) for i, p in enumerate(polys) if p]
-    hull = _lower_hull(pts)
-    degmap: Dict[int, int] = {i: y for i, y in pts}
-
     entries: List[GenExpRep] = []
     complete = True
     integer_branches: List[Tuple[Fraction, object]] = []
@@ -751,20 +778,15 @@ def generalized_exponents(L: Operator) -> GenExpSet:
         return orbits.run(("ramified", v, want_beta_zero, c),
                           lambda: _ramified_branch(at(v, 2), c, want_beta_zero, orbits))
 
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        slope = Fraction(y2 - y1, x2 - x1)
+    for slope, phi in edges_at_infinity(L):
         v = -slope
         step = v.denominator  # the edge polynomial is in c^step
         if step > 2:
             return GenExpSet((), False, (
                 f"edge at infinity of slope {slope} has slope denominator "
                 f"{step} > 2"))
-        phi = [Fraction(0)] * ((x2 - x1) // step + 1)
-        for i in range(x1, x2 + 1, step):
-            if i in degmap and degmap[i] == y1 + slope * (i - x1):
-                phi[(i - x1) // step] = Fraction(polys[i].lead())
         try:
-            edge_roots = roots(Poly(phi))
+            edge_roots = roots(phi)
         except ExtensionDegreeError as exc:
             return GenExpSet((), False, (
                 f"edge polynomial at infinity of slope {slope} has the "

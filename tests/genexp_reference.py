@@ -7,7 +7,9 @@ term and one series product per coefficient; quotients of exponents go
 through a series division.  The package builds the twist once per slope
 over the integers, reads each root off it, searches one root per
 conjugate pair, and writes quotients in closed form; its results must
-agree with these.
+agree with these.  The series arithmetic they use (sums, products,
+ramification changes, windows) lives here too, as functions on
+``TSeries``: the package needs none of it.
 """
 
 import math
@@ -33,9 +35,104 @@ from symsolve.series import TSeries
 # -- series operations -------------------------------------------------------
 
 
+def monomial(c, exponent: Fraction, ram: int, nterms: int) -> TSeries:
+    e = Fraction(exponent) * ram
+    if e.denominator != 1:
+        raise ValueError("exponent not representable at this ramification")
+    return TSeries(ram, int(e), (c,) + (Fraction(0),) * (nterms - 1))
+
+
+def one(ram: int, nterms: int) -> TSeries:
+    return monomial(Fraction(1), Fraction(0), ram, nterms)
+
+
+def valuation(s: TSeries):
+    """Exponent of the first nonzero known term, or None."""
+    for k, c in enumerate(s.coeffs):
+        if c:
+            return Fraction(s.val + k, s.ram)
+    return None
+
+
+def coeff_at(s: TSeries, exponent: Fraction):
+    e = Fraction(exponent) * s.ram
+    if e.denominator != 1:
+        return Fraction(0)
+    k = int(e) - s.val
+    if k < 0 or k >= len(s.coeffs):
+        return Fraction(0)
+    return s.coeffs[k]
+
+
+def strip(s: TSeries) -> TSeries:
+    k = 0
+    while k < len(s.coeffs) and not s.coeffs[k]:
+        k += 1
+    return TSeries(s.ram, s.val + k, s.coeffs[k:])
+
+
+def lift(s: TSeries, ram: int) -> TSeries:
+    if ram == s.ram:
+        return s
+    if ram % s.ram:
+        raise ValueError("can only lift to a multiple ramification")
+    f = ram // s.ram
+    out: List = []
+    for c in s.coeffs:
+        out.append(c)
+        out.extend([Fraction(0)] * (f - 1))
+    if out:
+        out = out[: len(out) - (f - 1)]
+    return TSeries(ram, s.val * f, out)
+
+
+def retrunc(s: TSeries, nterms: int) -> TSeries:
+    return TSeries(s.ram, s.val, s.coeffs[:nterms])
+
+
+def _aligned(a: TSeries, b: TSeries):
+    r = a.ram * b.ram // math.gcd(a.ram, b.ram)
+    return lift(a, r), lift(b, r)
+
+
+def add(a: TSeries, b: TSeries) -> TSeries:
+    """a + b on the window both know."""
+    a, b = _aligned(a, b)
+    lo = min(a.val, b.val)
+    hi = min(a.end, b.end)
+    if hi <= lo:
+        return TSeries(a.ram, hi, ())
+    out = []
+    for k in range(lo, hi):
+        ca = a.coeffs[k - a.val] if k >= a.val else Fraction(0)
+        cb = b.coeffs[k - b.val] if k >= b.val else Fraction(0)
+        out.append(ca + cb)
+    return TSeries(a.ram, lo, out)
+
+
+def mul(a: TSeries, b) -> TSeries:
+    """a·b for a series or a scalar b, on the window both know."""
+    if not isinstance(b, TSeries):
+        return TSeries(a.ram, a.val, tuple(c * b for c in a.coeffs))
+    a, b = _aligned(a, b)
+    n = min(a.nterms, b.nterms)
+    out = [None] * n
+    for i in range(n):
+        acc = None
+        for j in range(i + 1):
+            term = a.coeffs[j] * b.coeffs[i - j]
+            acc = term if acc is None else acc + term
+        out[i] = acc
+    return TSeries(a.ram, a.val + b.val, out)
+
+
+def sub(a: TSeries, b: TSeries) -> TSeries:
+    return add(a, mul(b, -1))
+
+
 def reduce_ram(s: TSeries) -> TSeries:
     """Smallest ramification representing the known window."""
-    s = s.strip()
+    s = strip(s)
     if s.is_zero() or s.ram == 1:
         return s
     g = s.ram
@@ -49,7 +146,7 @@ def reduce_ram(s: TSeries) -> TSeries:
 
 
 def inverse(s: TSeries) -> TSeries:
-    s = s.strip()
+    s = strip(s)
     if not s.coeffs or not s.coeffs[0]:
         raise ZeroDivisionError("inverting a series with no known leading term")
     c0 = s.coeffs[0]
@@ -68,9 +165,8 @@ def inverse(s: TSeries) -> TSeries:
 def div(a: TSeries, b) -> TSeries:
     """a / b for a series or a scalar b."""
     if not isinstance(b, TSeries):
-        inv = 1 / _fieldify(b)
-        return a.map_coeffs(lambda c: c * inv)
-    return a * inverse(b)
+        return mul(a, 1 / _fieldify(b))
+    return mul(a, inverse(b))
 
 
 def tau(s: TSeries) -> TSeries:
@@ -111,8 +207,8 @@ def trunc(s: TSeries, r: Optional[int] = None) -> GenExpRep:
         ss = reduce_ram(ss)
         if r % ss.ram:
             raise ValueError("series not representable at this ramification")
-        ss = ss.lift(r)
-    ss = ss.strip()
+        ss = lift(ss, r)
+    ss = strip(ss)
     if not ss.coeffs or not ss.coeffs[0]:
         raise ValueError("series is zero to truncation order")
     if ss.nterms < r + 1:
@@ -130,7 +226,7 @@ def twisted_series(polys: Sequence[Poly], g: TSeries, slots: int) -> List[TSerie
     """Coefficient series b_i of L ⊛ (τ - 1/g) for exact windowed g."""
     ram = g.ram
     d = len(polys) - 1
-    rho = inverse(g).retrunc(slots)
+    rho = retrunc(inverse(g), slots)
     windows = _coeff_windows(polys, ram, slots)
     taus = [rho]
     for _ in range(d - 1):
@@ -138,15 +234,15 @@ def twisted_series(polys: Sequence[Poly], g: TSeries, slots: int) -> List[TSerie
     suffix = [None] * (d + 1)
     suffix[d] = TSeries(ram, 0, (Fraction(1),) + (Fraction(0),) * (slots - 1))
     for i in range(d - 1, -1, -1):
-        suffix[i] = taus[i] * suffix[i + 1]
-    return [windows[i] * suffix[i] for i in range(d + 1)]
+        suffix[i] = mul(taus[i], suffix[i + 1])
+    return [mul(windows[i], suffix[i]) for i in range(d + 1)]
 
 
 def _tail_candidates(polys, c, v: Fraction, beta, ram: int) -> List[GenExpRep]:
     base = field_of([c, beta])
     for slots in (2 * ram + 2, 4 * ram + 4):
         if ram == 1:
-            g = TSeries.monomial(c, v, 1, slots)
+            g = monomial(c, v, 1, slots)
         else:
             cs = [c, c * beta] + [Fraction(0)] * (slots - 2)
             g = TSeries(2, int(Fraction(v) * 2), cs[:slots])
@@ -166,17 +262,17 @@ def _ramified_branch(polys, c, v: Fraction, want_beta_zero: bool):
     entries: List[GenExpRep] = []
     incomplete = False
     for slots in (6, 12):
-        bs = twisted_series(polys, TSeries.monomial(c, v, 2, slots), slots)
+        bs = twisted_series(polys, monomial(c, v, 2, slots), slots)
         mal = []
         for alpha in range(d + 1):
             acc = None
             for i in range(alpha, d + 1):
-                term = bs[i] * Fraction(math.comb(i, alpha))
-                acc = term if acc is None else acc + term
+                term = mul(bs[i], Fraction(math.comb(i, alpha)))
+                acc = term if acc is None else add(acc, term)
             mal.append(acc)
         vals = []
         for alpha, m in enumerate(mal):
-            va = m.valuation()
+            va = valuation(m)
             if va is not None:
                 vals.append((alpha, va))
         if not vals:
@@ -196,7 +292,7 @@ def _ramified_branch(polys, c, v: Fraction, want_beta_zero: bool):
                 spacing = math.gcd(spacing, alpha - a0)
             phi = [Fraction(0)] * ((touch[-1][0] - a0) // spacing + 1)
             for alpha, va in touch:
-                lead = mal[alpha].coeff_at(va)
+                lead = coeff_at(mal[alpha], va)
                 phi[(alpha - a0) // spacing] = phi[(alpha - a0) // spacing] + lead
             for B, _m in roots(Poly(phi), field_of([c, *phi])):
                 if spacing == 1:

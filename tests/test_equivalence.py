@@ -28,7 +28,7 @@ from symsolve.equivalence import (
 from symsolve.factorization import factor_over_Q
 from symsolve.fieldext import NumberField
 from symsolve.linalg import DependencyFinder, nullspace_rational
-from symsolve.localdata import problem_points
+from symsolve.localdata import edges_at_infinity, problem_points
 from symsolve.opformat import parse_operator, print_operator
 from symsolve.ore import Operator
 from symsolve.poly import P, Poly, poly_lcm
@@ -40,6 +40,7 @@ from symsolve.symprod import (
     symprod_general,
     symsquare_order2,
 )
+from symsolve.table import load_table
 
 import shift_reference
 
@@ -480,6 +481,77 @@ class TestGtFind:
         assert t is not None
         assert shift_quotient_inverse(t.r / r) is not None
         assert t.G.bijective
+
+
+# symmetric squares of random order-2 operators whose local data match
+# a table entry; each candidate's twisted base has other leading
+# constants at infinity than L
+REJECT_CANDIDATES = [
+    (
+        "(27*x^4 - 27*x^3)*S^3 - (30*x^4 + 12*x^3 - 48*x^2 - 12*x + 18)*S^2"
+        " - (20*x^4 + 28*x^3 - 4*x^2 - 12*x)*S + 8*x^4 + 16*x^3 + 8*x^2",
+        "legendre_sq", {"z": F(4, 3)},
+        # constants {-2/3, 8/9 ± 2/9·sqrt 7} against {-2/3, -46/27 ∓ 16/27·sqrt 7}
+        Poly([F(8, 27), F(-20, 27), F(-10, 9), F(1)]),
+        Poly([F(8, 27), F(220, 81), F(110, 27), F(1)]),
+    ),
+    (
+        "(x^3 - x^2)*S^3 - (x^3 - 2*x^2 + 10*x - 9)*S^2 - (x^3 - x^2 + 9*x)*S"
+        " + x^3 - 2*x^2 + x",
+        "gauss2f1_sq", {"a": F(0), "b": F(1, 2), "c": F(1), "z": F(1, 2)},
+        # constants {-1, 1, 1} against {-1, ±i}
+        Poly([F(1), F(-1), F(-1), F(1)]),
+        Poly([F(1), F(1), F(1), F(1)]),
+    ),
+]
+
+
+def _reject_candidate(text, entry, assignment):
+    M, _ = load_table().entry(entry).instantiate(assignment)
+    return M, parse_operator(text)
+
+
+def _count_hom_space(monkeypatch) -> list:
+    calls = []
+
+    def counting(L1, L2):
+        calls.append(L1)
+        return hom_space(L1, L2)
+
+    monkeypatch.setattr(equivalence, "hom_space", counting)
+    return calls
+
+
+class TestEdgePruning:
+    """A term ratio whose twisted base has other edges at infinity than
+    the target builds no hom_space system."""
+
+    @pytest.mark.parametrize("case", REJECT_CANDIDATES, ids=["legendre", "gauss"])
+    def test_reject_candidate_builds_no_system(self, monkeypatch, case):
+        M, L = _reject_candidate(*case[:3])
+        calls = _count_hom_space(monkeypatch)
+        assert gt_find(M, L) is None
+        assert calls == []
+
+    @pytest.mark.parametrize("case", REJECT_CANDIDATES, ids=["legendre", "gauss"])
+    def test_skipped_system_has_no_bijective_map(self, case):
+        M, L = _reject_candidate(*case[:3])
+        target, twisted = case[3:]
+        assert edges_at_infinity(L) == [(F(0), target)]
+        (r,) = term_candidates(M, L)
+        N = symprod_first_order(M, r)
+        assert edges_at_infinity(N) == [(F(0), twisted)]
+        assert not any(gm.bijective for gm in hom_space(N, L))
+
+    def test_kept_candidate_is_found(self, monkeypatch):
+        # the same base, disguised: the edges agree and one system is built
+        M, _ = _reject_candidate(*REJECT_CANDIDATES[0][:3])
+        r = RF([F(3, 2)])
+        L = transformed_operator(symprod_first_order(M, r), parse_operator("1 + x*S"))
+        calls = _count_hom_space(monkeypatch)
+        t = gt_find(M, L)
+        assert t is not None and t.G.bijective and t.r == r
+        assert len(calls) == 1
 
 
 def _reference_rows(p1, p2, u, width):

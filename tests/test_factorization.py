@@ -6,14 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symsolve.factorization import ExtensionDegreeError, factor_over_Q, roots
-from symsolve.fieldext import NumberField, field_of
+from symsolve.fieldext import NFElem, NumberField, demote, field_of
 from symsolve.localdata import local_data
 from symsolve.opformat import parse_operator
-from symsolve.poly import P, Poly
+from symsolve.poly import P, Poly, poly_gcd
 
 X = P(0, 1)
 Q2 = NumberField.quadratic(2)
 Qm3 = NumberField.quadratic(-3)
+Qm2 = NumberField.quadratic(-2)
 
 
 def over(field, *coeffs):
@@ -123,6 +124,58 @@ class TestBaseField:
             roots(X * X - P(3), Q2)
         with pytest.raises(ValueError, match="unsupported extension degree"):
             roots(over(Q2, -Q2.gen, 0, 1), Q2)  # x^2 - sqrt2
+
+
+def _linear_roots_by_factoring(p: Poly, base=None):
+    """The root of a linear p through the factors over Q, or over the
+    base through the gcds with the factors of the norm p·conj(p)."""
+    p = p.map_coeffs(demote)
+    if p.is_rational():
+        factors = [f for f, _ in factor_over_Q(p)[1]]
+    else:
+        pf = p.map_coeffs(base.coerce)
+        nrm = pf * pf.map_coeffs(NFElem.conjugate)
+        factors = [poly_gcd(pf, f.map_coeffs(base.coerce))
+                   for f, _ in factor_over_Q(nrm.map_coeffs(demote))[1]]
+        factors = [g for g in factors if g.degree >= 1]
+    return [(demote(-f[0] / f[1]), 1) for f in factors]
+
+
+small = st.fractions(min_value=-20, max_value=20, max_denominator=9)
+nonzero = small.filter(bool)
+
+
+class TestLinear:
+    """A linear polynomial gives its root with no factoring; the root,
+    its type and its multiplicity are those of the factoring path."""
+
+    @given(nonzero, small)
+    @settings(max_examples=60, deadline=None)
+    def test_over_Q(self, a, b):
+        p = P(b, a)
+        got = roots(p)
+        assert got == _linear_roots_by_factoring(p)
+        assert [type(r) for r, _ in got] == [F]
+
+    @given(st.tuples(small, small).filter(any), st.tuples(small, small))
+    @settings(max_examples=60, deadline=None)
+    def test_over_a_quadratic_field(self, a, b):
+        p = Poly((Qm2.element(list(b)), Qm2.element(list(a))))
+        got, want = roots(p, Qm2), _linear_roots_by_factoring(p, Qm2)
+        assert got == want
+        assert [type(r) for r, _ in got] == [type(r) for r, _ in want]
+
+    def test_rational_root_of_irrational_coefficients(self):
+        s = Qm2.gen
+        assert roots(Poly((2 * s, -s)), Qm2) == [(F(2), 1)]
+
+    def test_no_factoring(self, monkeypatch):
+        def refuse(p):
+            raise AssertionError("factored a linear polynomial")
+
+        monkeypatch.setattr("symsolve.factorization.factor_over_Q", refuse)
+        assert roots(P(3, 2)) == [(F(-3, 2), 1)]
+        assert roots(Poly((Qm2.gen, F(1))), Qm2) == [(-Qm2.gen, 1)]
 
 
 def test_cubic_edge_at_infinity_unsupported():

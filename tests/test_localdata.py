@@ -3,16 +3,18 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from symsolve import localdata, snf
+from symsolve.equivalence import transformed_operator
 from symsolve.factorization import factor_over_Q
 from symsolve.fieldext import NumberField, sqrt_as_field_element
 from symsolve.localdata import (
     GenExpRep,
     SingularityClass,
     ValGEntry,
+    edges_at_infinity,
     generalized_exponents,
     gquo,
     indicial_polynomial,
@@ -31,7 +33,7 @@ from symsolve.snf import canonical_shift
 from symsolve.symprod import symprod_first_order, symprod_general, symsquare_order2
 
 import genexp_reference
-from genexp_reference import div, series, trunc
+from genexp_reference import div, mul, one, series, trunc
 from indicial_reference import indicial_of_series
 
 X = P(0, 1)
@@ -490,7 +492,7 @@ class TestGenExp:
                  TSeries.from_poly_in_invx(r.den, 2, 8))
         right = set()
         for g in generalized_exponents(L):
-            q = trunc(series(g, 8) * rt, g.r)
+            q = trunc(mul(series(g, 8), rt), g.r)
             right.add((q.r, q.c, q.v, q.tail))
         assert left == right
 
@@ -631,6 +633,74 @@ class TestGenExpOracle:
         got = _genexp_outcome(localdata, L)
         assert got == _genexp_outcome(genexp_reference, L)
         assert len(got[0]) == 4 and got[1]
+
+
+#: term ratios and gauges of the planted sweep
+SWEEP_RATIOS = (RF([1]), RF([2]), RF([F(-1, 2)]), RF([0, 1]), RF([1], [0, 1]),
+                RF([1, 0, 1]), RF([1, 1], [2, 1]), RF([0, 3], [1, 0, 1]))
+SWEEP_GAUGES = (None, "1 + S", "2 + S", "1 + x*S", "1 + S^2", "x + S",
+                "(x+1) + x*S^2")
+
+
+def _twisted_edges(edges, r: RatFunc):
+    """Edges of L ⊛ (τ - r) from those of L: each slope rises by deg r
+    and each leading constant c becomes lead(r)·c, so each root
+    T = c^step of a monic edge polynomial becomes lead(r)^step·T."""
+    rise = r.num.degree - r.den.degree
+    rho = F(r.num.lead()) / F(r.den.lead())
+    out = []
+    for slope, phi in edges:
+        n = phi.degree
+        out.append((slope + rise, Poly([a * rho ** (slope.denominator * (n - k))
+                                        for k, a in enumerate(phi.coeffs)])))
+    return out
+
+
+class TestEdgesAtInfinity:
+    def test_monic_in_c(self):
+        # points (0, -2), (1, -1), (2, 0): one edge of slope 1, 1 + 2T + 3T^2
+        assert edges_at_infinity(parse_operator("3*S^2 + 2*x*S + x^2")) == [
+            (F(1), Poly([F(1, 3), F(2, 3), F(1)]))]
+
+    def test_half_integer_slope_in_c_squared(self):
+        assert edges_at_infinity(parse_operator("S^4 + x*S^2 + x^2")) == [
+            (F(1, 2), P(1, 1, 1))]
+
+    def test_points_off_the_edge_are_left_out(self):
+        # (1, 0) lies above the edge from (0, -1) to (2, -1)
+        assert edges_at_infinity(parse_operator("2*x*S^2 + S - 3*x")) == [
+            (F(0), Poly([F(-3, 2), F(0), F(1)]))]
+
+    def test_two_edges_in_order_of_slope(self):
+        # points (0, 0), (1, -2), (2, -1)
+        assert edges_at_infinity(parse_operator("2*x*S^2 + 3*x^2*S + 5")) == [
+            (F(-2), Poly([F(5, 3), F(1)])), (F(1), Poly([F(3, 2), F(1)]))]
+
+    @given(_small_order3(), st.sampled_from(SWEEP_RATIOS), st.sampled_from(SWEEP_GAUGES))
+    @settings(max_examples=80, deadline=None)
+    def test_twist_and_gauge_keep_monic_edges(self, L, r, gauge):
+        M = symprod_first_order(L, r)
+        if gauge is not None:
+            G = parse_operator(gauge)
+            assume(G.gcrd(M).order == 0)
+            M = transformed_operator(M, G)
+        edges = edges_at_infinity(L)
+        assert edges_at_infinity(M) == _twisted_edges(edges, r)
+        if any(slope.denominator == 2 for slope, _ in edges):
+            event("half-integer slope")
+        if any(phi.degree >= 2 for _, phi in edges):
+            event("edge polynomial of degree >= 2")
+        if gauge is not None:
+            event("gauge")
+
+    def test_generalized_exponents_read_the_edges(self):
+        # each leading constant c gives a root c^step of its slope's edge
+        for L in (hermite_sq(), legendre_sq(), turan_op()):
+            edges = edges_at_infinity(L)
+            for e in generalized_exponents(L):
+                phi = dict(edges)[-e.v]
+                T = e.c ** (-e.v).denominator
+                assert not phi.eval(T)
 
 
 def _count_roots(monkeypatch, module) -> list:
@@ -788,7 +858,7 @@ class TestGquo:
         for L in (turan_op(), hermite_sq()):
             q = gquo(generalized_exponents(L))
             for e in q:
-                inv = trunc(div(TSeries.one(e.r, 2 * e.r + 2), series(e, 2 * e.r + 2)), e.r)
+                inv = trunc(div(one(e.r, 2 * e.r + 2), series(e, 2 * e.r + 2)), e.r)
                 assert any(inv == other for other in q)
 
 

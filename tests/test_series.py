@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from symsolve.poly import P
 from symsolve.series import TSeries
 
-from genexp_reference import div, inverse, reduce_ram, tau
+from genexp_reference import (
+    add, coeff_at, div, inverse, lift, mul, one, reduce_ram, strip, sub, tau, valuation,
+)
 
 
 def S(ram, val, *coeffs):
@@ -32,42 +34,42 @@ class TestConstruction:
     def test_from_poly_in_invx(self):
         # p = x^2 + 3 as a series in t = 1/x: t^{-2} + 3
         s = TSeries.from_poly_in_invx(P(3, 0, 1), 1, 2)
-        assert s.coeff_at(Fraction(-2)) == 1
-        assert s.coeff_at(Fraction(-1)) == 0
-        assert s.coeff_at(Fraction(0)) == 3
+        assert coeff_at(s, Fraction(-2)) == 1
+        assert coeff_at(s, Fraction(-1)) == 0
+        assert coeff_at(s, Fraction(0)) == 3
         assert s.end == 3  # two known zero terms past the constant
 
     def test_valuation_strips_zeros(self):
         s = S(2, -1, 0, 0, 5, 7)
-        assert s.valuation() == Fraction(1, 2)
-        assert s.strip().coeffs[0] == 5
+        assert valuation(s) == Fraction(1, 2)
+        assert strip(s).coeffs[0] == 5
 
     def test_zero_window(self):
         s = S(1, 0, 0, 0, 0)
-        assert s.is_zero() and s.valuation() is None
+        assert s.is_zero() and valuation(s) is None
 
 
 class TestArithmetic:
     def test_add_window_is_min(self):
         a = S(1, -1, 1, 1, 1)  # known through t^1
         b = S(1, 0, 2)         # known through t^0
-        c = a + b
+        c = add(a, b)
         assert c.val == -1 and c.end == 1
         assert c.coeffs == (Fraction(1), Fraction(3))
 
     def test_mul_truncation(self):
         a = S(1, 0, 1, 1, 1)
         b = S(1, 0, 1, -1, 0)
-        c = a * b
+        c = mul(a, b)
         assert c.coeffs == (Fraction(1), Fraction(0), Fraction(0))
 
     def test_inverse_roundtrip(self):
         a = S(1, -2, 3, 1, 4, 1, 5)
-        assert (a * inverse(a) - TSeries.one(1, 5)).is_zero()
+        assert sub(mul(a, inverse(a)), one(1, 5)).is_zero()
 
     def test_div_pow(self):
         a = S(2, 1, 1, 2, 1, 7)
-        assert (div(a * a * a, a * a) - a).is_zero()
+        assert sub(div(mul(mul(a, a), a), mul(a, a)), a).is_zero()
 
     def test_int_coefficients_stay_exact(self):
         a = TSeries(1, 0, (2, 1, 0))
@@ -80,18 +82,18 @@ class TestArithmetic:
 
     def test_lift_reduce(self):
         a = S(1, -1, 2, 0, 5)
-        assert (reduce_ram(a.lift(3)) - a).is_zero()
+        assert sub(reduce_ram(lift(a, 3)), a).is_zero()
 
     @given(small_series(), small_series())
     @settings(max_examples=40, deadline=None)
     def test_mul_commutes(self, a, b):
-        assert (a * b - b * a).is_zero()
+        assert sub(mul(a, b), mul(b, a)).is_zero()
 
 
 class TestTau:
     def test_tau_fixes_one(self):
-        one = TSeries.one(1, 5)
-        assert (tau(one) - one).is_zero()
+        e = one(1, 5)
+        assert sub(tau(e), e).is_zero()
 
     def test_tau_on_t(self):
         # tau(t) = t/(1+t) = t - t^2 + t^3 - ...
@@ -102,17 +104,17 @@ class TestTau:
         # tau(t^{1/2}) = t^{1/2}(1 - t/2 + 3t^2/8 - ...)
         s = S(2, 1, 1, 0, 0, 0, 0, 0)
         out = tau(s)
-        assert out.coeff_at(Fraction(1, 2)) == 1
-        assert out.coeff_at(Fraction(3, 2)) == Fraction(-1, 2)
-        assert out.coeff_at(Fraction(5, 2)) == Fraction(3, 8)
+        assert coeff_at(out, Fraction(1, 2)) == 1
+        assert coeff_at(out, Fraction(3, 2)) == Fraction(-1, 2)
+        assert coeff_at(out, Fraction(5, 2)) == Fraction(3, 8)
 
     @given(small_series(), small_series())
     @settings(max_examples=40, deadline=None)
     def test_tau_is_additive(self, a, b):
-        assert (tau(a + b) - (tau(a) + tau(b))).is_zero()
+        assert sub(tau(add(a, b)), add(tau(a), tau(b))).is_zero()
 
     @given(small_series(2), small_series(2))
     @settings(max_examples=40, deadline=None)
     def test_tau_is_multiplicative(self, a, b):
-        assert (tau(a * b) - tau(a) * tau(b)).is_zero()
+        assert sub(tau(mul(a, b)), mul(tau(a), tau(b))).is_zero()
 
