@@ -104,10 +104,10 @@ def roots(p: Poly, base: Optional[NumberField] = None) -> List[Tuple[object, int
             found = [-f[0] / f[1]]
         elif f.degree == 2:
             disc = f[1] * f[1] - 4 * f[2] * f[0]
-            got = value_sqrt(disc if base is None else base.coerce(disc))
-            if got is None:
+            s = value_sqrt(disc if base is None else base.coerce(disc))
+            if s is None:
                 raise ExtensionDegreeError(f)
-            found = [(-f[1] + got[0]) / (2 * f[2]), (-f[1] - got[0]) / (2 * f[2])]
+            found = [(-f[1] + s) / (2 * f[2]), (-f[1] - s) / (2 * f[2])]
         else:
             raise ExtensionDegreeError(f)
         out += [(demote(r), m or root_multiplicity(pf, r)) for r in found]

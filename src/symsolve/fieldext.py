@@ -1,22 +1,22 @@
-"""Number fields Q[y]/(m(y)) with exact element arithmetic, and the rules
-for values that are a Fraction or an element of one quadratic field.
+"""The quadratic fields Q(sqrt(core)) with exact element arithmetic, and
+the rules for values that are a Fraction or an element of one of them.
 
 Local data at infinity (generalized exponents, their quotients, the
-table's sqrt templates) live in Q or in one quadratic field Q(sqrt(core)),
-core a squarefree integer, which keeps square-root extraction elementary;
-`field_of` and `value_sqrt` enforce that reach.  The element arithmetic
-is written for any degree.  (`valuation_growth` does not use it: for a
-singularity class of any degree it works on integer coordinates in
-Z[theta'] itself.)
+table's sqrt templates) live in Q or in one quadratic field
+Q(sqrt(core)), core a squarefree integer other than 0 and 1: the leading
+constants of a GT disguise of Sym²(K) lie there, and any other edge
+factor is a named rejection (`generalized_exponents`).  So this is the
+only kind of number field the package builds; `field_of` and
+`value_sqrt` enforce that reach.  (`valuation_growth` works on
+singularity classes of any degree, but keeps its own integer coordinate
+lists over Z[theta'] and builds no field here.)
 
-An element is stored as integer numerators over one positive integer
-denominator, (n_0 + n_1·y + ... + n_(d-1)·y^(d-1)) / den, with
-gcd(n_0, ..., n_(d-1), den) = 1, so equality is structural.  The field
-keeps y^d, ..., y^(2d-2) reduced modulo m as integer rows over one
-denominator (a monic m may have non-integral coefficients), so a product
-is one integer convolution, one fold of its high part through those rows
-and one gcd.  ``coords`` gives the coordinates as Fractions for printing,
-keys and square roots; the arithmetic never reads it.
+An element is (a + b·sqrt(core)) / den with integers a, b and den > 0,
+gcd(a, b, den) = 1, so equality is structural.  Sums, products, the
+conjugate and the inverse (the conjugate over the norm) are the closed
+quadratic formulas followed by one gcd.  ``coords`` gives (a/den, b/den)
+as Fractions for printing, keys and square roots; the arithmetic never
+reads it.
 
 A rational-valued element of any field mixes, compares and hashes like a
 Fraction; irrational elements of two different fields do not mix.
@@ -28,7 +28,7 @@ import math
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .poly import P, Poly, poly_xgcd
+from .poly import P
 
 __all__ = [
     "NumberField",
@@ -38,83 +38,49 @@ __all__ = [
     "value_sqrt",
     "squarefree_core",
     "rational_sqrt",
-    "sqrt_as_field_element",
-    "field_sqrt",
 ]
 
 
-def _normal(field: "NumberField", nums, den: int) -> "NFElem":
-    """nums/den with the common factor of numerators and den removed."""
+def _normal(field: "NumberField", a: int, b: int, den: int) -> "NFElem":
+    """(a + b·y)/den, den > 0, with the common factor removed."""
     if den != 1:
-        g = math.gcd(den, *nums)
+        g = math.gcd(a, b, den)
         if g != 1:
-            nums = [n // g for n in nums]
-            den //= g
-    return NFElem(field, tuple(nums), den)
+            a, b, den = a // g, b // g, den // g
+    return NFElem(field, a, b, den)
 
 
 class NumberField:
-    """Q[y]/(m(y)) for monic irreducible m over Q."""
+    """Q(sqrt(core)) = Q[y]/(y² - core) for a squarefree integer core other
+    than 0 and 1; ``modulus`` is y² - core."""
 
-    __slots__ = ("modulus", "name", "_red", "_red_den", "zero", "one", "gen")
+    __slots__ = ("core", "modulus", "name", "zero", "one", "gen")
 
-    def __init__(self, modulus: Poly, name: str = "s"):
-        if not modulus or modulus.degree < 1:
-            raise ValueError("modulus must be nonconstant")
-        modulus = modulus.monic()
-        self.modulus = modulus
-        self.name = name
-        d = modulus.degree
-        # y^k mod m for k = d .. 2d-2, as Fraction coefficient lists
-        low = [-Fraction(c) for c in modulus.coeffs[:-1]]  # y^d
-        rows = []
-        cur = low
-        for _ in range(d - 1):
-            rows.append(cur)
-            top = cur[-1]
-            cur = [Fraction(0)] + cur[:-1]  # * y
-            if top:
-                cur = [a + top * b for a, b in zip(cur, low)]
-        # ... as integer rows over one denominator
-        self._red_den = math.lcm(*(c.denominator for row in rows for c in row))
-        self._red = tuple(
-            tuple((c * self._red_den).numerator for c in row) for row in rows
-        )
-        zeros = (0,) * (d - 1)
-        self.zero = NFElem(self, (0,) + zeros, 1)
-        self.one = NFElem(self, (1,) + zeros, 1)
-        # y itself; over a linear modulus that is the rational root
-        self.gen = self.element([0, 1]) if d > 1 else self.from_rational(low[0])
-
-    @classmethod
-    def quadratic(cls, core: int, name: Optional[str] = None) -> "NumberField":
-        """Q(sqrt(core)), core a squarefree integer != 0, 1."""
-        if core in (0, 1):
-            raise ValueError("core must define a proper extension")
+    def __init__(self, core: int, name: Optional[str] = None):
+        if not isinstance(core, int) or core == 1 or squarefree_core(core) != (1, core):
+            raise ValueError(f"core {core} is not a squarefree integer other than 0 and 1")
+        self.core = core
+        self.modulus = P(-core, 0, 1)
         if name is None:
             name = f"sqrt{core}" if core > 0 else f"sqrt_m{-core}"
-        return cls(P(-core, 0, 1), name=name)
-
-    @property
-    def degree(self) -> int:
-        return self.modulus.degree
+        self.name = name
+        self.zero = NFElem(self, 0, 0, 1)
+        self.one = NFElem(self, 1, 0, 1)
+        self.gen = NFElem(self, 0, 1, 1)
 
     def element(self, coords) -> "NFElem":
-        cs = [Fraction(c) for c in coords]
-        if len(cs) > self.degree:
+        """c_0 + c_1·y from at most two rational coordinates."""
+        if len(coords) > 2:
             raise ValueError("too many coordinates")
-        cs += [Fraction(0)] * (self.degree - len(cs))
+        a, b = (Fraction(c) for c in (*coords, 0, 0)[:2])
         # over the lcm of the denominators the numerators are coprime to it
-        den = math.lcm(*(c.denominator for c in cs))
-        return NFElem(self, tuple((c * den).numerator for c in cs), den)
+        den = math.lcm(a.denominator, b.denominator)
+        return NFElem(self, a.numerator * (den // a.denominator),
+                      b.numerator * (den // b.denominator), den)
 
     def from_rational(self, q) -> "NFElem":
         q = Fraction(q)
-        return self._rational(q.numerator, q.denominator)
-
-    def _rational(self, num: int, den: int) -> "NFElem":
-        # num/den in lowest terms, den > 0
-        return NFElem(self, (num,) + (0,) * (self.degree - 1), den)
+        return NFElem(self, q.numerator, 0, q.denominator)
 
     def coerce(self, v) -> "NFElem":
         if isinstance(v, NFElem):
@@ -122,43 +88,44 @@ class NumberField:
                 return v
             if not v.is_rational():
                 raise ValueError("element from a different field")
-            return self._rational(v.nums[0], v.den)
+            return NFElem(self, v.a, 0, v.den)
         return self.from_rational(v)
 
     def __eq__(self, other):
-        return isinstance(other, NumberField) and self.modulus == other.modulus
+        return isinstance(other, NumberField) and self.core == other.core
 
     def __hash__(self):
-        return hash(("NumberField", self.modulus.coeffs))
+        return hash(("NumberField", self.core))
 
     def __repr__(self):
         return f"Q[{self.name}]/({self.modulus.to_str(self.name)})"
 
 
 class NFElem:
-    """(nums[0] + nums[1]·y + ...) / den in a NumberField, in lowest terms."""
+    """(a + b·y) / den in Q(y), y² = core, in lowest terms with den > 0."""
 
-    __slots__ = ("field", "nums", "den")
+    __slots__ = ("field", "a", "b", "den")
 
-    def __init__(self, field: NumberField, nums: Tuple[int, ...], den: int):
+    def __init__(self, field: NumberField, a: int, b: int, den: int):
         self.field = field
-        self.nums = nums
+        self.a = a
+        self.b = b
         self.den = den
 
     @property
-    def coords(self) -> Tuple[Fraction, ...]:
-        return tuple(Fraction(n, self.den) for n in self.nums)
+    def coords(self) -> Tuple[Fraction, Fraction]:
+        return Fraction(self.a, self.den), Fraction(self.b, self.den)
 
     def is_rational(self) -> bool:
-        return not any(self.nums[1:])
+        return not self.b
 
     def as_rational(self) -> Fraction:
-        if not self.is_rational():
+        if self.b:
             raise ValueError(f"{self} is irrational")
-        return Fraction(self.nums[0], self.den)
+        return Fraction(self.a, self.den)
 
     def __bool__(self):
-        return any(self.nums)
+        return bool(self.a or self.b)
 
     def _pair(self, other) -> Optional[Tuple["NFElem", "NFElem"]]:
         """(self, other) as elements of one field; None when other is
@@ -166,40 +133,38 @@ class NFElem:
         if isinstance(other, NFElem):
             if other.field is self.field or other.field == self.field:
                 return self, other
-            if other.is_rational():
-                return self, self.field._rational(other.nums[0], other.den)
-            if self.is_rational():
-                return other.field._rational(self.nums[0], self.den), other
+            if not other.b:
+                return self, NFElem(self.field, other.a, 0, other.den)
+            if not self.b:
+                return NFElem(other.field, self.a, 0, self.den), other
             return None
         if isinstance(other, int):
-            return self, self.field._rational(other, 1)
+            return self, NFElem(self.field, other, 0, 1)
         if isinstance(other, Fraction):
-            return self, self.field._rational(other.numerator, other.denominator)
+            return self, NFElem(self.field, other.numerator, 0, other.denominator)
         return None
 
     def __add__(self, other):
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
-        a, b = pair
-        if a.den == b.den:
-            nums = [x + y for x, y in zip(a.nums, b.nums)]
-            return _normal(a.field, nums, a.den)
-        da, db = a.den, b.den
-        nums = [x * db + y * da for x, y in zip(a.nums, b.nums)]
-        return _normal(a.field, nums, da * db)
+        x, y = pair
+        if x.den == y.den:
+            return _normal(x.field, x.a + y.a, x.b + y.b, x.den)
+        return _normal(x.field, x.a * y.den + y.a * x.den,
+                       x.b * y.den + y.b * x.den, x.den * y.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NFElem(self.field, tuple(-a for a in self.nums), self.den)
+        return NFElem(self.field, -self.a, -self.b, self.den)
 
     def __sub__(self, other):
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
-        a, b = pair
-        return a + (-b)
+        x, y = pair
+        return x + (-y)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -208,63 +173,36 @@ class NFElem:
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
-        a, b = pair
-        field = a.field
-        d = len(a.nums)
-        prod = [0] * (2 * d - 1)
-        for i, x in enumerate(a.nums):
-            if x:
-                for j, y in enumerate(b.nums):
-                    if y:
-                        prod[i + j] += x * y
-        den = a.den * b.den
-        out = prod[:d]
-        if any(prod[d:]):
-            # prod[k]·y^k for k >= d folds in as prod[k]·_red[k-d] / _red_den
-            rd = field._red_den
-            if rd != 1:
-                out = [c * rd for c in out]
-                den *= rd
-            for c, row in zip(prod[d:], field._red):
-                if c:
-                    for i in range(d):
-                        out[i] += c * row[i]
-        return _normal(field, out, den)
+        x, y = pair
+        field = x.field
+        return _normal(field, x.a * y.a + field.core * x.b * y.b,
+                       x.a * y.b + x.b * y.a, x.den * y.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "NFElem":
+        """den·(a - b·y)/(a² - core·b²): the conjugate over the norm."""
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
-        n0 = self.nums[0]
-        if self.is_rational():
-            return self.field._rational(self.den if n0 > 0 else -self.den, abs(n0))
-        if self.field.degree == 2:
-            # (n0 + n1·y)·(n0 + n1·y') = n0² - n0·n1·m1 + n1²·m0 for the
-            # conjugate root y' = -m1 - y of y² + m1·y + m0
-            m0, m1 = self.field.modulus.coeffs[:2]
-            n1 = self.nums[1]
-            norm = n0 * n0 - n0 * n1 * m1 + n1 * n1 * m0
-            return self.field.element([(n0 - n1 * m1) * self.den / norm,
-                                       -n1 * self.den / norm])
-        g, s, _ = poly_xgcd(Poly(self.coords), self.field.modulus)
-        if g.degree != 0:
-            raise ZeroDivisionError("modulus not coprime to element")
-        return self.field.element([s[i] for i in range(self.field.degree)])
+        a, b = self.a, self.b
+        norm = a * a - self.field.core * b * b
+        if norm < 0:
+            a, b, norm = -a, -b, -norm
+        return _normal(self.field, self.den * a, -self.den * b, norm)
 
     def __truediv__(self, other):
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
-        a, b = pair
-        return a * b.inverse()
+        x, y = pair
+        return x * y.inverse()
 
     def __rtruediv__(self, other):
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
-        a, b = pair
-        return b * a.inverse()
+        x, y = pair
+        return y * x.inverse()
 
     def __pow__(self, n: int):
         if n < 0:
@@ -280,55 +218,37 @@ class NFElem:
         return result
 
     def conjugate(self) -> "NFElem":
-        """Galois conjugate (quadratic fields only)."""
-        if self.field.degree != 2:
-            raise ValueError("conjugate implemented for quadratic fields only")
-        p = self.field.modulus[1]
-        a, b = self.coords
-        return self.field.element([a - b * p, -b])
+        """Galois conjugate: y -> -y."""
+        return NFElem(self.field, self.a, -self.b, self.den)
 
     def norm(self) -> Fraction:
-        if self.field.degree != 2:
-            raise ValueError("norm implemented for quadratic fields only")
-        return (self * self.conjugate()).as_rational()
+        return Fraction(self.a * self.a - self.field.core * self.b * self.b,
+                        self.den * self.den)
 
     def __eq__(self, other):
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
-        a, b = pair
-        return a.den == b.den and a.nums == b.nums
+        x, y = pair
+        return x.den == y.den and x.a == y.a and x.b == y.b
 
     def __hash__(self):
-        if self.is_rational():
-            return hash(Fraction(self.nums[0], self.den))
+        if not self.b:
+            return hash(Fraction(self.a, self.den))
         return hash((self.field.modulus.coeffs, self.coords))
 
     def __repr__(self):
         return self.to_str()
 
     def to_str(self) -> str:
+        a, b = self.coords
+        if not b:
+            return str(a)
         name = self.field.name
-        parts = []
-        for i, c in enumerate(self.coords):
-            if not c:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                v = name if i == 1 else f"{name}^{i}"
-                if c == 1:
-                    parts.append(v)
-                elif c == -1:
-                    parts.append(f"-{v}")
-                else:
-                    parts.append(f"{c}*{v}")
-        if not parts:
-            return "0"
-        s = parts[0]
-        for t in parts[1:]:
-            s += " - " + t[1:] if t.startswith("-") else " + " + t
-        return s
+        t = name if b == 1 else f"-{name}" if b == -1 else f"{b}*{name}"
+        if not a:
+            return t
+        return f"{a} - {t[1:]}" if t.startswith("-") else f"{a} + {t}"
 
 
 def demote(v):
@@ -379,50 +299,29 @@ def rational_sqrt(q: Fraction) -> Optional[Fraction]:
     return outside if core == 1 else None
 
 
-def sqrt_as_field_element(q) -> Tuple[Optional[NumberField], object]:
-    """Square root of a rational: (None, Fraction) when rational, else
-    (Q(sqrt core), element) using the positive/upper-half embedding."""
-    q = Fraction(q)
-    outside, core = squarefree_core(q)
-    if core == 1:
-        return None, outside
-    field = NumberField.quadratic(core)
-    return field, field.element([0, outside])
+def value_sqrt(v):
+    """A square root of v, or None.
 
-
-def value_sqrt(v) -> Optional[Tuple[object, Optional[NumberField]]]:
-    """A square root of v as (root, its field or None).  A Fraction always
-    has one, in Q or in Q(sqrt core); an NFElem only inside its own field,
-    else None."""
-    if isinstance(v, NFElem):
-        s = field_sqrt(v, v.field)
-        return None if s is None else (s, v.field)
-    fld, s = sqrt_as_field_element(v)
-    return s, fld
-
-
-def field_sqrt(v, field: NumberField) -> Optional["NFElem"]:
-    """Square root of v inside the given quadratic field, if one exists."""
-    v = field.coerce(v)
-    core = -field.modulus[0]
-    if field.modulus[1]:
-        raise ValueError("field generator is not a pure square root")
+    A rational always has one: a Fraction, or outside·y in Q(sqrt core)
+    for q = outside²·core (the positive or upper-half root).  An NFElem
+    has one only inside its own field, rational values included: there
+    (u + w·y)² = d0 + d1·y means u² + core·w² = d0 and 2uw = d1, so
+    u² = (d0 ± N)/2 with N² = d0² - core·d1² the norm."""
+    if not isinstance(v, NFElem):
+        outside, core = squarefree_core(Fraction(v))
+        return outside if core == 1 else NumberField(core).element([0, outside])
+    field = v.field
     d0, d1 = v.coords
     if not d1:
-        out, c = squarefree_core(d0)
-        if c == 1:
-            return field.from_rational(out)
-        if c == core:
-            return field.element([0, out])
-        return None
-    # (u + w*s)^2 = d0 + d1*s:  2uw = d1, u^2 + core*w^2 = d0
-    nrm = rational_sqrt(d0 * d0 - core * d1 * d1)
+        outside, core = squarefree_core(d0)
+        if core == 1:
+            return field.from_rational(outside)
+        return field.element([0, outside]) if core == field.core else None
+    nrm = rational_sqrt(d0 * d0 - field.core * d1 * d1)
     if nrm is None:
         return None
     for n in (nrm, -nrm):
-        u2 = (d0 + n) / 2
-        u = rational_sqrt(u2)
-        if u is not None and u:
-            w = d1 / (2 * u)
-            return field.element([u, w])
+        u = rational_sqrt((d0 + n) / 2)
+        if u:
+            return field.element([u, d1 / (2 * u)])
     return None

@@ -304,16 +304,6 @@ def valg_set(L: Operator) -> Set[ValGEntry]:
 # -- indicial polynomial ------------------------------------------------------
 
 
-def _coeff_windows(polys: Sequence[Poly], ram: int, pad: int) -> List[TSeries]:
-    out = []
-    for p in polys:
-        if not p:
-            out.append(TSeries(ram, 0, (Fraction(0),) * (pad + 1)))
-        else:
-            out.append(TSeries.from_poly_in_invx(p, ram, pad))
-    return out
-
-
 def _indicial_of_series(bs: Sequence[TSeries]):
     """First t-level of sum_i b_i(t)·(1+it)^(-n) with a nonzero coefficient,
     as (Poly in n, level as Fraction); None when the window shows nothing.
@@ -346,17 +336,26 @@ def _indicial_of_series(bs: Sequence[TSeries]):
 
 
 def indicial_polynomial(L: Operator) -> Tuple[Poly, Fraction]:
-    """(P, v) with L(t^n) = P(n)·t^(n+v) + higher order, t = 1/x."""
+    """(P, v) with L(t^n) = P(n)·t^(n+v) + higher order, t = 1/x.
+
+    The series a_i(1/t) are the twist at slope 0 with c = 1: ``_Slope``
+    gives them times the one scalar that clears L's coefficients to
+    integers, exact on ``slots`` terms from t^(-deg a_i).  So P comes out
+    times that scalar, which is divided out."""
     if not any(L.coeffs):
         raise ValueError("zero operator has no indicial polynomial")
     polys = L.poly_coeffs()
+    bs = _int_cleared(polys)
+    scale = next(b[-1] / p.lead() for b, p in zip(bs, polys) if p)
     degs = [p.degree for p in polys if p]
     span = max(degs) - min(degs)
     pad0 = L.order + span + 4
+    slope = _Slope(bs, Fraction(0), 1)
     for pad in (pad0, 2 * pad0):
-        got = _indicial_of_series(_coeff_windows(polys, 1, pad))
+        # the shortest window ends at t^(pad+1)
+        got = _indicial_of_series(slope.twisted(1, None, pad + 1 + max(degs)))
         if got:
-            return got
+            return got[0] / scale, got[1]
     raise ValueError("increase truncation")
 
 
@@ -489,10 +488,10 @@ def edges_at_infinity(L: Operator) -> List[Tuple[Fraction, Poly]]:
 
 def _sqrt(v):
     """A square root of the value v; raises outside quadratic reach."""
-    got = value_sqrt(v)
-    if got is None:
+    s = value_sqrt(v)
+    if s is None:
         raise ValueError("unsupported extension degree")
-    return got[0]
+    return s
 
 
 def _add_into(acc: list, p: list) -> None:

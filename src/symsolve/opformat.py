@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Union
 
-from .fieldext import NFElem, demote, sqrt_as_field_element
+from .fieldext import NFElem, demote, value_sqrt
 from .ore import Operator
 from .poly import Poly
 
@@ -236,7 +236,7 @@ def _eval(node, params: Mapping[str, Fraction]) -> Value:
             raise ExprError("nested radicals are not supported", pos)
         if isinstance(v, Operator):
             raise ExprError("sqrt does not mix with x or S", pos)
-        return sqrt_as_field_element(v)[1]
+        return value_sqrt(v)
     return _arith(kind, _eval(node[2], params), _eval(node[3], params), pos)
 
 

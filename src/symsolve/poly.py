@@ -15,7 +15,7 @@ from math import gcd as _igcd
 from math import lcm as _lcm
 from typing import Iterable
 
-__all__ = ["Poly", "P", "x_poly", "poly_gcd", "poly_xgcd", "poly_lcm", "rational_content"]
+__all__ = ["Poly", "P", "x_poly", "poly_gcd", "poly_lcm", "rational_content"]
 
 
 def _fieldify(c):
@@ -401,22 +401,6 @@ def _int_cleared(polys) -> list:
     common denominator of all their coefficients: one scalar for all."""
     c = _lcm(*(Fraction(a).denominator for p in polys for a in p.coeffs))
     return [[(Fraction(a) * c).numerator for a in p.coeffs] for p in polys]
-
-
-def poly_xgcd(a: Poly, b: Poly):
-    """(g, s, t) with s*a + t*b = g, g monic."""
-    r0, r1 = a, b
-    s0, s1 = Poly.const(Fraction(1)), Poly()
-    t0, t1 = Poly(), Poly.const(Fraction(1))
-    while r1:
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if not r0:
-        return r0, s0, t0
-    inv = Fraction(1) / _fieldify(r0.lead())
-    return r0 * inv, s0 * inv, t0 * inv
 
 
 def poly_lcm(a: Poly, b: Poly) -> Poly:

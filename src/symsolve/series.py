@@ -7,16 +7,14 @@ elements, or polynomials in a symbol for indicial work).
 
 The twist of an operator at infinity, and the indicial step read off
 it, are formed in `localdata` on integer coefficient lists; a TSeries
-carries the resulting windows (and the coefficient windows of the
-indicial polynomial) into the indicial step.
+carries the resulting windows (for the indicial polynomial, the twist
+at slope 0) into the indicial step.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Sequence
-
-from .poly import Poly
 
 __all__ = ["TSeries"]
 
@@ -32,20 +30,6 @@ class TSeries:
         self.ram = ram
         self.val = val
         self.coeffs = tuple(coeffs)
-
-    @classmethod
-    def from_poly_in_invx(cls, p: Poly, ram: int, pad: int) -> "TSeries":
-        """p(1/t) as an exact Laurent window with `pad` extra known zeros."""
-        if not p:
-            return cls(ram, 0, (Fraction(0),) * pad)
-        rev = list(reversed(p.coeffs))
-        if ram > 1:
-            spread = []
-            for c in rev:
-                spread.append(c)
-                spread.extend([Fraction(0)] * (ram - 1))
-            rev = spread[: len(spread) - (ram - 1)]
-        return cls(ram, -p.degree * ram, tuple(rev) + (Fraction(0),) * pad)
 
     @property
     def nterms(self) -> int:

@@ -472,20 +472,11 @@ def match_local_data(data: LocalData, table: BaseTable) -> List[TableEntry]:
 # All table parameters are rational, so a branch that can only give an
 # irrational z is skipped; each matcher's docstring says why.
 
-def _rational_sqrts(q: Fraction) -> List[Fraction]:
-    s = rational_sqrt(q)
+def _both_signs(s) -> list:
+    """The square roots ±s read off one root s (``rational_sqrt`` or
+    ``value_sqrt``); none when s is None."""
     if s is None:
         return []
-    return [s, -s] if s else [s]
-
-
-def _value_sqrts(v) -> list:
-    """Square roots of a Fraction/NFElem, extending Q by one radical at most;
-    none for an NFElem that is no square in its own field."""
-    got = value_sqrt(v)
-    if got is None:
-        return []
-    s = got[0]
     return [s, -s] if s else [s]
 
 
@@ -521,7 +512,7 @@ def _match_gauss(entry: TableEntry, data: LocalData
         if g.r != 1 or g.v != 0:
             return []
         ratios = [-g.c]                            # value read as -R
-        ratios += _value_sqrts(g.c)                # value read as R^2
+        ratios += _both_signs(value_sqrt(g.c))     # value read as R^2
         for R in ratios:
             if not R:
                 continue
@@ -553,12 +544,12 @@ def _match_legendre(entry: TableEntry, data: LocalData
         # lambda^2-type element: z^2 = (a+1)^2 / (4a)
         zz = demote((aval + 1) * (aval + 1) / (4 * aval))
         if isinstance(zz, Fraction):
-            z_cands.extend(_rational_sqrts(zz))
+            z_cands.extend(_both_signs(rational_sqrt(zz)))
         # lambda^4-type element: z^2 = (2a +- sqrt(a^3+2a^2+a)) / (4a)
-        for s in _value_sqrts(aval * (aval + 1) * (aval + 1)):
+        for s in _both_signs(value_sqrt(aval * (aval + 1) * (aval + 1))):
             zz = demote((2 * aval + s) / (4 * aval))
             if isinstance(zz, Fraction):
-                z_cands.extend(_rational_sqrts(zz))
+                z_cands.extend(_both_signs(rational_sqrt(zz)))
     z_cands = [z for z in _sorted_unique(z_cands) if z != 0 and abs(z) != 1]
     return [{"z": z} for z in z_cands]
 
@@ -577,7 +568,7 @@ def _match_hermite(entry: TableEntry, data: LocalData
         if not isinstance(w2, Fraction):
             continue
         zz = -w2 / 2 if g.c == -1 else -w2 / 8
-        z_cands.extend(_rational_sqrts(zz))
+        z_cands.extend(_both_signs(rational_sqrt(zz)))
     z_cands = [z for z in _sorted_unique(z_cands) if z != 0]
     return [{"z": z} for z in z_cands]
 
@@ -598,7 +589,7 @@ def _match_bessel(entry: TableEntry, data: LocalData
             z_sq.append(-4 / g.c)
     z_cands: List[Fraction] = []
     for zz in z_sq:
-        z_cands.extend(_rational_sqrts(zz))
+        z_cands.extend(_both_signs(rational_sqrt(zz)))
     z_cands = [z for z in _sorted_unique(z_cands) if z != 0]
     return [{"z": z} for z in z_cands]
 

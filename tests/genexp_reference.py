@@ -7,7 +7,9 @@ term and one series product per coefficient; quotients of exponents go
 through a series division.  The package builds the twist once per slope
 over the integers, reads each root off it, searches one root per
 conjugate pair, and writes quotients in closed form; its results must
-agree with these.  The series arithmetic they use (sums, products,
+agree with these.  The indicial polynomial at infinity is here too, read
+off windows of L's own coefficients, where the package reads it off the
+integer twist at slope 0.  The series arithmetic they use (sums, products,
 ramification changes, windows) lives here too, as functions on
 ``TSeries``: the package needs none of it.
 """
@@ -21,7 +23,6 @@ from symsolve.fieldext import field_of
 from symsolve.localdata import (
     GenExpRep,
     GenExpSet,
-    _coeff_windows,
     _dedupe_entries,
     _indicial_of_series,
     _lower_hull,
@@ -33,6 +34,30 @@ from symsolve.series import TSeries
 
 
 # -- series operations -------------------------------------------------------
+
+
+def from_poly_in_invx(p: Poly, ram: int, pad: int) -> TSeries:
+    """p(1/t) as an exact Laurent window with `pad` extra known zeros."""
+    if not p:
+        return TSeries(ram, 0, (Fraction(0),) * pad)
+    rev = list(reversed(p.coeffs))
+    if ram > 1:
+        spread = []
+        for c in rev:
+            spread.append(c)
+            spread.extend([Fraction(0)] * (ram - 1))
+        rev = spread[: len(spread) - (ram - 1)]
+    return TSeries(ram, -p.degree * ram, tuple(rev) + (Fraction(0),) * pad)
+
+
+def coeff_windows(polys: Sequence[Poly], ram: int, pad: int) -> List[TSeries]:
+    out = []
+    for p in polys:
+        if not p:
+            out.append(TSeries(ram, 0, (Fraction(0),) * (pad + 1)))
+        else:
+            out.append(from_poly_in_invx(p, ram, pad))
+    return out
 
 
 def monomial(c, exponent: Fraction, ram: int, nterms: int) -> TSeries:
@@ -227,7 +252,7 @@ def twisted_series(polys: Sequence[Poly], g: TSeries, slots: int) -> List[TSerie
     ram = g.ram
     d = len(polys) - 1
     rho = retrunc(inverse(g), slots)
-    windows = _coeff_windows(polys, ram, slots)
+    windows = coeff_windows(polys, ram, slots)
     taus = [rho]
     for _ in range(d - 1):
         taus.append(tau(taus[-1]))
@@ -236,6 +261,22 @@ def twisted_series(polys: Sequence[Poly], g: TSeries, slots: int) -> List[TSerie
     for i in range(d - 1, -1, -1):
         suffix[i] = mul(taus[i], suffix[i + 1])
     return [mul(windows[i], suffix[i]) for i in range(d + 1)]
+
+
+def indicial_polynomial(L: Operator):
+    """``localdata.indicial_polynomial`` from the windows a_i(1/t) of L's
+    own coefficients, with no clearing scalar."""
+    if not any(L.coeffs):
+        raise ValueError("zero operator has no indicial polynomial")
+    polys = L.poly_coeffs()
+    degs = [p.degree for p in polys if p]
+    span = max(degs) - min(degs)
+    pad0 = L.order + span + 4
+    for pad in (pad0, 2 * pad0):
+        got = _indicial_of_series(coeff_windows(polys, 1, pad))
+        if got:
+            return got
+    raise ValueError("increase truncation")
 
 
 def _tail_candidates(polys, c, v: Fraction, beta, ram: int) -> List[GenExpRep]:

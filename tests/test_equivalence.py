@@ -727,7 +727,7 @@ class TestCaseDiagnosis:
         assert case_diagnosis(L) == 5
 
     def test_number_field_rejected(self):
-        K = NumberField.quadratic(2)
+        K = NumberField(2)
         # S^3 + x + sqrt(2)
         L = Operator([Poly((K.gen, K.one)), Poly(), Poly(), Poly((K.one,))])
         with pytest.raises(ValueError, match="rational coefficients"):

@@ -47,18 +47,18 @@ class TestValueContext:
     def test_quadratic_irrational(self):
         # at z = 1/4: sqrt(z^2-z) = (1/4)sqrt(-3), so the value is (1+sqrt(-3))/2
         v = eval_value("-(2*z-1-2*sqrt(z^2-z))", {"z": F(1, 4)})
-        fld = NumberField.quadratic(-3)
+        fld = NumberField(-3)
         assert v == fld.element([F(1, 2), F(1, 2)])
 
     def test_square_collapses_to_field(self):
         v = eval_value("(2*z-1+2*sqrt(z^2-z))^2", {"z": F(1, 4)})
-        fld = NumberField.quadratic(-3)
+        fld = NumberField(-3)
         # R+^2 = (-1 - sqrt(-3))/2 at z = 1/4
         assert v == fld.element([F(-1, 2), F(-1, 2)])
 
     def test_sqrt_negative_scaled(self):
         v = eval_value("-sqrt(-2*z^2)", {"z": F(2)})
-        fld = NumberField.quadratic(-2)
+        fld = NumberField(-2)
         assert v == fld.element([0, -2])
 
     def test_x_rejected(self):

@@ -12,9 +12,9 @@ from symsolve.opformat import parse_operator
 from symsolve.poly import P, Poly, poly_gcd
 
 X = P(0, 1)
-Q2 = NumberField.quadratic(2)
-Qm3 = NumberField.quadratic(-3)
-Qm2 = NumberField.quadratic(-2)
+Q2 = NumberField(2)
+Qm3 = NumberField(-3)
+Qm2 = NumberField(-2)
 
 
 def over(field, *coeffs):

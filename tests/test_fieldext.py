@@ -2,28 +2,53 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from symsolve.fieldext import (
     NumberField,
     field_of,
-    field_sqrt,
     rational_sqrt,
-    sqrt_as_field_element,
     squarefree_core,
     value_sqrt,
 )
-from symsolve.poly import P, Poly, poly_xgcd
+from symsolve.poly import P, Poly
 
-Q5 = NumberField.quadratic(5)
-Qm2 = NumberField.quadratic(-2)
+from field_reference import poly_xgcd
+
+Q5 = NumberField(5)
+Qm2 = NumberField(-2)
 
 coords = st.fractions(min_value=-9, max_value=9, max_denominator=4)
 
 
 def elems(field):
     return st.tuples(coords, coords).map(lambda ab: field.element(ab))
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("core", [4, 8, -4, 12, -27, 0, 1])
+    def test_core_must_be_squarefree_and_proper(self, core):
+        with pytest.raises(ValueError, match="squarefree"):
+            NumberField(core)
+
+    def test_core_must_be_an_integer(self):
+        with pytest.raises(ValueError):
+            NumberField(Fraction(2))
+
+    def test_modulus_and_name(self):
+        assert Q5.modulus == P(-5, 0, 1) and Q5.name == "sqrt5"
+        assert Qm2.modulus == P(2, 0, 1) and Qm2.name == "sqrt_m2"
+        assert NumberField(-1) == NumberField(-1, name="i")
+        assert NumberField(2) != NumberField(-2)
+        assert repr(NumberField(3)) == "Q[sqrt3]/(sqrt3^2 - 3)"
+
+    def test_one_field_per_core(self):
+        # Q(sqrt 8) is Q(sqrt 2): it is built from the core 2 only
+        s8 = value_sqrt(Fraction(8))
+        assert s8.field == NumberField(2) and s8 == 2 * NumberField(2).gen
+        # sqrt 4 is rational: no Q[y]/(y² - 4), whose 2 - y has no inverse
+        assert type(value_sqrt(Fraction(4))) is Fraction
 
 
 class TestFieldAxioms:
@@ -57,7 +82,7 @@ class TestFieldAxioms:
             Q5.gen + Qm2.gen
 
     def test_rational_values_mix_across_fields(self):
-        Q2, Q3 = NumberField.quadratic(2), NumberField.quadratic(3)
+        Q2, Q3 = NumberField(2), NumberField(3)
         assert Q2.from_rational(1) == Q3.from_rational(1)
         assert Q2.from_rational(1) != Q3.from_rational(2)
         assert Q2.gen != Q3.gen
@@ -83,6 +108,7 @@ class TestConjugation:
     def test_norm_is_rational(self, a):
         n = a.norm()
         assert isinstance(n, Fraction)
+        assert n == (a * a.conjugate()).as_rational()
         if a:
             assert n != 0 or not a  # nonzero elements have nonzero norm
 
@@ -113,41 +139,33 @@ class TestSquareRoots:
         assert rational_sqrt(Fraction(-4)) is None
 
     def test_sqrt_as_field_element(self):
-        f, e = sqrt_as_field_element(Fraction(3, 4))
-        assert f is not None and e * e == Fraction(3, 4)
-        f2, e2 = sqrt_as_field_element(Fraction(4))
-        assert f2 is None and e2 == 2
+        # a rational that is no square gets its root in Q(sqrt core)
+        e = value_sqrt(Fraction(3, 4))
+        assert e.field == NumberField(3) and e == NumberField(3).element([0, Fraction(1, 2)])
+        assert e * e == Fraction(3, 4)
+        e2 = value_sqrt(Fraction(4))
+        assert type(e2) is Fraction and e2 == 2
+        assert value_sqrt(5) == Q5.gen
 
     def test_field_sqrt_rational_value(self):
-        assert field_sqrt(Fraction(9), Q5) == 3
-        assert field_sqrt(Fraction(5), Q5) == Q5.gen
-        assert field_sqrt(Fraction(20), Q5) == Q5.element([0, 2])
-        assert field_sqrt(Fraction(3), Q5) is None
+        assert value_sqrt(Q5.from_rational(9)) == 3
+        assert value_sqrt(Q5.from_rational(5)) == Q5.gen
+        assert value_sqrt(Q5.from_rational(20)) == Q5.element([0, 2])
+        assert value_sqrt(Q5.from_rational(3)) is None
 
     def test_field_sqrt_irrational_value(self):
         # (1 + sqrt5)^2 = 6 + 2 sqrt5
         v = Q5.element([6, 2])
-        s = field_sqrt(v, Q5)
+        s = value_sqrt(v)
         assert s is not None and s * s == v
         # an element that is not a square in Q(sqrt5)
-        assert field_sqrt(Q5.element([1, 1]), Q5) is None
+        assert value_sqrt(Q5.element([1, 1])) is None
 
     @given(elems(Qm2))
     @settings(max_examples=60, deadline=None)
     def test_field_sqrt_of_squares(self, a):
-        s = field_sqrt(a * a, Qm2)
+        s = value_sqrt(a * a)
         assert s is not None and s * s == a * a
-
-
-class TestModulusReduction:
-    def test_nontrivial_modulus(self):
-        # y^2 - y - 1 (golden ratio field)
-        K = NumberField(P(-1, -1, 1), name="phi")
-        phi = K.gen
-        assert phi * phi == phi + 1
-        assert (phi**5) == 5 * phi + 3  # Fibonacci
-        conj = phi.conjugate()
-        assert phi + conj == 1 and phi * conj == -1
 
 
 class TestValues:
@@ -161,18 +179,18 @@ class TestValues:
             field_of([Q5.gen, Qm2.gen])
 
     def test_value_sqrt_of_rationals(self):
-        assert value_sqrt(Fraction(9, 4)) == (Fraction(3, 2), None)
-        assert value_sqrt(Fraction(0)) == (Fraction(0), None)
-        s, fld = value_sqrt(Fraction(-8))
-        assert fld == Qm2 and s == Qm2.element([0, 2])
+        assert value_sqrt(Fraction(9, 4)) == Fraction(3, 2)
+        assert value_sqrt(Fraction(0)) == 0
+        s = value_sqrt(Fraction(-8))
+        assert s.field == Qm2 and s == Qm2.element([0, 2])
 
     def test_value_sqrt_stays_in_the_field_of_an_element(self):
         v = Q5.element([6, 2])  # (1 + sqrt5)^2
-        s, fld = value_sqrt(v)
-        assert fld == Q5 and s * s == v
+        s = value_sqrt(v)
+        assert s.field == Q5 and s * s == v
         assert value_sqrt(Q5.element([1, 1])) is None
         # a rational value carried by Q(sqrt5) has its root sought there
-        assert value_sqrt(Q5.from_rational(20)) == (Q5.element([0, 2]), Q5)
+        assert value_sqrt(Q5.from_rational(20)) == Q5.element([0, 2])
         assert value_sqrt(Q5.from_rational(3)) is None
 
 
@@ -181,8 +199,9 @@ class TestValues:
 
 class _RefElem:
     """An element as a tuple of Fraction coordinates, reduced through
-    Fraction rows y^k mod m: the representation the integer kernel
-    replaced, kept to check it."""
+    Fraction rows y^k mod m and inverted through the extended Euclidean
+    algorithm: the general representation the quadratic kernel replaced,
+    kept to check it."""
 
     def __init__(self, field, coords):
         self.field = field
@@ -210,7 +229,7 @@ class _RefElem:
         return _RefElem(self.field, [a - b for a, b in zip(self.coords, o.coords)])
 
     def __mul__(self, o):
-        d = self.field.degree
+        d = self.field.modulus.degree
         prod = [Fraction(0)] * (2 * d - 1)
         for i, x in enumerate(self.coords):
             for j, y in enumerate(o.coords):
@@ -223,7 +242,7 @@ class _RefElem:
 
     def inverse(self):
         g, s, _ = poly_xgcd(Poly(self.coords), self.field.modulus)
-        return _RefElem(self.field, [Fraction(s[i]) for i in range(self.field.degree)])
+        return _RefElem(self.field, [Fraction(s[i]) for i in range(self.field.modulus.degree)])
 
     def __truediv__(self, o):
         return self * o.inverse()
@@ -237,58 +256,102 @@ class _RefElem:
         return hash((self.field.modulus.coeffs, self.coords))
 
 
-# 2y^3 + 3y^2 - 3y + 3 is irreducible (Eisenstein at 3); its monic form
-# y^3 + 3/2 y^2 - 3/2 y + 3/2 reduces through rows over the denominator 4
-CUBIC = NumberField(P(3, -3, 3, 2), name="t")
+FIELDS = [NumberField(c) for c in (-1, -2, 5, 6, -7, 2, -3, 10, -15, 21)]
 SMALL = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+LARGE = st.fractions(min_value=-10 ** 30, max_value=10 ** 30, max_denominator=10 ** 25)
+# square roots factor the norm, so their coordinates stay moderate
+MEDIUM = st.fractions(min_value=-10 ** 4, max_value=10 ** 4, max_denominator=100)
 
 
-def _coord_lists(field):
-    d = field.degree
+def _coord_lists(coords=SMALL):
     return st.one_of(
-        st.lists(SMALL, min_size=d, max_size=d),
-        st.tuples(SMALL).map(lambda c: [c[0]] + [0] * (d - 1)),  # rational values
+        st.lists(coords, min_size=2, max_size=2),
+        st.tuples(coords).map(lambda c: [c[0], 0]),  # rational values
     )
 
 
 def _agrees(new, ref):
     # same value, lowest terms over a positive denominator, same hash
     assert new.coords == ref.coords
-    assert new.den > 0 and math.gcd(new.den, *new.nums) == 1
+    assert new.den > 0 and math.gcd(new.a, new.b, new.den) == 1
     assert new == new.field.element(ref.coords)
     assert hash(new) == hash(ref)
 
 
 class TestIntegerKernel:
-    def test_cubic_reduction_rows_are_integral_over_one_denominator(self):
-        assert CUBIC._red_den == 4
-        t = CUBIC.gen
-        assert t * t * t == CUBIC.element([Fraction(-3, 2), Fraction(3, 2), Fraction(-3, 2)])
-
-    @given(st.sampled_from([Q5, Qm2, NumberField(P(-1, -1, 1)), CUBIC]), st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_operations_agree_with_fraction_coordinates(self, field, data):
-        ca = data.draw(_coord_lists(field))
-        cb = data.draw(_coord_lists(field))
+    @given(st.sampled_from(FIELDS), st.sampled_from([SMALL, LARGE]), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_operations_agree_with_fraction_coordinates(self, field, coords, data):
+        ca = data.draw(_coord_lists(coords))
+        cb = data.draw(_coord_lists(coords))
         a, b = field.element(ca), field.element(cb)
         ra, rb = _RefElem(field, ca), _RefElem(field, cb)
         _agrees(a, ra)
         _agrees(a + b, ra + rb)
         _agrees(a - b, ra - rb)
         _agrees(a * b, ra * rb)
-        if rb.coords != (0,) * field.degree:
+        _agrees(a.conjugate(), _RefElem(field, [ra.coords[0], -ra.coords[1]]))
+        if any(rb.coords):
             _agrees(a / b, ra / rb)
+            _agrees(b.inverse(), rb.inverse())
         assert (a == b) == (ra == rb)
-        assert (a * b - b * a).nums == (0,) * field.degree and (a - a).den == 1
-        if ra.coords[1:] == (0,) * (field.degree - 1):
+        assert (a * b - b * a).a == (a * b - b * a).b == 0 and (a - a).den == 1
+        if not ra.coords[1]:
             assert a == ra.coords[0] and hash(a) == hash(ra.coords[0])
 
-    @given(st.lists(SMALL, min_size=2, max_size=2), st.fractions(max_denominator=9))
-    @settings(max_examples=60, deadline=None)
-    def test_scalars_and_rational_elements_of_other_fields(self, cs, q):
-        a = Q5.element(cs)
-        r = Qm2.from_rational(q)
-        _agrees(a * q, _RefElem(Q5, cs) * _RefElem(Q5, [q, 0]))
-        _agrees(a + r, _RefElem(Q5, cs) + _RefElem(Q5, [q, 0]))
-        _agrees(q - a, _RefElem(Q5, [q, 0]) - _RefElem(Q5, cs))
-        assert (a * 1).field is Q5 and a + 0 == a
+    @given(st.sampled_from([f for f in FIELDS if f.core > 0]), _coord_lists(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_inverse_of_negative_norm(self, field, cs, data):
+        # a - b·y with a² < core·b² has a negative norm; the inverse keeps den > 0
+        a = field.element(cs)
+        assume(a.norm() < 0)
+        inv = a.inverse()
+        _agrees(inv, _RefElem(field, cs).inverse())
+        assert inv * a == 1 and (-a).inverse().den > 0
+
+    def test_negative_norm_example(self):
+        Q6 = NumberField(6)
+        a = Q6.element([1, 1])  # norm 1 - 6 = -5
+        assert a.norm() == -5
+        inv = a.inverse()
+        assert (inv.a, inv.b, inv.den) == (-1, 1, 5)
+
+    @given(st.sampled_from(FIELDS), st.sampled_from(FIELDS),
+           st.lists(SMALL, min_size=2, max_size=2), st.fractions(max_denominator=9))
+    @settings(max_examples=80, deadline=None)
+    def test_scalars_and_rational_elements_of_other_fields(self, field, other, cs, q):
+        a = field.element(cs)
+        r = other.from_rational(q)
+        _agrees(a * q, _RefElem(field, cs) * _RefElem(field, [q, 0]))
+        _agrees(a + r, _RefElem(field, cs) + _RefElem(field, [q, 0]))
+        _agrees(r * a, _RefElem(field, cs) * _RefElem(field, [q, 0]))
+        _agrees(q - a, _RefElem(field, [q, 0]) - _RefElem(field, cs))
+        assert (a * 1).field is field and a + 0 == a
+        assert (a == r) == (cs[1] == 0 and cs[0] == q)
+
+    @given(st.sampled_from(FIELDS), st.sampled_from([SMALL, MEDIUM]), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_value_sqrt_against_reference_squares(self, field, coords, data):
+        cs = data.draw(_coord_lists(coords))
+        ref = _RefElem(field, cs)
+        sq = ref * ref
+        s = value_sqrt(field.element(sq.coords))
+        assert s is not None and s.field == field
+        _agrees(s * s, sq)
+        # an arbitrary element: any root found squares back to it
+        v = field.element(data.draw(_coord_lists(coords)))
+        root = value_sqrt(v)
+        if root is not None:
+            rr = _RefElem(field, root.coords)
+            _agrees(v, rr * rr)
+
+    @given(st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 4))
+    @settings(max_examples=80, deadline=None)
+    def test_value_sqrt_of_rationals_squares_back(self, q):
+        s = value_sqrt(q)
+        assert s * s == q
+        if isinstance(s, Fraction):
+            assert s >= 0
+        else:
+            _, core = squarefree_core(q)
+            assert s.field.core == core and not s.a and s.b > 0

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from symsolve import localdata, snf
 from symsolve.equivalence import transformed_operator
 from symsolve.factorization import factor_over_Q
-from symsolve.fieldext import NumberField, sqrt_as_field_element
+from symsolve.fieldext import NumberField, value_sqrt
 from symsolve.localdata import (
     GenExpRep,
     SingularityClass,
@@ -32,15 +32,16 @@ from symsolve.series import TSeries
 from symsolve.snf import canonical_shift
 from symsolve.symprod import symprod_first_order, symprod_general, symsquare_order2
 
+import field_reference
 import genexp_reference
-from genexp_reference import div, mul, one, series, trunc
+from genexp_reference import div, from_poly_in_invx, mul, one, series, trunc
 from indicial_reference import indicial_of_series
 
 X = P(0, 1)
 F = Fraction
 
-Q_SQRT_M2, SQRT_M2 = sqrt_as_field_element(F(-2))
-Q_SQRT_M1, SQRT_M1 = sqrt_as_field_element(F(-1))
+SQRT_M2 = value_sqrt(F(-2))
+SQRT_M1 = value_sqrt(F(-1))
 
 
 def hermite_sq(z=F(1)) -> Operator:
@@ -151,7 +152,7 @@ def _reference_transition(L: Operator, cls: Poly):
     offsets = next(([o + k for o in ks] for p, ks in problem_points(L) if p == hat))
     polys, d = L.poly_coeffs(), L.order
     rep = cls.monic()
-    theta = -F(rep[0]) if rep.degree == 1 else NumberField(rep, name="theta").gen
+    theta = -F(rep[0]) if rep.degree == 1 else field_reference.NumberField(rep, name="theta").gen
     N = [[P(1) if i == j else Poly() for j in range(d)] for i in range(d)]
     vden = vdet = 0
     for k in range(offsets[0] - d, offsets[-1] + 1):
@@ -308,6 +309,21 @@ class TestValgSet:
         assert valg_set(hermite_sq()) == {ValGEntry(SingularityClass(X), 2)}
 
 
+@st.composite
+def _fractional_operator(draw):
+    """Operator of order 1 to 3 with Fraction coefficients of degree <= 3;
+    the middle coefficients are often zero."""
+    d = draw(st.integers(1, 3))
+    q = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+    coeffs = [Poly(draw(st.lists(q, min_size=1, max_size=4))) for _ in range(d + 1)]
+    for i in range(1, d):
+        if draw(st.booleans()):
+            coeffs[i] = Poly()
+    coeffs[0] = coeffs[0] or P(F(1, 3))
+    coeffs[d] = coeffs[d] or P(F(-2, 5), 1)
+    return Operator(coeffs)
+
+
 class TestIndicial:
     def test_constant_ratio(self):
         Pn, v = indicial_polynomial(Operator([P(-1), P(1)]))
@@ -330,6 +346,15 @@ class TestIndicial:
             root = F(-(p.degree + q.degree))
             assert not Pn.eval(root)
 
+    @given(_fractional_operator())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_windows_of_the_coefficients(self, L):
+        # the twist at slope 0 carries a clearing scalar that must come out
+        got = indicial_polynomial(L)
+        ref = genexp_reference.indicial_polynomial(L)
+        assert got == ref and repr(got) == repr(ref)
+        assert all(type(c) is F for c in got[0].coeffs)
+
 
 @st.composite
 def _series_windows(draw):
@@ -339,7 +364,7 @@ def _series_windows(draw):
     ram = draw(st.sampled_from([1, 2]))
     small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
     if draw(st.booleans()):
-        value = st.builds(lambda a, b: Q_SQRT_M2.element([a, b]), small, small)
+        value = st.builds(lambda a, b: SQRT_M2.field.element([a, b]), small, small)
     else:
         value = small
     windows = []
@@ -488,8 +513,7 @@ class TestGenExp:
         left = {
             (e.r, e.c, e.v, e.tail) for e in generalized_exponents(tw)
         }
-        rt = div(TSeries.from_poly_in_invx(r.num, 2, 8),
-                 TSeries.from_poly_in_invx(r.den, 2, 8))
+        rt = div(from_poly_in_invx(r.num, 2, 8), from_poly_in_invx(r.den, 2, 8))
         right = set()
         for g in generalized_exponents(L):
             q = trunc(mul(series(g, 8), rt), g.r)
@@ -794,7 +818,7 @@ class TestREquivalent:
         assert r_equivalent(a, b)
 
     def test_values_of_two_fields(self):
-        q2, q3 = NumberField.quadratic(2), NumberField.quadratic(3)
+        q2, q3 = NumberField(2), NumberField(3)
         assert not r_equivalent(rep(1, F(1), 0, q2.gen), rep(1, F(1), 0, q3.gen))
         assert not r_equivalent(rep(1, q2.gen, 0, F(0)), rep(1, q3.gen, 0, F(0)))
         # rational values carried by different fields are plain rationals

@@ -175,7 +175,7 @@ class TestCanonical:
     def test_rational_values_over_a_number_field(self):
         # decided by value, not by coefficient type
         L = Operator([P(2, 4), P(6)])
-        K = NumberField.quadratic(3)
+        K = NumberField(3)
         LK = Operator([p.map_coeffs(K.from_rational) for p in (P(2, 4), P(6))])
         assert L.canonical().coeff(1) == RF(3)
         assert LK.canonical() == L.canonical()

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symsolve.poly import P, Poly, poly_gcd, poly_lcm, poly_xgcd, rational_content, x_poly
+from symsolve.poly import P, Poly, poly_gcd, poly_lcm, rational_content, x_poly
 
 rationals = st.fractions(
     min_value=-20, max_value=20, max_denominator=6
@@ -111,15 +111,6 @@ class TestDivision:
             assert g % m.monic() == Poly() or (a * m).divmod(g)[1] == Poly()
         assert (a * m) % g == Poly()
         assert (b * m) % g == Poly()
-
-    @given(polys(3), polys(3))
-    @settings(max_examples=40, deadline=None)
-    def test_xgcd_identity(self, a, b):
-        g, s, t = poly_xgcd(a, b)
-        assert s * a + t * b == g
-        if a and b:
-            assert a % g == Poly()
-            assert b % g == Poly()
 
     def test_lcm(self):
         assert poly_lcm(P(0, 1), P(0, 1) * P(1, 1)) == P(0, 1) * P(1, 1)

@@ -54,13 +54,13 @@ class TestEquality:
             if other is not None:  # an omitted denominator is 1
                 with pytest.raises(TypeError, match="denominator"):
                     RatFunc(P(1), other)
-        q2 = NumberField.quadratic(2)
+        q2 = NumberField(2)
         assert RatFunc(0) == RatFunc(Poly()) and RatFunc(3, 6) == Fraction(1, 2)
         assert RatFunc(Fraction(1, 2), q2.gen) == RatFunc(Poly.const(q2.gen / 4))
         assert RatFunc(P(1)) == RatFunc(P(1), None) == 1
 
     def test_scalars_and_polys_are_coerced(self):
-        q2 = NumberField.quadratic(2)
+        q2 = NumberField(2)
         assert RF(0) == 0 and RF(3) == Fraction(3) and RF(3) == q2.from_rational(3)
         assert RatFunc(Poly.const(q2.gen)) == q2.gen
         assert RF([0, 1]) * 2 == RF([0, 2]) and 2 * RF([0, 1]) == RF([0, 2])

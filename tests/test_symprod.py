@@ -110,7 +110,7 @@ class TestSqrtMiddle:
         (P(-3), P(1, 1, 1), P(Fraction(2, 5))),
     ])
     def test_agrees_with_general_product_over_quadratic_field(self, core, a0, p, a2):
-        s = NumberField.quadratic(core).gen
+        s = NumberField(core).gen
         K_D = Operator([a0, p * s, a2])
         ref = symprod_general(K_D, K_D).canonical()
         got = symsquare_order2(Operator([a0, p, a2]), Fraction(core))
