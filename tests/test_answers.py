@@ -1,0 +1,34 @@
+"""Every golden answer in tests/data/answers.json still comes back.
+
+Each input is re-solved in the stage order of ``tests/test_roundtrip``
+and its record compared field by field: case, entry, assignment,
+printed r and G, escaped exception type, and the LocalData hash.  A
+change that moves an answer on purpose regenerates the file with
+``tests/golden_answers.py`` and lists each changed record.
+"""
+
+import json
+
+import pytest
+
+from golden_answers import ANSWERS, answer
+from symsolve import table as tablemod
+
+with open(ANSWERS) as fh:
+    RECORDS = json.load(fh)
+
+
+@pytest.fixture(scope="module")
+def table():
+    return tablemod.load_table()
+
+
+def test_file_covers_the_inputs():
+    assert len(RECORDS) == 129
+    assert len({rec["input"] for rec in RECORDS}) == len(RECORDS)
+    assert sum(rec["entry"] is not None for rec in RECORDS) == 27
+
+
+@pytest.mark.parametrize("rec", RECORDS, ids=[f"{i:03d}" for i in range(len(RECORDS))])
+def test_answer_is_unchanged(table, rec):
+    assert answer(rec["input"], table) == rec
