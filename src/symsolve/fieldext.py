@@ -295,8 +295,14 @@ def squarefree_core(q: Fraction) -> Tuple[Fraction, int]:
 
 
 def rational_sqrt(q: Fraction) -> Optional[Fraction]:
-    outside, core = squarefree_core(Fraction(q))
-    return outside if core == 1 else None
+    """The nonnegative square root of q when q is a rational square, else
+    None.  In lowest terms q is a square exactly when its numerator and
+    denominator are, which integer square roots decide without factoring."""
+    q = Fraction(q)
+    if q < 0:
+        return None
+    n, d = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    return Fraction(n, d) if n * n == q.numerator and d * d == q.denominator else None
 
 
 def value_sqrt(v):
@@ -306,17 +312,23 @@ def value_sqrt(v):
     for q = outside²·core (the positive or upper-half root).  An NFElem
     has one only inside its own field, rational values included: there
     (u + w·y)² = d0 + d1·y means u² + core·w² = d0 and 2uw = d1, so
-    u² = (d0 ± N)/2 with N² = d0² - core·d1² the norm."""
+    u² = (d0 ± N)/2 with N² = d0² - core·d1² the norm.  Only a rational
+    that is no square is factored, for the core of its field; every
+    other test is ``rational_sqrt``."""
     if not isinstance(v, NFElem):
+        root = rational_sqrt(v)
+        if root is not None:
+            return root
         outside, core = squarefree_core(Fraction(v))
-        return outside if core == 1 else NumberField(core).element([0, outside])
+        return NumberField(core).element([0, outside])
     field = v.field
     d0, d1 = v.coords
     if not d1:
-        outside, core = squarefree_core(d0)
-        if core == 1:
-            return field.from_rational(outside)
-        return field.element([0, outside]) if core == field.core else None
+        root = rational_sqrt(d0)
+        if root is not None:
+            return field.from_rational(root)
+        w = rational_sqrt(d0 / field.core)  # d0 = w²·core
+        return None if w is None else field.element([0, w])
     nrm = rational_sqrt(d0 * d0 - field.core * d1 * d1)
     if nrm is None:
         return None

@@ -168,6 +168,42 @@ class TestSquareRoots:
         assert s is not None and s * s == a * a
 
 
+def _refuse_factoring(monkeypatch):
+    import sympy
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("factorint called")
+
+    monkeypatch.setattr(sympy, "factorint", refuse)
+
+
+# a 37-digit product of two primes, slow to factor
+SEMIPRIME = (10**18 + 3) * (10**18 + 9)
+
+
+class TestSquarenessWithoutFactoring:
+    def test_rational_sqrt_of_a_large_semiprime(self, monkeypatch):
+        _refuse_factoring(monkeypatch)
+        assert rational_sqrt(Fraction(SEMIPRIME)) is None
+        assert rational_sqrt(Fraction(SEMIPRIME**2, 4)) == Fraction(SEMIPRIME, 2)
+        assert rational_sqrt(Fraction(SEMIPRIME, 7)) is None
+
+    def test_value_sqrt_of_a_large_element(self, monkeypatch):
+        _refuse_factoring(monkeypatch)
+        assert value_sqrt(Q5.element([10**18 + 3, 10**18 + 9])) is None
+        assert value_sqrt(Q5.from_rational(SEMIPRIME)) is None
+        assert value_sqrt(Q5.from_rational(5 * SEMIPRIME**2)) == Q5.element([0, SEMIPRIME])
+        assert value_sqrt(Fraction(SEMIPRIME**2)) == SEMIPRIME
+
+    @given(st.fractions(max_denominator=10**6), st.sampled_from([1, 1, 2, -1, 3, -7]))
+    @settings(max_examples=150, deadline=None)
+    def test_rational_sqrt_agrees_with_the_core(self, q, core):
+        # half the draws are rational squares (core 1), times a core
+        for x in (q, q * q * core):
+            outside, c = squarefree_core(x)
+            assert rational_sqrt(x) == (outside if c == 1 else None)
+
+
 class TestValues:
     def test_field_of(self):
         assert field_of([Fraction(1), 2, Q5.from_rational(3), None]) is None
