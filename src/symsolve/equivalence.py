@@ -10,16 +10,29 @@ coefficients solve a coupled linear difference system.  Rational
 solving follows the universal-denominator approach: pole chains of a
 solution are trapped between roots of the trailing and (shifted)
 leading data, which leaves a finite-dimensional polynomial search.
+The degrees in that search are proven bounds read at infinity: for
+rational solutions from the integer roots of the indicial polynomial,
+for gauge maps from the generalized exponents of both operators
+(Abramov, ISSAC 1995; van Hoeij, JPAA 139, 1999).
 """
 
+import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional
 
 from .factorization import factor_over_Q
+from .fieldext import demote
 from .linalg import DependencyFinder, nullspace_rational
-from .localdata import edges_at_infinity, indicial_polynomial
+from .localdata import (
+    GenExpRep,
+    GenExpSet,
+    edges_at_infinity,
+    generalized_exponents,
+    indicial_polynomial,
+    r_equivalent,
+)
 from .opformat import print_operator
 from .ore import Operator
 from .poly import Poly, _int_cleared, _list_mul, _list_shift, _list_sub
@@ -37,8 +50,17 @@ __all__ = [
     "case_diagnosis",
 ]
 
-#: largest numerator degree rational_solutions will search
+#: largest numerator degree rational_solutions and hom_space will search
 _DEGREE_BUDGET = 100
+
+
+def _within_budget(bound: int) -> int:
+    if bound > _DEGREE_BUDGET:
+        raise ValueError(
+            f"numerator degree bound {bound} exceeds the degree budget "
+            f"{_DEGREE_BUDGET}"
+        )
+    return bound
 
 
 @dataclass(frozen=True)
@@ -213,12 +235,7 @@ def rational_solutions(L: Operator) -> List[RatFunc]:
     bound = _integer_degree_bound(M)
     if bound is None:
         return []
-    if bound > _DEGREE_BUDGET:
-        raise ValueError(
-            f"numerator degree bound {bound} exceeds the degree budget "
-            f"{_DEGREE_BUDGET}"
-        )
-    return [RatFunc(z, u) for z in _polynomial_solutions(M, bound)]
+    return [RatFunc(z, u) for z in _polynomial_solutions(M, _within_budget(bound))]
 
 
 # -- homomorphisms -----------------------------------------------------------
@@ -241,10 +258,55 @@ def _hom_denominator(L1: Operator, L2: Operator) -> Poly:
     return _abramov_denominator(A, B)
 
 
-def _degree_cap(p1: List[Poly], p2: List[Poly]) -> int:
-    # heuristic: twice the largest coefficient degree plus ten, until a
-    # bound proven from the indicial data at infinity replaces it
+def _fallback_cap(p1: List[Poly], p2: List[Poly]) -> int:
+    # heuristic, for operands without a complete exponent set only
     return 2 * max(p.degree for p in p1 + p2) + 10
+
+
+def _complete_exponents(L: Operator) -> Optional[GenExpSet]:
+    # None when generalized_exponents rejects L, marks it incomplete or
+    # needs more than it computes
+    try:
+        ges = generalized_exponents(L)
+    except ValueError:
+        return None
+    return ges if ges.complete else None
+
+
+def _leading_power(e: GenExpRep):
+    # alpha with y = Gamma(x)^s·c^x·exp(2·beta·sqrt(x))·x^alpha·(1 + o(1))
+    # for the ratio c·t^v·(1 + beta·t^(1/2) + a·t): alpha = a - beta²/2
+    a = e.tail[-1]
+    return a - e.tail[0] * e.tail[0] / 2 if e.r == 2 else a
+
+
+def _sublead(p: Poly) -> Fraction:
+    # A with p = lead·x^n·(1 + A/x + ...)
+    return Fraction(p[p.degree - 1]) / Fraction(p.lead()) if p.degree > 0 else Fraction(0)
+
+
+def _exponent_bound(L1: Operator, ges1: GenExpSet, ges2: GenExpSet) -> Optional[int]:
+    """B of hom_space: deg c_i <= B for every map; None when no
+    exponent of L2 matches one of L1, so that the only map is 0."""
+    d = L1.order
+    p = L1.poly_coeffs()
+    slopes = sorted(-e.v for e in ges1 for _ in range(e.multiplicity))
+    # E: the leading powers of the solutions less that of the Casoratian
+    defect = demote(sum((e.multiplicity * _leading_power(e) for e in ges1),
+                        _sublead(p[d]) - _sublead(p[0])))
+    best = None
+    for e in ges1:
+        gaps = [demote(_leading_power(f) - _leading_power(e))
+                for f in ges2 if r_equivalent(e, f)]
+        if not gaps:
+            continue
+        others = list(slopes)
+        others.remove(-e.v)
+        for i in range(d):
+            rows = [j for j in range(d) if j != i]
+            term = max(gaps) + sum(j * s for j, s in zip(rows, others))
+            best = term if best is None else max(best, term)
+    return None if best is None else math.floor(best + defect)
 
 
 def _hom_rows(p1: List[Poly], p2: List[Poly], u: Poly, width: int
@@ -292,7 +354,9 @@ def _hom_rows(p1: List[Poly], p2: List[Poly], u: Poly, width: int
                 col = cols[i * width + k]
                 for m, c in enumerate(q):
                     col[m] += c
-        height = 1 + max(m for c in cols for m, v in enumerate(c) if v)
+        # an equation that vanishes identically keeps one zero row, so
+        # that the nullspace still sees every column
+        height = 1 + max((m for c in cols for m, v in enumerate(c) if v), default=0)
         rows += [[c[m] for c in cols] for m in range(height)]
     return rows
 
@@ -300,12 +364,74 @@ def _hom_rows(p1: List[Poly], p2: List[Poly], u: Poly, width: int
 def hom_space(L1: Operator, L2: Operator) -> List[GaugeMap]:
     """Basis of the maps carrying solutions of L1 to solutions of L2.
 
-    Ansatz G = sum_{i < ord(L1)} c_i(x) tau^i; the remainder of L2*G
-    under right division by L1 must vanish, a coupled linear system for
-    the c_i.  All c_i share one universal denominator u; numerators are
-    matched coefficient by coefficient up to a degree cap beyond deg(u)
-    (twice the largest coefficient degree plus ten), so the basis is
-    complete only within that cap.
+    Ansatz G = sum_{i < d1} c_i(x) tau^i, d1 = ord(L1); the remainder of
+    L2*G under right division by L1 must vanish, a coupled linear system
+    for the c_i.  All c_i share one universal denominator u, and
+    deg c_i <= B with the bound B below, so the numerators have width
+    deg u + B + 1 and the basis is complete.  A negative width, or no
+    exponent of L2 matching one of L1, returns [] with no row built; a
+    numerator degree deg u + B above _DEGREE_BUDGET raises ValueError.
+
+    The degree bound.  Take a basis y_1 .. y_d1 of formal solutions of
+    L1 at infinity, one per generalized exponent counted with its
+    multiplicity: for the ratio c_k·t^(-s_k)·(1 + beta_k·t^(1/2) + a_k·t),
+
+        y_k = Gamma(x)^s_k·c_k^x·exp(2·beta_k·sqrt(x))·x^alpha_k·(1 + ...),
+
+    alpha_k = a_k - beta_k²/2, the dots a series in x^(-1/2) with
+    polynomials in log x.  Write pow(f) for the leading power of x once
+    the exponential part is set aside: it adds under products, the pow
+    of a sum is at most the largest pow of its terms, and
+    pow(tau^i y_k) = alpha_k + i·s_k.  With the Casoratian
+    Y = (tau^i y_k), G y_k = sum_i c_i·tau^i y_k gives c = w·Y^(-1) for
+    w_k = G y_k, so by Cramer's rule
+
+        c_i = sum_k ±w_k·minor_(i,k)(Y)/det Y.
+
+    - w_k: L2*G is a left multiple of L1, so w_k solves L2, with the
+      exponential part of y_k and powers in alpha_k + (1/r)Z.  Its
+      leading power is an indicial root of L2 there: the alpha' of an
+      exponent of L2 r-equivalent to that of y_k.  With none, w_k = 0.
+      So pow(w_k) <= alpha_k + delta_k, delta_k the largest
+      alpha' - alpha_k.
+    - det Y solves W(x+1) = ±(a_0/a_d1)(x)·W(x), a_i the coefficients
+      of L1, so it carries no log and pow(det Y) = A for
+      a_0/a_d1 = lambda·x^S·(1 + A/x + O(x^(-2))).
+    - minor_(i,k) is a sum of products of the tau^i' y_k' with i' != i
+      and k' != k, so pow <= sum_(k' != k) alpha_k' + T_(i,k), where
+      T_(i,k) is the largest sum of i'·s_(sigma(i')) over bijections
+      sigma from those rows onto those solutions: rows and slopes both
+      in ascending order (rearrangement).
+
+    Every term of c_i then has the trivial exponential part and
+    pow <= delta_k + T_(i,k) + E with E = sum_k alpha_k - A, and the
+    rational c_i has an integer degree no larger than the largest of
+    them:
+
+        deg c_i <= B = floor(E + max_(k, i) (delta_k + T_(i,k))).
+
+    E = -pow(det V) for V = (tau^i y_k / y_k) is where multiplicities
+    and shared leading constants enter.  Distinct c_k at one slope s
+    leave a Vandermonde leading term, pow(det V) = s·d1(d1-1)/2.
+    Solutions that share c and s cancel that term, and E grows by the
+    levels lost: 1/2 for Bessel's ramified pair at c = -2, whose tails
+    differ at t^(1/2), and 3 for (S - 2)^3, whose solutions
+    2^x·{1, x, x²} differ only in their powers.  E is read exactly from
+    the exponents and a_0/a_d1, so no case analysis is needed.  This is
+    the argument of Abramov (ISSAC 1995) and van
+    Hoeij (JPAA 139, 1999) for rational solutions, whose exponents are
+    the differences alpha' - alpha, lifted to Hom(L1, L2).
+
+    The proof needs complete exponent sets.  For operands without one
+    (generalized_exponents rejects them, as for a single edge of slope
+    -1/3, marks them incomplete, or raises), B is the heuristic cap
+    2·(largest coefficient degree) + 10, and for exactly that input
+    class the basis is complete only within the cap.  The solver meets
+    it only through an L2 that local_data leaves incomplete without a
+    rejection (a rejected L2 matches no table entry, and gt_find's edge
+    pruning makes M share L2's edges), or an M whose ramified branches
+    need more terms than L2's; the golden inputs and round trips in
+    tests/ never take it.
 
     The system is built on integer polynomials.  With p_i and q_j the
     coefficients of L1 and L2, each scaled by one integer over the whole
@@ -341,8 +467,17 @@ def hom_space(L1: Operator, L2: Operator) -> List[GaugeMap]:
     p1, p2 = L1.poly_coeffs(), L2.poly_coeffs()
     if not all(p.is_rational() for p in p1 + p2):
         raise ValueError("rational coefficients required")
+    ges1, ges2 = _complete_exponents(L1), _complete_exponents(L2)
+    if ges1 is None or ges2 is None:
+        bound = _fallback_cap(p1, p2)
+    else:
+        bound = _exponent_bound(L1, ges1, ges2)
+        if bound is None:
+            return []
     u = _hom_denominator(L1, L2)
-    width = _degree_cap(p1, p2) + u.degree + 1
+    if u.degree + bound < 0:
+        return []
+    width = _within_budget(u.degree + bound) + 1
     basis = []
     for vec in nullspace_rational(_hom_rows(p1, p2, u, width)):
         numerators = [Poly(vec[i * width : (i + 1) * width]) for i in range(d1)]
@@ -434,6 +569,9 @@ def gt_find(L1: Operator, L2: Operator) -> Optional[GTTransform]:
     edge polynomials, so M and L2 have equal edges (van Hoeij, JPAA
     1999; Cha, van Hoeij and Levy, ISSAC 2010).  The test reads only
     degrees and leading coefficients, in rational arithmetic.
+
+    With the degree bound of ``hom_space`` proven for M and L2, None
+    means that no transform exists.
     """
     if L1.order != L2.order:
         raise ValueError("operators must have the same order")

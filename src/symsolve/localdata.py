@@ -757,7 +757,16 @@ def generalized_exponents(L: Operator) -> GenExpSet:
     branch at conj(c) is the conjugate of the branch at c, entries,
     multiplicities and ``complete`` alike, so each conjugate pair of
     roots is searched once (``_Orbits``).
+
+    The set is kept on L after the first call, as ``shift_classes`` are,
+    so local_data and every hom_space into L share one computation.
     """
+    if L._exponents is None:
+        L._exponents = _generalized_exponents(L)
+    return L._exponents
+
+
+def _generalized_exponents(L: Operator) -> GenExpSet:
     if not L.is_normal():
         raise ValueError("operator must be normal")
     bs = _int_cleared(L.poly_coeffs())

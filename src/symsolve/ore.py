@@ -33,7 +33,7 @@ def _to_ratfunc(c) -> RatFunc:
 class Operator:
     """Difference operator sum a_i * S^i with rational-function a_i."""
 
-    __slots__ = ("coeffs", "_canon", "_polys", "_classes")
+    __slots__ = ("coeffs", "_canon", "_polys", "_classes", "_exponents")
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [_to_ratfunc(c) for c in coeffs]
@@ -43,6 +43,7 @@ class Operator:
         self._canon = None
         self._polys = None
         self._classes = {}
+        self._exponents = None  # kept by localdata.generalized_exponents
 
     # -- constructors ----------------------------------------------------
 

@@ -6,13 +6,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from symsolve import equivalence, snf
 from symsolve.equivalence import (
     _abramov_denominator,
-    _degree_cap,
+    _complete_exponents,
+    _exponent_bound,
     _hom_denominator,
     _hom_rows,
     _power_columns,
@@ -43,6 +44,7 @@ from symsolve.symprod import (
 from symsolve.table import load_table
 
 import shift_reference
+from test_localdata import SWEEP_GAUGES, SWEEP_RATIOS, _small_order3
 
 X = P(0, 1)
 L_CUBIC = parse_operator("2S^3 + x^2 S^2 - 3S + (x+1)")
@@ -591,8 +593,17 @@ def _reference_rows(p1, p2, u, width):
     return rows
 
 
+def _degree_cap(p1, p2) -> int:
+    """The reference width beyond deg u: the heuristic cap hom_space
+    used before its degree bound was proven, twice the largest
+    coefficient degree plus ten."""
+    return 2 * max(p.degree for p in p1 + p2) + 10
+
+
 def _bases_agree(L1: Operator, L2: Operator) -> int:
-    """Check the integer rows against the reference; the dimension."""
+    """Check the integer rows against the reference rows at the
+    reference width, and hom_space, at its proven width, against the
+    reference basis; the dimension."""
     p1, p2 = L1.poly_coeffs(), L2.poly_coeffs()
     u = _hom_denominator(L1, L2)
     width = _degree_cap(p1, p2) + u.degree + 1
@@ -657,6 +668,103 @@ class TestHomRows:
             return
         _bases_agree(L1, L2)
         _bases_agree(L1, L1)
+
+
+def _count_calls(monkeypatch, name) -> list:
+    calls = []
+    real = getattr(equivalence, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(equivalence, name, counting)
+    return calls
+
+
+def _exponent_bound_of(L1: Operator, L2: Operator):
+    ges1, ges2 = _complete_exponents(L1), _complete_exponents(L2)
+    assert ges1 is not None and ges2 is not None
+    return _exponent_bound(L1, ges1, ges2)
+
+
+def _coefficient_degrees(G: Operator) -> list:
+    return [c.num.degree - c.den.degree for c in G.coeffs if c]
+
+
+class TestDegreeBound:
+    """hom_space's width comes from the generalized exponents at
+    infinity of both operators; see its docstring for the proof."""
+
+    @given(_small_order3(), st.sampled_from(SWEEP_RATIOS), st.sampled_from(SWEEP_GAUGES))
+    @settings(max_examples=60, deadline=None)
+    def test_planted_gauges_lie_within_the_bound(self, L, r, gauge):
+        M = symprod_first_order(L, r)
+        G = parse_operator(gauge) if gauge is not None else Operator.identity()
+        assume(G.gcrd(M).order == 0)
+        L2 = transformed_operator(M, G)
+        ges1, ges2 = _complete_exponents(M), _complete_exponents(L2)
+        assume(ges1 is not None and ges2 is not None)
+        bound = _exponent_bound(M, ges1, ges2)
+        assert bound is not None
+        assert max(_coefficient_degrees(G)) <= bound
+        assert _in_span(G, hom_space(M, L2), M)
+
+    def test_exponent_gap_is_the_degree(self):
+        # y1 = Γ(x+3) against y2 = 1: c_0 = y2/y1 up to a constant, of
+        # degree -3, the gap between the powers 3 and 0
+        L1, L2 = parse_operator("x*S - (x+3)"), parse_operator("S - 1")
+        assert _exponent_bound_of(L1, L2) == -3
+        (gm,) = hom_space(L1, L2)
+        assert gm.G == Operator([RF([1], [0, 2, 3, 1])])
+        assert _exponent_bound_of(L2, L1) == 3
+        (gm,) = hom_space(L2, L1)
+        assert gm.G == Operator([RF([0, 2, 3, 1])])
+
+    def test_shared_constant_needs_the_casoratian_term(self):
+        # (S - 2)^3 has the solutions 2^x·{1, x, x²}: one leading constant
+        # for all three, so det V loses three levels and E = 3; the
+        # largest gap is 2, yet a map has a coefficient of degree 4
+        L = parse_operator("S^3 - 6*S^2 + 12*S - 8")
+        ges = _complete_exponents(L)
+        assert [(e.c, e.tail) for e in ges] == [(2, (0,)), (2, (1,)), (2, (2,))]
+        assert _exponent_bound(L, ges, ges) == 5
+        assert _bases_agree(L, L) == 9
+        assert max(d for gm in hom_space(L, L) for d in _coefficient_degrees(gm.G)) == 4
+
+    @pytest.mark.parametrize("source, target", [
+        ("S - 2", "S - 3"),                  # no shared leading constant
+        ("2*x*S - (2*x + 1)", "S - 1"),      # powers 1/2 and 0: no integer gap
+    ])
+    def test_no_matching_exponent_builds_no_rows(self, monkeypatch, source, target):
+        L1, L2 = parse_operator(source), parse_operator(target)
+        assert _bases_agree(L1, L2) == 0
+        calls = _count_calls(monkeypatch, "_hom_rows")
+        assert hom_space(L1, L2) == []
+        assert calls == []
+
+    def test_bound_above_the_budget_raises(self):
+        # c_0 = x(x+1)···(x+100): degree 101, one past the budget
+        with pytest.raises(ValueError, match="bound 101 exceeds the degree budget 100"):
+            hom_space(parse_operator("S - 1"), parse_operator("x*S - (x+101)"))
+        (gm,) = hom_space(parse_operator("S - 1"), parse_operator("x*S - (x+100)"))
+        assert _coefficient_degrees(gm.G) == [100]
+
+    def test_equations_that_vanish_keep_their_columns(self):
+        # u = 1 and B = 0: at width 1 every equation of hom_space(L, L)
+        # vanishes, and the constants are the whole space
+        L = parse_operator("(2*x^2 - x + 2)*S + 3*x + 9")
+        assert _hom_denominator(L, L) == P(1) and _exponent_bound_of(L, L) == 0
+        (gm,) = hom_space(L, L)
+        assert _proportional(gm.G, Operator.identity(), L)
+
+    def test_incomplete_operands_take_the_fallback_cap(self, monkeypatch):
+        # a single edge of slope -1/3: no complete exponent set
+        L = parse_operator("S^3 - x")
+        assert _complete_exponents(L) is None
+        calls = _count_calls(monkeypatch, "_fallback_cap")
+        assert _bases_agree(L, L) >= 1
+        assert len(calls) == 1
 
 
 class TestTransformedOperator:

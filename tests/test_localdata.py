@@ -462,6 +462,14 @@ class TestGenExp:
         ge = generalized_exponents(Operator([Poly.const(F(-7, 3)), P(1)]))
         assert list(ge) == [rep(1, F(7, 3), 0, F(0))]
 
+    def test_kept_on_the_operator(self, monkeypatch):
+        # local_data and every hom_space into L share one computation
+        L = hermite_sq()
+        first = generalized_exponents(L)
+        monkeypatch.setattr(localdata, "_generalized_exponents", None)
+        assert generalized_exponents(L) is first
+        assert local_data(L).genexp == first.entries
+
     def test_first_order_is_trunc_of_ratio(self):
         # GenExp(tau - r) = {Trunc(r(t))} with r = (x^2+x+1)/x^2 -> 1 + t + t^2
         L = Operator([-P(1, 1, 1), P(0, 0, 1)])

@@ -7,6 +7,9 @@ order case_diagnosis -> local_data -> match_local_data ->
 solve_parameters -> instantiate -> gt_find, and the first transform
 found must carry an exact certificate.  Any table entry is accepted:
 Legendre and Gauss inputs may come back through an equivalent entry.
+Every hom_space on the way must size its ansatz by the proven degree
+bound, never by the heuristic cap kept for operands without a complete
+exponent set.
 """
 
 import random
@@ -59,7 +62,13 @@ def _solve(L, table):
 
 @pytest.mark.parametrize("name, seed, r, gauge", CASES, ids=[
     f"{n}-{s}-r={r.to_str()}-G={g}" for n, s, r, g in CASES])
-def test_planted_disguise_is_found_with_a_certificate(table, name, seed, r, gauge):
+def test_planted_disguise_is_found_with_a_certificate(table, monkeypatch, name, seed,
+                                                     r, gauge):
+    fallback, homs = [], []
+    for attr, log in (("_fallback_cap", fallback), ("hom_space", homs)):
+        real = getattr(equivalence, attr)
+        monkeypatch.setattr(equivalence, attr,
+                            lambda *args, real=real, log=log: log.append(args) or real(*args))
     entry = table.entry(name)
     M, _ = entry.instantiate(entry.sample_assignment(random.Random(seed)))
     L = symprod_first_order(M, r)
@@ -67,6 +76,7 @@ def test_planted_disguise_is_found_with_a_certificate(table, name, seed, r, gaug
         L = transformed_operator(L, parse_operator(gauge))
     got = _solve(L, table)
     assert got is not None, "planted operator not found"
+    assert homs and not fallback, "hom_space took the heuristic cap"
     found, asn, t = got
     assert t.target == L
     assert not (t.target * t.G.G) % t.G.source
