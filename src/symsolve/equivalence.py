@@ -291,9 +291,13 @@ def _exponent_bound(L1: Operator, ges1: GenExpSet, ges2: GenExpSet) -> Optional[
     d = L1.order
     p = L1.poly_coeffs()
     slopes = sorted(-e.v for e in ges1 for _ in range(e.multiplicity))
-    # E: the leading powers of the solutions less that of the Casoratian
-    defect = demote(sum((e.multiplicity * _leading_power(e) for e in ges1),
-                        _sublead(p[d]) - _sublead(p[0])))
+    # E: the leading powers of the solutions less that of the Casoratian.
+    # An irrational power comes with its conjugate and the same
+    # multiplicity, so only rational parts add up, whatever the fields.
+    defect = _sublead(p[d]) - _sublead(p[0])
+    for e in ges1:
+        alpha = demote(_leading_power(e))
+        defect += e.multiplicity * (alpha if isinstance(alpha, Fraction) else alpha.coords[0])
     best = None
     for e in ges1:
         gaps = [demote(_leading_power(f) - _leading_power(e))

@@ -711,8 +711,8 @@ class TestDegreeBound:
         assert _in_span(G, hom_space(M, L2), M)
 
     def test_exponent_gap_is_the_degree(self):
-        # y1 = Γ(x+3) against y2 = 1: c_0 = y2/y1 up to a constant, of
-        # degree -3, the gap between the powers 3 and 0
+        # y1 = x(x+1)(x+2) against y2 = 1: c_0 = y2/y1 up to a constant,
+        # of degree -3, the gap between the powers 0 and 3
         L1, L2 = parse_operator("x*S - (x+3)"), parse_operator("S - 1")
         assert _exponent_bound_of(L1, L2) == -3
         (gm,) = hom_space(L1, L2)
@@ -731,6 +731,17 @@ class TestDegreeBound:
         assert _exponent_bound(L, ges, ges) == 5
         assert _bases_agree(L, L) == 9
         assert max(d for gm in hom_space(L, L) for d in _coefficient_degrees(gm.G)) == 4
+
+    def test_irrational_powers(self):
+        # x²·Δ²y = y: powers (1 ± √5)/2, whose irrational parts cancel in E
+        L = parse_operator("x^2*S^2 - 2*x^2*S + x^2 - 1")
+        ges = _complete_exponents(L)
+        assert all(e.c == 1 and not isinstance(e.tail[0], F) for e in ges)
+        G = parse_operator("1 + x*S")
+        L2 = transformed_operator(L, G)
+        assert _exponent_bound_of(L, L2) == 2
+        assert _bases_agree(L, L2) == 1
+        assert _in_span(G, hom_space(L, L2), L)
 
     @pytest.mark.parametrize("source, target", [
         ("S - 2", "S - 3"),                  # no shared leading constant
