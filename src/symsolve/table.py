@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .evaluators import EVALUATORS, eval_special
-from .fieldext import demote, rational_sqrt, value_sqrt
+from .fieldext import demote, rational_sqrt
 from .localdata import (GenExpRep, LocalData, SingularityClass, ValGEntry,
                         local_data, problem_points, r_equivalent)
 from .opformat import (ExprError, eval_fraction, eval_poly, eval_value,
@@ -469,33 +469,41 @@ def match_local_data(data: LocalData, table: BaseTable) -> List[TableEntry]:
 
 
 # -- parameter matchers -------------------------------------------------------
-# All table parameters are rational, so a branch that can only give an
-# irrational z is skipped; each matcher's docstring says why.
+# One assignment per base operator up to a shift of x, the first of its
+# class in the order (z, a, b, c).  A disguise L of a base M has M's
+# exponents times one common factor, so L's Gquo has M's constants and
+# slopes.  Each kept reading reads a quotient of the middle exponent, a
+# simple root at infinity that is always found, and an end one, so if L
+# is a disguise of the entry at z' it returns z'.  A reading that only adds
+# other values adds none at which gt_find can succeed.  Parameters are
+# rational, so a reading that can only give an irrational z is skipped.
 
-def _both_signs(s) -> list:
-    """The square roots ±s read off one root s (``rational_sqrt`` or
-    ``value_sqrt``); none when s is None."""
-    if s is None:
-        return []
-    return [s, -s] if s else [s]
-
-
-def _sorted_unique(vals: Sequence[Fraction]) -> List[Fraction]:
-    return sorted(set(vals), key=lambda q: (abs(q), q < 0, q))
+def _positive_roots(squares) -> List[Fraction]:
+    """The positive rational square roots among squares, ascending.
+    Negating z negates Legendre's and Hermite's middle root coefficient
+    and Bessel's end ones, which maps each root solution y to (-1)^x·y.
+    The square removes the sign, so ±z give one base and z > 0 stands
+    for both."""
+    roots = {rational_sqrt(zz) for zz in map(demote, squares)
+             if isinstance(zz, Fraction)}
+    return sorted(z for z in roots if z)
 
 
 def _match_gauss(entry: TableEntry, data: LocalData
                  ) -> List[Dict[str, Fraction]]:
-    """Assignments of the half-argument Gauss entry.  When g.c has no
-    square root in its field, a root R of R² = g.c has degree 4, but a
-    rational zz = (R+1)²/(4R) makes R a root of R² + (2-4zz)·R + 1."""
+    """Assignments of the half-argument Gauss entry.  ValG fixes b modulo
+    1/2 as β, leaving (0, β+1/2, β+1), (1/2, β, β+1) and (1/2, β+1/2, β+3/2)
+    on the locus c = a + b + 1/2.  The second has the root polynomials of
+    the first after x -> x+1, so it is dropped.  Gquo is {-R, -1/R, R², 1/R²}
+    with R = 2z-1+2·sqrt(z²-z), and z = (R+1)²/(4R) for R and 1/R alike,
+    so reading every element as -R finds z.  Reading elements as R² adds
+    only values like 1-z, whose base has R and 1/R in Gquo, not -R and -1/R."""
     roots = []
     for e in data.valg:
         rep = e.cls.representative.monic()
         if rep.degree != 1:
             return []
         roots.append(-Fraction(rep[0]))
-    a_cands = [Fraction(0), Fraction(1, 2)]
     nonzero = [r for r in roots if r != 0]
     if len(roots) == 2 and len(nonzero) == 1:
         beta = (-nonzero[0] / 2) % Fraction(1, 2)
@@ -504,94 +512,60 @@ def _match_gauss(entry: TableEntry, data: LocalData
         beta = Fraction(0)
     else:
         return []
-    b_cands = [beta, beta + Fraction(1, 2)]
-    c_cands = [beta + 1, beta + Fraction(3, 2)]
 
-    z_cands: List[Fraction] = []
+    zs = set()
     for g in data.gquo:
         if g.r != 1 or g.v != 0:
             return []
-        ratios = [-g.c]                            # value read as -R
-        ratios += _both_signs(value_sqrt(g.c))     # value read as R^2
-        for R in ratios:
-            if not R:
-                continue
-            zz = demote((R + 1) * (R + 1) / (4 * R))
-            if isinstance(zz, Fraction) and 0 < zz < 1:
-                z_cands.append(zz)
-    z_cands = _sorted_unique(z_cands)
-
-    assignments = []
-    for z in z_cands:
-        for a in a_cands:
-            for b in b_cands:
-                c = a + b + Fraction(1, 2)
-                if c in c_cands:
-                    assignments.append({"a": a, "b": b, "c": c, "z": z})
-    assignments.sort(key=lambda m: (m["z"], m["a"], m["b"], m["c"]))
-    return assignments
+        R = -g.c
+        zz = demote((R + 1) * (R + 1) / (4 * R))
+        if isinstance(zz, Fraction) and 0 < zz < 1:
+            zs.add(zz)
+    half = Fraction(1, 2)
+    return [{"a": a, "b": beta + half, "c": a + beta + 1, "z": z}
+            for z in sorted(zs) for a in (Fraction(0), half)]
 
 
 def _match_legendre(entry: TableEntry, data: LocalData
                     ) -> List[Dict[str, Fraction]]:
-    """Assignments of the Legendre entry.  In the λ⁴-type reading a
-    rational zz = (2a+s)/(4a) forces s = (4zz-2)·a, which lies in Q(a)."""
-    z_cands: List[Fraction] = []
+    """Assignments of the Legendre entry, z > 0.  Gquo is {λ, 1/λ, λ², 1/λ²}
+    with λ = 2z²-1+2·sqrt(z⁴-z²), and z² = (λ+1)²/(4λ) for λ and 1/λ alike,
+    so reading every element as λ finds z².  Reading elements as λ² adds only
+    values like 1-z², whose base has -λ and -1/λ in Gquo, not λ and 1/λ."""
+    squares = []
     for g in data.gquo:
         if g.r != 1 or g.v != 0:
             return []
-        aval = g.c
-        # lambda^2-type element: z^2 = (a+1)^2 / (4a)
-        zz = demote((aval + 1) * (aval + 1) / (4 * aval))
-        if isinstance(zz, Fraction):
-            z_cands.extend(_both_signs(rational_sqrt(zz)))
-        # lambda^4-type element: z^2 = (2a +- sqrt(a^3+2a^2+a)) / (4a)
-        for s in _both_signs(value_sqrt(aval * (aval + 1) * (aval + 1))):
-            zz = demote((2 * aval + s) / (4 * aval))
-            if isinstance(zz, Fraction):
-                z_cands.extend(_both_signs(rational_sqrt(zz)))
-    z_cands = [z for z in _sorted_unique(z_cands) if z != 0 and abs(z) != 1]
-    return [{"z": z} for z in z_cands]
+        squares.append((g.c + 1) * (g.c + 1) / (4 * g.c))
+    return [{"z": z} for z in _positive_roots(squares) if z != 1]
 
 
 def _match_hermite(entry: TableEntry, data: LocalData
                    ) -> List[Dict[str, Fraction]]:
-    """Assignments of the Hermite entry: z² is -w²/2 or -w²/8 for the
-    tail w, so an irrational w² gives an irrational z²."""
-    z_cands: List[Fraction] = []
+    """Assignments of the Hermite entry, z > 0.  Gquo holds c = -1 with
+    tail (±w, -z²) and c = 1 with tail (±2w, -4z²), where w² = -2z², so
+    the c = -1 elements give z² = -w²/2, as the c = 1 ones do by -(2w)²/8."""
+    squares = []
     for g in data.gquo:
-        if g.r != 2 or g.v != 0 or not g.tail:
+        if g.r != 2 or g.v != 0 or g.c not in (Fraction(1), Fraction(-1)):
             return []
-        if g.c not in (Fraction(1), Fraction(-1)):
-            return []
-        w2 = demote(g.tail[0] * g.tail[0])
-        if not isinstance(w2, Fraction):
-            continue
-        zz = -w2 / 2 if g.c == -1 else -w2 / 8
-        z_cands.extend(_both_signs(rational_sqrt(zz)))
-    z_cands = [z for z in _sorted_unique(z_cands) if z != 0]
-    return [{"z": z} for z in z_cands]
+        if g.c == -1:
+            squares.append(-g.tail[0] * g.tail[0] / 2)
+    return [{"z": z} for z in _positive_roots(squares)]
 
 
 def _match_bessel(entry: TableEntry, data: LocalData
                   ) -> List[Dict[str, Fraction]]:
-    """Assignments of the Bessel entry: z² is -4c or -4/c for the
-    quotient constant c, so an irrational c gives an irrational z²."""
-    z_sq: List[Fraction] = []
+    """Assignments of the Bessel entry, z > 0.  Gquo's slope-2 element has
+    c = -z²/4.  Gquo holds each element's inverse, so the slope -2 one,
+    c' = 1/c, gives the same z² as -4/c'."""
+    squares = []
     for g in data.gquo:
         if g.r != 1:
             return []
-        if not isinstance(g.c, Fraction):
-            continue
         if g.v == 2:
-            z_sq.append(-4 * g.c)
-        elif g.v == -2 and g.c != 0:
-            z_sq.append(-4 / g.c)
-    z_cands: List[Fraction] = []
-    for zz in z_sq:
-        z_cands.extend(_both_signs(rational_sqrt(zz)))
-    z_cands = [z for z in _sorted_unique(z_cands) if z != 0]
-    return [{"z": z} for z in z_cands]
+            squares.append(-4 * g.c)
+    return [{"z": z} for z in _positive_roots(squares)]
 
 
 _MATCHERS = {
@@ -604,6 +578,9 @@ _MATCHERS = {
 
 def solve_parameters(entry: TableEntry, data: LocalData
                      ) -> List[Dict[str, Fraction]]:
+    """The entry's parameter assignments that the local data allows: one
+    assignment per base operator up to a shift of x, so each is worth one
+    ``gt_find`` call."""
     return _MATCHERS[entry.matcher["kind"]](entry, data)
 
 
