@@ -10,10 +10,10 @@ coefficients solve a coupled linear difference system.  Rational
 solving follows the universal-denominator approach: pole chains of a
 solution are trapped between roots of the trailing and (shifted)
 leading data, which leaves a finite-dimensional polynomial search.
-The degrees in that search are proven bounds read at infinity: for
-rational solutions from the integer roots of the indicial polynomial,
-for gauge maps from the generalized exponents of both operators
-(Abramov, ISSAC 1995; van Hoeij, JPAA 139, 1999).
+The degrees in that search are proven bounds read at infinity, from
+the generalized exponents of both operators (Abramov, ISSAC 1995; van
+Hoeij, JPAA 139, 1999).  Rational solutions of L are the maps of
+Hom(tau - 1, L), so ``hom_space`` is the one rational solver.
 """
 
 import math
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-from .factorization import factor_over_Q
 from .fieldext import demote
 from .linalg import DependencyFinder, nullspace_rational
 from .localdata import (
@@ -30,7 +29,6 @@ from .localdata import (
     GenExpSet,
     edges_at_infinity,
     generalized_exponents,
-    indicial_polynomial,
     r_equivalent,
 )
 from .opformat import print_operator
@@ -42,7 +40,6 @@ from .symprod import _shift_reduce_step, symprod_first_order
 __all__ = [
     "GaugeMap",
     "GTTransform",
-    "rational_solutions",
     "hom_space",
     "term_candidates",
     "gt_find",
@@ -50,7 +47,7 @@ __all__ = [
     "case_diagnosis",
 ]
 
-#: largest numerator degree rational_solutions and hom_space will search
+#: largest numerator degree hom_space will search
 _DEGREE_BUDGET = 100
 
 
@@ -127,7 +124,7 @@ class GTTransform:
         }
 
 
-# -- rational solutions ------------------------------------------------------
+# -- homomorphisms -----------------------------------------------------------
 
 
 def _class_counts(parts) -> Dict[Poly, Counter]:
@@ -168,23 +165,6 @@ def _abramov_denominator(A, B) -> Poly:
     return u.monic()
 
 
-def _integer_degree_bound(L: Operator) -> Optional[int]:
-    # largest m with -m an integer root of the indicial data at infinity
-    ind, _ = indicial_polynomial(L)
-    if ind.degree < 1:
-        return None
-    best = None
-    _, facs = factor_over_Q(ind)
-    for f, _ in facs:
-        if f.degree != 1:
-            continue
-        root = -Fraction(f[0]) / Fraction(f[1])
-        if root.denominator == 1 and root <= 0:
-            m = int(-root)
-            best = m if best is None else max(best, m)
-    return best
-
-
 def _power_columns(q: list, j: int, width: int) -> List[list]:
     """Coefficient lists of q·(x+j)^k for k < width, each from the last
     by one linear pass q'[m] = q[m-1] + j·q[m]."""
@@ -194,51 +174,6 @@ def _power_columns(q: list, j: int, width: int) -> List[list]:
         q = [j * q[0]] + [a + j * b for a, b in zip(q, q[1:])] + [q[-1]]
         block.append(q)
     return block
-
-
-def _polynomial_solutions(L: Operator, bound: int) -> List[Poly]:
-    # column k is L applied to x^k: sum_i p_i(x)·(x+i)^k; L is canonical,
-    # so the p_i have integer coefficients
-    ps = L.poly_coeffs()
-    cols = [[0] * (max(len(p) for p in ps) + bound) for _ in range(bound + 1)]
-    for i, p in enumerate(ps):
-        if p:
-            for col, z in zip(cols, _power_columns(p.int_coeffs(), i, bound + 1)):
-                for m, c in enumerate(z):
-                    col[m] += c
-    height = max((m + 1 for c in cols for m, v in enumerate(c) if v), default=1)
-    rows = [[c[m] for c in cols] for m in range(height)]
-    return [Poly(vec) for vec in nullspace_rational(rows)]
-
-
-def rational_solutions(L: Operator) -> List[RatFunc]:
-    """Basis of the rational solutions of L(y) = 0.
-
-    The denominator of any solution divides a universal denominator u
-    read off the trailing coefficient and the shifted leading
-    coefficient; substituting y = z/u leaves polynomial solutions of
-    the twisted operator, with degrees bounded through the integer
-    roots of its indicial data at infinity.  A bound above
-    _DEGREE_BUDGET raises ValueError naming both.
-    """
-    if not L.is_normal():
-        raise ValueError("operator must be normal")
-    d = L.order
-    if d < 1:
-        return []
-    polys = L.poly_coeffs()
-    if not all(p.is_rational() for p in polys):
-        raise ValueError("rational coefficients required")
-    u = _abramov_denominator([(L.shift_classes(d)[1], -d)],
-                             [(L.shift_classes(0)[1], 0)])
-    M = Operator([RatFunc(polys[i], u.shift(i)) for i in range(d + 1)]).canonical()
-    bound = _integer_degree_bound(M)
-    if bound is None:
-        return []
-    return [RatFunc(z, u) for z in _polynomial_solutions(M, _within_budget(bound))]
-
-
-# -- homomorphisms -----------------------------------------------------------
 
 
 def _hom_denominator(L1: Operator, L2: Operator) -> Poly:
@@ -375,6 +310,8 @@ def hom_space(L1: Operator, L2: Operator) -> List[GaugeMap]:
     deg u + B + 1 and the basis is complete.  A negative width, or no
     exponent of L2 matching one of L1, returns [] with no row built; a
     numerator degree deg u + B above _DEGREE_BUDGET raises ValueError.
+    For L1 = tau - 1 a map is G = c_0 with L2(c_0) = 0, so the c_0 of the
+    basis are a basis of the rational solutions of L2.
 
     The degree bound.  Take a basis y_1 .. y_d1 of formal solutions of
     L1 at infinity, one per generalized exponent counted with its

@@ -6,9 +6,9 @@ class of such roots gets a valuation-growth gap, read off the Smith
 form (over power series in a local parameter ε) of the transition
 matrix that carries solution windows across the singular region.
 
-Infinity side: the indicial polynomial, generalized exponents (E_r
-representatives) with their ramification-2 refinement, r-equivalence,
-and the quotient set used for table matching.
+Infinity side: generalized exponents (E_r representatives) with their
+ramification-2 refinement, r-equivalence, and the quotient set used for
+table matching.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "problem_points",
     "valuation_growth",
     "valg_set",
-    "indicial_polynomial",
     "edges_at_infinity",
     "generalized_exponents",
     "r_equivalent",
@@ -144,27 +143,59 @@ def _taylor(b: list, h: int, lead: int, mu: list, count: int) -> list:
     return out
 
 
-def _least_scale(f: list) -> int:
-    """The least λ > 0 with λ^(e-k)·f_k/f_e an integer for every k < e,
-    f = f_0 + … + f_e·x^e an integer polynomial: then λθ is a root of a
-    monic integer polynomial whenever θ is a root of f.  Each
-    denominator divides f_e, so λ is ∏ p^(max_k ⌈v_p(f_e/gcd(f_k, f_e))/(e-k)⌉)
-    over the primes p of f_e."""
-    e, lead = len(f) - 1, f[-1]
-    lam = 1
-    if lead > 1:
-        from sympy import factorint
+def _coprime_base(nums: Sequence[int]) -> List[int]:
+    """Pairwise coprime integers > 1 whose powers give every n in nums:
+    a, b with g = gcd(a, b) > 1 give way to g, a/g and b/g, which divides
+    the product of all elements by g, so the splitting ends."""
+    base: List[int] = []
+    todo = [n for n in nums if n > 1]
+    while todo:
+        a = todo.pop()
+        for i, b in enumerate(base):
+            g = math.gcd(a, b)
+            if g > 1:
+                del base[i]
+                todo += [m for m in (g, a // g, b // g) if m > 1]
+                break
+        else:
+            base.append(a)
+    return base
 
-        dens = [lead // math.gcd(f[k], lead) for k in range(e)]
-        for p in factorint(lead):
-            need = 0
-            for k, den in enumerate(dens):
-                v = 0
-                while den % p == 0:
-                    den //= p
-                    v += 1
-                need = max(need, -(-v // (e - k)))
-            lam *= int(p) ** need
+
+def _integral_scale(f: list) -> int:
+    """A λ > 0 with λ^(e-k)·f_k/f_e an integer for every k < e,
+    f = f_0 + … + f_e·x^e an integer polynomial: then λθ is a root of a
+    monic integer polynomial whenever θ is a root of f.
+
+    Read from gcds and integer roots, with no factoring.  The
+    denominators δ_k = f_e/gcd(f_k, f_e) are products of powers of a
+    coprime base, and each base element is b = c^n with n as large as
+    possible.  λ = ∏_b c^(max_k ⌈n·v_b(δ_k)/(e-k)⌉) makes λ^(e-k)
+    divisible by every power of b in δ_k, hence by δ_k.  A prime p with
+    v_p(c) = t enters λ t·max_k ⌈…⌉ times, no fewer than the
+    max_k ⌈t·…⌉ of the least such λ, so the least λ divides this one,
+    and the two are equal when every c is squarefree.  For e = 1 this
+    is λ = δ_0."""
+    from sympy import integer_nthroot
+
+    e = len(f) - 1
+    dens = [f[-1] // math.gcd(f[k], f[-1]) for k in range(e)]
+    lam = 1
+    for b in _coprime_base(dens):
+        c, n = b, 1
+        for m in range(b.bit_length() - 1, 1, -1):
+            root, exact = integer_nthroot(b, m)
+            if exact:
+                c, n = int(root), m
+                break
+        need = 0
+        for k, den in enumerate(dens):
+            v = 0
+            while den % b == 0:
+                den //= b
+                v += 1
+            need = max(need, -(-v * n // (e - k)))
+        lam *= c ** need
     return lam
 
 
@@ -203,10 +234,10 @@ def valuation_growth(L: Operator, cls, offsets: Optional[Sequence[int]] = None
     All of this runs on Python integers, with one integer scale per
     step.  L is cleared to integer coefficients by one scalar c, and the
     class is written as its primitive integer form f = ℓ·x^e + …, ℓ > 0.
-    With λ the least positive integer that makes μ(y) = λ^e·f(y/λ)/ℓ
-    an integer polynomial (``_least_scale``; ℓ itself is one such
-    integer, and λ only needs the primes of ℓ), θ′ = λθ is a root of
-    the monic μ.  With D the largest coefficient degree and
+    With λ a positive integer that makes μ(y) = λ^e·f(y/λ)/ℓ an integer
+    polynomial (``_integral_scale``, from gcds with ℓ and integer roots,
+    with no factoring; ℓ itself is one such integer), θ′ = λθ is a root
+    of the monic μ.  With D the largest coefficient degree and
     b_i(y) = c·λ^D·a_i(y/λ), an integer polynomial,
 
         c·λ^D·a_i(θ + k + ε) = b_i(θ′ + λk + λε),
@@ -242,7 +273,7 @@ def valuation_growth(L: Operator, cls, offsets: Optional[Sequence[int]] = None
     d = L.order
 
     f = rep.primitive().int_coeffs()
-    e, lam = len(f) - 1, _least_scale(f)
+    e, lam = len(f) - 1, _integral_scale(f)
     mu = [f[k] * lam ** (e - k) // f[-1] for k in range(e)]
     bs = _int_cleared(L.poly_coeffs())
     D = max(len(b) for b in bs) - 1
@@ -333,30 +364,6 @@ def _indicial_of_series(bs: Sequence[TSeries]):
         if Pm:
             return Pm, Fraction(vmin + m, ram)
     return None
-
-
-def indicial_polynomial(L: Operator) -> Tuple[Poly, Fraction]:
-    """(P, v) with L(t^n) = P(n)·t^(n+v) + higher order, t = 1/x.
-
-    The series a_i(1/t) are the twist at slope 0 with c = 1: ``_Slope``
-    gives them times the one scalar that clears L's coefficients to
-    integers, exact on ``slots`` terms from t^(-deg a_i).  So P comes out
-    times that scalar, which is divided out."""
-    if not any(L.coeffs):
-        raise ValueError("zero operator has no indicial polynomial")
-    polys = L.poly_coeffs()
-    bs = _int_cleared(polys)
-    scale = next(b[-1] / p.lead() for b, p in zip(bs, polys) if p)
-    degs = [p.degree for p in polys if p]
-    span = max(degs) - min(degs)
-    pad0 = L.order + span + 4
-    slope = _Slope(bs, Fraction(0), 1)
-    for pad in (pad0, 2 * pad0):
-        # the shortest window ends at t^(pad+1)
-        got = _indicial_of_series(slope.twisted(1, None, pad + 1 + max(degs)))
-        if got:
-            return got[0] / scale, got[1]
-    raise ValueError("increase truncation")
 
 
 # -- generalized exponents ----------------------------------------------------

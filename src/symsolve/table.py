@@ -335,8 +335,7 @@ def _check_template(entry: str, fieldname: str, text, allowed: set) -> None:
              f"template {text!r} uses unknown symbols {sorted(unknown)}")
 
 
-def load_table(path: Optional[str] = None, validate: bool = False,
-               seed: int = 0) -> BaseTable:
+def load_table(path: Optional[str] = None) -> BaseTable:
     fname = resolve_table_path(path)
     try:
         raw = json.loads(Path(fname).read_text())
@@ -413,10 +412,7 @@ def load_table(path: Optional[str] = None, validate: bool = False,
         ))
     if not entries:
         raise TableError(f"table file {fname}: no entries")
-    table = BaseTable(tuple(entries), path=fname)
-    if validate:
-        table.self_validate(seed=seed)
-    return table
+    return BaseTable(tuple(entries), path=fname)
 
 
 # -- matching -----------------------------------------------------------------

@@ -7,11 +7,11 @@ term and one series product per coefficient; quotients of exponents go
 through a series division.  The package builds the twist once per slope
 over the integers, reads each root off it, searches one root per
 conjugate pair, and writes quotients in closed form; its results must
-agree with these.  The indicial polynomial at infinity is here too, read
-off windows of L's own coefficients, where the package reads it off the
-integer twist at slope 0.  The series arithmetic they use (sums, products,
-ramification changes, windows) lives here too, as functions on
-``TSeries``: the package needs none of it.
+agree with these.  The twist here starts from the windows of L's own
+coefficients, where the package clears them to integers by one scalar.
+The series arithmetic they use (sums, products, ramification changes,
+windows) lives here too, as functions on ``TSeries``: the package needs
+none of it.
 """
 
 import math
@@ -261,22 +261,6 @@ def twisted_series(polys: Sequence[Poly], g: TSeries, slots: int) -> List[TSerie
     for i in range(d - 1, -1, -1):
         suffix[i] = mul(taus[i], suffix[i + 1])
     return [mul(windows[i], suffix[i]) for i in range(d + 1)]
-
-
-def indicial_polynomial(L: Operator):
-    """``localdata.indicial_polynomial`` from the windows a_i(1/t) of L's
-    own coefficients, with no clearing scalar."""
-    if not any(L.coeffs):
-        raise ValueError("zero operator has no indicial polynomial")
-    polys = L.poly_coeffs()
-    degs = [p.degree for p in polys if p]
-    span = max(degs) - min(degs)
-    pad0 = L.order + span + 4
-    for pad in (pad0, 2 * pad0):
-        got = _indicial_of_series(coeff_windows(polys, 1, pad))
-        if got:
-            return got
-    raise ValueError("increase truncation")
 
 
 def _tail_candidates(polys, c, v: Fraction, beta, ram: int) -> List[GenExpRep]:

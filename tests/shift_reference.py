@@ -135,7 +135,8 @@ def hom_denominator(p1: List[Poly], p2: List[Poly]) -> Poly:
 
 
 def rational_denominator(polys: List[Poly]) -> Poly:
-    """u of rational_solutions for the coefficients a_0 .. a_d."""
+    """u of the rational solutions of a_0 + … + a_d·τ^d, the one
+    hom_space gives for the source τ - 1."""
     d = len(polys) - 1
     return abramov_denominator(polys[d].shift(-d), polys[0])
 

@@ -1,7 +1,9 @@
-"""The package surface: every exported name exists, and loading the table
-stays clear of sympy."""
+"""The package surface: every exported name exists, every name the
+benchmark's tracer wraps exists, and loading the table stays clear of
+sympy."""
 
 import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -33,3 +35,27 @@ def test_load_table_does_not_import_sympy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+def _tracing_module():
+    # benchmarks/ is no package, so the tracer is loaded from its file
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("benchmark_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_names_exist():
+    # a traced run installs a wrapper on each of these and fails on a
+    # missing one, so a deletion from src/ must not leave one behind
+    tracing = _tracing_module()
+    missing = []
+    for span, where in tracing.LAYERS + tracing.KERNELS:
+        modname, attr = where.split(":")
+        obj = importlib.import_module(modname)
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        if obj is None:
+            missing.append(span)
+    assert not missing, f"benchmarks/tracing.py wraps missing names: {missing}"

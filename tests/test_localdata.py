@@ -1,10 +1,14 @@
+import math
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
+from sympy import factorint
 
 from symsolve import localdata, snf
 from symsolve.equivalence import transformed_operator
@@ -17,7 +21,6 @@ from symsolve.localdata import (
     edges_at_infinity,
     generalized_exponents,
     gquo,
-    indicial_polynomial,
     local_data,
     problem_points,
     r_equivalent,
@@ -30,7 +33,7 @@ from symsolve.poly import P, Poly
 from symsolve.ratfunc import RF, RatFunc
 from symsolve.series import TSeries
 from symsolve.snf import canonical_shift
-from symsolve.symprod import symprod_first_order, symprod_general, symsquare_order2
+from symsolve.symprod import symprod_first_order, symsquare_order2
 
 import field_reference
 import genexp_reference
@@ -185,7 +188,7 @@ def _reference_growth(L: Operator, cls: Poly):
 
 # the last five have primitive integer forms with leading coefficient
 # l != 1, so valuation_growth works with the root λ·θ of a scaled minimal
-# polynomial; for the last two the least scale λ = 2 is below l
+# polynomial; for the last two the scale λ = 2 is below l
 CLASSES = (X, X * X - P(2), X * X + P(1), X ** 3 - P(2), X ** 3 - X - P(1),
            P(-1, 2), P(-2, 0, 3), P(-3, 0, 0, 2), P(1, 0, 4), P(-3, 0, 0, 8))
 
@@ -209,6 +212,34 @@ def _operator_with_class(draw):
         g = f.shift(draw(st.integers(0, 1)))
         coeffs = [c * g for c in coeffs]
     return Operator(coeffs), f
+
+
+#: 10000000000000000051 · 3000000000000000000053, 41 digits
+SEMIPRIME = 30000000000000000153530000000000000002703
+
+
+def _least_scale(f: list) -> int:
+    """The least λ > 0 with λ^(e-k)·f_k/f_e an integer for every k < e:
+    ∏ p^(max_k ⌈v_p(f_e/gcd(f_k, f_e))/(e-k)⌉) over the primes p of f_e."""
+    e, lead = len(f) - 1, f[-1]
+    lam = 1
+    dens = [lead // math.gcd(f[k], lead) for k in range(e)]
+    for p in factorint(lead):
+        need = 0
+        for k, den in enumerate(dens):
+            v = 0
+            while den % p == 0:
+                den //= p
+                v += 1
+            need = max(need, -(-v // (e - k)))
+        lam *= int(p) ** need
+    return lam
+
+
+def _scales_to_integers(f: list, lam: int) -> bool:
+    """μ(y) = λ^e·f(y/λ)/f_e is an integer polynomial."""
+    e = len(f) - 1
+    return all((F(f[k], f[-1]) * lam ** (e - k)).denominator == 1 for k in range(e))
 
 
 class TestTruncatedGrowth:
@@ -236,13 +267,55 @@ class TestTruncatedGrowth:
         ([-1, 0, 2], 2), ([5, 7], 7), ([1, 0, 1], 1),
     ])
     def test_least_scale(self, f, lam):
-        assert localdata._least_scale(f) == lam
+        # lam is the least scale, which the factoring oracle finds; the
+        # scale read from gcds and integer roots is a multiple of it
+        assert _least_scale(f) == lam
         e = len(f) - 1
-        assert all((F(f[k], f[-1]) * lam ** (e - k)).denominator == 1 for k in range(e))
         for p in (2, 3, 5, 7):  # no proper divisor of λ will do
             if lam % p == 0:
                 assert any((F(f[k], f[-1]) * (lam // p) ** (e - k)).denominator > 1
                            for k in range(e))
+        got = localdata._integral_scale(f)
+        assert got % lam == 0 and _scales_to_integers(f, got)
+
+    @pytest.mark.parametrize("f, scale", [
+        ([1, 0, 4], 2),                       # δ_0 = 4 = 2^2 at e = 2
+        ([1, 0, 0, 0, 48], 48),               # 2^4·3, no power; the least is 6
+        ([1, 0, 0, 0, 1296], 6),              # 1296 = 6^4 at e = 4
+        ([3, 2, 12], 6),                      # δ = 4, 6 give the base {2, 3}
+        ([1] + [0] * 6 + [625000], 625000),   # 2^3·5^7; the least scale is 10
+    ])
+    def test_scale_from_gcds_and_integer_roots(self, f, scale):
+        assert localdata._integral_scale(f) == scale
+
+    @given(st.lists(st.integers(-40, 40), min_size=1, max_size=4),
+           st.integers(1, 5000))
+    @settings(max_examples=200, deadline=None)
+    def test_scale_is_a_multiple_of_the_least(self, low, lead):
+        f = low + [lead]
+        got = localdata._integral_scale(f)
+        least = _least_scale(f)
+        assert got % least == 0 and _scales_to_integers(f, got)
+        if all(e == 1 for e in factorint(lead).values()):
+            assert got == least  # every base element is squarefree
+
+    def test_large_class_lead_is_not_factored(self, monkeypatch):
+        # the class N·x + 1 of a term ratio with N a 41-digit semiprime:
+        # factoring N took seconds, gcds take nothing.  squarefree_core
+        # still factors the radicands at infinity, all of them small here.
+        real = sympy.factorint
+
+        def small_only(n, *args, **kwargs):
+            assert abs(n) <= 10 ** 12, "factorint called on a large integer"
+            return real(n, *args, **kwargs)
+
+        monkeypatch.setattr(sympy, "factorint", small_only)
+        L = symprod_first_order(hermite_sq(F(2)), RF([1, SEMIPRIME], [2, 1]))
+        start = time.perf_counter()
+        data = local_data(L)
+        assert time.perf_counter() - start < 1.0
+        assert P(F(1, SEMIPRIME), 1) in [rep for rep, _ in problem_points(L)]
+        assert data.valg == (ValGEntry(SingularityClass(X), 2),)  # N·x + 1 is apparent
 
     def test_scale_below_the_leading_coefficient(self):
         # 8x^3 - 3 has l = 8, and θ′ = 2θ is already integral
@@ -325,35 +398,15 @@ def _fractional_operator(draw):
 
 
 class TestIndicial:
-    def test_constant_ratio(self):
-        Pn, v = indicial_polynomial(Operator([P(-1), P(1)]))
-        assert Pn == P(0, -1) and v == 1
-
-    def test_rising_factor(self):
-        Pn, v = indicial_polynomial(Operator([-(X + P(1)), X]))
-        assert Pn == P(-1, -1) and v == 0  # root at n = -1
-
-    def test_additivity_on_products(self):
-        # integer indicial roots add under the symmetric product
-        rng = random.Random(3)
-        for _ in range(8):
-            p = P(rng.randint(1, 4), 1) * P(rng.randint(1, 4), 0, 1)
-            q = P(rng.randint(1, 4), rng.randint(1, 3))
-            L1 = Operator([-p.shift(1), p])
-            L2 = Operator([-q.shift(1), q])
-            S = symprod_general(L1, L2)
-            Pn, _ = indicial_polynomial(S)
-            root = F(-(p.degree + q.degree))
-            assert not Pn.eval(root)
+    """The indicial step of ``generalized_exponents`` reads the twist of L
+    cleared to integers by one scalar; the reference reads the windows of
+    L's own coefficients, with no scalar.  Fraction coefficients make the
+    scalar nontrivial, and equal degrees put an edge at slope 0."""
 
     @given(_fractional_operator())
     @settings(max_examples=120, deadline=None)
     def test_matches_windows_of_the_coefficients(self, L):
-        # the twist at slope 0 carries a clearing scalar that must come out
-        got = indicial_polynomial(L)
-        ref = genexp_reference.indicial_polynomial(L)
-        assert got == ref and repr(got) == repr(ref)
-        assert all(type(c) is F for c in got[0].coeffs)
+        assert _genexp_outcome(localdata, L) == _genexp_outcome(genexp_reference, L)
 
 
 @st.composite
