@@ -66,8 +66,14 @@ class GaugeMap:
 
     Validity means target*G is right divisible by source; G is stored
     reduced modulo source, which does not change its action on the
-    solution space.  The map is a bijection exactly when gcrd(G, source)
-    is trivial.
+    solution space.  The check runs on integer polynomials.  With
+    G = sum z_i/u·tau^i and w = u(x)·u(x+1)···u(x+ord target), the
+    operator w·target·G has polynomial coefficients, and its right
+    pseudo-remainder by source (``_right_prem``) is a nonzero
+    polynomial times the remainder of target*G over Q(x): a nonzero
+    left scalar factor keeps right divisibility, since f·(Q·source + R)
+    = (f·Q)·source + f·R.  So the pseudo-remainder vanishes exactly
+    when the remainder does.
     """
 
     G: Operator
@@ -77,12 +83,24 @@ class GaugeMap:
     def __post_init__(self):
         if self.G.order >= self.source.order:
             object.__setattr__(self, "G", self.G % self.source)
-        if (self.target * self.G) % self.source:
+        if not _is_map(self.G, self.source, self.target):
             raise ValueError("not a homomorphism: nonzero remainder")
 
     @property
     def bijective(self) -> bool:
-        return self.G.gcrd(self.source).order == 0
+        """Whether gcrd(G, source) = 1, so that G maps the solutions of
+        source one to one onto those of target.
+
+        P ↦ P·G sends D = Q(x)[tau] into D/D·source, a space of
+        dimension d = ord(source) over Q(x).  Its kernel is the left
+        ideal of an operator of order d - ord gcrd(G, source), so the
+        image has dimension d exactly when the gcrd is trivial.  The
+        image is spanned by the tau^k·G mod source: each is tau times
+        the last, so once one depends on those before it every later
+        one does too, and k < d span it.  ``_image_is_full`` tests that
+        their d×d coordinate matrix has a nonzero determinant.
+        """
+        return _image_is_full(self.G, self.source)
 
     def to_json(self) -> dict:
         return {
@@ -122,6 +140,87 @@ class GTTransform:
             "source": print_operator(self.source),
             "target": print_operator(self.target),
         }
+
+
+# -- integer certificates -----------------------------------------------------
+
+
+def _int_lists(polys) -> List[list]:
+    # _int_cleared, for rational polynomials only
+    if not all(p.is_rational() for p in polys):
+        raise ValueError("rational coefficients required")
+    return _int_cleared(polys)
+
+
+def _right_prem(A: List[list], S: List[list]) -> List[list]:
+    """Right pseudo-remainder of A by S, operators given as lists of
+    integer coefficient lists, ascending in tau.
+
+    Each step cancels the top term a_n·tau^n of A against
+    tau^k·S = sum_j s_j(x+k)·tau^(j+k), k = n - ord S, by
+    A ← l(x+k)·A - a_n·tau^k·S with l the leading coefficient of S.
+    The result is f·R for R the remainder of A over Q(x) and f the
+    product of the l(x+k), with no division at all.
+    """
+    d = len(S) - 1
+    A = list(A)
+    while len(A) > d:
+        top = A.pop()
+        k = len(A) - d
+        lead = _list_shift(S[d], k)
+        A = [_list_mul(lead, a) for a in A]
+        for j in range(d):
+            A[k + j] = _list_sub(A[k + j], _list_mul(top, _list_shift(S[j], k)))
+    return A
+
+
+def _tau_times(A: List[list]) -> List[list]:
+    # tau·sum a_i tau^i = sum a_i(x+1) tau^(i+1)
+    return [[]] + [_list_shift(a, 1) for a in A]
+
+
+def _is_map(G: Operator, source: Operator, target: Operator) -> bool:
+    """Whether target*G is right divisible by source; see GaugeMap."""
+    # G = sum Z_i/U·tau^i, and A is -w·target*G up to a constant factor
+    *Z, U = _int_lists([*G.poly_coeffs(), G.denominator()])
+    T = _int_lists(target.poly_coeffs())
+    ushift = [_list_shift(U, j) for j in range(len(T))]
+    A: List[list] = [[] for _ in range(len(T) + len(Z) - 1)]
+    for j, t in enumerate(T):
+        if not t:
+            continue
+        for jj, us in enumerate(ushift):
+            if jj != j:
+                t = _list_mul(t, us)
+        for i, z in enumerate(Z):
+            if z:
+                A[i + j] = _list_sub(A[i + j], _list_mul(t, _list_shift(z, j)))
+    return not any(_right_prem(A, _int_lists(source.poly_coeffs())))
+
+
+def _image_is_full(G: Operator, source: Operator) -> bool:
+    """Whether the rows of tau^k·G mod source, k < d, have a nonzero
+    determinant; see GaugeMap.bijective.
+
+    Row k is the pseudo-remainder of tau·(row k-1), a nonzero scalar
+    multiple of the true coordinates, which keeps the rank.  The
+    determinant has degree at most the sum of the rows' largest degrees
+    D, so if it is nonzero it is nonzero at one of x = 0 .. D; each
+    integer matrix is ranked by fraction-free elimination.
+    """
+    S = _int_lists(source.poly_coeffs())
+    d = len(S) - 1
+    row = _right_prem(_int_lists(G.poly_coeffs()), S)
+    rows = []
+    for _ in range(d):
+        row = row + [[]] * (d - len(row))
+        rows.append(row)
+        row = _right_prem(_tau_times(row), S)
+    bound = sum(max(len(c) for c in r) - 1 for r in rows)
+    for x0 in range(bound + 1):
+        if _int_rank([[_eval_int(c, x0) for c in r] for r in rows]) == d:
+            return True
+    return False
 
 
 # -- homomorphisms -----------------------------------------------------------
@@ -258,13 +357,7 @@ def _hom_rows(p1: List[Poly], p2: List[Poly], u: Poly, width: int
     # numerators N[k] of tau^k modulo L1 over Delta_k, k = 0 .. d1+d2-1
     N = [[[1] if s == k else [] for s in range(d1)] for k in range(d1)]
     while len(N) < d1 + d2:
-        prev = [_list_shift(c, 1) for c in N[-1]]
-        top = prev[d1 - 1]
-        N.append([
-            _list_sub(_list_mul(lead, prev[s - 1]) if s else [],
-                     _list_mul(top, P1[s]))
-            for s in range(d1)
-        ])
+        N.append(_right_prem(_tau_times(N[-1]), P1))
     # tail[a] = l(x+a)···l(x+d2-1) = Delta_K / Delta_k for a = max(0, k-d1+1)
     tail = [[1]]
     for m in range(d2 - 1, -1, -1):
@@ -531,15 +624,18 @@ def transformed_operator(L1: Operator, G: Operator) -> Operator:
     """Minimal annihilator of the image of the solution space under G.
 
     Reduces G, tau*G, tau^2*G, ... modulo L1 until the coordinate
-    vectors become dependent; injectivity (trivial gcrd with L1) keeps
-    the image dimension full, so the result has the order of L1.
+    vectors become dependent; injectivity (trivial gcrd with L1, decided
+    as in GaugeMap.bijective) keeps the image dimension full, so the
+    result has the order of L1.  The injectivity test and the remainder
+    identity run on integer polynomials, so both operators need
+    rational coefficients.
     """
     if not L1.is_normal():
         raise ValueError("operator must be normal")
     d = L1.order
     if d < 1:
         raise ValueError("positive order required")
-    if G.gcrd(L1).order != 0:
+    if not _image_is_full(G, L1):
         raise ValueError("not injective")
     rem = G % L1 if G.order >= d else G
     vec = [rem.coeff(i) for i in range(d)]
@@ -548,7 +644,7 @@ def transformed_operator(L1: Operator, G: Operator) -> Operator:
         dep = finder.feed(vec)
         if dep is not None:
             M = Operator(dep).canonical()
-            if (M * G) % L1:
+            if not _is_map(G, L1, M):
                 raise AssertionError("transport failed the remainder identity")
             return M
         vec = _shift_reduce_step(vec, L1)

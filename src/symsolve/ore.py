@@ -33,7 +33,7 @@ def _to_ratfunc(c) -> RatFunc:
 class Operator:
     """Difference operator sum a_i * S^i with rational-function a_i."""
 
-    __slots__ = ("coeffs", "_canon", "_polys", "_classes", "_exponents")
+    __slots__ = ("coeffs", "_canon", "_den", "_polys", "_classes", "_exponents")
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [_to_ratfunc(c) for c in coeffs]
@@ -41,6 +41,7 @@ class Operator:
             cs.pop()
         self.coeffs = tuple(cs)
         self._canon = None
+        self._den = None
         self._polys = None
         self._classes = {}
         self._exponents = None  # kept by localdata.generalized_exponents
@@ -98,11 +99,18 @@ class Operator:
         if self._polys is None:
             den = Poly.const(Fraction(1))
             for c in self.coeffs:
-                if c:
-                    den = poly_lcm(den, c.den)
+                if c.den.degree > 0:
+                    den = poly_lcm(den, c.den) if den.degree > 0 else c.den
+            self._den = den
             self._polys = tuple(c.num * den.exact_div(c.den) if c else Poly()
                                 for c in self.coeffs)
         return self._polys
+
+    def denominator(self) -> Poly:
+        """The monic least common multiple of the coefficient
+        denominators: ``poly_coeffs()`` is this times the operator."""
+        self.poly_coeffs()
+        return self._den
 
     def shift_classes(self, i: int) -> Tuple[Fraction, ShiftClasses]:
         """``snf.shift_classes`` of ``poly_coeffs()[i]``, kept per index, so
@@ -236,14 +244,6 @@ class Operator:
 
     def __mod__(self, other):
         return self.right_divmod(other)[1]
-
-    def gcrd(self, other: "Operator") -> "Operator":
-        a, b = self, other
-        while b:
-            a, b = b, a.right_divmod(b)[1]
-        if not a:
-            return a
-        return a.scalar_mul(1 / a.leading())
 
     # -- difference-specific maps ----------------------------------------------------
 

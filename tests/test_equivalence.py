@@ -17,6 +17,7 @@ from symsolve.equivalence import (
     _exponent_bound,
     _hom_denominator,
     _hom_rows,
+    _image_is_full,
     _power_columns,
     GaugeMap,
     GTTransform,
@@ -44,6 +45,7 @@ from symsolve.symprod import (
 from symsolve.table import load_table
 
 import shift_reference
+from gcrd_reference import gcrd
 from test_localdata import SWEEP_GAUGES, SWEEP_RATIOS, _small_order3
 
 X = P(0, 1)
@@ -442,7 +444,7 @@ def _random_gauge(rng, M: Operator) -> Operator:
             for _ in range(rng.randint(1, 3))
         ]
         G = Operator(cs)
-        if G and G.gcrd(M).order == 0:
+        if G and gcrd(G, M).order == 0:
             return G
 
 
@@ -699,7 +701,7 @@ class TestDegreeBound:
     def test_planted_gauges_lie_within_the_bound(self, L, r, gauge):
         M = symprod_first_order(L, r)
         G = parse_operator(gauge) if gauge is not None else Operator.identity()
-        assume(G.gcrd(M).order == 0)
+        assume(gcrd(G, M).order == 0)
         L2 = transformed_operator(M, G)
         ges1, ges2 = _complete_exponents(M), _complete_exponents(L2)
         assume(ges1 is not None and ges2 is not None)
@@ -912,3 +914,88 @@ class TestTypes:
         js = t.to_json()
         assert js["r"] == "1" and js["G"] == "1"
         assert js["source"] == js["target"] == print_operator(L_CUBIC)
+
+
+def _accepts(G: Operator, source: Operator, target: Operator) -> bool:
+    try:
+        GaugeMap(G, source, target)
+    except ValueError:
+        return False
+    return True
+
+
+def _check_agrees(G: Operator, source: Operator, target: Operator) -> bool:
+    """The integer checks of GaugeMap against the Q(x) oracles: the
+    remainder of target*G by source, and gcrd(G, source).  Returns
+    whether G is a map."""
+    valid = not (target * G) % source
+    assert _accepts(G, source, target) == valid
+    injective = gcrd(G, source).order == 0
+    assert _image_is_full(G, source) == injective
+    if valid:
+        assert GaugeMap(G, source, target).bijective == injective
+    return valid
+
+
+class TestIntegerCertificates:
+    """GaugeMap's remainder check and ``bijective`` run on integer
+    polynomials; the Q(x) remainder and gcrd are their oracles."""
+
+    @given(_small_order3(), st.sampled_from(SWEEP_RATIOS), st.sampled_from(SWEEP_GAUGES))
+    @settings(max_examples=40, deadline=None)
+    def test_agrees_with_the_rational_oracles(self, L, r, gauge):
+        M = symprod_first_order(L, r)
+        G = parse_operator(gauge) if gauge is not None else Operator.identity()
+        assume(gcrd(G, M).order == 0)
+        L2 = transformed_operator(M, G)
+        assert _check_agrees(G, M, L2)
+        # corrupted: plus x (G may be a constant, and G + 1 a map), and
+        # the top coefficient times x + 1
+        _check_agrees(G + Operator([X]), M, L2)
+        top = list(G.coeffs)
+        top[-1] = top[-1] * RatFunc(X + 1)
+        _check_agrees(Operator(top), M, L2)
+        assert _check_agrees(Operator(), M, L2)
+        # a source M·1/(x+1) and the map G·1/(x+1) out of it, with the
+        # denominators x+1+i
+        s = Operator([RF([1], [1, 1])])
+        assert _check_agrees(G * s, M * s, L2)
+        for gm in hom_space(M, L2):
+            assert _check_agrees(gm.G, M, L2)
+
+    @given(st.lists(st.tuples(st.sampled_from([1, 2, -1]), st.integers(0, 2)),
+                    min_size=3, max_size=3),
+           st.sampled_from(SWEEP_GAUGES))
+    @settings(max_examples=30, deadline=None)
+    def test_shared_right_factor_is_not_injective(self, factors, gauge):
+        # L = A·B·C with first-order factors x·S - c·(x + k): any G with
+        # the right factor C kills C's solutions
+        ops = [Operator([P(k, 1) * F(-c), P(0, 1)]) for c, k in factors]
+        L = ops[0] * ops[1] * ops[2]
+        C = ops[2]
+        G = parse_operator(gauge) if gauge is not None else Operator.identity()
+        for H in (C, Operator([X + 1]) * C, Operator.tau() * C, G * C):
+            assert gcrd(H, L).order > 0
+            assert not _image_is_full(H, L)
+        assert _image_is_full(G, L) == (gcrd(G, L).order == 0)
+
+    def test_kernel_only_map_is_not_bijective(self):
+        # the pair of TestHomSpace.test_kernel_only_map
+        L1 = parse_operator("S^2 - 3S + 2")
+        L2 = parse_operator("S^2 - 5S + 6")
+        G = Operator([P(1), P(-1)])
+        assert _check_agrees(G, L1, L2)
+        assert not GaugeMap(G, L1, L2).bijective
+
+    def test_map_with_a_denominator(self):
+        # c_0 = 1/(x(x+1)(x+2)) from x*S - (x+3) to S - 1
+        L1, L2 = parse_operator("x*S - (x+3)"), parse_operator("S - 1")
+        G = Operator([RF([1], [0, 2, 3, 1])])
+        assert _check_agrees(G, L1, L2)
+        assert GaugeMap(G, L1, L2).bijective
+        assert not _check_agrees(Operator([RF([1], [0, 2, 3])]), L1, L2)
+
+    def test_not_injective_is_rejected(self):
+        # 1 - S kills the constants, a solution of S^2 - 3S + 2
+        with pytest.raises(ValueError, match="not injective"):
+            transformed_operator(parse_operator("S^2 - 3S + 2"), Operator([P(1), P(-1)]))

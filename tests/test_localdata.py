@@ -37,6 +37,7 @@ from symsolve.symprod import symprod_first_order, symsquare_order2
 
 import field_reference
 import genexp_reference
+from gcrd_reference import gcrd
 from genexp_reference import div, from_poly_in_invx, mul, one, series, trunc
 from indicial_reference import indicial_of_series
 
@@ -767,7 +768,7 @@ class TestEdgesAtInfinity:
         M = symprod_first_order(L, r)
         if gauge is not None:
             G = parse_operator(gauge)
-            assume(G.gcrd(M).order == 0)
+            assume(gcrd(G, M).order == 0)
             M = transformed_operator(M, G)
         edges = edges_at_infinity(L)
         assert edges_at_infinity(M) == _twisted_edges(edges, r)
