@@ -684,28 +684,18 @@ def _eval_int(c: List[int], v: int) -> int:
     return acc
 
 
-def _square_rows(cs: List[List[int]], x0: int) -> List[List[int]]:
-    """Rows w_0 .. w_5 of the symmetric-square Krylov matrix at x = x0.
+def _fold(v: List[int], b: List[int]) -> List[int]:
+    """M·b for M = [[0, 0, -c_0], [c_3, 0, -c_1], [0, c_3, -c_2]] with
+    v = (c_0, c_1, c_2, c_3) at one point."""
+    c0, c1, c2, c3 = v
+    return [-c0 * b[2], c3 * b[0] - c1 * b[2], c3 * b[1] - c2 * b[2]]
 
-    ã_k(x0) = M(x0)·M(x0+1)···M(x0+k-1)·e_0, where M = c_3·T is the
-    fold of one shift through L with the division by c_3 cleared; w_k
-    holds the products ã_k,i·ã_k,j for i <= j.
-    """
-    prod = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    rows = []
-    for k in range(6):
-        a = [prod[0][0], prod[1][0], prod[2][0]]
-        rows.append([a[i] * a[j] for i in range(3) for j in range(i, 3)])
-        if k == 5:
-            break
-        v = x0 + k
-        c0, c1, c2, c3 = (_eval_int(c, v) for c in cs)
-        # prod·M with M = [[0, 0, -c0], [c3, 0, -c1], [0, c3, -c2]]
-        prod = [
-            [r[1] * c3, r[2] * c3, -(r[0] * c0 + r[1] * c1 + r[2] * c2)]
-            for r in prod
-        ]
-    return rows
+
+def _cross_rows(v0: List[int], v1: List[int], v2: List[int]) -> List[List[int]]:
+    """C(x0) from the coefficient values v0, v1, v2 at x0, x0+1, x0+2:
+    the rows (b_0·b_1, b_0·b_2, b_1·b_2) of b_3, b_4 and b_5 at x0."""
+    bs = (v0[:3], _fold(v0, v1[:3]), _fold(v0, _fold(v1, v2[:3])))
+    return [[b[0] * b[1], b[0] * b[2], b[1] * b[2]] for b in bs]
 
 
 def case_diagnosis(L: Operator) -> int:
@@ -719,20 +709,30 @@ def case_diagnosis(L: Operator) -> int:
     With c_0 .. c_3 the integer coefficients of L.canonical() and D
     their largest degree, τ^k u has coordinates a_k in the basis
     u, τu, τ²u, and a_k(x) = T(x)·a_(k-1)(x+1) with T the fold of
-    τ³u through L.  Clearing c_3 at every step gives the polynomial
-    vectors ã_k = c_3(x)···c_3(x+k-1)·a_k of degree <= kD, and
-    τ^k(u²) has coordinates w_k = (ã_k,i·ã_k,j)_(i<=j), scaled by a
-    nonzero polynomial, of degree <= 2kD.  The first k with w_k
-    dependent on w_0 .. w_(k-1) is the order of the square, and then
-    every later w is dependent too (a shift carries a dependency one
-    step on), so the order is the rank over Q(x) of W = [w_0 .. w_5].
+    τ³u through L.  Clearing c_3 at every step, with M = c_3·T, gives
+    the polynomial vectors ã_k = c_3(x)···c_3(x+k-1)·a_k, and τ^k(u²)
+    has coordinates w_k = (ã_k,i·ã_k,j)_(i<=j), scaled by a nonzero
+    polynomial.  The first k with w_k dependent on w_0 .. w_(k-1) is
+    the order of the square, and then every later w is dependent too
+    (a shift carries a dependency one step on), so the order is the
+    rank over Q(x) of W = [w_0 .. w_5].
 
-    Every minor of W has degree <= 2D·(0+1+...+5) = 30D.  Evaluating
-    at an integer x0 cannot raise the rank, so each rank of W(x0) is a
-    lower bound, and 6 is final.  A nonzero minor of degree <= 30D
-    cannot vanish at all of x0 = 0 .. 30D, so the largest rank over
-    those points is the rank of W.  W(x0) is built from the values of
-    the c_i at x0 .. x0+4 with no division, and its rank comes from
+    The first three rows are diagonal: ã_0 = e_0, ã_1 = c_3(x)·e_1 and
+    ã_2 = c_3(x)c_3(x+1)·e_2, so w_0, w_1 and w_2 each sit on one slot,
+    00, 11 and 22.  For k = 3 .. 5, ã_k = -c_3(x+k-2)c_3(x+k-1)·b_k with
+    b_3 = (c_0, c_1, c_2)(x) and b_k(x) = M(x)·b_(k-1)(x+1).  Clearing
+    the three diagonal slots with w_0 .. w_2 leaves the cross terms, and
+    the nonzero factors c_3(x+k-2)²c_3(x+k-1)² of w_3 .. w_5 keep the
+    rank, so rank W = 3 + rank C, where C is the 3×3 matrix with rows
+    (b_k,0·b_k,1, b_k,0·b_k,2, b_k,1·b_k,2) for k = 3 .. 5.
+
+    b_k has degree <= (k-2)D, so the rows of C have degree <= 2D, 4D
+    and 6D, and every minor of C has degree <= 12D.  Evaluating at an
+    integer x0 cannot raise the rank, so each rank of C(x0) is a lower
+    bound, and 3 is final.  A nonzero minor of degree <= 12D cannot
+    vanish at all of x0 = 0 .. 12D, so the largest rank over those
+    points is the rank of C.  C(x0) is built from the values of the
+    c_i at x0, x0+1 and x0+2 with no division, and its rank comes from
     fraction-free elimination.
     """
     if L.order != 3:
@@ -743,10 +743,13 @@ def case_diagnosis(L: Operator) -> int:
     if not all(p.is_rational() for p in polys):
         raise ValueError("rational coefficients required")
     cs = [p.int_coeffs() for p in polys]
-    bound = 30 * max(p.degree for p in polys)
+    bound = 12 * max(p.degree for p in polys)
+    v0, v1 = ([_eval_int(c, v) for c in cs] for v in (0, 1))
     best = 0
     for x0 in range(bound + 1):
-        best = max(best, _int_rank(_square_rows(cs, x0)))
-        if best == 6:
+        v2 = [_eval_int(c, x0 + 2) for c in cs]
+        best = max(best, _int_rank(_cross_rows(v0, v1, v2)))
+        if best == 3:
             break
-    return best
+        v0, v1 = v1, v2
+    return 3 + best

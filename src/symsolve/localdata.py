@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -872,13 +873,33 @@ def gquo(ges: GenExpSet) -> List[GenExpRep]:
 # -- aggregate + serialization -------------------------------------------------
 
 
+def _valg_key(e: ValGEntry):
+    return (e.cls.representative.degree, e.cls.representative.coeffs)
+
+
 @dataclass
 class LocalData:
-    valg: Tuple[ValGEntry, ...]
+    """GT-invariant local data of an operator.
+
+    The exponents and Gquo are computed with the instance.  ValG is
+    computed from ``operator`` on first read and kept on the instance,
+    since the table matcher reads it only for an entry whose Gquo shape
+    fits, and most inputs fit none.  An operator rejected at infinity
+    matches no table entry whatever its finite singularities, so its
+    ValG is empty.
+    """
+
+    operator: Operator
     genexp: Tuple[GenExpRep, ...]
     gquo: Tuple[GenExpRep, ...]
     genexp_complete: bool
     rejection: Optional[str] = None  # GenExpSet.rejection
+
+    @cached_property
+    def valg(self) -> Tuple[ValGEntry, ...]:
+        if self.rejection is not None:
+            return ()
+        return tuple(sorted(valg_set(self.operator), key=_valg_key))
 
     def to_json(self) -> dict:
         out = {
@@ -887,13 +908,7 @@ class LocalData:
                     "class": [str(Fraction(c)) for c in e.cls.representative.coeffs],
                     "gap": e.gap,
                 }
-                for e in sorted(
-                    self.valg,
-                    key=lambda e: (
-                        e.cls.representative.degree,
-                        e.cls.representative.coeffs,
-                    ),
-                )
+                for e in self.valg
             ],
             "genexp": [_rep_json(g) for g in self.genexp],
             "gquo": [_rep_json(g) for g in self.gquo],
@@ -925,20 +940,10 @@ def _rep_json(g: GenExpRep) -> dict:
 
 
 def local_data(L: Operator) -> LocalData:
-    """Local data of L.  An operator rejected at infinity matches no table
-    entry whatever its finite singularities, so its ValG is left empty."""
+    """Local data of L; its ValG is computed on first read."""
     ges = generalized_exponents(L)
-    valg = () if ges.rejection is not None else valg_set(L)
     return LocalData(
-        valg=tuple(
-            sorted(
-                valg,
-                key=lambda e: (
-                    e.cls.representative.degree,
-                    e.cls.representative.coeffs,
-                ),
-            )
-        ),
+        operator=L,
         genexp=ges.entries,
         gquo=tuple(gquo(ges)),
         genexp_complete=ges.complete,

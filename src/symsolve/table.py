@@ -444,12 +444,14 @@ def _gaps_compatible(template_gaps: Sequence[int],
 
 
 def match_local_data(data: LocalData, table: BaseTable) -> List[TableEntry]:
-    """Entries whose template shapes are compatible with the observed data."""
+    """Entries whose template shapes are compatible with the observed data.
+    The Gquo shape is checked first, and ValG is read only for an entry
+    that passes it, so an input whose Gquo fits no entry never computes
+    its valuation growth."""
     if len(data.genexp) == 0:
         return []
     obs_classes = _quotient_classes(list(data.gquo))
     obs_shape = _shape_of(obs_classes)
-    obs_gaps = [e.gap for e in data.valg]
     out = []
     for entry in table:
         t_pairs = [(int(g["r"]), Fraction(g["v"])) for g in entry.gquo_templates]
@@ -458,7 +460,7 @@ def match_local_data(data: LocalData, table: BaseTable) -> List[TableEntry]:
         if set(t_pairs) != obs_shape or len(obs_classes) > len(t_pairs):
             continue
         if not _gaps_compatible([int(v["gap"]) for v in entry.valg_templates],
-                                obs_gaps):
+                                [e.gap for e in data.valg]):
             continue
         out.append(entry)
     return out

@@ -7,7 +7,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from symsolve import equivalence, snf
@@ -44,6 +44,7 @@ from symsolve.symprod import (
 )
 from symsolve.table import load_table
 
+import case_reference
 import shift_reference
 from gcrd_reference import gcrd
 from test_localdata import SWEEP_GAUGES, SWEEP_RATIOS, _small_order3
@@ -802,6 +803,49 @@ class TestTransformedOperator:
         assert twisted.det() / L_CUBIC.det() == r * r.shift(1) * r.shift(2)
 
 
+# a gauge disguise of the Gauss square from the gauge workload
+GAUGE_TEXT = (
+    "(4374*x^6 + 65610*x^5 + 398439*x^4 + 1251180*x^3 + 2139021*x^2"
+    " + 1885620*x + 669856)*S^3 - (8748*x^6 + 125388*x^5 + 726408*x^4"
+    " + 2171016*x^3 + 3522249*x^2 + 2937252*x + 984096)*S^2 + (8748*x^6"
+    " + 119556*x^5 + 658368*x^4 + 1863000*x^3 + 2847897*x^2 + 2225808*x"
+    " + 696060)*S - (4374*x^6 + 56862*x^5 + 296379*x^4 + 788508*x^3"
+    " + 1122957*x^2 + 807840*x + 229500)"
+)
+
+
+def _int_poly(cs) -> Poly:
+    return Poly([F(c) for c in cs])
+
+
+@st.composite
+def _case_input(draw):
+    """A normal order-3 operator: random, the square of a random order-2 K,
+    that square twisted by a random ratio, or gauged by a random map
+    g_0 + g_1·S."""
+    kind = draw(st.sampled_from(("random", "square", "twisted", "gauged")))
+    small = st.lists(st.integers(-2, 2), min_size=1, max_size=2)
+    if kind == "random":
+        L = Operator([_int_poly(draw(st.lists(st.integers(-3, 3), min_size=1,
+                                               max_size=3))) for _ in range(4)])
+        assume(L.order == 3 and L.is_normal())
+        return L
+    K = Operator([_int_poly(draw(small)) for _ in range(3)])
+    assume(K.order == 2 and K.is_normal())
+    L = symsquare_order2(K)
+    assume(L.order == 3)
+    if kind == "twisted":
+        num, den = draw(small), draw(small)
+        assume(any(num) and any(den))
+        L = symprod_first_order(L, RF(num, den))
+    elif kind == "gauged":
+        G = Operator([_int_poly(draw(small)) for _ in range(2)])
+        assume(G.order == 1 and _image_is_full(G, L))
+        L = transformed_operator(L, G)
+    assume(L.is_normal())
+    return L
+
+
 class TestCaseDiagnosis:
     def test_collapsing_example(self):
         assert case_diagnosis(parse_operator(E_TEXT)) == 5
@@ -844,6 +888,10 @@ class TestCaseDiagnosis:
             monkeypatch.setattr(RatFunc, name, forbidden)
         monkeypatch.setattr(DependencyFinder, "feed", forbidden)
         assert case_diagnosis(L) == 5
+        # canonical() scales by the content once per operator and keeps the
+        # result; with it computed above, the rank loop multiplies no Poly
+        monkeypatch.setattr(Poly, "__mul__", forbidden)
+        assert case_diagnosis(L) == 5
 
     def test_number_field_rejected(self):
         K = NumberField(2)
@@ -879,6 +927,41 @@ class TestCaseDiagnosis:
         if L.order != 3 or not L.is_normal():
             return
         assert case_diagnosis(L) == symprod_general(L, L).order
+
+    @given(L=_case_input())
+    @example(L=parse_operator("S^3 - 1"))
+    @example(L=parse_operator("S^3 + S^2 + S + 1"))
+    @example(L=symprod_first_order(symsquare_order2(parse_operator("S^2 + S + 1")),
+                                   RF([1, 1], [0, 1])))
+    @example(L=symprod_first_order(symsquare_order2(parse_operator("S^2 - 2S + 2")),
+                                   RF([0, 0, 1])))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_full_krylov_rank(self, L):
+        # the roots of S^2 + S + 1 have a ratio of order 3, those of
+        # S^2 - 2S + 2 one of order 4, so the squares of their squares
+        # have order 3 and 4; a twist keeps the order
+        assert case_diagnosis(L) == case_reference.case_diagnosis(L)
+
+    def _rank_calls(self, monkeypatch, L):
+        shapes = []
+        rank = equivalence._int_rank
+
+        def recording(rows):
+            shapes.append((len(rows), len(rows[0])))
+            return rank(rows)
+
+        monkeypatch.setattr(equivalence, "_int_rank", recording)
+        return case_diagnosis(L), shapes
+
+    def test_case_5_ranks_every_point(self, monkeypatch):
+        L = symsquare_order2(Operator([P(1, 1), P(-3, 2), P(2)]))
+        assert max(p.degree for p in L.canonical().poly_coeffs()) == 4
+        case, shapes = self._rank_calls(monkeypatch, L)
+        assert case == 5 and shapes == [(3, 3)] * 49  # 12D + 1 points
+
+    def test_case_6_stops_at_full_rank(self, monkeypatch):
+        case, shapes = self._rank_calls(monkeypatch, parse_operator(GAUGE_TEXT))
+        assert case == 6 and shapes == [(3, 3)]
 
 
 class TestTypes:

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 import table_reference
 from golden_answers import ANSWERS
+from test_equivalence import GAUGE_TEXT
+from symsolve import localdata
 from symsolve.localdata import local_data, valg_set
 from symsolve.opformat import parse_operator
 from symsolve.ore import Operator
@@ -250,6 +252,39 @@ def test_match_bessel(table):
 def test_no_match_for_foreign_operator(table):
     L = Operator([P(1), P(0, 1), P(1, 1), P(1)])  # no table shape
     assert match_local_data(local_data(L), table) == []
+
+
+def test_valg_is_not_computed_without_a_gquo_shape(table, monkeypatch):
+    # a reject-workload input whose Gquo fits no entry: its ValG is never read
+    L = parse_operator("(x^2 + 2*x - 2)*S^3 + (x^2 - x - 3)*S^2"
+                       " + (2*x^2 - 2*x + 3)*S + x + 1")
+
+    def refuse(*args):
+        raise AssertionError("valg_set called")
+
+    monkeypatch.setattr(localdata, "valg_set", refuse)
+    data = local_data(L)
+    assert data.genexp_complete and data.rejection is None
+    assert match_local_data(data, table) == []
+
+
+def test_valg_is_computed_once(table, monkeypatch):
+    # a gauge-workload disguise of the Gauss square: the matcher, the
+    # parameter solver and to_json read one ValG
+    calls = []
+
+    def counting(L):
+        calls.append(L)
+        return valg_set(L)
+
+    monkeypatch.setattr(localdata, "valg_set", counting)
+    data = local_data(parse_operator(GAUGE_TEXT))
+    assert calls == []
+    entries = match_local_data(data, table)
+    assert [e.name for e in entries] == ["gauss2f1_sq"]
+    assert solve_parameters(entries[0], data)
+    assert data.to_json()["valg"]
+    assert len(calls) == 1
 
 
 # -- parameter matchers ------------------------------------------------------
