@@ -9,6 +9,7 @@ from .ratfunc import RF, RatFunc
 from .fieldext import NumberField
 from .ore import Operator
 from .opformat import parse_operator, print_operator
+from .solver import Result, solve
 
 __all__ = [
     "P",
@@ -19,5 +20,7 @@ __all__ = [
     "Operator",
     "parse_operator",
     "print_operator",
+    "Result",
+    "solve",
     "__version__",
 ]

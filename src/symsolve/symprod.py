@@ -17,7 +17,7 @@ from .ore import Operator
 from .poly import Poly
 from .ratfunc import RatFunc
 
-__all__ = ["symprod_first_order", "symsquare_order2", "symprod_general", "interlace"]
+__all__ = ["symprod_first_order", "symsquare_order2", "symprod_general"]
 
 
 def symprod_first_order(L: Operator, r: RatFunc) -> Operator:
@@ -106,21 +106,3 @@ def symprod_general(M: Operator, N: Operator) -> Operator:
         alpha = _shift_reduce_step(alpha, M)
         beta = _shift_reduce_step(beta, N)
     raise AssertionError("no dependency within the product-space dimension")
-
-
-def interlace(L: Operator, m: int) -> Operator:
-    """Section-interlacing: sum a_i(x/m) τ^{m·i}; solutions of L read on
-    the arithmetic progression x ≡ 0 (mod m) solve the result."""
-    if m < 1:
-        raise ValueError("step must be at least 1")
-    if m == 1:
-        return L
-    sub = Poly((Fraction(0), Fraction(1, m)))
-    zero = RatFunc(Poly(), reduce=False)
-    out = [zero] * (m * L.order + 1)
-    for i in range(L.order + 1):
-        c = L.coeff(i)
-        if c:
-            out[m * i] = RatFunc(c.num.eval(sub), c.den.eval(sub))
-    return Operator(out)
-

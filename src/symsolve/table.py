@@ -25,14 +25,12 @@ from .opformat import (ExprError, eval_fraction, eval_poly, eval_value,
 from .ore import Operator
 from .poly import P, Poly
 from .snf import canonical_shift
-from .symprod import interlace, symsquare_order2
-from .equivalence import hom_space
+from .symprod import symsquare_order2
 
 __all__ = [
     "TableError", "TableValidationError", "TableEntry", "BaseTable",
     "SolutionDescriptor", "load_table", "default_table_path",
     "resolve_table_path", "match_local_data", "solve_parameters",
-    "interlaced_gate",
 ]
 
 
@@ -289,11 +287,6 @@ class BaseTable:
         for e in self.entries:
             for _ in range(samples):
                 e.self_validate(e.sample_assignment(rng))
-            if e.matcher["kind"] == "gauss_locus":
-                if not interlaced_gate(e.sample_assignment(rng)):
-                    raise TableValidationError(
-                        f"entry {e.name!r}: interlaced order-minimality gate "
-                        "failed (Hom dimension not > 1)")
 
 
 def default_table_path() -> str:
@@ -495,7 +488,12 @@ def _match_gauss(entry: TableEntry, data: LocalData
     the first after x -> x+1, so it is dropped.  Gquo is {-R, -1/R, R², 1/R²}
     with R = 2z-1+2·sqrt(z²-z), and z = (R+1)²/(4R) for R and 1/R alike,
     so reading every element as -R finds z.  Reading elements as R² adds
-    only values like 1-z, whose base has R and 1/R in Gquo, not -R and -1/R."""
+    only values like 1-z, whose base has R and 1/R in Gquo, not -R and -1/R.
+
+    The base is the order-3 locus form because the other presentation of
+    these functions, the square of the order-2 recurrence of
+    2F1(-x+a, x+b; c; z) interlaced with step 2, has order 6 and is not
+    minimal: its endomorphism space has dimension > 1."""
     roots = []
     for e in data.valg:
         rep = e.cls.representative.monic()
@@ -580,41 +578,3 @@ def solve_parameters(entry: TableEntry, data: LocalData
     assignment per base operator up to a shift of x, so each is worth one
     ``gt_find`` call."""
     return _MATCHERS[entry.matcher["kind"]](entry, data)
-
-
-# -- interlaced presentation gate ---------------------------------------------
-
-def full_argument_root(assignment: Mapping[str, Fraction]) -> Operator:
-    """Order-2 recurrence of g(x) = 2F1(-x+a, x+b; c; z) (contiguous
-    relation in the first parameter pair), used for the interlaced
-    presentation of the half-argument entry."""
-    a, b, c, z = (Fraction(assignment[k]) for k in ("a", "b", "c", "z"))
-    x = P(0, 1)
-    n = x - Poly.const(a)
-    s = a + b - 1
-    al = c - 1
-    be = a + b - c
-    y = 1 - 2 * z
-    one = Poly.const(Fraction(1))
-
-    def sc(q):
-        return Poly.const(Fraction(q))
-
-    A = sc(2) * (n + sc(c)) * (n + sc(s + 2)) * (sc(2) * n + sc(s + 2)) \
-        * (n + sc(c + 1))
-    B = -(n + sc(c)) * (sc(2) * n + sc(s + 3)) * (
-        (sc(2) * n + sc(s + 4)) * (sc(2) * n + sc(s + 2)) * sc(y)
-        + sc(al * al - be * be) * one)
-    C = sc(2) * (n + sc(1)) * (n + sc(al + 1)) * (n + sc(be + 1)) \
-        * (sc(2) * n + sc(s + 4))
-    return Operator([C, B, A]).canonical()
-
-
-def interlaced_gate(assignment: Mapping[str, Fraction]) -> bool:
-    """The order-6 interlaced presentation is non-minimal: its endomorphism
-    space has dimension > 1, which is the signal to prefer the order-3
-    locus form as the base equation."""
-    K_full = full_argument_root(assignment)
-    M_full = symsquare_order2(K_full)
-    L6 = interlace(M_full, 2)
-    return len(hom_space(L6, L6)) > 1

@@ -12,11 +12,12 @@ when the benchmark corpora change.  They are
   parameters;
 - the planted round trips of ``tests/test_roundtrip.py``.
 
-Each record holds the answer of the stage order case_diagnosis ->
-local_data -> match_local_data -> solve_parameters -> instantiate ->
-gt_find, stopped at the first transform found: the case, the entry,
-the assignment, the printed r and G, the type of an escaped exception,
-and a sha256 of ``json.dumps(LocalData.to_json(), sort_keys=True)``.
+Each record holds the answer of ``symsolve.solve``, which owns the stage
+order: the case, the entry, the assignment, the printed r and G, and a
+sha256 of ``json.dumps(LocalData.to_json(), sort_keys=True)``.  When
+``solve`` raises, the record names the type of the escaped exception and
+holds no case or hash, since the exception ends the solve before its
+result exists.  No current record has an error.
 
 A change that moves an answer on purpose regenerates the file:
 
@@ -29,7 +30,7 @@ import os
 import random
 import sys
 
-from symsolve import equivalence, localdata, table as tablemod
+from symsolve import solve, table as tablemod
 from symsolve.equivalence import transformed_operator
 from symsolve.opformat import parse_operator, print_operator
 from symsolve.ratfunc import RF
@@ -80,23 +81,18 @@ def answer(text, table) -> dict:
     rec = {"input": text, "case": None, "local_data_sha256": None, "entry": None,
            "assignment": None, "r": None, "G": None, "error": None}
     try:
-        rec["case"] = equivalence.case_diagnosis(L)
-        if rec["case"] not in (5, 6):
-            return rec
-        data = localdata.local_data(L)
-        blob = json.dumps(data.to_json(), sort_keys=True).encode()
-        rec["local_data_sha256"] = hashlib.sha256(blob).hexdigest()
-        for entry in tablemod.match_local_data(data, table):
-            for asn in tablemod.solve_parameters(entry, data):
-                M, _ = entry.instantiate(asn)
-                t = equivalence.gt_find(M, L)
-                if t is not None:
-                    rec.update(entry=entry.name,
-                               assignment={k: str(v) for k, v in sorted(asn.items())},
-                               r=t.r.to_str(), G=print_operator(t.G.G))
-                    return rec
+        res = solve(L, table)
     except Exception as exc:  # the record names what escaped
         rec["error"] = type(exc).__name__
+        return rec
+    rec["case"] = res.case
+    if res.local_data is not None:
+        blob = json.dumps(res.local_data.to_json(), sort_keys=True).encode()
+        rec["local_data_sha256"] = hashlib.sha256(blob).hexdigest()
+    if res.transform is not None:
+        rec.update(entry=res.entry.name,
+                   assignment={k: str(v) for k, v in sorted(res.assignment.items())},
+                   r=res.transform.r.to_str(), G=print_operator(res.transform.G.G))
     return rec
 
 

@@ -1,10 +1,13 @@
 """Every golden answer in tests/data/answers.json still comes back.
 
-Each input is re-solved in the stage order of ``tests/test_roundtrip``
-and its record compared field by field: case, entry, assignment,
+Each input is re-solved by ``symsolve.solve``, which owns the stage
+order, and its record compared field by field: case, entry, assignment,
 printed r and G, escaped exception type, and the LocalData hash.  A
 change that moves an answer on purpose regenerates the file with
 ``tests/golden_answers.py`` and lists each changed record.
+
+``benchmarks/pipeline.py`` keeps its own copy of the stage order, timed
+per stage; it must give the same answer on every input.
 """
 
 import json
@@ -12,7 +15,9 @@ import json
 import pytest
 
 from golden_answers import ANSWERS, answer
-from symsolve import table as tablemod
+from test_api import benchmark_module
+from symsolve import solve, table as tablemod
+from symsolve.opformat import parse_operator, print_operator
 from symsolve.ore import Operator
 
 with open(ANSWERS) as fh:
@@ -45,3 +50,17 @@ def test_found_answers_need_no_operator_division(table, monkeypatch):
     for rec in RECORDS:
         if rec["entry"] is not None:
             assert answer(rec["input"], table) == rec
+
+
+def _printed(t):
+    return None if t is None else (t.r.to_str(), print_operator(t.G.G))
+
+
+def test_benchmark_pipeline_gives_the_same_answers(table):
+    pipeline = benchmark_module("pipeline")
+    for rec in RECORDS:
+        got = pipeline.solve(parse_operator(rec["input"]), table, pipeline.StageLog())
+        res = solve(parse_operator(rec["input"]), table)
+        assert ((got.entry, got.assignment, _printed(got.transform))
+                == (getattr(res.entry, "name", None), res.assignment,
+                    _printed(res.transform))), rec["input"]

@@ -37,11 +37,13 @@ def test_load_table_does_not_import_sympy():
     assert out.stdout.strip() == "False"
 
 
-def _tracing_module():
-    # benchmarks/ is no package, so the tracer is loaded from its file
-    path = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("benchmark_tracing", path)
+def benchmark_module(name):
+    # benchmarks/ is no package, so its modules are loaded from their files;
+    # a dataclass resolves its module's annotations through sys.modules
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"benchmark_{name}", path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
@@ -49,7 +51,7 @@ def _tracing_module():
 def test_traced_names_exist():
     # a traced run installs a wrapper on each of these and fails on a
     # missing one, so a deletion from src/ must not leave one behind
-    tracing = _tracing_module()
+    tracing = benchmark_module("tracing")
     missing = []
     for span, where in tracing.LAYERS + tracing.KERNELS:
         modname, attr = where.split(":")

@@ -1,11 +1,10 @@
-"""Planted round trips through the composed solver.
+"""Planted round trips through ``symsolve.solve``.
 
 Each case instantiates a table entry at parameters drawn by its
 ``sample_assignment`` from a fixed seed, twists the base operator by a
-term ratio r, and disguises it by a gauge G.  The stages run in the
-order case_diagnosis -> local_data -> match_local_data ->
-solve_parameters -> instantiate -> gt_find, and the first transform
-found must carry an exact certificate.  Any table entry is accepted:
+term ratio r, and disguises it by a gauge G.  ``symsolve.solve``, which
+owns the stage order, must find a transform, and the test re-checks its
+certificate exactly in Q(x)[S].  Any table entry is accepted:
 Legendre and Gauss inputs may come back through an equivalent entry.
 Every hom_space on the way must size its ansatz by the proven degree
 bound, never by the heuristic cap kept for operands without a complete
@@ -17,7 +16,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from symsolve import equivalence, localdata, table as tablemod
+from symsolve import equivalence, solve, table as tablemod
 from symsolve.equivalence import transformed_operator
 from symsolve.opformat import parse_operator
 from symsolve.ratfunc import RF
@@ -47,19 +46,6 @@ def table():
     return tablemod.load_table()
 
 
-def _solve(L, table):
-    if equivalence.case_diagnosis(L) not in (5, 6):
-        return None
-    data = localdata.local_data(L)
-    for entry in tablemod.match_local_data(data, table):
-        for asn in tablemod.solve_parameters(entry, data):
-            M, _ = entry.instantiate(asn)
-            t = equivalence.gt_find(M, L)
-            if t is not None:
-                return entry, asn, t
-    return None
-
-
 @pytest.mark.parametrize("name, seed, r, gauge", CASES, ids=[
     f"{n}-{s}-r={r.to_str()}-G={g}" for n, s, r, g in CASES])
 def test_planted_disguise_is_found_with_a_certificate(table, monkeypatch, name, seed,
@@ -74,13 +60,13 @@ def test_planted_disguise_is_found_with_a_certificate(table, monkeypatch, name, 
     L = symprod_first_order(M, r)
     if gauge is not None:
         L = transformed_operator(L, parse_operator(gauge))
-    got = _solve(L, table)
-    assert got is not None, "planted operator not found"
+    res = solve(L, table)
+    t = res.transform
+    assert t is not None, "planted operator not found"
     assert homs and not fallback, "hom_space took the heuristic cap"
-    found, asn, t = got
     assert t.target == L
     assert not (t.target * t.G.G) % t.G.source
     assert t.G.bijective
-    base, _ = found.instantiate(asn)
+    base, _ = res.entry.instantiate(res.assignment)
     assert t.source == base
     assert t.G.source.canonical() == symprod_first_order(base, t.r)

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from interlace_reference import interlace
 from symsolve.fieldext import NumberField
 from symsolve.opformat import parse_operator
 from symsolve.ore import Operator, solution_window
 from symsolve.poly import P
 from symsolve.ratfunc import RF, RatFunc
 from symsolve.symprod import (
-    interlace,
     symprod_first_order,
     symprod_general,
     symsquare_order2,

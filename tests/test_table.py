@@ -1,4 +1,5 @@
 import json
+import random
 import warnings
 from fractions import Fraction as F
 from pathlib import Path
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import table_reference
 from golden_answers import ANSWERS
+from interlace_reference import interlaced_gate
 from test_equivalence import GAUGE_TEXT
 from symsolve import localdata
 from symsolve.localdata import local_data, valg_set
@@ -18,8 +20,7 @@ from symsolve.poly import P, Poly
 from symsolve.symprod import symsquare_order2
 from symsolve.equivalence import gt_find
 from symsolve.table import (TableError, TableValidationError, default_table_path,
-                            interlaced_gate, load_table, match_local_data,
-                            solve_parameters)
+                            load_table, match_local_data, solve_parameters)
 
 X = P(0, 1)
 
@@ -450,3 +451,8 @@ def test_self_validation_catches_wrong_templates(tmp_path, table):
 
 def test_interlaced_gate():
     assert interlaced_gate({"a": F(0), "b": F(1, 2), "c": F(1), "z": F(1, 4)})
+
+
+def test_interlaced_gate_on_a_sampled_assignment(table):
+    rng = random.Random(7)
+    assert interlaced_gate(table.entry("gauss2f1_sq").sample_assignment(rng))
