@@ -325,12 +325,7 @@ def valuation_growth(L: Operator, cls, offsets: Optional[Sequence[int]] = None
 
 def valg_set(L: Operator) -> Set[ValGEntry]:
     """Essential singularity classes (gap > 0) with their gaps."""
-    out = set()
-    for rep, offs in problem_points(L):
-        mn, mx = valuation_growth(L, rep, offs)
-        if mx - mn > 0:
-            out.add(ValGEntry(SingularityClass(rep), mx - mn))
-    return out
+    return set(LocalData(L).essential_classes())
 
 
 # -- indicial polynomial ------------------------------------------------------
@@ -477,7 +472,17 @@ def edges_at_infinity(L: Operator) -> List[Tuple[Fraction, Poly]]:
     describes the solution space, not the way L is written: multiplying
     L on the left by a nonzero rational function moves every point by
     the same height and scales every edge polynomial by one constant.
+
+    The edges are kept on L after the first call, as the exponents are,
+    so the table's slope test, the exponents and ``gt_find`` share one
+    polygon.
     """
+    if L._edges is None:
+        L._edges = _edges_at_infinity(L)
+    return L._edges
+
+
+def _edges_at_infinity(L: Operator) -> List[Tuple[Fraction, Poly]]:
     polys = L.poly_coeffs()
     pts = [(i, -p.degree) for i, p in enumerate(polys) if p]
     degmap: Dict[int, int] = dict(pts)
@@ -873,33 +878,78 @@ def gquo(ges: GenExpSet) -> List[GenExpRep]:
 # -- aggregate + serialization -------------------------------------------------
 
 
-def _valg_key(e: ValGEntry):
-    return (e.cls.representative.degree, e.cls.representative.coeffs)
-
-
 @dataclass
 class LocalData:
-    """GT-invariant local data of an operator.
+    """GT-invariant local data of an operator, each invariant computed
+    from ``operator`` on first read and kept, so a reader pays only for
+    what it reads.
 
-    The exponents and Gquo are computed with the instance.  ValG is
-    computed from ``operator`` on first read and kept on the instance,
-    since the table matcher reads it only for an entry whose Gquo shape
-    fits, and most inputs fit none.  An operator rejected at infinity
-    matches no table entry whatever its finite singularities, so its
-    ValG is empty.
+    In order of cost:
+
+    - the slopes at infinity, which the table matcher reads from
+      ``edges_at_infinity(operator)``, kept on the operator;
+    - the generalized exponents (``genexp``, ``genexp_complete``,
+      ``rejection``), one ``generalized_exponents`` call, also kept on
+      the operator, and Gquo, their quotients;
+    - ValG at the classes of degree 1 (``rational_valg``), the only
+      classes the table matcher reads;
+    - ValG at every class (``valg``), read by ``to_json`` and the
+      table's self-validation.
+
+    The gap of each class is computed once per instance, so a
+    ``to_json`` after a match does not compute a class twice.  An
+    operator rejected at infinity matches no table entry whatever its
+    finite singularities, so both ValG reads are empty for it.
     """
 
     operator: Operator
-    genexp: Tuple[GenExpRep, ...]
-    gquo: Tuple[GenExpRep, ...]
-    genexp_complete: bool
-    rejection: Optional[str] = None  # GenExpSet.rejection
+    _gaps: Dict[Poly, int] = field(default_factory=dict, init=False,
+                                   repr=False, compare=False)
+
+    @cached_property
+    def _exponents(self) -> GenExpSet:
+        return generalized_exponents(self.operator)
+
+    @property
+    def genexp(self) -> Tuple[GenExpRep, ...]:
+        return self._exponents.entries
+
+    @property
+    def genexp_complete(self) -> bool:
+        return self._exponents.complete
+
+    @property
+    def rejection(self) -> Optional[str]:
+        return self._exponents.rejection
+
+    @cached_property
+    def gquo(self) -> Tuple[GenExpRep, ...]:
+        return tuple(gquo(self._exponents))
+
+    def essential_classes(self, max_degree: Optional[int] = None
+                          ) -> Tuple[ValGEntry, ...]:
+        """The classes with gap > 0, of degree at most ``max_degree``
+        when it is given, in the order of ``problem_points``."""
+        out = []
+        for rep, offs in problem_points(self.operator):
+            if max_degree is not None and rep.degree > max_degree:
+                break  # problem_points lists the classes by degree
+            gap = self._gaps.get(rep)
+            if gap is None:
+                mn, mx = valuation_growth(self.operator, rep, offs)
+                gap = self._gaps[rep] = mx - mn
+            if gap > 0:
+                out.append(ValGEntry(SingularityClass(rep), gap))
+        return tuple(out)
+
+    @cached_property
+    def rational_valg(self) -> Tuple[ValGEntry, ...]:
+        """The essential classes of degree 1, those of a rational point."""
+        return () if self.rejection is not None else self.essential_classes(1)
 
     @cached_property
     def valg(self) -> Tuple[ValGEntry, ...]:
-        if self.rejection is not None:
-            return ()
-        return tuple(sorted(valg_set(self.operator), key=_valg_key))
+        return () if self.rejection is not None else self.essential_classes()
 
     def to_json(self) -> dict:
         out = {
@@ -940,12 +990,7 @@ def _rep_json(g: GenExpRep) -> dict:
 
 
 def local_data(L: Operator) -> LocalData:
-    """Local data of L; its ValG is computed on first read."""
-    ges = generalized_exponents(L)
-    return LocalData(
-        operator=L,
-        genexp=ges.entries,
-        gquo=tuple(gquo(ges)),
-        genexp_complete=ges.complete,
-        rejection=ges.rejection,
-    )
+    """Local data of L, each invariant computed on first read."""
+    if not L.is_normal():
+        raise ValueError("operator must be normal")
+    return LocalData(L)

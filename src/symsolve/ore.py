@@ -33,7 +33,8 @@ def _to_ratfunc(c) -> RatFunc:
 class Operator:
     """Difference operator sum a_i * S^i with rational-function a_i."""
 
-    __slots__ = ("coeffs", "_canon", "_den", "_polys", "_classes", "_exponents")
+    __slots__ = ("coeffs", "_canon", "_den", "_polys", "_classes", "_edges",
+                 "_exponents", "_twists")
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [_to_ratfunc(c) for c in coeffs]
@@ -44,7 +45,9 @@ class Operator:
         self._den = None
         self._polys = None
         self._classes = {}
+        self._edges = None  # kept by localdata.edges_at_infinity
         self._exponents = None  # kept by localdata.generalized_exponents
+        self._twists = {}  # kept by symprod.symprod_first_order
 
     # -- constructors ----------------------------------------------------
 
@@ -95,14 +98,17 @@ class Operator:
     def poly_coeffs(self) -> Tuple[Poly, ...]:
         """Coefficients with denominators cleared by their least common
         multiple (this multiplies the operator by a unit of F(x)).  Kept
-        after the first call, as ``canonical()`` is."""
+        after the first call, as ``canonical()`` is.  A coefficient whose
+        denominator is that multiple keeps its numerator: both are monic,
+        so the cofactor is 1."""
         if self._polys is None:
             den = Poly.const(Fraction(1))
             for c in self.coeffs:
                 if c.den.degree > 0:
                     den = poly_lcm(den, c.den) if den.degree > 0 else c.den
             self._den = den
-            self._polys = tuple(c.num * den.exact_div(c.den) if c else Poly()
+            self._polys = tuple(c.num if not c or c.den == den
+                                else c.num * den.exact_div(c.den)
                                 for c in self.coeffs)
         return self._polys
 
@@ -147,8 +153,9 @@ class Operator:
             content = rational_content(p.content() for p in polys)
             if polys[-1].lead() < 0:
                 content = -content
-            polys = [p * (Fraction(1) / content) for p in polys]
-        else:
+            if content != 1:
+                polys = [p * (Fraction(1) / content) for p in polys]
+        elif polys[-1].lead() != 1:
             inv = 1 / polys[-1].lead()
             polys = [p * inv for p in polys]
         canon = Operator(polys)

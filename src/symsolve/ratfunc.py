@@ -2,7 +2,8 @@
 
 Normalized form: gcd(num, den) = 1 and den monic, so equality is
 structural.  The coefficient field is whatever the underlying Poly
-carries (rationals or a number field).
+carries (rationals or a number field); an int coefficient is stored as
+a Fraction, so that code reading num and den never divides two ints.
 """
 
 from __future__ import annotations
@@ -16,8 +17,12 @@ __all__ = ["RatFunc", "RF"]
 
 
 def _as_poly(v, what: str) -> Poly:
-    """A Poly, or a scalar (int, Fraction or NFElem) as a constant Poly."""
+    """A Poly with no int coefficient, or a scalar (int, Fraction or
+    NFElem) as a constant Poly."""
     if isinstance(v, Poly):
+        if any(isinstance(c, int) for c in v.coeffs):
+            return Poly(tuple(Fraction(c) if isinstance(c, int) else c
+                              for c in v.coeffs))
         return v
     if isinstance(v, int):
         return Poly.const(Fraction(v))
@@ -42,7 +47,7 @@ class RatFunc:
         if den.degree == 0:
             lc = den.lead()
             if lc != 1:
-                inv = Fraction(1) / lc if isinstance(lc, (int, Fraction)) else 1 / lc
+                inv = 1 / lc
                 num = num * inv
             self.num = num
             self.den = Poly.const(Fraction(1))
@@ -54,7 +59,7 @@ class RatFunc:
                 den = den.exact_div(g)
         lc = den.lead()
         if lc != 1:
-            inv = Fraction(1) / lc if isinstance(lc, (int, Fraction)) else 1 / lc
+            inv = 1 / lc
             num = num * inv
             den = den * inv
         self.num = num

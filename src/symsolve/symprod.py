@@ -23,20 +23,25 @@ __all__ = ["symprod_first_order", "symsquare_order2", "symprod_general"]
 def symprod_first_order(L: Operator, r: RatFunc) -> Operator:
     """L ⊛ (τ - r): twist by the first-order solution with ratio r.
 
-    b_i = a_i · prod_{j=i}^{d-1} r(x+j); the order is preserved.
+    b_i = a_i · prod_{j=i}^{d-1} r(x+j); the order is preserved.  The
+    result is kept on L per r, so a ``GTTransform`` checks its gauge
+    source against the operator ``gt_find`` built, not a recomputation.
     """
     if not r:
         raise ValueError("twist ratio must be nonzero")
     d = L.order
     if d < 0:
         raise ValueError("zero operator")
-    out = [L.coeff(d)]
-    tail = RatFunc(Poly.const(Fraction(1)), reduce=False)
-    for i in range(d - 1, -1, -1):
-        tail = tail * r.shift(i)
-        out.append(L.coeff(i) * tail)
-    out.reverse()
-    return Operator(out).canonical()
+    M = L._twists.get(r)
+    if M is None:
+        out = [L.coeff(d)]
+        tail = RatFunc(Poly.const(Fraction(1)), reduce=False)
+        for i in range(d - 1, -1, -1):
+            tail = tail * r.shift(i)
+            out.append(L.coeff(i) * tail)
+        out.reverse()
+        M = L._twists[r] = Operator(out).canonical()
+    return M
 
 
 def symsquare_order2(K: Operator, D: Fraction = Fraction(1)) -> Operator:

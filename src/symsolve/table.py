@@ -19,7 +19,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from .evaluators import EVALUATORS, eval_special
 from .fieldext import demote, rational_sqrt
 from .localdata import (GenExpRep, LocalData, SingularityClass, ValGEntry,
-                        local_data, problem_points, r_equivalent)
+                        edges_at_infinity, local_data, problem_points,
+                        r_equivalent)
 from .opformat import (ExprError, eval_fraction, eval_poly, eval_value,
                        template_names)
 from .ore import Operator
@@ -436,24 +437,72 @@ def _gaps_compatible(template_gaps: Sequence[int],
     return False
 
 
+def _slope_differences(L: Operator) -> set:
+    """{s - s'} over the pairs of distinct slopes at infinity of L."""
+    slopes = [s for s, _ in edges_at_infinity(L)]
+    return {s - t for s in slopes for t in slopes if s != t}
+
+
 def match_local_data(data: LocalData, table: BaseTable) -> List[TableEntry]:
     """Entries whose template shapes are compatible with the observed data.
-    The Gquo shape is checked first, and ValG is read only for an entry
-    that passes it, so an input whose Gquo fits no entry never computes
-    its valuation growth."""
-    if len(data.genexp) == 0:
+
+    The invariants are read in order of cost, each only for an entry
+    that passed the ones before: the slopes at infinity, then the
+    exponents and their Gquo shape, then ValG at the classes of degree 1.
+    An input whose slopes fit no entry computes no exponent, and one
+    whose Gquo fits no entry computes no valuation growth.
+
+    Slopes.  With D = {s - s'} over the distinct slopes of L at infinity
+    and V_e the set of template ``v`` values of entry e, e is skipped
+    unless D ⊆ V_e ⊆ D ∪ {0}.  Every exponent on an edge of slope s has
+    v = -s, so exponents on different edges are distinct and Gquo holds
+    their quotient, with v = s' - s; two exponents on one edge give
+    v = 0.  r-equivalent quotients share v, so the observed v-set lies
+    in D ∪ {0}, and it contains D when every edge carries an exponent.
+    A complete set does: the exponents on an edge of length ℓ have total
+    multiplicity at most ℓ, the dimension of the formal solutions of
+    that growth, and the lengths sum to the order.  The shape rule below
+    needs V_e to equal the observed v-set, so on a complete set the
+    slope test skips only entries the shape rule rejects.  On an
+    incomplete set it still passes every true disguise of e's base: the
+    base's own set is complete (``TableEntry.self_validate`` checks it),
+    so its slope differences pass, and ``gt_find`` succeeds only when
+    L's edges are the base's, all shifted by deg r, which leaves D as it
+    is.
+
+    ValG at rational classes only.  Every template point (-2b and 2a for
+    Gauss, 0 for Legendre and Hermite, none for Bessel) is rational at
+    rational parameters, and (class, gap) up to shift is GT-invariant,
+    so every essential class of a disguise of a table base has degree 1.
+    Found answers cannot move: if a class of degree >= 2 has gap > 0, no
+    ``gt_find`` can succeed, and if all such gaps are 0, the degree-1
+    multiset is the full one.  Two effects are visible, both on inputs
+    that are no disguise.  ``_gaps_compatible`` does not look at
+    degrees, so an essential degree-2 class with gap 2 used to fit
+    Hermite's template before ``gt_find`` failed; now it is not read,
+    and the input ends in "no table shape", the same "not found".
+    Conversely, an essential class of degree >= 2 that kept the gaps
+    from fitting a template is not read either, and such an input now
+    reaches ``gt_find``, which finds nothing.
+    """
+    diffs = _slope_differences(data.operator)
+    shaped = []
+    for entry in table:
+        t_pairs = [(int(g["r"]), Fraction(g["v"])) for g in entry.gquo_templates]
+        if diffs <= {v for _, v in t_pairs} <= diffs | {0}:
+            shaped.append((entry, t_pairs))
+    if not shaped or len(data.genexp) == 0:
         return []
     obs_classes = _quotient_classes(list(data.gquo))
     obs_shape = _shape_of(obs_classes)
     out = []
-    for entry in table:
-        t_pairs = [(int(g["r"]), Fraction(g["v"])) for g in entry.gquo_templates]
+    for entry, t_pairs in shaped:
         # constants may collide at special parameter values, so the observed
         # class count can drop below the template's, never exceed it
         if set(t_pairs) != obs_shape or len(obs_classes) > len(t_pairs):
             continue
         if not _gaps_compatible([int(v["gap"]) for v in entry.valg_templates],
-                                [e.gap for e in data.valg]):
+                                [e.gap for e in data.rational_valg]):
             continue
         out.append(entry)
     return out
@@ -482,10 +531,12 @@ def _positive_roots(squares) -> List[Fraction]:
 
 def _match_gauss(entry: TableEntry, data: LocalData
                  ) -> List[Dict[str, Fraction]]:
-    """Assignments of the half-argument Gauss entry.  ValG fixes b modulo
-    1/2 as β, leaving (0, β+1/2, β+1), (1/2, β, β+1) and (1/2, β+1/2, β+3/2)
-    on the locus c = a + b + 1/2.  The second has the root polynomials of
-    the first after x -> x+1, so it is dropped.  Gquo is {-R, -1/R, R², 1/R²}
+    """Assignments of the half-argument Gauss entry.  ValG at the classes
+    of degree 1, the only essential ones of a disguise (see
+    ``match_local_data``), fixes b modulo 1/2 as β, leaving (0, β+1/2, β+1),
+    (1/2, β, β+1) and (1/2, β+1/2, β+3/2) on the locus c = a + b + 1/2.
+    The second has the root polynomials of the first after x -> x+1, so
+    it is dropped.  Gquo is {-R, -1/R, R², 1/R²}
     with R = 2z-1+2·sqrt(z²-z), and z = (R+1)²/(4R) for R and 1/R alike,
     so reading every element as -R finds z.  Reading elements as R² adds
     only values like 1-z, whose base has R and 1/R in Gquo, not -R and -1/R.
@@ -494,12 +545,7 @@ def _match_gauss(entry: TableEntry, data: LocalData
     these functions, the square of the order-2 recurrence of
     2F1(-x+a, x+b; c; z) interlaced with step 2, has order 6 and is not
     minimal: its endomorphism space has dimension > 1."""
-    roots = []
-    for e in data.valg:
-        rep = e.cls.representative.monic()
-        if rep.degree != 1:
-            return []
-        roots.append(-Fraction(rep[0]))
+    roots = [-Fraction(e.cls.representative.monic()[0]) for e in data.rational_valg]
     nonzero = [r for r in roots if r != 0]
     if len(roots) == 2 and len(nonzero) == 1:
         beta = (-nonzero[0] / 2) % Fraction(1, 2)

@@ -5,14 +5,40 @@ kept as a test oracle.
 of x.  Each assignment it returns must be one of these, and each one it
 drops must name a base operator it keeps (or that operator's x-shift),
 or fail ``gt_find``.
+
+``match_local_data`` is the entry matcher as it read every exponent
+before any entry and ValG at every class.
 """
 
 from fractions import Fraction
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from symsolve.fieldext import demote, rational_sqrt, value_sqrt
 from symsolve.localdata import LocalData
-from symsolve.table import TableEntry
+from symsolve.table import (BaseTable, TableEntry, _gaps_compatible,
+                            _quotient_classes, _shape_of)
+
+
+def match_local_data(data: LocalData, table: BaseTable,
+                     max_degree: Optional[int] = None) -> List[TableEntry]:
+    """Entries whose Gquo shape equals the observed one and whose ValG
+    gaps fit, read from the full exponent set and from the essential
+    classes of degree at most ``max_degree`` (all when None)."""
+    if len(data.genexp) == 0:
+        return []
+    obs_classes = _quotient_classes(list(data.gquo))
+    obs_shape = _shape_of(obs_classes)
+    gaps = [e.gap for e in data.valg
+            if max_degree is None or e.cls.representative.degree <= max_degree]
+    out = []
+    for entry in table:
+        t_pairs = [(int(g["r"]), Fraction(g["v"])) for g in entry.gquo_templates]
+        if set(t_pairs) != obs_shape or len(obs_classes) > len(t_pairs):
+            continue
+        if not _gaps_compatible([int(v["gap"]) for v in entry.valg_templates], gaps):
+            continue
+        out.append(entry)
+    return out
 
 
 def _both_signs(s) -> list:

@@ -16,7 +16,7 @@ import pytest
 
 from golden_answers import ANSWERS, answer
 from test_api import benchmark_module
-from symsolve import solve, table as tablemod
+from symsolve import localdata, solve, table as tablemod
 from symsolve.opformat import parse_operator, print_operator
 from symsolve.ore import Operator
 
@@ -50,6 +50,28 @@ def test_found_answers_need_no_operator_division(table, monkeypatch):
     for rec in RECORDS:
         if rec["entry"] is not None:
             assert answer(rec["input"], table) == rec
+
+
+def test_answers_read_no_class_of_degree_2(table, monkeypatch):
+    # the matcher reads ValG at the classes of degree 1 only; every record
+    # but the LocalData hash, which to_json takes from the full ValG
+    real = localdata.valuation_growth
+
+    def rational_only(L, cls, offsets=None):
+        if cls.degree >= 2:
+            raise AssertionError(f"valuation_growth at {cls.to_str()}")
+        return real(L, cls, offsets)
+
+    monkeypatch.setattr(localdata, "valuation_growth", rational_only)
+    for rec in RECORDS:
+        res = solve(parse_operator(rec["input"]), table)
+        t = res.transform
+        got = (res.case, getattr(res.entry, "name", None),
+               None if res.assignment is None
+               else {k: str(v) for k, v in sorted(res.assignment.items())},
+               *(_printed(t) or (None, None)))
+        assert got == (rec["case"], rec["entry"], rec["assignment"],
+                       rec["r"], rec["G"]), rec["input"]
 
 
 def _printed(t):

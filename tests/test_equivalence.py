@@ -379,7 +379,8 @@ def _end_coefficients(*ops) -> list:
 
 class TestFactorsEndCoefficients:
     def test_hom_space(self, monkeypatch):
-        M = symprod_first_order(L_CUBIC, RF([0, 1]))
+        # a fresh copy: L_CUBIC keeps its twists, and theirs factored ends
+        M = symprod_first_order(Operator(L_CUBIC.coeffs), RF([0, 1]))
         L2 = transformed_operator(M, Operator([P(1), P(0, 1)]))
         calls = _count_factoring(monkeypatch)
         hom_space(M, L2)
@@ -991,6 +992,20 @@ class TestTypes:
         gm = GaugeMap(Operator.identity(), L_CUBIC, L_CUBIC)
         with pytest.raises(ValueError, match="twisted"):
             GTTransform(RF([2]), gm, L_CUBIC)
+
+    def test_gt_transform_checks_the_kept_twist(self):
+        # gt_find built the twisted base; the transform compares its gauge
+        # source with that operator, kept on the base, and a corrupted
+        # transform still raises
+        M = symprod_first_order(Operator(L_CUBIC.coeffs), RF([1, 1]))
+        L2 = transformed_operator(M, Operator([P(1), P(0, 1)]))
+        L1 = Operator(L_CUBIC.coeffs)
+        t = gt_find(L1, L2)
+        assert t is not None and t.G.source is symprod_first_order(L1, t.r)
+        with pytest.raises(ValueError, match="twisted"):
+            GTTransform(t.r * 2, t.G, L1)
+        with pytest.raises(ValueError, match="twisted"):
+            GTTransform(t.r, t.G, symprod_first_order(L1, RF(2)))
 
     def test_gt_transform_json(self):
         t = gt_find(L_CUBIC, L_CUBIC)

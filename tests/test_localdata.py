@@ -779,6 +779,18 @@ class TestEdgesAtInfinity:
         if gauge is not None:
             event("gauge")
 
+    def test_kept_on_the_operator(self, monkeypatch):
+        # the table's slope test, the exponents and gt_find read one polygon
+        L = hermite_sq()
+        edges = edges_at_infinity(L)
+
+        def refuse(L):
+            raise AssertionError("Newton polygon computed twice")
+
+        monkeypatch.setattr(localdata, "_edges_at_infinity", refuse)
+        assert edges_at_infinity(L) is edges
+        assert generalized_exponents(L).complete
+
     def test_generalized_exponents_read_the_edges(self):
         # each leading constant c gives a root c^step of its slope's edge
         for L in (hermite_sq(), legendre_sq(), turan_op()):

@@ -176,6 +176,21 @@ class TestCanonical:
         assert L.poly_coeffs() == (P(Fraction(1, 2), Fraction(1, 2)), P(0, 1), P(0, 3, 3))
         assert Operator([P(2), P(0, 1)]).denominator() == P(1)
 
+    def test_no_multiplication_by_one(self, monkeypatch):
+        # every denominator is 1 and the content is 1: poly_coeffs keeps
+        # the numerators and canonical() keeps them unscaled
+        L = Operator([Poly([1, 2]), Poly([0, 3]), Poly([1])])
+
+        def refuse(*args):
+            raise AssertionError("Poly.__mul__ called")
+
+        monkeypatch.setattr(Poly, "__mul__", refuse)
+        assert L.poly_coeffs() == tuple(c.num for c in L.coeffs)
+        assert all(p is c.num for p, c in zip(L.poly_coeffs(), L.coeffs))
+        C = L.canonical()
+        assert C == L
+        assert all(type(c) is Fraction for p in C.poly_coeffs() for c in p.coeffs)
+
     def test_storage_is_exact(self):
         L = Operator([P(0, 2), P(4)])
         assert L.coeff(1) == RF(4)  # not silently rescaled

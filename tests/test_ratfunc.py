@@ -37,6 +37,13 @@ class TestNormalization:
     def test_zero_num_canonical(self):
         assert RF(0, [1, 5]) == RF(0, 7)
 
+    def test_int_coefficients_become_fractions(self):
+        # code reading num and den may divide coefficients
+        for r in (RatFunc(Poly([1, 2])), RatFunc(Poly([3]), Poly([0, 1])),
+                  RatFunc(Poly.monomial(2, Fraction(1)))):
+            assert all(type(c) is Fraction for p in (r.num, r.den) for c in p.coeffs)
+        assert RatFunc(Poly([1, 2])) == RF([1, 2])
+
 
 class TestEquality:
     def test_foreign_objects_are_not_coerced(self):

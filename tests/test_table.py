@@ -5,20 +5,22 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import table_reference
 from golden_answers import ANSWERS
 from interlace_reference import interlaced_gate
 from test_equivalence import GAUGE_TEXT
+from test_localdata import SWEEP_GAUGES, SWEEP_RATIOS
 from symsolve import localdata
 from symsolve.localdata import local_data, valg_set
 from symsolve.opformat import parse_operator
 from symsolve.ore import Operator
 from symsolve.poly import P, Poly
-from symsolve.symprod import symsquare_order2
-from symsolve.equivalence import gt_find
+from symsolve.ratfunc import RF
+from symsolve.symprod import symprod_first_order, symsquare_order2
+from symsolve.equivalence import gt_find, transformed_operator
 from symsolve.table import (TableError, TableValidationError, default_table_path,
                             load_table, match_local_data, solve_parameters)
 
@@ -256,36 +258,128 @@ def test_no_match_for_foreign_operator(table):
 
 
 def test_valg_is_not_computed_without_a_gquo_shape(table, monkeypatch):
-    # a reject-workload input whose Gquo fits no entry: its ValG is never read
-    L = parse_operator("(x^2 + 2*x - 2)*S^3 + (x^2 - x - 3)*S^2"
-                       " + (2*x^2 - 2*x + 3)*S + x + 1")
+    # reject-workload inputs whose Gquo fits no entry: their ValG is never
+    # read.  The first has slopes -1 and 0 and the second the one slope 0,
+    # so only the second reaches the Gquo shape test
+    texts = ["(x^2 + 2*x - 2)*S^3 + (x^2 - x - 3)*S^2 + (2*x^2 - 2*x + 3)*S + x + 1",
+             "(2*x + 1)*S^3 - (3*x - 1)*S^2 - 2*S + x + 1"]
 
     def refuse(*args):
-        raise AssertionError("valg_set called")
+        raise AssertionError("valuation_growth called")
 
-    monkeypatch.setattr(localdata, "valg_set", refuse)
-    data = local_data(L)
-    assert data.genexp_complete and data.rejection is None
-    assert match_local_data(data, table) == []
+    monkeypatch.setattr(localdata, "valuation_growth", refuse)
+    for text in texts:
+        data = local_data(parse_operator(text))
+        assert data.genexp_complete and data.rejection is None
+        assert match_local_data(data, table) == []
+
+
+def test_exponents_are_not_computed_without_a_slope_fit(table, monkeypatch):
+    # reject-workload inputs.  Every template v is 0 (Gauss, Legendre,
+    # Hermite) or ±2, ±4 (Bessel).  Slopes -1 and 0 differ by 1, which no
+    # entry has; slopes -2 and 0 differ by 2, and Bessel's ±4 would need
+    # a third slope
+    cases = [("(x^2 + 2*x - 2)*S^3 + (x^2 - x - 3)*S^2 + (2*x^2 - 2*x + 3)*S + x + 1",
+              [F(-1), F(0)]),
+             ("(3*x^2 + 2*x - 2)*S^3 + S^2 + (x^2 - x + 3)*S + 1", [F(-2), F(0)])]
+
+    def refuse(*args):
+        raise AssertionError("generalized_exponents called")
+
+    monkeypatch.setattr(localdata, "generalized_exponents", refuse)
+    for text, slopes in cases:
+        L = parse_operator(text)
+        assert [s for s, _ in localdata.edges_at_infinity(L)] == slopes
+        assert match_local_data(local_data(L), table) == []
 
 
 def test_valg_is_computed_once(table, monkeypatch):
-    # a gauge-workload disguise of the Gauss square: the matcher, the
-    # parameter solver and to_json read one ValG
+    # a gauge-workload disguise of the Gauss square: the matcher and the
+    # parameter solver read the classes of degree 1, to_json all of them
+    # (one has degree 2), and no class is computed twice
     calls = []
+    real = localdata.valuation_growth
 
-    def counting(L):
-        calls.append(L)
-        return valg_set(L)
+    def counting(L, cls, offsets=None):
+        calls.append(cls)
+        return real(L, cls, offsets)
 
-    monkeypatch.setattr(localdata, "valg_set", counting)
+    monkeypatch.setattr(localdata, "valuation_growth", counting)
     data = local_data(parse_operator(GAUGE_TEXT))
     assert calls == []
     entries = match_local_data(data, table)
     assert [e.name for e in entries] == ["gauss2f1_sq"]
     assert solve_parameters(entries[0], data)
+    assert len(calls) == 3 and all(c.degree == 1 for c in calls)
     assert data.to_json()["valg"]
-    assert len(calls) == 1
+    assert len(calls) == len(set(calls)) == len(localdata.problem_points(data.operator))
+    assert [c.degree for c in calls] == [1, 1, 1, 2]
+
+
+SMALL_POLY = st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(
+    lambda cs: Poly([F(c) for c in cs]))
+
+
+@st.composite
+def match_inputs(draw):
+    """(L, whether L is a planted disguise of a table base): random
+    order-3 operators, squares of random order-2 operators, those
+    squares twisted, and the sweep's disguises."""
+    kind = draw(st.sampled_from(["random", "square", "twisted", "disguise"]))
+    if kind == "disguise":
+        entry = draw(st.sampled_from(load_table().entries))
+        M, _ = entry.instantiate(
+            entry.sample_assignment(random.Random(draw(st.integers(0, 999)))))
+        L = symprod_first_order(M, draw(st.sampled_from(SWEEP_RATIOS)))
+        gauge = draw(st.sampled_from(SWEEP_GAUGES))
+        if gauge is not None:
+            L = transformed_operator(L, parse_operator(gauge))
+    elif kind == "random":
+        L = Operator(draw(st.lists(SMALL_POLY, min_size=4, max_size=4)))
+    else:
+        K = Operator(draw(st.lists(SMALL_POLY, min_size=3, max_size=3)))
+        assume(K.order == 2 and K.is_normal())
+        L = symsquare_order2(K)
+        if kind == "twisted":
+            r = RF(draw(st.lists(st.integers(-3, 3), min_size=1, max_size=2)),
+                   draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
+            assume(r)
+            L = symprod_first_order(L, r)
+    assume(L.order == 3 and L.is_normal())
+    return L, kind == "disguise"
+
+
+@given(match_inputs())
+@settings(max_examples=60, deadline=None)
+def test_cheapest_invariant_first_keeps_the_matches(case):
+    # the old rule reads every exponent before any entry and ValG at every
+    # class; the matcher reads the slopes first and ValG at degree 1 only
+    L, disguise = case
+    table = load_table()
+    full = local_data(Operator(L.coeffs))
+    try:
+        old = table_reference.match_local_data(full, table)
+        essential = [e.cls.representative.degree for e in full.valg]
+    except ValueError:  # an escape of the exponents or of Gquo
+        old, essential = None, []
+    if disguise:
+        # every essential class of a disguise of a table base is rational
+        assert all(deg == 1 for deg in essential)
+    if old is not None and any(deg >= 2 for deg in essential):
+        # an input that is no disguise: ValG at degree 1 only
+        old = table_reference.match_local_data(full, table, max_degree=1)
+    try:
+        new = match_local_data(local_data(L), table)
+    except ValueError:
+        assert old is None
+        return
+    if old is None:
+        assert new == []  # the slope test skipped every entry
+    elif full.genexp_complete:
+        assert new == old
+    else:  # the slope test may skip more, never a true disguise
+        assert set(e.name for e in new) <= set(e.name for e in old)
+        assert not disguise or new == old
 
 
 # -- parameter matchers ------------------------------------------------------
