@@ -4,13 +4,12 @@ Every table entry names one of the evaluators here; certificates use them
 for the numeric verification stage.  Exact mode returns Fractions and is
 available whenever the value is a finite rational computation (recurrence
 families, terminating hypergeometric sums); float mode goes through mpmath
-at generous working precision and returns a Python float.
+at generous working precision and returns a Python float.  mpmath is
+imported on first use, so loading the table imports no numerics library.
 """
 
 from fractions import Fraction
 from typing import Mapping
-
-import mpmath as mp
 
 __all__ = ["EvaluatorError", "eval_special", "EVALUATORS"]
 
@@ -70,6 +69,8 @@ def _gauss_halfarg(x: int, a, b, c, z, exact: bool):
         return val if exact else float(val)
     if exact:
         raise EvaluatorError("2F1 value is not a terminating sum here")
+    import mpmath as mp
+
     with mp.workdps(_DPS):
         # zeroprec: the family has exact zeros (e.g. a+b = 1, z = 1/2 sits
         # on the second Gauss evaluation), which plain hypsum cannot settle
@@ -95,6 +96,8 @@ def _clausen_3f2(x: int, alpha, z, exact: bool):
 def _bessel_i(x: int, z, exact: bool):
     if exact:
         raise EvaluatorError("Bessel I has no exact rational mode")
+    import mpmath as mp
+
     with mp.workdps(_DPS):
         return float(mp.besseli(x, mp.mpf(z.numerator) / z.denominator))
 

@@ -1,19 +1,19 @@
-"""Linear algebra used by the product and equivalence machinery.
+"""Exact linear algebra used by the product and equivalence machinery.
 
-Two kits live here: an exact incremental dependency finder over F(x)
-(fraction-free rows, used for minimal-order annihilators), and a
-modular nullspace solver for large integer systems (row reduce mod
-word-sized primes, CRT, rational reconstruction, then verify exactly;
-a reconstruction that verifies is a proof, so primes never need trust).
+Both kernels work on integers or integer polynomials and never round:
+DependencyFinder reports the first linear dependency among vectors over
+F(x) (fraction-free rows, used for minimal-order annihilators), and
+nullspace_rational returns the canonical nullspace basis of an integer
+matrix (incremental elimination over Python integers, used for the
+hom_space systems).  Each result is exact by construction.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .poly import Poly, poly_gcd, rational_content
 from .ratfunc import RatFunc
@@ -94,148 +94,58 @@ class DependencyFinder:
         return None
 
 
-# -- modular nullspaces for rational matrices -------------------------------
-
-_PRIMES: List[int] = []
-_MAX_PRIMES = 40  # primes tried before nullspace_rational gives up
+# -- exact nullspaces of integer matrices -----------------------------------
 
 
-def _prime(i: int) -> int:
-    from sympy import prevprime
-
-    # descending from 2^29 keeps intermediate products inside int64
-    while len(_PRIMES) <= i:
-        p = _PRIMES[-1] if _PRIMES else (1 << 29)
-        _PRIMES.append(int(prevprime(p)))
-    return _PRIMES[i]
-
-
-def _rref_mod_p(A: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
-    A = A % p
-    m, n = A.shape
-    pivots = []
-    r = 0
-    for col in range(n):
-        if r == m:
-            break
-        nz = np.nonzero(A[r:, col])[0]
-        if nz.size == 0:
-            continue
-        k = r + int(nz[0])
-        if k != r:
-            A[[r, k]] = A[[k, r]]
-        inv = pow(int(A[r, col]), p - 2, p)
-        A[r] = (A[r] * inv) % p
-        other = np.nonzero(A[:, col])[0]
-        other = other[other != r]
-        if other.size:
-            A[other] = (A[other] - np.outer(A[other, col], A[r])) % p
-        pivots.append(col)
-        r += 1
-    return A, pivots
-
-
-def _nullspace_mod_p(A: np.ndarray, p: int) -> Tuple[List[int], np.ndarray]:
-    """Pivot columns and a nullspace basis (one row per free column,
-    unit at the free column, solved values at the pivot columns)."""
-    R, pivots = _rref_mod_p(A, p)
-    n = A.shape[1]
-    free = [j for j in range(n) if j not in pivots]
-    basis = np.zeros((len(free), n), dtype=np.int64)
-    for bi, j in enumerate(free):
-        basis[bi, j] = 1
-        for ri, pc in enumerate(pivots):
-            basis[bi, pc] = (-int(R[ri, j])) % p
-    return pivots, basis
-
-
-def _crt(r1: int, m1: int, r2: int, m2: int) -> Tuple[int, int]:
-    s = pow(m1, -1, m2)
-    t = ((r2 - r1) * s) % m2
-    return r1 + m1 * t, m1 * m2
-
-
-def _rat_recon(r: int, m: int) -> Optional[Fraction]:
-    """Wang reconstruction: n/d = r mod m with |n|, d <= sqrt(m/2)."""
-    bound = math.isqrt(m // 2)
-    a0, a1 = m, r % m
-    b0, b1 = 0, 1
-    while a1 > bound:
-        q = a0 // a1
-        a0, a1 = a1, a0 - q * a1
-        b0, b1 = b1, b0 - q * b1
-    if abs(b1) > bound or b1 == 0:
-        return None
-    if math.gcd(a1, b1) != 1:
-        return None
-    return Fraction(a1, b1) if b1 > 0 else Fraction(-a1, -b1)
+def _eliminate(v: List[int], p: List[int], a: int, b: int) -> List[int]:
+    """a·v - b·p divided by the gcd of its entries."""
+    w = [a * x - b * y for x, y in zip(v, p)]
+    g = math.gcd(*w)
+    return [x // g for x in w] if g > 1 else w
 
 
 def nullspace_rational(rows: Sequence[Sequence[int]]) -> List[List[Fraction]]:
     """Exact rational nullspace basis of an integer matrix (list of rows).
 
     A rational matrix is passed with each row's denominators cleared,
-    which leaves its nullspace unchanged.  Solves modulo word-sized
-    primes and reconstructs; the result is verified against the exact
-    matrix, so a returned basis is certified.  An empty list certifies a
-    trivial nullspace (full column rank seen mod a prime bounds the rank
-    from below).
+    which leaves its nullspace unchanged.  The basis is the canonical
+    one: a vector per free column of the reduced row echelon form, with
+    1 at that column and 0 at every other free column, in column order.
+
+    The n unit vectors span the nullspace of no rows.  Each row r, read
+    in ascending order of its largest entry's bit length, maps the
+    spanning vectors v to d = r·v; if every d is 0 the row changes
+    nothing, otherwise the first v0 with d0 != 0 is dropped and every
+    other v becomes d0·v - d·v0, which keeps the vectors independent and
+    spanning the nullspace of the rows read.  Every step is exact integer
+    arithmetic, so the basis needs no re-check and the solver no cap; an
+    empty list certifies a trivial nullspace.
     """
     if not rows:
         return []
     if not all(isinstance(c, int) for r in rows for c in r):
-        # a Fraction would be truncated on its way into int64
         raise TypeError("nullspace_rational takes integer rows")
     n = len(rows[0])
-    best: Optional[Tuple[int, List[int]]] = None  # (rank, pivots)
-    residues: Optional[np.ndarray] = None
-    modulus = 1
-    for pi in range(_MAX_PRIMES):
-        p = _prime(pi)
-        A = np.array([[c % p for c in r] for r in rows], dtype=np.int64)
-        pivots, basis = _nullspace_mod_p(A, p)
-        rank = len(pivots)
-        if best is None or rank > best[0]:
-            best = (rank, pivots)
-            residues, modulus = basis.astype(object), p
-            if rank == n:
-                return []
-        elif rank == best[0] and pivots == best[1]:
-            if basis.shape != residues.shape:
-                continue
-            combined = np.empty_like(residues)
-            for i in range(residues.shape[0]):
-                for j in range(n):
-                    combined[i, j] = _crt(
-                        int(residues[i, j]), modulus, int(basis[i, j]), p
-                    )[0]
-            residues, modulus = combined, modulus * p
-        else:
+    vecs = [[int(i == j) for i in range(n)] for j in range(n)]
+    for row in sorted(rows, key=lambda r: max(map(abs, r), default=0).bit_length()):
+        ds = [sum(map(mul, row, v)) for v in vecs]
+        k = next((k for k, d in enumerate(ds) if d), None)
+        if k is None:
             continue
-        cand = _reconstruct(residues, modulus)
-        if cand is not None and _verify_null(rows, cand):
-            return cand
-    raise ArithmeticError("modular nullspace did not stabilize")
-
-
-def _reconstruct(residues: np.ndarray, modulus: int) -> Optional[List[List[Fraction]]]:
-    out = []
-    for row in residues:
-        vec = []
-        for r in row:
-            q = _rat_recon(int(r), modulus)
-            if q is None:
-                return None
-            vec.append(q)
-        out.append(vec)
-    return out
-
-
-def _verify_null(rows: Sequence[Sequence[int]], basis: List[List[Fraction]]) -> bool:
-    for vec in basis:
-        den = math.lcm(*(c.denominator for c in vec))
-        ivec = [int(c * den) for c in vec]
-        for row in rows:
-            if sum(a * b for a, b in zip(row, ivec)):
-                return False
-    return True
+        v0, d0 = vecs[k], ds[k]
+        vecs = [_eliminate(v, v0, d0, d) if d else v
+                for j, (v, d) in enumerate(zip(vecs, ds)) if j != k]
+        if not vecs:
+            return []
+    # right to left over the columns: the last nonzero entries of an
+    # echelon basis of the nullspace are exactly the free columns
+    basis: List[Tuple[int, List[int]]] = []
+    for j in reversed(range(n)):
+        k = next((k for k, v in enumerate(vecs) if v[j]), None)
+        if k is None:
+            continue
+        p = vecs.pop(k)
+        vecs = [_eliminate(v, p, p[j], v[j]) if v[j] else v for v in vecs]
+        basis = [(f, _eliminate(v, p, p[j], v[j]) if v[j] else v) for f, v in basis]
+        basis.append((j, p))
+    return [[Fraction(c, v[f]) for c in v] for f, v in sorted(basis)]

@@ -26,15 +26,16 @@ def test_all_names_exist(module):
 
 
 def test_load_table_does_not_import_sympy():
-    # sympy is imported on first factorization, not at package load
+    # sympy is imported on first factorization and mpmath on the first
+    # float evaluation, not at package load; numpy is not used at all
     src = str(Path(symsolve.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     code = ("import sys, symsolve; from symsolve.table import load_table; "
-            "load_table(); print('sympy' in sys.modules)")
+            "load_table(); print(sorted({'sympy', 'numpy', 'mpmath'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def benchmark_module(name):

@@ -112,12 +112,12 @@ class TestModularNullspace:
         assert v[0] * Fraction(1, 3) + v[1] * Fraction(1, 6) == 0
 
     def test_fraction_entries_rejected(self):
-        # int64 conversion would truncate them
+        # the kernel works on integers; a rational row is passed cleared
         with pytest.raises(TypeError, match="integer rows"):
             nullspace_rational([[Fraction(1, 3), 1]])
 
     def test_big_coefficients_reconstruct(self):
-        # answer needs several primes worth of CRT
+        # the basis holds the 87-bit over 50-bit ratio itself, exactly
         big = Fraction(123456789012345678901234567, 987654321098765)
         basis = nullspace_rational(_cleared([[Fraction(1), big]]))
         assert len(basis) == 1
@@ -137,3 +137,24 @@ class TestModularNullspace:
         for v in basis:
             for row in rows:
                 assert sum(a * b for a, b in zip(row, v)) == 0
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_sympy_basis(self, seed):
+        # tall matrices of every rank, the zero matrix and full column
+        # rank among them, with entries up to 10^40: the same canonical
+        # basis as sympy, vector for vector
+        rng = random.Random(seed)
+        n = rng.randint(1, 12)
+        rank = rng.randint(0, n)
+        scale = 10 ** rng.choice((0, 5, 20, 40))
+        gens = [[rng.randint(-scale, scale) for _ in range(n)] for _ in range(rank)]
+        rows = list(gens)
+        for _ in range(rng.randint(1, 40 - rank)):
+            coeffs = [rng.choice((0, 1, -1, rng.randint(-9, 9))) for _ in gens]
+            rows.append([sum(c * g[j] for c, g in zip(coeffs, gens)) for j in range(n)])
+        rows.append([0] * n)
+        rng.shuffle(rows)
+        expected = [[Fraction(int(c.p), int(c.q)) for c in v]
+                    for v in sympy.Matrix(rows).nullspace()]
+        assert nullspace_rational(rows) == expected
