@@ -145,13 +145,6 @@ class GTTransform:
 # -- integer certificates -----------------------------------------------------
 
 
-def _int_lists(polys) -> List[list]:
-    # _int_cleared, for rational polynomials only
-    if not all(p.is_rational() for p in polys):
-        raise ValueError("rational coefficients required")
-    return _int_cleared(polys)
-
-
 def _right_prem(A: List[list], S: List[list]) -> List[list]:
     """Right pseudo-remainder of A by S, operators given as lists of
     integer coefficient lists, ascending in tau.
@@ -181,9 +174,9 @@ def _tau_times(A: List[list]) -> List[list]:
 
 def _is_map(G: Operator, source: Operator, target: Operator) -> bool:
     """Whether target*G is right divisible by source; see GaugeMap."""
-    # G = sum Z_i/U·tau^i, and A is -w·target*G up to a constant factor
-    *Z, U = _int_lists([*G.poly_coeffs(), G.denominator()])
-    T = _int_lists(target.poly_coeffs())
+    # G = sum Z_i/U·tau^i and A = -w·target*G, each up to a constant
+    Z, T = G.int_coeffs(), target.int_coeffs()
+    (U,) = _int_cleared([G.denominator()])
     ushift = [_list_shift(U, j) for j in range(len(T))]
     A: List[list] = [[] for _ in range(len(T) + len(Z) - 1)]
     for j, t in enumerate(T):
@@ -195,7 +188,7 @@ def _is_map(G: Operator, source: Operator, target: Operator) -> bool:
         for i, z in enumerate(Z):
             if z:
                 A[i + j] = _list_sub(A[i + j], _list_mul(t, _list_shift(z, j)))
-    return not any(_right_prem(A, _int_lists(source.poly_coeffs())))
+    return not any(_right_prem(A, source.int_coeffs()))
 
 
 def _image_is_full(G: Operator, source: Operator) -> bool:
@@ -208,9 +201,9 @@ def _image_is_full(G: Operator, source: Operator) -> bool:
     D, so if it is nonzero it is nonzero at one of x = 0 .. D; each
     integer matrix is ranked by fraction-free elimination.
     """
-    S = _int_lists(source.poly_coeffs())
+    S = source.int_coeffs()
     d = len(S) - 1
-    row = _right_prem(_int_lists(G.poly_coeffs()), S)
+    row = _right_prem(G.int_coeffs(), S)
     rows = []
     for _ in range(d):
         row = row + [[]] * (d - len(row))
@@ -292,9 +285,9 @@ def _hom_denominator(L1: Operator, L2: Operator) -> Poly:
     return _abramov_denominator(A, B)
 
 
-def _fallback_cap(p1: List[Poly], p2: List[Poly]) -> int:
+def _fallback_cap(P1: List[list], P2: List[list]) -> int:
     # heuristic, for operands without a complete exponent set only
-    return 2 * max(p.degree for p in p1 + p2) + 10
+    return 2 * (max(len(p) for p in P1 + P2) - 1) + 10
 
 
 def _complete_exponents(L: Operator) -> Optional[GenExpSet]:
@@ -347,11 +340,10 @@ def _exponent_bound(L1: Operator, ges1: GenExpSet, ges2: GenExpSet) -> Optional[
     return None if best is None else math.floor(best + defect)
 
 
-def _hom_rows(p1: List[Poly], p2: List[Poly], u: Poly, width: int
+def _hom_rows(P1: List[list], P2: List[list], u: Poly, width: int
               ) -> List[List[int]]:
     """Integer rows of the hom_space system; see hom_space."""
-    d1, d2 = len(p1) - 1, len(p2) - 1
-    P1, P2 = _int_cleared(p1), _int_cleared(p2)
+    d1, d2 = len(P1) - 1, len(P2) - 1
     (U,) = _int_cleared([u])
     lead = P1[d1]
     # numerators N[k] of tau^k modulo L1 over Delta_k, k = 0 .. d1+d2-1
@@ -468,8 +460,8 @@ def hom_space(L1: Operator, L2: Operator) -> List[GaugeMap]:
     tests/ never take it.
 
     The system is built on integer polynomials.  With p_i and q_j the
-    coefficients of L1 and L2, each scaled by one integer over the whole
-    operator, l = p_(d1) and c_i = z_i/u, tau^k is reduced modulo L1
+    coefficients of the integer forms of L1 and L2 (``int_coeffs``),
+    l = p_(d1) and c_i = z_i/u, tau^k is reduced modulo L1
     fraction-free: its coordinates are integer polynomials N_k[s] over
     Delta_k(x) = l(x)·l(x+1)···l(x+k-d1) (1 for k < d1), with
     N_k[s] = l·N_(k-1)[s-1](x+1) - N_(k-1)[d1-1](x+1)·p_s.  The
@@ -498,12 +490,10 @@ def hom_space(L1: Operator, L2: Operator) -> List[GaugeMap]:
     d1 = L1.order
     if d1 < 1:
         raise ValueError("positive source order required")
-    p1, p2 = L1.poly_coeffs(), L2.poly_coeffs()
-    if not all(p.is_rational() for p in p1 + p2):
-        raise ValueError("rational coefficients required")
+    P1, P2 = L1.int_coeffs(), L2.int_coeffs()
     ges1, ges2 = _complete_exponents(L1), _complete_exponents(L2)
     if ges1 is None or ges2 is None:
-        bound = _fallback_cap(p1, p2)
+        bound = _fallback_cap(P1, P2)
     else:
         bound = _exponent_bound(L1, ges1, ges2)
         if bound is None:
@@ -513,7 +503,7 @@ def hom_space(L1: Operator, L2: Operator) -> List[GaugeMap]:
         return []
     width = _within_budget(u.degree + bound) + 1
     basis = []
-    for vec in nullspace_rational(_hom_rows(p1, p2, u, width)):
+    for vec in nullspace_rational(_hom_rows(P1, P2, u, width)):
         numerators = [Poly(vec[i * width : (i + 1) * width]) for i in range(d1)]
         G = Operator([RatFunc(z, u) for z in numerators])
         basis.append(GaugeMap(G, L1, L2))
@@ -627,8 +617,8 @@ def transformed_operator(L1: Operator, G: Operator) -> Operator:
     vectors become dependent; injectivity (trivial gcrd with L1, decided
     as in GaugeMap.bijective) keeps the image dimension full, so the
     result has the order of L1.  The injectivity test and the remainder
-    identity run on integer polynomials, so both operators need
-    rational coefficients.
+    identity read the integer forms, so both operators need rational
+    coefficients.
     """
     if not L1.is_normal():
         raise ValueError("operator must be normal")
@@ -739,11 +729,8 @@ def case_diagnosis(L: Operator) -> int:
         raise ValueError("order-3 operator required")
     if not L.is_normal():
         raise ValueError("operator must be normal")
-    polys = L.canonical().poly_coeffs()
-    if not all(p.is_rational() for p in polys):
-        raise ValueError("rational coefficients required")
-    cs = [p.int_coeffs() for p in polys]
-    bound = 12 * max(p.degree for p in polys)
+    cs = L.canonical().int_coeffs()
+    bound = 12 * (max(len(c) for c in cs) - 1)
     v0, v1 = ([_eval_int(c, v) for c in cs] for v in (0, 1))
     best = 0
     for x0 in range(bound + 1):

@@ -119,10 +119,11 @@ def nullspace_rational(rows: Sequence[Sequence[int]]) -> List[List[Fraction]]:
     other v becomes d0·v - d·v0, which keeps the vectors independent and
     spanning the nullspace of the rows read.  Every step is exact integer
     arithmetic, so the basis needs no re-check and the solver no cap; an
-    empty list certifies a trivial nullspace.
+    empty list certifies a trivial nullspace.  A matrix with no rows has
+    no known width, so it raises ValueError.
     """
     if not rows:
-        return []
+        raise ValueError("nullspace_rational needs at least one row")
     if not all(isinstance(c, int) for r in rows for c in r):
         raise TypeError("nullspace_rational takes integer rows")
     n = len(rows[0])

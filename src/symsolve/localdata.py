@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from .factorization import ExtensionDegreeError, roots
 from .fieldext import NFElem, demote, field_of, value_sqrt
 from .ore import Operator
-from .poly import Poly, _int_cleared, _list_mul, _list_shift
+from .poly import Poly, _list_mul, _list_shift
 from .series import TSeries
 from .snf import canonical_shift
 
@@ -276,7 +276,7 @@ def valuation_growth(L: Operator, cls, offsets: Optional[Sequence[int]] = None
     f = rep.primitive().int_coeffs()
     e, lam = len(f) - 1, _integral_scale(f)
     mu = [f[k] * lam ** (e - k) // f[-1] for k in range(e)]
-    bs = _int_cleared(L.poly_coeffs())
+    bs = L.int_coeffs()
     D = max(len(b) for b in bs) - 1
     bs = [[a * lam ** (D - m) for m, a in enumerate(b)] for b in bs]
     s = 2 * e - 1
@@ -782,7 +782,7 @@ def generalized_exponents(L: Operator) -> GenExpSet:
 def _generalized_exponents(L: Operator) -> GenExpSet:
     if not L.is_normal():
         raise ValueError("operator must be normal")
-    bs = _int_cleared(L.poly_coeffs())
+    bs = L.int_coeffs()
     d = L.order
     entries: List[GenExpRep] = []
     complete = True

@@ -350,9 +350,6 @@ def print_operator(L: Operator) -> str:
         return "0"
     L = L.canonical()
     polys = [c.num for c in L.coeffs]  # canonical => denominators are 1
-    if not all(p.is_rational() for p in polys):
-        # number-field coefficients: display only
-        return repr(L)
     pieces = []
     for i in range(L.order, -1, -1):
         p = polys[i]

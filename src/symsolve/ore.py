@@ -1,19 +1,22 @@
 """The skew ring D = F(x)[S] of linear difference operators.
 
 S is the shift x -> x+1, with the commutation rule S*f(x) = f(x+1)*S.
-Coefficients are RatFunc over Q or over a quadratic number field; an
-operator is stored exactly (no silent rescaling), while canonical() gives
-the content-normalized representative of the left F(x)-orbit used for
-equality of solution spaces, hashing, and printing.
+Coefficients are RatFunc over Q or over a quadratic number field, stored
+exactly (no silent rescaling); construction and ring arithmetic work over
+either.  canonical(), the representative of the left F(x)-orbit by which
+answers are printed and compared, and every exact kernel read one integer
+form, int_coeffs(), which needs rational values.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from functools import reduce
+from math import gcd as _igcd
+from typing import Iterable, List, Sequence, Tuple
 
 from .fieldext import demote
-from .poly import Poly, poly_gcd, poly_lcm, rational_content
+from .poly import Poly, _int_cleared, _int_exact_div, _int_gcd_prs, poly_lcm
 from .ratfunc import RatFunc
 from .snf import ShiftClasses, shift_classes
 
@@ -33,8 +36,8 @@ def _to_ratfunc(c) -> RatFunc:
 class Operator:
     """Difference operator sum a_i * S^i with rational-function a_i."""
 
-    __slots__ = ("coeffs", "_canon", "_den", "_polys", "_classes", "_edges",
-                 "_exponents", "_twists")
+    __slots__ = ("coeffs", "_canon", "_den", "_polys", "_ints", "_classes",
+                 "_edges", "_exponents", "_twists")
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [_to_ratfunc(c) for c in coeffs]
@@ -44,6 +47,7 @@ class Operator:
         self._canon = None
         self._den = None
         self._polys = None
+        self._ints = None
         self._classes = {}
         self._edges = None  # kept by localdata.edges_at_infinity
         self._exponents = None  # kept by localdata.generalized_exponents
@@ -96,11 +100,10 @@ class Operator:
     # -- canonical form -------------------------------------------------------
 
     def poly_coeffs(self) -> Tuple[Poly, ...]:
-        """Coefficients with denominators cleared by their least common
-        multiple (this multiplies the operator by a unit of F(x)).  Kept
-        after the first call, as ``canonical()`` is.  A coefficient whose
-        denominator is that multiple keeps its numerator: both are monic,
-        so the cofactor is 1."""
+        """Coefficients times the least common multiple of their
+        denominators, a unit of F(x), over Q or a number field; kept and
+        read by ``int_coeffs()``.  A coefficient whose denominator is that
+        multiple keeps its numerator (both monic, so the cofactor is 1)."""
         if self._polys is None:
             den = Poly.const(Fraction(1))
             for c in self.coeffs:
@@ -126,41 +129,40 @@ class Operator:
             got = self._classes[i] = shift_classes(self.poly_coeffs()[i])
         return got
 
+    def int_coeffs(self) -> List[list]:
+        """``poly_coeffs()`` times one positive integer, as integer lists
+        that are kept and that no reader may change.  A number-field
+        coefficient with a rational value is read as that value; any
+        other raises ValueError."""
+        if self._ints is None:
+            polys = [p if p.is_rational() else p.map_coeffs(demote)
+                     for p in self.poly_coeffs()]
+            if not all(p.is_rational() for p in polys):
+                raise ValueError("rational coefficients required")
+            self._ints = _int_cleared(polys)
+        return self._ints
+
     def canonical(self) -> "Operator":
-        """Representative of {f(x)·L}: cleared polynomial coefficients,
-        rational content 1 with positive leading coefficient of a_d
-        (leading coefficient of a_d monic over a number field)."""
+        """Representative of {f(x)·L}: ``int_coeffs()`` divided over Z by
+        their primitive gcd (exact by Gauss's lemma), then by their content
+        signed so that the leading coefficient of a_d is positive."""
         if self._canon is not None:
             return self._canon
         if not self.coeffs:
             self._canon = self
             return self
-        polys = self.poly_coeffs()
-        rational = all(p.is_rational() for p in polys)
-        if not rational:
-            # rational values over a number field normalize as rationals
-            demoted = [p.map_coeffs(demote) for p in polys]
-            rational = all(p.is_rational() for p in demoted)
-            if rational:
-                polys = demoted
-        g = Poly()
-        for p in polys:
-            if p:
-                g = poly_gcd(g, p)
-        if g.degree > 0:
-            polys = [p.exact_div(g) if p else p for p in polys]
-        if rational:
-            content = rational_content(p.content() for p in polys)
-            if polys[-1].lead() < 0:
-                content = -content
-            if content != 1:
-                polys = [p * (Fraction(1) / content) for p in polys]
-        elif polys[-1].lead() != 1:
-            inv = 1 / polys[-1].lead()
-            polys = [p * inv for p in polys]
-        canon = Operator(polys)
-        canon._canon = canon
-        self._canon = canon
+        cs = self.int_coeffs()
+        g = reduce(_int_gcd_prs, filter(None, cs), [])
+        if len(g) > 1:
+            cs = [_int_exact_div(c, g) for c in cs]
+        content = _igcd(*(a for c in cs for a in c))
+        if cs[-1][-1] < 0:
+            content = -content
+        if content != 1:
+            cs = [[a // content for a in c] for c in cs]
+        canon = Operator([Poly(c) for c in cs])
+        canon._ints = cs
+        self._canon = canon._canon = canon
         return canon
 
     # -- ring operations ---------------------------------------------------------

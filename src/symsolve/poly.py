@@ -348,6 +348,18 @@ def _int_prem(a: list, b: list) -> list:
     return a
 
 
+def _int_exact_div(a: list, b: list) -> list:
+    """Quotient of integer coefficient lists, b primitive and dividing a
+    over Q: integral by Gauss's lemma, so every step divides exactly."""
+    a, quo = list(a), []
+    while len(a) >= len(b):
+        quo.append(a[-1] // b[-1])
+        for j, cb in enumerate(b, len(a) - len(b)):
+            a[j] -= quo[-1] * cb
+        a.pop()
+    return quo[::-1]
+
+
 def _int_primitive(a: list) -> list:
     g = 0
     for c in a:

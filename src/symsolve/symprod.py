@@ -14,7 +14,7 @@ from typing import List
 
 from .linalg import DependencyFinder
 from .ore import Operator
-from .poly import Poly
+from .poly import Poly, _list_mul, _list_shift
 from .ratfunc import RatFunc
 
 __all__ = ["symprod_first_order", "symsquare_order2", "symprod_general"]
@@ -23,8 +23,10 @@ __all__ = ["symprod_first_order", "symsquare_order2", "symprod_general"]
 def symprod_first_order(L: Operator, r: RatFunc) -> Operator:
     """L ⊛ (τ - r): twist by the first-order solution with ratio r.
 
-    b_i = a_i · prod_{j=i}^{d-1} r(x+j); the order is preserved.  The
-    result is kept on L per r, so a ``GTTransform`` checks its gauge
+    b_i = a_i · prod_{j=i}^{d-1} r(x+j); the order is preserved.  It is
+    formed over Z as A_i·prod_{j>=i} n(x+j)·prod_{j<i} m(x+j), j < d, for
+    A and (n, m) the integer forms of L and of num(r) + den(r)·S.
+    The result is kept on L per r, so a ``GTTransform`` checks its gauge
     source against the operator ``gt_find`` built, not a recomputation.
     """
     if not r:
@@ -34,13 +36,12 @@ def symprod_first_order(L: Operator, r: RatFunc) -> Operator:
         raise ValueError("zero operator")
     M = L._twists.get(r)
     if M is None:
-        out = [L.coeff(d)]
-        tail = RatFunc(Poly.const(Fraction(1)), reduce=False)
-        for i in range(d - 1, -1, -1):
-            tail = tail * r.shift(i)
-            out.append(L.coeff(i) * tail)
-        out.reverse()
-        M = L._twists[r] = Operator(out).canonical()
+        n, m = Operator((r.num, r.den)).int_coeffs()
+        out = L.int_coeffs()
+        for j in range(d):
+            nj, mj = _list_shift(n, j), _list_shift(m, j)
+            out = [_list_mul(a, nj if i <= j else mj) for i, a in enumerate(out)]
+        M = L._twists[r] = Operator([Poly(c) for c in out]).canonical()
     return M
 
 

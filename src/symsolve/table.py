@@ -376,12 +376,13 @@ def load_table(path: Optional[str] = None) -> BaseTable:
             _require(isinstance(g, dict)
                      and set(g) >= {"r", "v", "c", "tail"}
                      and isinstance(g["tail"], list)
-                     and _is_int(g["r"]) and len(g["tail"]) == g["r"]
+                     and _is_int(g["r"]) and g["r"] in (1, 2)
+                     and len(g["tail"]) == g["r"]
                      and (_is_int(g["v"]) or isinstance(g["v"], str)
                           and _parsed(Fraction, g["v"]) is not None),
                      name, "gquo",
-                     "elements need r/v/c/tail with r tail slots and v an "
-                     "integer or a fraction string")
+                     "elements need r/v/c/tail with r = 1 or 2, r tail slots "
+                     "and v an integer or a fraction string")
             for text in [g["c"]] + g["tail"]:
                 _check_template(name, "gquo", text, names | {"sqrt"})
         _require(isinstance(item["valg"], list), name, "valg", "must be a list")

@@ -10,13 +10,14 @@ change that moves an answer on purpose regenerates the file with
 per stage; it must give the same answer on every input.
 """
 
+import copy
 import json
 
 import pytest
 
 from golden_answers import ANSWERS, answer
 from test_api import benchmark_module
-from symsolve import localdata, solve, table as tablemod
+from symsolve import equivalence, localdata, solve, table as tablemod
 from symsolve.opformat import parse_operator, print_operator
 from symsolve.ore import Operator
 
@@ -50,6 +51,41 @@ def test_found_answers_need_no_operator_division(table, monkeypatch):
     for rec in RECORDS:
         if rec["entry"] is not None:
             assert answer(rec["input"], table) == rec
+
+
+def test_answers_take_no_fallback_cap(table, monkeypatch):
+    # every hom_space of a solve has complete exponent sets on both sides,
+    # so its width comes from the proven degree bound
+    def refuse(*args):
+        raise AssertionError("_fallback_cap called")
+
+    monkeypatch.setattr(equivalence, "_fallback_cap", refuse)
+    for rec in RECORDS:
+        assert answer(rec["input"], table) == rec
+
+
+def test_kept_integer_forms_are_not_changed(table, monkeypatch):
+    # the lists Operator.int_coeffs keeps are shared by every reader
+    real, seen = Operator.int_coeffs, []
+
+    def recording(self):
+        got = real(self)
+        seen.append((got, copy.deepcopy(got)))
+        return got
+
+    monkeypatch.setattr(Operator, "int_coeffs", recording)
+    rec = min((r for r in RECORDS if r["G"] is not None and "S" in r["G"]),
+              key=lambda r: len(r["input"]))
+    L = parse_operator(rec["input"])
+    res = solve(L, table)  # case_diagnosis, local_data, the match, gt_find
+    t = res.transform
+    assert (res.entry.name, _printed(t)) == (rec["entry"], (rec["r"], rec["G"]))
+    res.local_data.to_json()
+    t.to_json()
+    t.G.to_json()
+    assert equivalence.hom_space(t.G.source, L)
+    assert len(seen) > 10
+    assert all(got == kept for got, kept in seen)
 
 
 def test_answers_read_no_class_of_degree_2(table, monkeypatch):

@@ -610,7 +610,7 @@ def _bases_agree(L1: Operator, L2: Operator) -> int:
     u = _hom_denominator(L1, L2)
     width = _degree_cap(p1, p2) + u.degree + 1
     want = nullspace_rational(_reference_rows(p1, p2, u, width))
-    assert nullspace_rational(_hom_rows(p1, p2, u, width)) == want
+    assert nullspace_rational(_hom_rows(L1.int_coeffs(), L2.int_coeffs(), u, width)) == want
     d1 = L1.order
     want_G = [
         Operator([RatFunc(Poly(v[i * width:(i + 1) * width]), u) for i in range(d1)])

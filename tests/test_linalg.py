@@ -104,6 +104,12 @@ class TestModularNullspace:
     def test_full_rank_certified_empty(self):
         assert nullspace_rational([[2, 1], [1, 1]]) == []
 
+    def test_no_rows_rejected(self):
+        # [] would claim a trivial nullspace; a zero row keeps the width
+        with pytest.raises(ValueError, match="at least one row"):
+            nullspace_rational([])
+        assert nullspace_rational([[0, 0]]) == [[1, 0], [0, 1]]
+
     def test_rational_entries(self):
         rows = [[Fraction(1, 3), Fraction(1, 6)], [Fraction(2), Fraction(1)]]
         basis = nullspace_rational(_cleared(rows))

@@ -4,13 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symsolve.fieldext import NumberField
-from symsolve.opformat import parse_operator
+from symsolve.equivalence import case_diagnosis, hom_space
+from symsolve.fieldext import NumberField, demote
+from symsolve.opformat import parse_operator, print_operator
 from symsolve.ore import Operator, solution_window
 from symsolve.poly import P, Poly
-from symsolve.ratfunc import RF
+from symsolve.ratfunc import RF, RatFunc
 
 from gcrd_reference import gcrd
+from ore_reference import reference_canonical
 
 
 def small_ops(max_order=2, span=3):
@@ -18,6 +20,27 @@ def small_ops(max_order=2, span=3):
     return st.lists(
         st.lists(coeff, min_size=1, max_size=2), min_size=1, max_size=max_order + 1
     ).map(lambda rows: Operator([Poly(tuple(map(Fraction, r))) for r in rows]))
+
+
+@st.composite
+def rational_ops(draw, max_order=3):
+    """Operators with rational values: random numerators times one factor
+    shared by every coefficient, denominators with rational constants,
+    either sign of every constant, and sometimes all coefficients written
+    over Q(sqrt 3)."""
+    frac = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+    def poly(size):
+        return Poly(draw(st.lists(frac, min_size=1, max_size=size)))
+
+    shared = poly(3) or P(1)
+    dens = [P(1), P(Fraction(2, 3)), P(0, 3), P(1, Fraction(1, 2)), P(2, 1, 1)]
+    coeffs = [RatFunc(poly(3) * shared, draw(st.sampled_from(dens)))
+              for _ in range(draw(st.integers(1, max_order + 1)))]
+    if draw(st.booleans()):
+        K = NumberField(3)
+        coeffs = [RatFunc(c.num.map_coeffs(K.from_rational), c.den) for c in coeffs]
+    return Operator(coeffs)
 
 
 S = Operator.tau()
@@ -195,6 +218,41 @@ class TestCanonical:
         L = Operator([P(0, 2), P(4)])
         assert L.coeff(1) == RF(4)  # not silently rescaled
         assert L.canonical().coeff(1) == RF(2)
+
+    @given(rational_ops())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_rational_reference(self, L):
+        assert L.canonical() == reference_canonical(L)
+
+    @given(rational_ops())
+    @settings(max_examples=50, deadline=None)
+    def test_int_coeffs_scale_poly_coeffs_by_one_integer(self, L):
+        ints = L.int_coeffs()
+        polys = [p.map_coeffs(demote) for p in L.poly_coeffs()]
+        assert all(type(a) is int for c in ints for a in c)
+        assert [bool(c) for c in ints] == [bool(p) for p in polys]
+        if L:
+            scale = Fraction(ints[-1][-1]) / polys[-1].lead()
+            assert scale > 0 and scale.denominator == 1
+            assert [Poly(c) for c in ints] == [p * scale for p in polys]
+
+    def test_shared_factor_and_rational_content(self):
+        # (x+1)(x-2)·(-3/2·S^2 + x/3·S + 1/(2x))
+        h = P(-2, -1, 1)
+        L = Operator([RatFunc(h * P(Fraction(1, 2)), P(0, 1)),
+                      RatFunc(h * P(0, Fraction(1, 3))), RatFunc(h * P(Fraction(-3, 2)))])
+        assert L.canonical() == parse_operator("9*x*S^2 - 2*x^2*S - 3",
+                                               require_normal=False)
+        assert L.canonical().int_coeffs() == [[-3], [0, 0, -2], [0, 9]]
+
+    def test_irrational_coefficients_rejected(self):
+        # S^3 + S + x + sqrt(3): the integer form needs rational values
+        K = NumberField(3)
+        L = Operator([Poly((K.gen, K.one)), P(1), Poly(), P(1)])
+        for read in (Operator.int_coeffs, Operator.canonical, print_operator,
+                     case_diagnosis, lambda L: hom_space(L, L)):
+            with pytest.raises(ValueError, match="rational coefficients required"):
+                read(L)
 
     def test_rational_values_over_a_number_field(self):
         # decided by value, not by coefficient type

@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from interlace_reference import interlace
+from ore_reference import reference_canonical
+from test_ore import rational_ops
+from symsolve import poly, ratfunc
 from symsolve.fieldext import NumberField
 from symsolve.opformat import parse_operator
 from symsolve.ore import Operator, solution_window
@@ -38,12 +41,50 @@ def _product_oracle(S: Operator, K: Operator, M: Operator, rng, points=15):
     return all(r == 0 for r in S.apply_window(w, 1))
 
 
+def _ratfunc_twist(L: Operator, r: RatFunc) -> Operator:
+    """b_i = a_i · prod_{j=i}^{d-1} r(x+j) over Q(x), in the rational
+    canonical form."""
+    d = L.order
+    out = [L.coeff(d)]
+    tail = RF(1)
+    for i in range(d - 1, -1, -1):
+        tail = tail * r.shift(i)
+        out.append(L.coeff(i) * tail)
+    out.reverse()
+    return reference_canonical(Operator(out))
+
+
+# ratios with a rational constant, which clearing n and m apart would drop
+RATIOS = [RF([0, Fraction(2, 3)]), RF(Fraction(-1, 2)), RF([1, 1], [3, 2]),
+          RF([Fraction(5, 4), 0, 1], [0, Fraction(-7, 3)])]
+
+
 class TestFirstOrder:
+    @given(L=rational_ops(), r=st.sampled_from(RATIOS))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_ratfunc_formula(self, L, r):
+        if L:
+            assert symprod_first_order(L, r) == _ratfunc_twist(L, r)
+
     def test_two_first_order(self):
         # (S - a) (x) (S - b) = S - a*b
         a, b = RF([1, 1]), RF([0, 2])
         got = symprod_first_order(Operator([-a.num, P(1)]), b)
         assert got.canonical() == Operator([-(a * b).num * 2, P(2)]).canonical()
+
+    def test_formed_without_gcd_or_ratfunc_product(self, monkeypatch):
+        # the twist and canonical() work on the kept integer form
+        L, r = parse_operator(E_TEXT), RF([1, 1], [3, 2])
+        L2 = Operator([c * P(1, 1) for c in (P(2), P(0, -4), P(6, 0, 1))])
+
+        def refuse(*args):
+            raise AssertionError("gcd or RatFunc product")
+
+        for owner in (poly, ratfunc):
+            monkeypatch.setattr(owner, "poly_gcd", refuse)
+        monkeypatch.setattr(RatFunc, "__mul__", refuse)
+        assert symprod_first_order(L, r).order == 3
+        assert L2.canonical() == Operator([P(2), P(0, -4), P(6, 0, 1)])
 
     def test_identity_twist(self):
         L = parse_operator("(x+1)S^2 - (3x+2)S + 2x")

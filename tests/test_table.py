@@ -123,6 +123,10 @@ def test_schema_error_names_entry_and_field(tmp_path):
         (("gquo", 0, "v"), 0.5, "'gquo'"),
         (("gquo", 0, "v"), 1e-300, "'gquo'"),
         (("gquo",), 3, "'gquo'"),
+        # generalized exponents are unramified or ramified of index 2
+        (("gquo", 0), {"r": 0, "v": "0", "c": "1", "tail": []}, "'gquo'"),
+        (("gquo", 0), {"r": 3, "v": "0", "c": "1", "tail": ["0", "0", "0"]},
+         "'gquo'"),
         (("valg",), 5, "'valg'"),
         (("root", "a0"), "2*x+", "'root'.*malformed"),
         (("root", "a1"), "(x", "'root'.*malformed"),
