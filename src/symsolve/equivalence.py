@@ -17,10 +17,10 @@ Hom(tau - 1, L), so ``hom_space`` is the one rational solver.
 """
 
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from .fieldext import demote
 from .linalg import DependencyFinder, nullspace_rational
@@ -35,6 +35,7 @@ from .opformat import print_operator
 from .ore import Operator
 from .poly import Poly, _int_cleared, _list_mul, _list_shift, _list_sub
 from .ratfunc import RatFunc
+from .snf import compose_classes
 from .symprod import _shift_reduce_step, symprod_first_order
 
 __all__ = [
@@ -219,15 +220,6 @@ def _image_is_full(G: Operator, source: Operator) -> bool:
 # -- homomorphisms -----------------------------------------------------------
 
 
-def _class_counts(parts) -> Dict[Poly, Counter]:
-    # offset counts of prod p(x + s) over the parts (shift classes of p, s)
-    counts: Dict[Poly, Counter] = defaultdict(Counter)
-    for classes, s in parts:
-        for rep, offsets in classes.items():
-            counts[rep].update({k + s: m for k, m in offsets.items()})
-    return counts
-
-
 def _abramov_denominator(A, B) -> Poly:
     """Universal denominator when pole chains of a solution must start
     at a root of A and end at a root of B.
@@ -239,7 +231,7 @@ def _abramov_denominator(A, B) -> Poly:
     rep(x + k) and B's rep(x + k - h) each lose m = min of their counts,
     and u gains rep(x + k - i)^m for i = 0..h.
     """
-    A, B = _class_counts(A), _class_counts(B)
+    A, B = compose_classes(A), compose_classes(B)
     exps: Counter = Counter()
     for rep, a in A.items():
         b = B.get(rep, {})
@@ -273,8 +265,9 @@ def _hom_denominator(L1: Operator, L2: Operator) -> Poly:
     # trailing coefficient of the target (or a reduction pole of the
     # source lead) to vanish there, a leftmost pole the same for the
     # shifted leading data.  Conservative on both ends.  Each end
-    # coefficient is factored once per operator; the products are read
-    # as shifts.
+    # coefficient is factored at most once per operator (a square or a
+    # twist keeps the classes composed from its inputs'); the products
+    # are read as shifts.
     d1, d2 = L1.order, L2.order
     src0, src_lead, tgt0, tgt_lead = (L.shift_classes(i)[1]
                                       for L, i in ((L1, 0), (L1, d1), (L2, 0), (L2, d2)))

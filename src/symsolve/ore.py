@@ -123,10 +123,14 @@ class Operator:
 
     def shift_classes(self, i: int) -> Tuple[Fraction, ShiftClasses]:
         """``snf.shift_classes`` of ``poly_coeffs()[i]``, kept per index, so
-        each coefficient is factored once however often it is read."""
+        each coefficient is factored once however often it is read.  The
+        symmetric square and the twist keep those of their end
+        coefficients, composed, when they build an operator."""
         got = self._classes.get(i)
         if got is None:
-            got = self._classes[i] = shift_classes(self.poly_coeffs()[i])
+            p = self.poly_coeffs()[i]
+            got = self._classes[i] = shift_classes(
+                p if p.is_rational() else p.map_coeffs(demote))
         return got
 
     def int_coeffs(self) -> List[list]:
@@ -143,15 +147,19 @@ class Operator:
         return self._ints
 
     def canonical(self) -> "Operator":
-        """Representative of {f(x)·L}: ``int_coeffs()`` divided over Z by
-        their primitive gcd (exact by Gauss's lemma), then by their content
-        signed so that the leading coefficient of a_d is positive."""
-        if self._canon is not None:
-            return self._canon
-        if not self.coeffs:
-            self._canon = self
-            return self
-        cs = self.int_coeffs()
+        """Representative of {f(x)·L}: ``canonical_from_ints(int_coeffs())``."""
+        if self._canon is None:
+            self._canon = Operator.canonical_from_ints(self.int_coeffs()) \
+                if self.coeffs else self
+        return self._canon
+
+    @classmethod
+    def canonical_from_ints(cls, cs: List[list]) -> "Operator":
+        """The canonical form of sum cs[i](x)·S^i for integer coefficient
+        lists cs, the last nonzero, formed on them: divided over Z by their
+        primitive gcd (exact by Gauss's lemma), then by their content
+        signed so that the leading coefficient of a_d is positive.  It
+        keeps its own lists as ``int_coeffs()``."""
         g = reduce(_int_gcd_prs, filter(None, cs), [])
         if len(g) > 1:
             cs = [_int_exact_div(c, g) for c in cs]
@@ -160,9 +168,9 @@ class Operator:
             content = -content
         if content != 1:
             cs = [[a // content for a in c] for c in cs]
-        canon = Operator([Poly(c) for c in cs])
+        canon = cls([Poly(c) for c in cs])
         canon._ints = cs
-        self._canon = canon._canon = canon
+        canon._canon = canon
         return canon
 
     # -- ring operations ---------------------------------------------------------

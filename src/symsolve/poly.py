@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as _igcd
 from math import lcm as _lcm
-from typing import Iterable
+from typing import Iterable, Optional
 
 __all__ = ["Poly", "P", "x_poly", "poly_gcd", "poly_lcm", "rational_content"]
 
@@ -348,16 +348,20 @@ def _int_prem(a: list, b: list) -> list:
     return a
 
 
-def _int_exact_div(a: list, b: list) -> list:
-    """Quotient of integer coefficient lists, b primitive and dividing a
-    over Q: integral by Gauss's lemma, so every step divides exactly."""
+def _int_exact_div(a: list, b: list) -> Optional[list]:
+    """Quotient of integer coefficient lists, b primitive, or None when b
+    does not divide a over Q.  A quotient over Q is integral by Gauss's
+    lemma, so a step that does not divide over Z means there is none."""
     a, quo = list(a), []
     while len(a) >= len(b):
-        quo.append(a[-1] // b[-1])
+        q, rem = divmod(a[-1], b[-1])
+        if rem:
+            return None
+        quo.append(q)
         for j, cb in enumerate(b, len(a) - len(b)):
-            a[j] -= quo[-1] * cb
+            a[j] -= q * cb
         a.pop()
-    return quo[::-1]
+    return None if any(a) else quo[::-1]
 
 
 def _int_primitive(a: list) -> list:

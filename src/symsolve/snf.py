@@ -4,24 +4,31 @@
 p once and groups the irreducible factors by shift class, each named by
 its canonical representative (root sum in (-deg, 0]) with the integer
 offsets where it occurs; the factors of p(x+k) are the shifts of those
-of p.  `shift_quotient_inverse` recovers the monic u from a shift
-quotient r = u(x+1)/u(x), so a rational term ratio can be shown as the
-term u itself.
+of p.  A constant or linear p needs no factoring.  The classes of a
+product of shifted polynomials whose classes are known are composed by
+`compose_classes`, not factored: `product_classes` divides those
+candidate factors out of the product exactly over Z and checks that a
+constant, the unit, remains.  `shift_quotient_inverse` recovers the
+monic u from a shift quotient r = u(x+1)/u(x), so a rational term ratio
+can be shown as the term u itself.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter, defaultdict
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .factorization import factor_over_Q
-from .poly import Poly
+from .poly import Poly, _int_exact_div, _list_shift
 from .ratfunc import RatFunc
 
 __all__ = [
     "canonical_shift",
+    "compose_classes",
+    "product_classes",
     "shift_classes",
     "shift_quotient_inverse",
 ]
@@ -53,16 +60,75 @@ def shift_classes(p: Poly) -> Tuple[Fraction, ShiftClasses]:
     Each rep is primitive with positive leading coefficient and is its
     own canonical shift, so two factors lie in one class exactly when
     they are integer shifts of each other.  p must be rational.  The
-    mappings are read-only.
+    mappings are read-only.  A constant is its own unit, and a linear p
+    is its content g times its primitive factor c1·x + c0 = rep(x + k),
+    with rep = c1·x + (c0 mod c1) and k = c0 div c1, so neither is
+    factored.
     """
+    if p.degree < 1:
+        return Fraction(p[0]), _frozen({})
+    if p.degree == 1:
+        den = math.lcm(Fraction(p[0]).denominator, Fraction(p[1]).denominator)
+        c0, c1 = ((Fraction(c) * den).numerator for c in p.coeffs)
+        g = math.gcd(c0, c1) if c1 > 0 else -math.gcd(c0, c1)
+        c0, c1 = c0 // g, c1 // g
+        rep = Poly((Fraction(c0 % c1), Fraction(c1)))
+        return Fraction(g, den), _frozen({rep: {c0 // c1: 1}})
     unit, factors = factor_over_Q(p)
     classes: Dict[Poly, Dict[int, int]] = {}
     for f, m in factors:
         rep, k = canonical_shift(f)  # f(x) = rep(x + k)
         offsets = classes.setdefault(rep, {})
         offsets[k] = offsets.get(k, 0) + m
-    return unit, MappingProxyType({rep: MappingProxyType(offsets)
-                                   for rep, offsets in classes.items()})
+    return unit, _frozen(classes)
+
+
+def _frozen(classes) -> ShiftClasses:
+    return MappingProxyType({rep: MappingProxyType(offsets)
+                             for rep, offsets in classes.items()})
+
+
+def compose_classes(parts: Iterable[Tuple[ShiftClasses, int]]) -> Dict[Poly, Counter]:
+    """Offset counts {rep: {k: m}} of ∏ p(x + s) over the parts, each a
+    pair (shift classes of p, s): the classes of p shifted by s and
+    summed, with no product formed."""
+    counts: Dict[Poly, Counter] = defaultdict(Counter)
+    for classes, s in parts:
+        for rep, offsets in classes.items():
+            counts[rep].update({k + s: m for k, m in offsets.items()})
+    return counts
+
+
+def product_classes(p: List[int], parts: Iterable[Tuple[ShiftClasses, int]]
+                    ) -> Tuple[Fraction, ShiftClasses]:
+    """``shift_classes(Poly(p))`` for an integer polynomial p that divides
+    ∏ f(x + s) over the parts (shift classes of f, s) up to a constant,
+    read from those classes with no factoring.
+
+    Each candidate rep(x + k) of ``compose_classes(parts)`` is an
+    irreducible primitive factor and is divided out of p exactly over Z
+    as often as it divides, at most its count.  What remains must be a
+    constant, the unit; anything else means a factor of p is missing
+    from the parts and raises AssertionError.  A zero p has unit 0.
+    """
+    classes: Dict[Poly, Dict[int, int]] = {}
+    if not p:
+        return Fraction(0), _frozen(classes)
+    for rep, counts in compose_classes(parts).items():
+        base = [int(c) for c in rep.coeffs]
+        for k, m in counts.items():
+            f, got = _list_shift(base, k), 0
+            while got < m:
+                q = _int_exact_div(p, f)
+                if q is None:
+                    break
+                p, got = q, got + 1
+            if got:
+                classes.setdefault(rep, {})[k] = got
+    if len(p) != 1:
+        raise AssertionError("the candidate shift classes leave a nonconstant "
+                             "cofactor")
+    return Fraction(p[0]), _frozen(classes)
 
 
 def shift_quotient_inverse(r: RatFunc) -> Optional[RatFunc]:

@@ -14,10 +14,21 @@ from typing import List
 
 from .linalg import DependencyFinder
 from .ore import Operator
-from .poly import Poly, _list_mul, _list_shift
+from .poly import Poly, _list_mul, _list_shift, _list_sub
 from .ratfunc import RatFunc
+from .snf import product_classes, shift_classes
 
 __all__ = ["symprod_first_order", "symsquare_order2", "symprod_general"]
+
+
+def _with_end_classes(cs: List[list], parts0, parts_d) -> Operator:
+    # the canonical form of cs, keeping the shift classes of its end
+    # coefficients, which divide prod f(x + s) over parts0 and parts_d
+    M = Operator.canonical_from_ints(cs)
+    ends = M.int_coeffs()
+    M._classes.update({0: product_classes(ends[0], parts0),
+                       M.order: product_classes(ends[-1], parts_d)})
+    return M
 
 
 def symprod_first_order(L: Operator, r: RatFunc) -> Operator:
@@ -25,7 +36,9 @@ def symprod_first_order(L: Operator, r: RatFunc) -> Operator:
 
     b_i = a_i · prod_{j=i}^{d-1} r(x+j); the order is preserved.  It is
     formed over Z as A_i·prod_{j>=i} n(x+j)·prod_{j<i} m(x+j), j < d, for
-    A and (n, m) the integer forms of L and of num(r) + den(r)·S.
+    A and (n, m) the integer forms of L and of num(r) + den(r)·S, so the
+    shift classes of b_0 and b_d are composed from those of a_0, a_d, n
+    and m and kept on the result.
     The result is kept on L per r, so a ``GTTransform`` checks its gauge
     source against the operator ``gt_find`` built, not a recomputation.
     """
@@ -41,7 +54,10 @@ def symprod_first_order(L: Operator, r: RatFunc) -> Operator:
         for j in range(d):
             nj, mj = _list_shift(n, j), _list_shift(m, j)
             out = [_list_mul(a, nj if i <= j else mj) for i, a in enumerate(out)]
-        M = L._twists[r] = Operator([Poly(c) for c in out]).canonical()
+        num, den = shift_classes(r.num)[1], shift_classes(r.den)[1]
+        M = L._twists[r] = _with_end_classes(
+            out, [(L.shift_classes(0)[1], 0)] + [(num, j) for j in range(d)],
+            [(L.shift_classes(d)[1], 0)] + [(den, j) for j in range(d)])
     return M
 
 
@@ -55,21 +71,31 @@ def symsquare_order2(K: Operator, D: Fraction = Fraction(1)) -> Operator:
     The middle coefficient may carry sqrt(D) (half-argument Gauss family,
     D = 1-z).  Each formula is odd in it, so one common sqrt(D) divides
     out, only D enters and the result stays rational.  D = 1 is the
-    square of K itself.
+    square of K itself.  It is formed on the integer form of K, and the
+    shift classes of its end coefficients, products of shifts of K's, are
+    composed from those of K and kept on the result.
     """
     if K.order != 2:
         raise ValueError("order-2 operator required")
     if not K.is_normal():
         raise ValueError("normal operator required (a_0 != 0)")
-    a0, p, a2 = K.coeff(0), K.coeff(1), K.coeff(2)
+    a0, p, a2 = K.int_coeffs()
+    c0, c2 = K.shift_classes(0)[1], K.shift_classes(2)[1]
+    D = Fraction(D)
     if not p or not D:
-        return Operator((-(a0 * a0), RatFunc(Poly(), reduce=False), a2 * a2)).canonical()
-    a0s, ps, a2s = a0.shift(1), p.shift(1), a2.shift(1)
-    b3 = p * a2s * a2s * a2
-    b2 = ps * a2 * (a0s * a2 - D * ps * p)
-    b1 = a0s * p * (D * ps * p - a0s * a2)
-    b0 = -(ps * a0s * a0 * a0)
-    return Operator((b0, b1, b2, b3)).canonical()
+        return _with_end_classes([_list_mul(a0, [-c for c in a0]), [], _list_mul(a2, a2)],
+                                 [(c0, 0), (c0, 0)], [(c2, 0), (c2, 0)])
+    # times the denominator of D: b3, b2 = ps·a2·e, b1 = -a0s·p·e, b0
+    dd, ndd = [D.denominator], [-D.denominator]
+    a0s, ps, a2s = _list_shift(a0, 1), _list_shift(p, 1), _list_shift(a2, 1)
+    e = _list_sub(_list_mul(_list_mul(a0s, a2), dd), _list_mul(_list_mul(ps, p), [D.numerator]))
+    b3 = _list_mul(_list_mul(p, a2s), _list_mul(a2s, _list_mul(a2, dd)))
+    b2 = _list_mul(_list_mul(ps, a2), e)
+    b1 = _list_mul(_list_mul(a0s, p), [-c for c in e])
+    b0 = _list_mul(_list_mul(ps, a0s), _list_mul(a0, _list_mul(a0, ndd)))
+    c1 = K.shift_classes(1)[1]
+    return _with_end_classes([b0, b1, b2, b3], [(c1, 1), (c0, 1), (c0, 0), (c0, 0)],
+                             [(c1, 0), (c2, 1), (c2, 1), (c2, 0)])
 
 
 def _shift_reduce_step(vec: List[RatFunc], L: Operator) -> List[RatFunc]:

@@ -17,7 +17,7 @@ import pytest
 
 from golden_answers import ANSWERS, answer
 from test_api import benchmark_module
-from symsolve import equivalence, localdata, solve, table as tablemod
+from symsolve import equivalence, localdata, snf, solve, table as tablemod
 from symsolve.opformat import parse_operator, print_operator
 from symsolve.ore import Operator
 
@@ -108,6 +108,43 @@ def test_answers_read_no_class_of_degree_2(table, monkeypatch):
                *(_printed(t) or (None, None)))
         assert got == (rec["case"], rec["entry"], rec["assignment"],
                        rec["r"], rec["G"]), rec["input"]
+
+
+def test_gt_find_factors_only_term_ratios(table, monkeypatch):
+    # A base operator and its twists keep the shift classes of their ends,
+    # composed from those of K and of r, and the input's were factored by
+    # problem_points; so inside gt_find the shift-class reader factors
+    # only numerators and denominators of degree >= 2 of the term ratios
+    # tried.  (The exponents at infinity factor their edge polynomials
+    # through factorization.roots, which is no shift structure.)
+    real_factor, real_gt_find = snf.factor_over_Q, equivalence.gt_find
+    real_twist = equivalence.symprod_first_order
+    factored, ratios, inside = [], [], []
+
+    def recording(p):
+        if inside:
+            factored.append(p)
+        return real_factor(p)
+
+    def twisting(L, r):
+        ratios.append(r)
+        return real_twist(L, r)
+
+    def marked(L1, L2):
+        inside.append(True)
+        try:
+            return real_gt_find(L1, L2)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(snf, "factor_over_Q", recording)
+    monkeypatch.setattr(equivalence, "symprod_first_order", twisting)
+    monkeypatch.setattr(equivalence, "gt_find", marked)
+    for rec in RECORDS:
+        solve(parse_operator(rec["input"]), table)
+    allowed = {q for r in ratios for q in (r.num, r.den) if q.degree >= 2}
+    assert ratios
+    assert all(p in allowed for p in factored), factored
 
 
 def _printed(t):

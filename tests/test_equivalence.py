@@ -379,19 +379,24 @@ def _end_coefficients(*ops) -> list:
 
 class TestFactorsEndCoefficients:
     def test_hom_space(self, monkeypatch):
-        # a fresh copy: L_CUBIC keeps its twists, and theirs factored ends
+        # a fresh copy: L_CUBIC keeps its twists, and theirs factored ends;
+        # the twist M keeps the classes of its ends, composed from those of
+        # L_CUBIC and x, so only the gauged L2 is factored
         M = symprod_first_order(Operator(L_CUBIC.coeffs), RF([0, 1]))
         L2 = transformed_operator(M, Operator([P(1), P(0, 1)]))
         calls = _count_factoring(monkeypatch)
         hom_space(M, L2)
-        ends = _end_coefficients(M, L2)
-        assert len(calls) == 4
+        ends = _end_coefficients(L2)
+        assert len(calls) == 2
         assert all(any(p == e for e in ends) for p in calls)
 
     def test_term_candidates(self, monkeypatch):
         L2 = transformed_operator(symprod_first_order(L_CUBIC, RF([1, 1])),
                                   Operator([P(1), P(0, 1)]))
-        L1 = Operator(L_CUBIC.coeffs)  # operators keep their factored ends
+        # operators keep their factored ends; the left scalar x^2 + 1 gives
+        # L1 ends of degree >= 2, which are factored, and leaves the
+        # determinant ratio unchanged
+        L1 = Operator([c * P(1, 0, 1) for c in L_CUBIC.coeffs])
         calls = _count_factoring(monkeypatch)
         assert term_candidates(L1, L2) == [RF([0, 1])]
         ends = _end_coefficients(L1, L2)
@@ -400,8 +405,9 @@ class TestFactorsEndCoefficients:
 
     def test_second_read_factors_nothing(self, monkeypatch):
         # an operator keeps its cleared coefficients and their shift
-        # classes, so the readers of one input share one factorization
-        L = Operator(L_CUBIC.coeffs)
+        # classes, so the readers of one input share one factorization;
+        # the left scalar x^2 + 1 gives ends that need factoring
+        L = Operator([c * P(1, 0, 1) for c in L_CUBIC.coeffs])
         calls = _count_factoring(monkeypatch)
         problem_points(L)
         term_candidates(L, L)

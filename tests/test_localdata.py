@@ -363,8 +363,8 @@ class TestValgSet:
 
         monkeypatch.setattr(snf, "factor_over_Q", counting)
         # two classes, x and x^2 - 2: each end coefficient is factored once
-        # and serves every class
-        L = Operator([(X * X - P(2)) * X, P(1), X.shift(3)])
+        # and serves every class (a linear end would need no factoring)
+        L = Operator([(X * X - P(2)) * X, P(1), X.shift(3) * X.shift(1)])
         valg_set(L)
         ends = [L.poly_coeffs()[0], L.poly_coeffs()[-1]]
         assert len(calls) == 2

@@ -4,10 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symsolve import snf
 from symsolve.factorization import factor_over_Q
 from symsolve.poly import P, Poly
 from symsolve.ratfunc import RF
-from symsolve.snf import canonical_shift, shift_classes, shift_quotient_inverse
+from symsolve.snf import (
+    canonical_shift,
+    product_classes,
+    shift_classes,
+    shift_quotient_inverse,
+)
 
 # the oracles of equivalence's shift reading; their own tests stay here
 from shift_reference import (
@@ -104,6 +110,64 @@ class TestShiftClasses:
         assert all(canonical_shift(rep) == (rep, 0) for rep in reps)
         assert all(shift_equivalent(f, g) is None
                    for i, f in enumerate(reps) for g in reps[i + 1:])
+
+
+def _refuse(p):
+    raise AssertionError(f"factored {p}")
+
+
+class TestClassesWithoutFactoring:
+    @given(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=12),
+                    max_size=2))
+    @settings(max_examples=80, deadline=None)
+    def test_degree_at_most_one_matches_factor_over_Q(self, cs):
+        # a constant is its unit, a linear p its content times its
+        # primitive factor
+        p = Poly(cs)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(snf, "factor_over_Q", _refuse)
+            got = shift_classes(p)
+        unit, factors = factor_over_Q(p)
+        expected = {}
+        for f, m in factors:
+            rep, k = canonical_shift(f)
+            expected[rep] = {k: m}
+        assert got == (unit, expected)
+        assert all(type(c) is Fraction for rep in got[1] for c in rep.coeffs)
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 4), st.integers(-3, 3), st.integers(1, 3)),
+                 max_size=5),
+        st.lists(st.integers(0, 4), max_size=3),
+        st.sampled_from([1, -2, 6]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_products_match_factoring(self, picks, removed, c):
+        # p divides c·prod f(x + s) over the parts; the classes of p are
+        # read from the parts' with no factoring
+        pool = [P(0, 1), P(1, 2), P(1, 0, 1), P(-2, 0, 1), P(3, 1, 1)]
+        parts, p = [], Poly.const(Fraction(c))
+        for i, k, m in picks:
+            parts += [(shift_classes(pool[i])[1], k)] * m
+            p = p * pool[i].shift(k) ** m
+        for j in removed:  # cofactors divided out, as canonical() does
+            if j < len(picks):
+                q = pool[picks[j][0]].shift(picks[j][1])
+                if not p.divmod(q)[1]:
+                    p = p.exact_div(q)
+        ints = [int(a) for a in p.coeffs]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(snf, "factor_over_Q", _refuse)
+            got = product_classes(ints, parts)
+        assert got == shift_classes(p)
+
+    def test_missing_factor_trips_the_check(self):
+        p = P(0, 1) * P(1, 0, 1).shift(2)
+        with pytest.raises(AssertionError, match="nonconstant cofactor"):
+            product_classes([int(a) for a in p.coeffs], [(shift_classes(P(0, 1))[1], 0)])
+
+    def test_zero(self):
+        assert product_classes([], []) == (0, {})
 
 
 class TestShiftEquivalence:

@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from interlace_reference import interlace
 from ore_reference import reference_canonical
 from test_ore import rational_ops
-from symsolve import poly, ratfunc
+from symsolve import poly, ratfunc, snf
 from symsolve.fieldext import NumberField
 from symsolve.opformat import parse_operator
 from symsolve.ore import Operator, solution_window
 from symsolve.poly import P
 from symsolve.ratfunc import RF, RatFunc
+from symsolve.snf import shift_classes
 from symsolve.symprod import (
     symprod_first_order,
     symprod_general,
@@ -167,6 +168,90 @@ class TestSqrtMiddle:
         K = parse_operator("(x+1)S^2 - (2x+3)S + x")
         K0 = parse_operator("(x+1)S^2 + x")
         assert symsquare_order2(K, Fraction(0)) == symsquare_order2(K0)
+
+
+def _ends_are_seeded(M: Operator) -> bool:
+    """The classes M keeps for a_0 and a_d, composed when it was built,
+    equal those of factoring, unit and mapping."""
+    return all(i in M._classes and M._classes[i] == shift_classes(M.poly_coeffs()[i])
+               for i in (0, M.order))
+
+
+_small = st.integers(-4, 4)
+# constant, linear or quadratic, either sign, nonzero
+_coeff = st.lists(_small, min_size=1, max_size=3).filter(lambda cs: cs[-1] != 0).map(
+    lambda cs: P(*cs))
+
+
+@st.composite
+def order2_roots(draw):
+    """(K, D): K = a2·S^2 + p·S + a0 with a0, a2 nonzero and p sometimes
+    zero, times a left scalar that canonical() divides out."""
+    a0, a2 = draw(_coeff), draw(_coeff)
+    p = draw(st.one_of(st.just(P()), _coeff))
+    scalar = draw(st.sampled_from([P(1), P(-2), P(3, 2), P(-1, 0, 3), P(2, 1, 1)]))
+    D = draw(st.sampled_from([Fraction(1), Fraction(3, 4), Fraction(-5, 3)]))
+    return Operator([scalar * a0, scalar * p, scalar * a2]), D
+
+
+@st.composite
+def twist_ratios(draw, K: Operator):
+    """A constant, a quotient of small polynomials, one sharing factors
+    with the ends of K's square, or a shift quotient m(x+1)/m(x)."""
+    a0, _, a2 = K.poly_coeffs()
+    lin = draw(_coeff)
+    kind = draw(st.sampled_from(("constant", "quotient", "shared", "shift")))
+    if kind == "constant":
+        return RF(draw(st.sampled_from([Fraction(2), Fraction(-1, 3), Fraction(5, 4)])))
+    if kind == "quotient":
+        return RatFunc(lin, draw(_coeff))
+    if kind == "shared":
+        return RatFunc(a0.shift(1) * lin, a2)
+    m = a2 * lin
+    return RatFunc(m.shift(1), m)
+
+
+class TestSeededEndClasses:
+    """The square and the twist keep the shift classes of their end
+    coefficients, composed from their inputs' and peeled off by exact
+    division, so that gt_find factors neither."""
+
+    @given(st.data(), order2_roots())
+    @settings(max_examples=120, deadline=None)
+    def test_square_and_twists_match_factoring(self, data, root):
+        K, D = root
+        M = symsquare_order2(K, D)
+        assert _ends_are_seeded(M)
+        N = symprod_first_order(M, data.draw(twist_ratios(K)))
+        assert _ends_are_seeded(N)
+        assert _ends_are_seeded(symprod_first_order(N, data.draw(twist_ratios(K))))
+
+    @given(rational_ops(), st.sampled_from(RATIOS))
+    @settings(max_examples=60, deadline=None)
+    def test_twist_of_a_factored_operator(self, L, r):
+        if L:
+            assert _ends_are_seeded(symprod_first_order(L, r))
+
+    def test_gcd_and_content_divided_out(self):
+        # (2x+3)·K: canonical() divides the square by a nonconstant gcd
+        K = Operator([P(1, 1) * P(3, 2), P(-3, 2) * P(3, 2), P(2, 0, 1) * P(3, 2)])
+        for D in (Fraction(1), Fraction(3, 4)):
+            M = symsquare_order2(K, D)
+            assert M == symsquare_order2(Operator([P(1, 1), P(-3, 2), P(2, 0, 1)]), D)
+            assert _ends_are_seeded(M)
+
+    def test_corrupted_candidates_trip_the_check(self, monkeypatch):
+        # a candidate class dropped leaves a nonconstant cofactor
+        real = snf.compose_classes
+
+        def drop_first(parts):
+            counts = real(parts)
+            counts.pop(next(iter(counts)))
+            return counts
+
+        monkeypatch.setattr(snf, "compose_classes", drop_first)
+        with pytest.raises(AssertionError, match="nonconstant cofactor"):
+            symsquare_order2(Operator([P(1, 1), P(-3, 2), P(2, 0, 1)]))
 
 
 class TestGeneral:
