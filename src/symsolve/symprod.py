@@ -85,14 +85,16 @@ def symsquare_order2(K: Operator, D: Fraction = Fraction(1)) -> Operator:
     if not p or not D:
         return _with_end_classes([_list_mul(a0, [-c for c in a0]), [], _list_mul(a2, a2)],
                                  [(c0, 0), (c0, 0)], [(c2, 0), (c2, 0)])
-    # times the denominator of D: b3, b2 = ps·a2·e, b1 = -a0s·p·e, b0
-    dd, ndd = [D.denominator], [-D.denominator]
+    # with x -> x+1 written s, and every b_i times den(D):
+    # b3 = p·a2s²·a2, b2 = ps·a2·e, b1 = -a0s·p·e, b0 = -ps·a0s·a0²,
+    # e = a0s·a2 - D·ps·p
+    dd = [D.denominator]
     a0s, ps, a2s = _list_shift(a0, 1), _list_shift(p, 1), _list_shift(a2, 1)
     e = _list_sub(_list_mul(_list_mul(a0s, a2), dd), _list_mul(_list_mul(ps, p), [D.numerator]))
     b3 = _list_mul(_list_mul(p, a2s), _list_mul(a2s, _list_mul(a2, dd)))
     b2 = _list_mul(_list_mul(ps, a2), e)
     b1 = _list_mul(_list_mul(a0s, p), [-c for c in e])
-    b0 = _list_mul(_list_mul(ps, a0s), _list_mul(a0, _list_mul(a0, ndd)))
+    b0 = _list_mul(_list_mul(ps, a0s), _list_mul(a0, [-c * dd[0] for c in a0]))
     c1 = K.shift_classes(1)[1]
     return _with_end_classes([b0, b1, b2, b3], [(c1, 1), (c0, 1), (c0, 0), (c0, 0)],
                              [(c1, 0), (c2, 1), (c2, 1), (c2, 0)])
