@@ -82,17 +82,6 @@ def _gauss_halfarg(x: int, a, b, c, z, exact: bool):
         return float(v)
 
 
-def _clausen_3f2(x: int, alpha, z, exact: bool):
-    """3F2(-x, x+alpha+1, (alpha+1)/2; alpha+1, (alpha+2)/2; z), x >= 0."""
-    if x < 0:
-        raise EvaluatorError("3F2 index must be >= 0")
-    val = _terminating_pfq(
-        [Fraction(-x), x + alpha + 1, (alpha + 1) / 2],
-        [alpha + 1, (alpha + 2) / 2],
-        Fraction(z), x)
-    return val if exact else float(val)
-
-
 def _bessel_i(x: int, z, exact: bool):
     if exact:
         raise EvaluatorError("Bessel I has no exact rational mode")
@@ -107,8 +96,7 @@ def eval_special(eid: str, x: int, params: Mapping[str, Fraction],
     """Evaluate the named base solution at integer x.
 
     Known ids: H (Hermite), P (Legendre), I (modified Bessel, float only),
-    2F1 (half-argument Gauss family, params a, b, c, z), 3F2 (terminating
-    Clausen sum, params alpha, z).
+    2F1 (half-argument Gauss family, params a, b, c, z).
     """
     try:
         fn = EVALUATORS[eid]
@@ -129,5 +117,4 @@ EVALUATORS = {
     "I": lambda x, p, ex: _bessel_i(x, p["z"], ex),
     "2F1": lambda x, p, ex: _gauss_halfarg(x, p["a"], p["b"], p["c"],
                                            p["z"], ex),
-    "3F2": lambda x, p, ex: _clausen_3f2(x, p["alpha"], p["z"], ex),
 }

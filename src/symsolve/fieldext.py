@@ -56,14 +56,12 @@ class NumberField:
 
     __slots__ = ("core", "modulus", "name", "zero", "one", "gen")
 
-    def __init__(self, core: int, name: Optional[str] = None):
+    def __init__(self, core: int):
         if not isinstance(core, int) or core == 1 or squarefree_core(core) != (1, core):
             raise ValueError(f"core {core} is not a squarefree integer other than 0 and 1")
         self.core = core
         self.modulus = P(-core, 0, 1)
-        if name is None:
-            name = f"sqrt{core}" if core > 0 else f"sqrt_m{-core}"
-        self.name = name
+        self.name = f"sqrt{core}" if core > 0 else f"sqrt_m{-core}"
         self.zero = NFElem(self, 0, 0, 1)
         self.one = NFElem(self, 1, 0, 1)
         self.gen = NFElem(self, 0, 1, 1)

@@ -34,7 +34,6 @@ __all__ = [
     "LocalData",
     "problem_points",
     "valuation_growth",
-    "valg_set",
     "edges_at_infinity",
     "generalized_exponents",
     "r_equivalent",
@@ -144,62 +143,6 @@ def _taylor(b: list, h: int, lead: int, mu: list, count: int) -> list:
     return out
 
 
-def _coprime_base(nums: Sequence[int]) -> List[int]:
-    """Pairwise coprime integers > 1 whose powers give every n in nums:
-    a, b with g = gcd(a, b) > 1 give way to g, a/g and b/g, which divides
-    the product of all elements by g, so the splitting ends."""
-    base: List[int] = []
-    todo = [n for n in nums if n > 1]
-    while todo:
-        a = todo.pop()
-        for i, b in enumerate(base):
-            g = math.gcd(a, b)
-            if g > 1:
-                del base[i]
-                todo += [m for m in (g, a // g, b // g) if m > 1]
-                break
-        else:
-            base.append(a)
-    return base
-
-
-def _integral_scale(f: list) -> int:
-    """A λ > 0 with λ^(e-k)·f_k/f_e an integer for every k < e,
-    f = f_0 + … + f_e·x^e an integer polynomial: then λθ is a root of a
-    monic integer polynomial whenever θ is a root of f.
-
-    Read from gcds and integer roots, with no factoring.  The
-    denominators δ_k = f_e/gcd(f_k, f_e) are products of powers of a
-    coprime base, and each base element is b = c^n with n as large as
-    possible.  λ = ∏_b c^(max_k ⌈n·v_b(δ_k)/(e-k)⌉) makes λ^(e-k)
-    divisible by every power of b in δ_k, hence by δ_k.  A prime p with
-    v_p(c) = t enters λ t·max_k ⌈…⌉ times, no fewer than the
-    max_k ⌈t·…⌉ of the least such λ, so the least λ divides this one,
-    and the two are equal when every c is squarefree.  For e = 1 this
-    is λ = δ_0."""
-    from sympy import integer_nthroot
-
-    e = len(f) - 1
-    dens = [f[-1] // math.gcd(f[k], f[-1]) for k in range(e)]
-    lam = 1
-    for b in _coprime_base(dens):
-        c, n = b, 1
-        for m in range(b.bit_length() - 1, 1, -1):
-            root, exact = integer_nthroot(b, m)
-            if exact:
-                c, n = int(root), m
-                break
-        need = 0
-        for k, den in enumerate(dens):
-            v = 0
-            while den % b == 0:
-                den //= b
-                v += 1
-            need = max(need, -(-v * n // (e - k)))
-        lam *= c ** need
-    return lam
-
-
 def _eps_val(w: list, s: int) -> Optional[int]:
     """ε-valuation of an element in the layout of ``valuation_growth``,
     None for zero."""
@@ -235,11 +178,12 @@ def valuation_growth(L: Operator, cls, offsets: Optional[Sequence[int]] = None
     All of this runs on Python integers, with one integer scale per
     step.  L is cleared to integer coefficients by one scalar c, and the
     class is written as its primitive integer form f = ℓ·x^e + …, ℓ > 0.
-    With λ a positive integer that makes μ(y) = λ^e·f(y/λ)/ℓ an integer
-    polynomial (``_integral_scale``, from gcds with ℓ and integer roots,
-    with no factoring; ℓ itself is one such integer), θ′ = λθ is a root
-    of the monic μ.  With D the largest coefficient degree and
-    b_i(y) = c·λ^D·a_i(y/λ), an integer polynomial,
+    With λ = ℓ, μ(y) = λ^e·f(y/λ)/ℓ = y^e + Σ_k f_k·ℓ^(e-1-k)·y^k is a
+    monic integer polynomial and θ′ = λθ is a root of it.  A smaller λ
+    may do as well (2 for 4x² + 1), but no valuation below depends on
+    λ, so no search for the least one is made.  With D the largest
+    coefficient degree and b_i(y) = c·λ^D·a_i(y/λ), an integer
+    polynomial,
 
         c·λ^D·a_i(θ + k + ε) = b_i(θ′ + λk + λε),
 
@@ -274,8 +218,8 @@ def valuation_growth(L: Operator, cls, offsets: Optional[Sequence[int]] = None
     d = L.order
 
     f = rep.primitive().int_coeffs()
-    e, lam = len(f) - 1, _integral_scale(f)
-    mu = [f[k] * lam ** (e - k) // f[-1] for k in range(e)]
+    e, lam = len(f) - 1, f[-1]
+    mu = [f[k] * lam ** (e - 1 - k) for k in range(e)]
     bs = L.int_coeffs()
     D = max(len(b) for b in bs) - 1
     bs = [[a * lam ** (D - m) for m, a in enumerate(b)] for b in bs]
@@ -321,11 +265,6 @@ def valuation_growth(L: Operator, cls, offsets: Optional[Sequence[int]] = None
                 for i in range(d) for j in range(d))
         vadj = min(v for v in (_eps_val(c, s) for c in cofs) if v is not None)
     return (vmin - vden, vdet - vadj - vden)
-
-
-def valg_set(L: Operator) -> Set[ValGEntry]:
-    """Essential singularity classes (gap > 0) with their gaps."""
-    return set(LocalData(L).essential_classes())
 
 
 # -- indicial polynomial ------------------------------------------------------

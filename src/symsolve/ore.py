@@ -82,9 +82,6 @@ class Operator:
     def leading(self) -> RatFunc:
         return self.coeffs[-1]
 
-    def trailing(self) -> RatFunc:
-        return self.coeffs[0]
-
     def is_normal(self) -> bool:
         """a_0 != 0 (and nonzero operator)."""
         return bool(self.coeffs) and bool(self.coeffs[0])
@@ -263,14 +260,6 @@ class Operator:
         return self.right_divmod(other)[1]
 
     # -- difference-specific maps ----------------------------------------------------
-
-    def det(self) -> RatFunc:
-        """Companion determinant (-1)^d a_0/a_d."""
-        if not self.is_normal():
-            raise ValueError("determinant requires a normal operator")
-        d = self.order
-        val = self.trailing() / self.leading()
-        return -val if d % 2 else val
 
     def apply_window(self, values: Sequence, n0) -> List:
         """Residuals sum_i a_i(n) v(n+i) for n = n0 .. n0+len-1-d, exact.

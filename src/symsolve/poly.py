@@ -15,7 +15,7 @@ from math import gcd as _igcd
 from math import lcm as _lcm
 from typing import Iterable, Optional
 
-__all__ = ["Poly", "P", "x_poly", "poly_gcd", "poly_lcm", "rational_content"]
+__all__ = ["Poly", "P", "poly_gcd", "poly_lcm", "rational_content"]
 
 
 def _fieldify(c):
@@ -39,12 +39,6 @@ class Poly:
     @classmethod
     def const(cls, c) -> "Poly":
         return cls((c,))
-
-    @classmethod
-    def monomial(cls, k: int, c=1) -> "Poly":
-        if not c:
-            return cls()
-        return cls((0,) * k + (c,))
 
     # -- basic queries -------------------------------------------------
 
@@ -432,6 +426,3 @@ def poly_lcm(a: Poly, b: Poly) -> Poly:
 def P(*coeffs) -> Poly:
     """Rational polynomial from ascending coefficients; ints and strings OK."""
     return Poly(tuple(Fraction(c) for c in coeffs))
-
-
-x_poly = P(0, 1)

@@ -79,11 +79,6 @@ class RatFunc:
     def is_polynomial(self) -> bool:
         return self.den.degree == 0
 
-    def as_poly(self) -> Poly:
-        if self.den.degree != 0:
-            raise ValueError("not a polynomial")
-        return self.num  # den is monic constant 1
-
     def is_constant(self) -> bool:
         return self.num.degree <= 0 and self.den.degree == 0
 

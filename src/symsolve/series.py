@@ -32,10 +32,6 @@ class TSeries:
         self.coeffs = tuple(coeffs)
 
     @property
-    def nterms(self) -> int:
-        return len(self.coeffs)
-
-    @property
     def end(self) -> int:
         """First unknown exponent, in 1/ram units."""
         return self.val + len(self.coeffs)

@@ -52,37 +52,12 @@ class SolutionDescriptor:
     def param_map(self) -> Dict[str, Fraction]:
         return dict(self.params)
 
-    def display(self) -> str:
-        out = self.expr
-        for name, val in self.params:
-            out = _subst_word(out, name, str(val))
-        return out
-
     def eval(self, x: int, exact: bool = False):
         return eval_special(self.evaluator, x, self.param_map(), exact=exact)
 
 
-def _subst_word(text: str, name: str, repl: str) -> str:
-    out = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if (ch.isalpha() or ch == "_") and text[i:i + len(name)] == name:
-            before_ok = i == 0 or not (text[i - 1].isalnum() or text[i - 1] == "_")
-            j = i + len(name)
-            after_ok = j >= n or not (text[j].isalnum() or text[j] == "_")
-            if before_ok and after_ok:
-                out.append(repl)
-                i = j
-                continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
-
-
 _REQUIRED_FIELDS = ("name", "params", "root", "solution", "gquo", "valg",
                     "matcher")
-_MATCHER_KINDS = ("gauss_locus", "legendre_sq", "hermite_sq", "besseli_sq")
 
 
 @dataclass
@@ -131,7 +106,7 @@ class TableEntry:
         desc = SolutionDescriptor(
             self.solution_expr, self.evaluator,
             tuple(sorted((k, Fraction(v)) for k, v in assignment.items()
-                         if k in _EVAL_PARAMS.get(self.evaluator, ()))))
+                         if k in self.param_names)))
         return M, desc
 
     # -- local-data templates -------------------------------------------------
@@ -227,12 +202,6 @@ def _max_problem_point(L: Operator) -> int:
         if r0.denominator == 1:
             worst = max(worst, int(r0) + max(offs, default=0))
     return max(worst, 0)
-
-
-_EVAL_PARAMS = {
-    "H": ("z",), "P": ("z",), "I": ("z",),
-    "2F1": ("a", "b", "c", "z"), "3F2": ("alpha", "z"),
-}
 
 
 def _rand_fraction(rng: random.Random, lo: Fraction, hi: Fraction,
@@ -392,9 +361,9 @@ def load_table(path: Optional[str] = None) -> BaseTable:
                      name, "valg", "elements need point and a positive gap")
             _check_template(name, "valg", v["point"], names)
         _require(isinstance(item["matcher"], dict)
-                 and item["matcher"].get("kind") in _MATCHER_KINDS,
+                 and item["matcher"].get("kind") in _MATCHERS,
                  name, "matcher",
-                 f"kind must be one of {_MATCHER_KINDS}")
+                 f"kind must be one of {tuple(_MATCHERS)}")
         entries.append(TableEntry(
             name=name,
             params=tuple((p["name"], p["domain"]) for p in item["params"]),

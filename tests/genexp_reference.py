@@ -140,7 +140,7 @@ def mul(a: TSeries, b) -> TSeries:
     if not isinstance(b, TSeries):
         return TSeries(a.ram, a.val, tuple(c * b for c in a.coeffs))
     a, b = _aligned(a, b)
-    n = min(a.nterms, b.nterms)
+    n = min(len(a.coeffs), len(b.coeffs))
     out = [None] * n
     for i in range(n):
         acc = None
@@ -199,7 +199,7 @@ def tau(s: TSeries) -> TSeries:
     window (exact for each stored term)."""
     if s.is_zero():
         return s
-    n = s.nterms
+    n = len(s.coeffs)
     out = [Fraction(0)] * n
     for k, c in enumerate(s.coeffs):
         if not c:
@@ -236,7 +236,7 @@ def trunc(s: TSeries, r: Optional[int] = None) -> GenExpRep:
     ss = strip(ss)
     if not ss.coeffs or not ss.coeffs[0]:
         raise ValueError("series is zero to truncation order")
-    if ss.nterms < r + 1:
+    if len(ss.coeffs) < r + 1:
         raise ValueError("insufficient truncation for an E_r representative")
     c = ss.coeffs[0]
     inv = 1 / _fieldify(c)

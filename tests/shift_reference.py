@@ -145,7 +145,9 @@ def term_candidates(L1, L2) -> List[RatFunc]:
     """d-th roots of the shift normal form of det(L2)/det(L1), both
     signs for even d."""
     d = L1.order
-    root = nth_root_ratfunc(shift_normal_form(L2.det() / L1.det()), d)
+    # det(L) = (-1)^d·a_0/a_d, and the signs cancel at equal orders
+    ratio = (L2.coeff(0) / L2.leading()) / (L1.coeff(0) / L1.leading())
+    root = nth_root_ratfunc(shift_normal_form(ratio), d)
     if root is None:
         return []
     return [root, -root] if d % 2 == 0 else [root]

@@ -1,13 +1,15 @@
 """The package surface: every exported name exists, every name the
-benchmark's tracer wraps exists, and loading the table stays clear of
-sympy."""
+benchmark's tracer wraps exists, every function has a caller outside
+the tests, and loading the table stays clear of sympy."""
 
+import ast
 import importlib
 import importlib.util
 import os
 import pkgutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -62,3 +64,63 @@ def test_traced_names_exist():
         if obj is None:
             missing.append(span)
     assert not missing, f"benchmarks/tracing.py wraps missing names: {missing}"
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: functions that nothing in src/ or benchmarks/ calls by name, and why
+#: each stays; one that gains a caller leaves this list
+KEPT_WITHOUT_CALLER = {
+    "equivalence.GaugeMap.to_json": "tests/golden_answers.py writes answers.json",
+    "equivalence.GTTransform.to_json": "tests/golden_answers.py writes answers.json",
+    "localdata.LocalData.to_json": "tests/golden_answers.py writes answers.json",
+    "opformat.parse_operator": "reads operator text: the package's input, in README",
+    "ore.Operator.apply_window": "D17: the certificate's numeric check",
+    "ore.solution_window": "D9: the checked prefix of a positivity certificate",
+    "snf.shift_quotient_inverse": "D1: prints r as a term u",
+    "symprod.symprod_general": "wrapped by benchmarks/tracing.py; goes with D12",
+    "table.BaseTable.self_validate": "checks a table file, such as SYMSOLVE_TABLE",
+}
+
+
+def _names(node):
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+
+
+def _defs(node, prefix):
+    """(qualified name, node) of every function and method under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = f"{prefix}.{child.name}"
+            if not isinstance(child, ast.ClassDef):
+                yield name, child
+            yield from _defs(child, name)
+        else:
+            yield from _defs(child, prefix)
+
+
+def test_every_function_has_a_caller():
+    # a reference by bare name anywhere in src/ or benchmarks/, outside
+    # the function's own def, counts as a caller, so a test-only method
+    # that shares its name with any other name or attribute (eval,
+    # shift, lead) passes unseen: the test finds a lower bound of the
+    # code only the tests reach, which is deleted or kept above
+    trees = {path: ast.parse(path.read_text())
+             for path in sorted((ROOT / "src" / "symsolve").glob("*.py"))
+             + sorted((ROOT / "benchmarks").glob("*.py"))}
+    refs = Counter(n for tree in trees.values() for n in _names(tree))
+    uncalled = set()
+    for path, tree in trees.items():
+        if path.parent.name != "symsolve":
+            continue
+        for name, node in _defs(tree, path.stem):
+            own = sum(1 for n in _names(node) if n == node.name)
+            dunder = node.name.startswith("__") and node.name.endswith("__")
+            if not dunder and refs[node.name] == own:
+                uncalled.add(name)
+    assert uncalled - set(KEPT_WITHOUT_CALLER) == set(), "only the tests call these"
+    assert set(KEPT_WITHOUT_CALLER) - uncalled == set(), "these have a caller now"

@@ -6,7 +6,6 @@ Hand-checked references:
   I_3(1) = 0.02216842492433190...  (power series)
   2F1(-1/2, 7/6; 7/6; 1/4) = (1-1/4)^(1/2) = sqrt(3)/2   (binomial case)
   2F1(-1, 5/3; 7/6; 1/4) = 1 - (5/3)/(7/6)/4 = 9/14
-  3F2 Clausen sum at alpha=1/3, z=1/4: x=1 -> 3/4, x=2 -> 81/196
 """
 
 from fractions import Fraction as F
@@ -45,23 +44,6 @@ def test_gauss_halfarg_float_binomial_case():
     params = {"a": F(0), "b": F(2, 3), "c": F(7, 6), "z": F(1, 4)}
     v = eval_special("2F1", 1, params)
     assert abs(v - 0.75 ** 0.5) < 1e-12
-
-
-def test_clausen_sum_exact():
-    params = {"alpha": F(1, 3), "z": F(1, 4)}
-    assert eval_special("3F2", 0, params, exact=True) == 1
-    assert eval_special("3F2", 1, params, exact=True) == F(3, 4)
-    assert eval_special("3F2", 2, params, exact=True) == F(81, 196)
-
-
-def test_clausen_equals_squared_gauss():
-    # the identity the solver rediscovers, checked directly at alpha=2
-    p3 = {"alpha": F(2), "z": F(1, 4)}
-    p2 = {"a": F(0), "b": F(3, 2), "c": F(2), "z": F(1, 4)}
-    for x in range(0, 9):
-        lhs = eval_special("3F2", x, p3)
-        rhs = eval_special("2F1", x, p2) ** 2
-        assert abs(lhs - rhs) <= 1e-11 * max(1.0, abs(lhs))
 
 
 def test_unknown_evaluator():

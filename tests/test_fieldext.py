@@ -39,7 +39,7 @@ class TestConstruction:
     def test_modulus_and_name(self):
         assert Q5.modulus == P(-5, 0, 1) and Q5.name == "sqrt5"
         assert Qm2.modulus == P(2, 0, 1) and Qm2.name == "sqrt_m2"
-        assert NumberField(-1) == NumberField(-1, name="i")
+        assert NumberField(-1) == NumberField(-1) and NumberField(-1).name == "sqrt_m1"
         assert NumberField(2) != NumberField(-2)
         assert repr(NumberField(3)) == "Q[sqrt3]/(sqrt3^2 - 3)"
 

@@ -13,7 +13,8 @@ from symsolve.opformat import ExprError, eval_poly, eval_value, parse_operator
 def test_operator_and_template_agree(text):
     L = parse_operator(text, require_normal=False)
     assert L.order == 0
-    assert L.coeff(0).as_poly() == eval_poly(text, {})
+    c = L.coeff(0)
+    assert c.is_polynomial() and c.num == eval_poly(text, {})
 
 
 def test_negative_exponent_without_parentheses():

@@ -16,6 +16,7 @@ from symsolve.factorization import factor_over_Q
 from symsolve.fieldext import NumberField, value_sqrt
 from symsolve.localdata import (
     GenExpRep,
+    LocalData,
     SingularityClass,
     ValGEntry,
     edges_at_infinity,
@@ -24,7 +25,6 @@ from symsolve.localdata import (
     local_data,
     problem_points,
     r_equivalent,
-    valg_set,
     valuation_growth,
 )
 from symsolve.opformat import parse_operator
@@ -188,8 +188,8 @@ def _reference_growth(L: Operator, cls: Poly):
 
 
 # the last five have primitive integer forms with leading coefficient
-# l != 1, so valuation_growth works with the root λ·θ of a scaled minimal
-# polynomial; for the last two the scale λ = 2 is below l
+# l != 1, so valuation_growth works with the root l·θ of a scaled minimal
+# polynomial; for the last two a scale of 2, below l, would do as well
 CLASSES = (X, X * X - P(2), X * X + P(1), X ** 3 - P(2), X ** 3 - X - P(1),
            P(-1, 2), P(-2, 0, 3), P(-3, 0, 0, 2), P(1, 0, 4), P(-3, 0, 0, 8))
 
@@ -269,40 +269,19 @@ class TestTruncatedGrowth:
     ])
     def test_least_scale(self, f, lam):
         # lam is the least scale, which the factoring oracle finds; the
-        # scale read from gcds and integer roots is a multiple of it
+        # leading coefficient, the scale valuation_growth takes, is a
+        # multiple of it
         assert _least_scale(f) == lam
         e = len(f) - 1
         for p in (2, 3, 5, 7):  # no proper divisor of λ will do
             if lam % p == 0:
                 assert any((F(f[k], f[-1]) * (lam // p) ** (e - k)).denominator > 1
                            for k in range(e))
-        got = localdata._integral_scale(f)
-        assert got % lam == 0 and _scales_to_integers(f, got)
-
-    @pytest.mark.parametrize("f, scale", [
-        ([1, 0, 4], 2),                       # δ_0 = 4 = 2^2 at e = 2
-        ([1, 0, 0, 0, 48], 48),               # 2^4·3, no power; the least is 6
-        ([1, 0, 0, 0, 1296], 6),              # 1296 = 6^4 at e = 4
-        ([3, 2, 12], 6),                      # δ = 4, 6 give the base {2, 3}
-        ([1] + [0] * 6 + [625000], 625000),   # 2^3·5^7; the least scale is 10
-    ])
-    def test_scale_from_gcds_and_integer_roots(self, f, scale):
-        assert localdata._integral_scale(f) == scale
-
-    @given(st.lists(st.integers(-40, 40), min_size=1, max_size=4),
-           st.integers(1, 5000))
-    @settings(max_examples=200, deadline=None)
-    def test_scale_is_a_multiple_of_the_least(self, low, lead):
-        f = low + [lead]
-        got = localdata._integral_scale(f)
-        least = _least_scale(f)
-        assert got % least == 0 and _scales_to_integers(f, got)
-        if all(e == 1 for e in factorint(lead).values()):
-            assert got == least  # every base element is squarefree
+        assert f[-1] % lam == 0 and _scales_to_integers(f, f[-1])
 
     def test_large_class_lead_is_not_factored(self, monkeypatch):
         # the class N·x + 1 of a term ratio with N a 41-digit semiprime:
-        # factoring N took seconds, gcds take nothing.  squarefree_core
+        # factoring N took seconds, and the scale is N itself.  squarefree_core
         # still factors the radicands at infinity, all of them small here.
         real = sympy.factorint
 
@@ -319,13 +298,15 @@ class TestTruncatedGrowth:
         assert data.valg == (ValGEntry(SingularityClass(X), 2),)  # N·x + 1 is apparent
 
     def test_scale_below_the_leading_coefficient(self):
-        # 8x^3 - 3 has l = 8, and θ′ = 2θ is already integral
+        # 8x^3 - 3 has l = 8, and θ′ = 2θ is already integral; the growths
+        # do not depend on the scale, so l·θ gives the same
         f = P(-3, 0, 0, 8)
         L = Operator([f * f.shift(1), X, P(-1), f.shift(2)])
         assert valuation_growth(L, f) == _reference_growth(L, f)
-        g = P(1, 0, 4)
-        L = Operator([g * g.shift(-1), P(2), g.shift(1) * X])
-        assert valuation_growth(L, g) == _reference_growth(L, g)
+        for g in (P(1, 0, 4), P(1, 2, 4)):  # least scale 2, l = 4
+            assert _least_scale(g.int_coeffs()) == 2
+            L = Operator([g * g.shift(-1), P(2), g.shift(1) * X])
+            assert valuation_growth(L, g) == _reference_growth(L, g)
 
     def test_kept_and_dropped_valuations(self):
         # one entry of N has valuation exactly vdet, the last coefficient
@@ -365,22 +346,25 @@ class TestValgSet:
         # two classes, x and x^2 - 2: each end coefficient is factored once
         # and serves every class (a linear end would need no factoring)
         L = Operator([(X * X - P(2)) * X, P(1), X.shift(3) * X.shift(1)])
-        valg_set(L)
+        LocalData(L).essential_classes()
         ends = [L.poly_coeffs()[0], L.poly_coeffs()[-1]]
         assert len(calls) == 2
         assert all(any(p == e for e in ends) for p in calls)
 
     def test_no_essential_points(self):
-        assert valg_set(Operator([-X, P(1)])) == set()
+        assert set(LocalData(Operator([-X, P(1)])).essential_classes()) == set()
 
     def test_turan(self):
-        assert valg_set(turan_op()) == {ValGEntry(SingularityClass(X), 2)}
+        assert (set(LocalData(turan_op()).essential_classes())
+                == {ValGEntry(SingularityClass(X), 2)})
 
     def test_legendre_square(self):
-        assert valg_set(legendre_sq()) == {ValGEntry(SingularityClass(X), 4)}
+        assert (set(LocalData(legendre_sq()).essential_classes())
+                == {ValGEntry(SingularityClass(X), 4)})
 
     def test_hermite_square(self):
-        assert valg_set(hermite_sq()) == {ValGEntry(SingularityClass(X), 2)}
+        assert (set(LocalData(hermite_sq()).essential_classes())
+                == {ValGEntry(SingularityClass(X), 2)})
 
 
 @st.composite
@@ -438,7 +422,7 @@ def _series_windows(draw):
         last = [F(0)] * (windows[-1].val - vmin) + list(windows[-1].coeffs)
         for m in range(min(cancel, len(last))):
             last[m] = -sum((w.coeffs[vmin + m - w.val] for w in windows[:-1]
-                            if 0 <= vmin + m - w.val < w.nterms), F(0))
+                            if 0 <= vmin + m - w.val < len(w.coeffs)), F(0))
         windows[-1] = TSeries(ram, vmin, last)
     return windows
 
@@ -623,7 +607,7 @@ class TestGenExp:
     def test_rejected_operator_skips_valuation_growth(self, monkeypatch):
         # the rejection decides the match, so ValG is not computed
         L = parse_operator("(x - 1)*S^3 + 2*S^2 - (x - 3)*S - 3*x")
-        assert valg_set(L)  # x is an essential class
+        assert set(LocalData(L).essential_classes())  # x is an essential class
         def fail(*args):
             raise AssertionError("valuation_growth called on a rejected operator")
         monkeypatch.setattr(localdata, "valuation_growth", fail)

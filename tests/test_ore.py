@@ -115,40 +115,6 @@ class TestDivision:
         assert g.right_divmod(f)[1] == Operator()
 
 
-class TestAdjointAndDet:
-    def test_det_example(self):
-        L = parse_operator("S^2 - (2x+2)S + x + 1")
-        assert L.det() == RF([1, 1])
-
-    def test_det_matches_companion_determinant(self):
-        # the companion matrix moves the Casoratian of a fundamental set,
-        # C(n) = det (u_j(n+i)), so C(n+1) = det(n)·C(n)
-        def laplace(rows):
-            n = len(rows)
-            if n == 1:
-                return rows[0][0]
-            acc = Fraction(0)
-            for j in range(n):
-                minor = [[r[k] for k in range(n) if k != j] for r in rows[1:]]
-                term = rows[0][j] * laplace(minor)
-                acc = acc - term if j % 2 else acc + term
-            return acc
-
-        for s in ["S^2 - (2x+2)S + x + 1", "(x+1)S^3 + xS + 1", "S - x"]:
-            L = parse_operator(s)
-            d = L.order
-            sols = [solution_window(L, [int(i == j) for i in range(d)], 1, d + 4)
-                    for j in range(d)]
-            cas = [laplace([[u[n + i] for u in sols] for i in range(d)])
-                   for n in range(5)]
-            for n in range(4):
-                assert cas[n + 1] == L.det().eval(n + 1) * cas[n]
-
-    def test_det_requires_normal(self):
-        with pytest.raises(ValueError):
-            parse_operator("S^2 - S", require_normal=False).det()
-
-
 class TestCompanionAndWindows:
     def test_apply_window_annihilates(self):
         # S - 2 kills 2^n

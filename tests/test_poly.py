@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symsolve.poly import P, Poly, poly_gcd, poly_lcm, rational_content, x_poly
+from symsolve.poly import P, Poly, poly_gcd, poly_lcm, rational_content
 
 rationals = st.fractions(
     min_value=-20, max_value=20, max_denominator=6
@@ -26,7 +26,6 @@ class TestBasics:
     def test_degree_conventions(self):
         assert Poly().degree == -1
         assert P(3).degree == 0
-        assert x_poly.degree == 1
 
     def test_getitem_out_of_range(self):
         assert P(1, 2)[5] == 0

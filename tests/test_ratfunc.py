@@ -40,7 +40,7 @@ class TestNormalization:
     def test_int_coefficients_become_fractions(self):
         # code reading num and den may divide coefficients
         for r in (RatFunc(Poly([1, 2])), RatFunc(Poly([3]), Poly([0, 1])),
-                  RatFunc(Poly.monomial(2, Fraction(1)))):
+                  RatFunc(Poly((0, 0, Fraction(1))))):
             assert all(type(c) is Fraction for p in (r.num, r.den) for c in p.coeffs)
         assert RatFunc(Poly([1, 2])) == RF([1, 2])
 
@@ -118,7 +118,3 @@ class TestMaps:
         assert r**3 == RF([0, 0, 0, 1], P(1, 1) ** 3)
         assert r**-2 == RF(P(1, 1) ** 2, [0, 0, 1])
 
-    def test_as_poly(self):
-        assert RF([1, 2]).as_poly() == P(1, 2)
-        with pytest.raises(ValueError):
-            RF(1, [0, 1]).as_poly()

@@ -30,7 +30,7 @@ def small_series(ram=1, n=6):
 class TestConstruction:
     def test_monomial_window(self):
         s = S(1, -1, 1, 0, 0)
-        assert s.val == -1 and s.nterms == 3 and s.end == 2
+        assert s.val == -1 and len(s.coeffs) == 3 and s.end == 2
 
     def test_from_poly_in_invx(self):
         # p = x^2 + 3 as a series in t = 1/x: t^{-2} + 3
