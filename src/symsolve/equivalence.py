@@ -36,7 +36,7 @@ from .ore import Operator
 from .poly import Poly, _int_cleared, _list_mul, _list_shift, _list_sub
 from .ratfunc import RatFunc
 from .snf import compose_classes
-from .symprod import _shift_reduce_step, symprod_first_order
+from .symprod import TermRatio, _shift_reduce_step, symprod_first_order
 
 __all__ = [
     "GaugeMap",
@@ -506,16 +506,26 @@ def hom_space(L1: Operator, L2: Operator) -> List[GaugeMap]:
 # -- term candidates and the combined search ---------------------------------
 
 
-def _rational_nth_root(c: Fraction, n: int) -> Optional[Fraction]:
-    from sympy import integer_nthroot
+def _integer_nth_root(a: int, n: int) -> Optional[int]:
+    """The integer r >= 0 with r^n = a >= 0, or None: Newton's iteration
+    from above, r <- ((n-1)·r + a // r^(n-1)) // n, falls to floor(a^(1/n))."""
+    if a < 2:
+        return a
+    r = 1 << -(-a.bit_length() // n)  # 2^ceil(bits/n) > a^(1/n)
+    while True:
+        s = ((n - 1) * r + a // r ** (n - 1)) // n
+        if s >= r:
+            return r if r ** n == a else None
+        r = s
 
+
+def _rational_nth_root(c: Fraction, n: int) -> Optional[Fraction]:
     if c < 0 and n % 2 == 0:
         return None
-    (rn, okn), (rd, okd) = (integer_nthroot(abs(c.numerator), n),
-                            integer_nthroot(c.denominator, n))
-    if not (okn and okd):
+    rn, rd = _integer_nth_root(abs(c.numerator), n), _integer_nth_root(c.denominator, n)
+    if rn is None or rd is None:
         return None
-    return Fraction(int(rn), int(rd)) * (-1 if c < 0 else 1)
+    return Fraction(rn, rd) * (-1 if c < 0 else 1)
 
 
 def term_candidates(L1: Operator, L2: Operator) -> List[RatFunc]:
@@ -526,7 +536,10 @@ def term_candidates(L1: Operator, L2: Operator) -> List[RatFunc]:
     For L1 = sum a_i tau^i and L2 = sum b_i tau^i that ratio is
     b_0·a_d/(a_0·b_d), and its normal form c·prod rep^e keeps the unit
     c and sums each class's exponents into e.  Both are read from the
-    shift classes of the four end coefficients.
+    shift classes of the four end coefficients.  Each r is a
+    ``TermRatio`` that keeps the classes of its numerator and
+    denominator, read off the same reps, so the twist by it factors
+    neither.
     """
     if not (L1.is_normal() and L2.is_normal()):
         raise ValueError("normal operators required")
@@ -546,15 +559,17 @@ def term_candidates(L1: Operator, L2: Operator) -> List[RatFunc]:
     if c is None:
         return []
     num, den = Poly.const(c), Poly.const(Fraction(1))
+    classes = ({}, {})
     for rep, e in exps.items():
         if e > 0:
             num = num * rep ** (e // d)
+            classes[0][rep] = {0: e // d}
         elif e < 0:
             den = den * rep ** (-e // d)
-    root = RatFunc(num, den)
+            classes[1][rep] = {0: -e // d}
     if d % 2 == 0:
-        return [root, -root]
-    return [root]
+        return [TermRatio(num, den, classes), TermRatio(-num, den, classes)]
+    return [TermRatio(num, den, classes)]
 
 
 def _gauge_rank(gm: GaugeMap):

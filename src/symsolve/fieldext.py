@@ -11,12 +11,25 @@ only kind of number field the package builds; `field_of` and
 singularity classes of any degree, but keeps its own integer coordinate
 lists over Z[theta'] and builds no field here.)
 
+A field is named by a radicand, an integer m other than 0 and 1 with
+no square of a prime below ``TRIAL_BOUND`` dividing it: the squarefree
+core of every rational that ``squarefree_core`` can reduce without
+factoring a large integer (H. Cohen, *A Course in Computational
+Algebraic Number Theory*, 1993, Ch. 5).  A radicand of at least
+``TRIAL_BOUND``³ may still hide the square of a larger prime, so one
+field can have several radicands: Q(sqrt m) = Q(sqrt m') exactly when
+m·m' is a square, which ``math.isqrt`` decides.  Equal fields hash
+alike, since they share the sign and the primes below the bound of
+their radicands, and equal elements hash alike.  Mixing elements of two
+radicands of one field writes the second over the first one's
+generator; it never raises.
+
 An element is (a + b·sqrt(core)) / den with integers a, b and den > 0,
-gcd(a, b, den) = 1, so equality is structural.  Sums, products, the
-conjugate and the inverse (the conjugate over the norm) are the closed
-quadratic formulas followed by one gcd.  ``coords`` gives (a/den, b/den)
-as Fractions for printing, keys and square roots; the arithmetic never
-reads it.
+gcd(a, b, den) = 1, so equality within one radicand is structural.
+Sums, products, the conjugate and the inverse (the conjugate over the
+norm) are the closed quadratic formulas followed by one gcd.
+``coords`` gives (a/den, b/den) as Fractions for printing, keys and
+square roots; the arithmetic never reads it.
 
 A rational-valued element of any field mixes, compares and hashes like a
 Fraction; irrational elements of two different fields do not mix.
@@ -38,7 +51,12 @@ __all__ = [
     "value_sqrt",
     "squarefree_core",
     "rational_sqrt",
+    "TRIAL_BOUND",
 ]
+
+#: radicands are reduced by trial division by the primes below this bound
+TRIAL_BOUND = 1000
+_SMALL_PRIMES = [n for n in range(2, TRIAL_BOUND) if all(n % q for q in range(2, math.isqrt(n) + 1))]
 
 
 def _normal(field: "NumberField", a: int, b: int, den: int) -> "NFElem":
@@ -51,17 +69,30 @@ def _normal(field: "NumberField", a: int, b: int, den: int) -> "NFElem":
 
 
 class NumberField:
-    """Q(sqrt(core)) = Q[y]/(y² - core) for a squarefree integer core other
-    than 0 and 1; ``modulus`` is y² - core."""
+    """Q(sqrt(core)) = Q[y]/(y² - core) for a radicand core that
+    ``squarefree_core`` leaves as it is, other than 0 and 1; ``modulus``
+    is y² - core, and y is the positive or upper-half root.
 
-    __slots__ = ("core", "modulus", "name", "zero", "one", "gen")
+    Below ``TRIAL_BOUND``³ a radicand is the squarefree core.  Two
+    radicands name one field when their product is a square, and such
+    fields are equal and hash alike: the hash reads the sign and the
+    primes below the bound, which the two radicands share.  A radicand
+    with no prime above the bound is the field's only one."""
+
+    __slots__ = ("core", "modulus", "name", "zero", "one", "gen", "_key", "_unique")
 
     def __init__(self, core: int):
-        if not isinstance(core, int) or core == 1 or squarefree_core(core) != (1, core):
-            raise ValueError(f"core {core} is not a squarefree integer other than 0 and 1")
+        s, small, large = _split(abs(core)) if isinstance(core, int) and core else (0, 0, 0)
+        if s != 1 or core == 1:
+            raise ValueError(f"core {core} is not a radicand other than 0 and 1 "
+                             "that squarefree_core leaves as it is")
         self.core = core
         self.modulus = P(-core, 0, 1)
         self.name = f"sqrt{core}" if core > 0 else f"sqrt_m{-core}"
+        self._key = (core < 0, small)
+        # with no prime above the bound, m·k² reduces to m for every k:
+        # the field has this one radicand
+        self._unique = large == 1
         self.zero = NFElem(self, 0, 0, 1)
         self.one = NFElem(self, 1, 0, 1)
         self.gen = NFElem(self, 0, 1, 1)
@@ -83,17 +114,30 @@ class NumberField:
     def coerce(self, v) -> "NFElem":
         if isinstance(v, NFElem):
             if v.field == self:
-                return v
+                return self._moved(v)
             if not v.is_rational():
                 raise ValueError("element from a different field")
             return NFElem(self, v.a, 0, v.den)
         return self.from_rational(v)
 
+    def _moved(self, v: "NFElem") -> "NFElem":
+        """v, an element of a field equal to this one, over this field's
+        generator: sqrt(m') = t·sqrt(m) with t = isqrt(m·m')/|m| > 0."""
+        if v.field.core == self.core:
+            return v
+        m = abs(self.core)
+        return _normal(self, v.a * m, v.b * math.isqrt(self.core * v.field.core), v.den * m)
+
     def __eq__(self, other):
-        return isinstance(other, NumberField) and self.core == other.core
+        if not isinstance(other, NumberField):
+            return False
+        if self.core == other.core:
+            return True
+        n = self.core * other.core
+        return self._key == other._key and math.isqrt(n) ** 2 == n
 
     def __hash__(self):
-        return hash(("NumberField", self.core))
+        return hash(("NumberField", self._key))
 
     def __repr__(self):
         return f"Q[{self.name}]/({self.modulus.to_str(self.name)})"
@@ -130,7 +174,7 @@ class NFElem:
         irrational in another field (or not a number)."""
         if isinstance(other, NFElem):
             if other.field is self.field or other.field == self.field:
-                return self, other
+                return self, self.field._moved(other)
             if not other.b:
                 return self, NFElem(self.field, other.a, 0, other.den)
             if not self.b:
@@ -233,7 +277,12 @@ class NFElem:
     def __hash__(self):
         if not self.b:
             return hash(Fraction(self.a, self.den))
-        return hash((self.field.modulus.coeffs, self.coords))
+        field = self.field
+        if field._unique:
+            return hash((field.modulus.coeffs, self.coords))
+        # a/den and b²·core/den² do not depend on the radicand
+        return hash((field._key, Fraction(self.a, self.den),
+                     Fraction(self.b * self.b * field.core, self.den * self.den)))
 
     def __repr__(self):
         return self.to_str()
@@ -272,24 +321,48 @@ def field_of(values) -> Optional[NumberField]:
 # -- square roots -------------------------------------------------------------
 
 
+def _split(n: int) -> Tuple[int, int, int]:
+    """n > 0 as (s, small, large) with n = s²·small·large: small is the
+    product of the primes below ``TRIAL_BOUND`` that divide n to an odd
+    power, and large has no prime below the bound and is no square.
+    Below ``TRIAL_BOUND``³ such a large is 1, p or p·q with distinct
+    primes, so small·large is the squarefree core; above, it may hide the
+    square of a larger prime."""
+    s = small = 1
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
+        e = 0
+        while not n % p:
+            n //= p
+            e += 1
+        if e:
+            s *= p ** (e // 2)
+            if e % 2:
+                small *= p
+    r = math.isqrt(n)
+    if r * r == n:
+        return s * r, small, 1
+    if n < TRIAL_BOUND:  # the loop stopped at p² > n, a prime
+        return s, small * n, 1
+    return s, small, n
+
+
 def squarefree_core(q: Fraction) -> Tuple[Fraction, int]:
-    """Write q = outside^2 * core with core a squarefree integer carrying
-    the sign and outside a positive rational; (0, 1) for q = 0."""
+    """Write q = outside^2 * core with core a radicand carrying the sign
+    and outside a positive rational; (0, 1) for q = 0.
+
+    The numerator and the denominator are reduced apart by ``_split``,
+    with no integer factored: core is the squarefree core when it is
+    below ``TRIAL_BOUND``³, and a radicand of the same field otherwise."""
     q = Fraction(q)
     if not q:
         return Fraction(0), 1
-    from sympy import factorint
-
-    n = q.numerator * q.denominator  # q = n / den^2
-    den = q.denominator
-    sign = -1 if n < 0 else 1
-    core = sign
-    outside = 1
-    for p, e in factorint(abs(n)).items():
-        outside *= p ** (e // 2)
-        if e % 2:
-            core *= p
-    return Fraction(outside, den), core
+    sn, small_n, large_n = _split(abs(q.numerator))
+    sd, small_d, large_d = _split(q.denominator)
+    core_d = small_d * large_d  # q = (sn / (sd·core_d))² · core_n·core_d
+    core = small_n * large_n * core_d
+    return Fraction(sn, sd * core_d), -core if q < 0 else core
 
 
 def rational_sqrt(q: Fraction) -> Optional[Fraction]:
@@ -311,8 +384,8 @@ def value_sqrt(v):
     has one only inside its own field, rational values included: there
     (u + w·y)² = d0 + d1·y means u² + core·w² = d0 and 2uw = d1, so
     u² = (d0 ± N)/2 with N² = d0² - core·d1² the norm.  Only a rational
-    that is no square is factored, for the core of its field; every
-    other test is ``rational_sqrt``."""
+    that is no square is reduced by ``squarefree_core``, for the radicand
+    of its field; every other test is ``rational_sqrt``."""
     if not isinstance(v, NFElem):
         root = rational_sqrt(v)
         if root is not None:

@@ -1,10 +1,11 @@
 """Shift structure of polynomials and shift quotients.
 
 `shift_classes` is the one place that reads shift structure.  It factors
-p once and groups the irreducible factors by shift class, each named by
-its canonical representative (root sum in (-deg, 0]) with the integer
-offsets where it occurs; the factors of p(x+k) are the shifts of those
-of p.  A constant or linear p needs no factoring.  The classes of a
+p once with `factor_over_Q` and groups the irreducible factors by shift
+class, each named by its canonical representative (root sum in
+(-deg, 0]) with the integer offsets where it occurs; the factors of
+p(x+k) are the shifts of those of p.  A constant or linear p needs no
+factoring.  The classes of a
 product of shifted polynomials whose classes are known are composed by
 `compose_classes`, not factored: `product_classes` divides those
 candidate factors out of the product exactly over Z and checks that a
@@ -55,7 +56,10 @@ def canonical_shift(f: Poly) -> Tuple[Poly, int]:
 
 def shift_classes(p: Poly) -> Tuple[Fraction, ShiftClasses]:
     """(unit, classes) with p = unit·∏ rep(x + k)^m over the classes
-    {rep: {k: m}}, from one factorization of p over Q.
+    {rep: {k: m}}, from one factorization of p over Q: ``factor_over_Q``
+    splits off the rational roots of p's squarefree parts by a p-adic
+    lift, and only a cofactor of degree >= 4 without them goes to
+    sympy's Zassenhaus.
 
     Each rep is primitive with positive leading coefficient and is its
     own canonical shift, so two factors lie in one class exactly when

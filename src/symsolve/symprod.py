@@ -10,15 +10,15 @@ product-coordinate space and takes the first linear dependency.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List
+from typing import List, Tuple
 
 from .linalg import DependencyFinder
 from .ore import Operator
 from .poly import Poly, _list_mul, _list_shift, _list_sub
 from .ratfunc import RatFunc
-from .snf import product_classes, shift_classes
+from .snf import ShiftClasses, product_classes, shift_classes
 
-__all__ = ["symprod_first_order", "symsquare_order2", "symprod_general"]
+__all__ = ["TermRatio", "symprod_first_order", "symsquare_order2", "symprod_general"]
 
 
 def _with_end_classes(cs: List[list], parts0, parts_d) -> Operator:
@@ -31,6 +31,18 @@ def _with_end_classes(cs: List[list], parts0, parts_d) -> Operator:
     return M
 
 
+class TermRatio(RatFunc):
+    """A term ratio num/den that keeps ``classes``, the shift classes of
+    num and den, as ``equivalence.term_candidates`` reads them off the
+    end coefficients' classes; it equals and hashes as the RatFunc."""
+
+    __slots__ = ("classes",)
+
+    def __init__(self, num: Poly, den: Poly, classes: Tuple[ShiftClasses, ShiftClasses]):
+        super().__init__(num, den)
+        self.classes = classes
+
+
 def symprod_first_order(L: Operator, r: RatFunc) -> Operator:
     """L ⊛ (τ - r): twist by the first-order solution with ratio r.
 
@@ -38,7 +50,8 @@ def symprod_first_order(L: Operator, r: RatFunc) -> Operator:
     formed over Z as A_i·prod_{j>=i} n(x+j)·prod_{j<i} m(x+j), j < d, for
     A and (n, m) the integer forms of L and of num(r) + den(r)·S, so the
     shift classes of b_0 and b_d are composed from those of a_0, a_d, n
-    and m and kept on the result.
+    and m and kept on the result.  A ``TermRatio`` brings those of n
+    and m; for any other r they are factored.
     The result is kept on L per r, so a ``GTTransform`` checks its gauge
     source against the operator ``gt_find`` built, not a recomputation.
     """
@@ -54,7 +67,10 @@ def symprod_first_order(L: Operator, r: RatFunc) -> Operator:
         for j in range(d):
             nj, mj = _list_shift(n, j), _list_shift(m, j)
             out = [_list_mul(a, nj if i <= j else mj) for i, a in enumerate(out)]
-        num, den = shift_classes(r.num)[1], shift_classes(r.den)[1]
+        if isinstance(r, TermRatio):
+            num, den = r.classes
+        else:
+            num, den = shift_classes(r.num)[1], shift_classes(r.den)[1]
         M = L._twists[r] = _with_end_classes(
             out, [(L.shift_classes(0)[1], 0)] + [(num, j) for j in range(d)],
             [(L.shift_classes(d)[1], 0)] + [(den, j) for j in range(d)])

@@ -147,6 +147,32 @@ def test_gt_find_factors_only_term_ratios(table, monkeypatch):
     assert all(p in allowed for p in factored), factored
 
 
+def test_gt_find_factors_nothing(table, monkeypatch):
+    # term_candidates hands each ratio's shift classes to the twist, so
+    # no golden input factors anything inside gt_find
+    real_factor, real_gt_find = snf.factor_over_Q, equivalence.gt_find
+    factored, inside, calls = [], [], []
+
+    def recording(p):
+        if inside:
+            factored.append(p)
+        return real_factor(p)
+
+    def marked(L1, L2):
+        inside.append(True)
+        calls.append(1)
+        try:
+            return real_gt_find(L1, L2)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(snf, "factor_over_Q", recording)
+    monkeypatch.setattr(equivalence, "gt_find", marked)
+    for rec in RECORDS:
+        solve(parse_operator(rec["input"]), table)
+    assert calls and not factored, factored
+
+
 def _printed(t):
     return None if t is None else (t.r.to_str(), print_operator(t.G.G))
 

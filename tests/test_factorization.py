@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 import sympy
@@ -10,6 +11,8 @@ from symsolve.fieldext import NFElem, NumberField, demote, field_of
 from symsolve.localdata import local_data
 from symsolve.opformat import parse_operator
 from symsolve.poly import P, Poly, poly_gcd
+
+import factor_reference
 
 X = P(0, 1)
 Q2 = NumberField(2)
@@ -188,3 +191,116 @@ def test_cubic_edge_at_infinity_unsupported():
     assert err.value.factor == edge
     L = parse_operator("(x - 1)*S^3 + 2*S^2 - (x - 3)*S - 3*x")
     assert "T^3 - T - 3" in local_data(L).rejection
+
+
+# -- the rational-root lift against the sympy oracle ----------------------------
+
+# irreducible quartics, the last one irreducible over Q but split modulo
+# every prime, and a product of two irreducible quadratics: a squarefree
+# part with one of them left after its rational roots reaches Zassenhaus
+QUARTICS = (P(1, 0, 0, 0, 1), P(1, 1, 0, 0, 1), P(1, 0, -10, 0, 1),
+            P(1, 0, 1) * P(2, 2, 1))
+DIGITS30 = st.integers(-10 ** 30, 10 ** 30)
+SMALL_Q = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+
+
+@st.composite
+def factor_products(draw):
+    """unit·∏ f_i(x + s_i)^{m_i}: f_i of degree 0-5 with rational or
+    30-digit coefficients and a lead of either sign, or an irreducible
+    quartic."""
+    p = Poly.const(draw(SMALL_Q.filter(bool)))
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.integers(0, 4)) == 0:
+            f = draw(st.sampled_from(QUARTICS))
+        else:
+            coeffs = draw(st.sampled_from([SMALL_Q, DIGITS30]))
+            cs = draw(st.lists(coeffs, min_size=1, max_size=6))
+            f = Poly(cs[:-1] + [draw(coeffs.filter(bool))])
+        f = f.shift(draw(st.integers(-3, 3))) * draw(st.sampled_from([1, -1, F(-2, 3)]))
+        p = p * f ** draw(st.integers(1, 3))
+    return p
+
+
+class TestAgainstTheSympyOracle:
+    @given(factor_products())
+    @settings(max_examples=150, deadline=None)
+    def test_equal_units_and_factors(self, p):
+        assert factor_over_Q(p) == factor_reference.factor_over_Q(p)
+
+    def test_quartic_cofactors_take_the_fallback(self, monkeypatch):
+        calls = []
+        real = sympy.polys.factortools.dup_factor_list
+
+        def recording(f, K):
+            calls.append(len(f) - 1)
+            return real(f, K)
+
+        products = [q * P(-3, 2) ** 2 for q in QUARTICS]
+        want = [factor_reference.factor_over_Q(p) for p in products]
+        monkeypatch.setattr(sympy.polys.factortools, "dup_factor_list", recording)
+        assert [factor_over_Q(p) for p in products] == want
+        assert calls == [4, 4, 4, 4]
+
+    @given(st.lists(st.tuples(SMALL_Q | DIGITS30.map(F), st.integers(1, 3)), max_size=5),
+           st.sampled_from([None, P(1, 0, 1), P(-2, 0, 0, 1), P(7, 3, 0, 5), P(F(1, 3), 0, -1)]),
+           st.integers(1, 3), DIGITS30.filter(bool))
+    @settings(max_examples=80, deadline=None)
+    def test_no_sympy_below_degree_four(self, roots_, other, m, unit):
+        # rational roots and at most one irreducible quadratic or cubic:
+        # every cofactor has degree <= 3
+        p = Poly.const(F(unit))
+        for r, k in roots_:
+            p = p * P(-r, 1) ** k
+        if other is not None:
+            p = p * other ** m
+        want = factor_reference.factor_over_Q(p)
+
+        def refuse(*args):
+            raise AssertionError("Zassenhaus on a cofactor of degree <= 3")
+
+        with mock.patch.object(sympy.polys.factortools, "dup_factor_list", refuse):
+            assert factor_over_Q(p) == want
+
+    def test_cubic_and_quadratic_cofactors_without_sympy(self, monkeypatch):
+        p = P(1, 0, 1) ** 2 * P(-2, 0, 0, 1) * P(-1, 3) ** 2 * X * P(10 ** 30 + 7, -3)
+        want = (F(-1), [(P(-10 ** 30 - 7, 3), 1), (P(-1, 3), 2), (X, 1),
+                        (P(1, 0, 1), 2), (P(-2, 0, 0, 1), 1)])
+        assert factor_reference.factor_over_Q(p) == want
+        monkeypatch.setattr(sympy.polys.factortools, "dup_factor_list", None)
+        assert factor_over_Q(p) == want
+
+
+class TestNormBranch:
+    """roots over a base Q(sqrt 5) with coefficients in it: the factors of
+    the norm p·conj(p) over Q, and their gcds with p."""
+
+    Q5 = NumberField(5)
+
+    def test_irrational_roots_take_the_quartic_fallback(self, monkeypatch):
+        # the norm is (x² - 5)((x - 1)² - 5), a quartic with no rational root
+        s = self.Q5.gen
+        p = over(self.Q5, -s, 1) * over(self.Q5, -1 - s, 1)
+        calls = []
+        real = sympy.polys.factortools.dup_factor_list
+
+        def recording(f, K):
+            calls.append(len(f) - 1)
+            return real(f, K)
+
+        monkeypatch.setattr(sympy.polys.factortools, "dup_factor_list", recording)
+        assert roots(p, self.Q5) == [(s, 1), (1 + s, 1)]
+        assert calls == [4]
+
+    def test_rational_roots_take_the_lift(self, monkeypatch):
+        # sqrt5·(x - 1)²(x - 2) has norm -5(x - 1)⁴(x - 2)²
+        s = self.Q5.gen
+        p = over(self.Q5, 2 * s, -3 * s, s) * over(self.Q5, -1, 1)
+
+        def refuse(*args):
+            raise AssertionError("Zassenhaus on a norm with rational roots")
+
+        monkeypatch.setattr(sympy.polys.factortools, "dup_factor_list", refuse)
+        got = roots(p, self.Q5)
+        assert got == [(F(2), 1), (F(1), 2)]
+        assert all(type(r) is F for r, _ in got)

@@ -1,11 +1,14 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from symsolve.fieldext import (
+    TRIAL_BOUND,
     NumberField,
     field_of,
     rational_sqrt,
@@ -202,6 +205,61 @@ class TestSquarenessWithoutFactoring:
         for x in (q, q * q * core):
             outside, c = squarefree_core(x)
             assert rational_sqrt(x) == (outside if c == 1 else None)
+
+
+# primes above TRIAL_BOUND; a radicand with one of them may hide the square
+# of another, since the squarefree test stops at the bound
+BIG_PRIMES = (1009, 1013, 10007, 10 ** 12 + 39, 10 ** 18 + 3)
+
+
+class TestRadicands:
+    """Q(sqrt m) = Q(sqrt m·P²): radicands m and m·P² with P a prime
+    above the trial bound name one field, with no integer factored."""
+
+    @given(st.sampled_from([1, -1, 2, -3, 30]), st.sampled_from(BIG_PRIMES),
+           st.sampled_from(BIG_PRIMES), coords, coords)
+    @settings(max_examples=60, deadline=None)
+    def test_two_radicands_of_one_field(self, small, q, big, u, w):
+        with mock.patch.object(sympy, "factorint", None):
+            self._check(small * q, big, u, w)
+
+    @staticmethod
+    def _check(m, big, u, w):
+        mp = m * big * big
+        assert squarefree_core(Fraction(mp)) == (1, mp)  # the square stays hidden
+        assert squarefree_core(Fraction(4 * mp, 9)) == (Fraction(2, 3), mp)
+        A, B = NumberField(m), NumberField(mp)
+        assert A == B and B == A and hash(A) == hash(B)
+        assert B.gen == big * A.gen and hash(B.gen) == hash(big * A.gen)
+        # mixing never raises: the second is written over the first's generator
+        a, b = A.element([u, w]), B.element([w, u])
+        want = A.element([u + w, w + u * big])  # a + b over sqrt m
+        assert a + b == want and b + a == want and hash(a + b) == hash(b + a)
+        assert a * b == b * a and hash(a * b) == hash(b * a)
+        if b:
+            assert (a * b) / b == a
+        assert field_of([a, b, A.gen, B.gen]) in (A, B)
+        assert A.coerce(B.gen) == big * A.gen and A.coerce(B.gen).field is A
+        assert value_sqrt(B.from_rational(m)) == A.gen
+        assert {a: 1}.get(B.coerce(a)) == 1
+
+    def test_squares_of_small_primes_are_divided_out(self):
+        # with no prime above the bound, m·P² reduces to m: that radicand
+        # is its field's only one, and m·P² names no field
+        for P_ in BIG_PRIMES:
+            assert squarefree_core(Fraction(6 * P_ * P_)) == (P_, 6)
+            with pytest.raises(ValueError, match="squarefree"):
+                NumberField(6 * P_ * P_)
+        assert NumberField(1009 * 1013) != NumberField(1009)
+        assert NumberField(-1009) != NumberField(1009)
+
+    def test_below_the_cube_of_the_bound_the_radicand_is_the_core(self):
+        # 1, p, p² or p·q is left when the small primes are gone
+        p, q = 1009, 1013
+        assert p * q < TRIAL_BOUND ** 3
+        assert squarefree_core(Fraction(12 * p * q)) == (2, 3 * p * q)
+        assert squarefree_core(Fraction(12 * p * p)) == (2 * p, 3)
+        assert squarefree_core(Fraction(-5, 7 * p * p)) == (Fraction(1, 7 * p), -35)
 
 
 class TestValues:

@@ -282,7 +282,7 @@ class TestTruncatedGrowth:
     def test_large_class_lead_is_not_factored(self, monkeypatch):
         # the class N·x + 1 of a term ratio with N a 41-digit semiprime:
         # factoring N took seconds, and the scale is N itself.  squarefree_core
-        # still factors the radicands at infinity, all of them small here.
+        # reduces the radicands at infinity by trial division, with no factorint.
         real = sympy.factorint
 
         def small_only(n, *args, **kwargs):

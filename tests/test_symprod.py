@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from interlace_reference import interlace
 from ore_reference import reference_canonical
 from test_ore import rational_ops
-from symsolve import poly, ratfunc, snf
+from symsolve import poly, ratfunc, snf, symprod
+from symsolve.equivalence import term_candidates
 from symsolve.fieldext import NumberField
 from symsolve.opformat import parse_operator
 from symsolve.ore import Operator, solution_window
@@ -16,6 +18,7 @@ from symsolve.poly import P
 from symsolve.ratfunc import RF, RatFunc
 from symsolve.snf import shift_classes
 from symsolve.symprod import (
+    TermRatio,
     symprod_first_order,
     symprod_general,
     symsquare_order2,
@@ -239,6 +242,23 @@ class TestSeededEndClasses:
             M = symsquare_order2(K, D)
             assert M == symsquare_order2(Operator([P(1, 1), P(-3, 2), P(2, 0, 1)]), D)
             assert _ends_are_seeded(M)
+
+    @given(st.data(), order2_roots())
+    @settings(max_examples=60, deadline=None)
+    def test_term_ratios_bring_their_classes(self, data, root):
+        # term_candidates reads r's classes off the ends' classes; the
+        # twist by that r factors neither num(r) nor den(r) and keeps the
+        # same end classes as the twist by the plain quotient
+        K, D = root
+        M = symsquare_order2(K, D)
+        N = symprod_first_order(M, data.draw(twist_ratios(K)))
+        for r in term_candidates(M, N):
+            assert isinstance(r, TermRatio)
+            with mock.patch.object(symprod, "shift_classes", None):
+                T = symprod_first_order(Operator(M.coeffs), r)
+            plain = symprod_first_order(Operator(M.coeffs), RatFunc(r.num, r.den))
+            assert T == plain and T._classes == plain._classes
+            assert _ends_are_seeded(T)
 
     def test_corrupted_candidates_trip_the_check(self, monkeypatch):
         # a candidate class dropped leaves a nonconstant cofactor
