@@ -56,7 +56,19 @@ __all__ = [
 
 #: radicands are reduced by trial division by the primes below this bound
 TRIAL_BOUND = 1000
-_SMALL_PRIMES = [n for n in range(2, TRIAL_BOUND) if all(n % q for q in range(2, math.isqrt(n) + 1))]
+
+
+def _primes_below(n: int) -> list:
+    """The sieve of Eratosthenes."""
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n, p)))
+    return [p for p in range(n) if sieve[p]]
+
+
+_SMALL_PRIMES = _primes_below(TRIAL_BOUND)
 
 
 def _normal(field: "NumberField", a: int, b: int, den: int) -> "NFElem":
@@ -173,7 +185,9 @@ class NFElem:
         """(self, other) as elements of one field; None when other is
         irrational in another field (or not a number)."""
         if isinstance(other, NFElem):
-            if other.field is self.field or other.field == self.field:
+            if other.field is self.field:
+                return self, other
+            if other.field == self.field:
                 return self, self.field._moved(other)
             if not other.b:
                 return self, NFElem(self.field, other.a, 0, other.den)
