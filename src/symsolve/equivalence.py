@@ -704,8 +704,8 @@ def case_diagnosis(L: Operator) -> int:
     outside the two-case split.
 
     The order is computed as a rank, exactly, from integer matrices.
-    With c_0 .. c_3 the integer coefficients of L.canonical() and D
-    their largest degree, τ^k u has coordinates a_k in the basis
+    With c_0 .. c_3 the integer coefficients of L (``int_coeffs()``) and
+    D their largest degree, τ^k u has coordinates a_k in the basis
     u, τu, τ²u, and a_k(x) = T(x)·a_(k-1)(x+1) with T the fold of
     τ³u through L.  Clearing c_3 at every step, with M = c_3·T, gives
     the polynomial vectors ã_k = c_3(x)···c_3(x+k-1)·a_k, and τ^k(u²)
@@ -732,12 +732,18 @@ def case_diagnosis(L: Operator) -> int:
     points is the rank of C.  C(x0) is built from the values of the
     c_i at x0, x0+1 and x0+2 with no division, and its rank comes from
     fraction-free elimination.
+
+    The c_i need not be canonical.  A common polynomial factor g of
+    them leaves T as it is, scales M by g(x) and b_3 by g(x), so b_k by
+    g(x)···g(x+k-3) and row k of C by the square of that nonzero
+    polynomial: the rank of C does not change.  The degree bounds above
+    hold for the D of the lists read, so 12D still bounds every minor.
     """
     if L.order != 3:
         raise ValueError("order-3 operator required")
     if not L.is_normal():
         raise ValueError("operator must be normal")
-    cs = L.canonical().int_coeffs()
+    cs = L.int_coeffs()
     bound = 12 * (max(len(c) for c in cs) - 1)
     v0, v1 = ([_eval_int(c, v) for c in cs] for v in (0, 1))
     best = 0

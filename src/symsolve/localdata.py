@@ -112,8 +112,9 @@ def _dot(terms: List[tuple], mu: list) -> list:
                 ca *= sign
                 w[i:] = [o + ca * cb for o, cb in zip(w[i:], b)]
     s = 2 * len(mu) - 1
-    for lo in range(0, len(w), s):
-        _fold(w, lo, lo + s, mu)
+    if s > 1:  # modulo a linear μ the blocks are reduced already
+        for lo in range(0, len(w), s):
+            _fold(w, lo, lo + s, mu)
     return w
 
 
@@ -414,7 +415,10 @@ def edges_at_infinity(L: Operator) -> List[Tuple[Fraction, Poly]]:
 
     The edges are kept on L after the first call, as the exponents are,
     so the table's slope test, the exponents and ``gt_find`` share one
-    polygon.
+    polygon.  They are read from ``L.int_coeffs()``, which has the
+    degrees of L's coefficients and their leads times one positive
+    integer, so the monic edge polynomials are L's own; as for
+    ``generalized_exponents``, L must have rational coefficients.
     """
     if L._edges is None:
         L._edges = _edges_at_infinity(L)
@@ -422,19 +426,22 @@ def edges_at_infinity(L: Operator) -> List[Tuple[Fraction, Poly]]:
 
 
 def _edges_at_infinity(L: Operator) -> List[Tuple[Fraction, Poly]]:
-    polys = L.poly_coeffs()
-    pts = [(i, -p.degree) for i, p in enumerate(polys) if p]
+    bs = L.int_coeffs()
+    pts = [(i, 1 - len(b)) for i, b in enumerate(bs) if b]
     degmap: Dict[int, int] = dict(pts)
     hull = _lower_hull(pts)
     out = []
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        slope = Fraction(y2 - y1, x2 - x1)
+        dx, dy = x2 - x1, y2 - y1
+        slope = Fraction(dy, dx)
         step = slope.denominator
-        phi = [Fraction(0)] * ((x2 - x1) // step + 1)
+        phi = [0] * (dx // step + 1)
         for i in range(x1, x2 + 1, step):
-            if degmap.get(i) == y1 + slope * (i - x1):
-                phi[(i - x1) // step] = Fraction(polys[i].lead())
-        out.append((slope, Poly(phi).monic()))
+            y = degmap.get(i)
+            if y is not None and (y - y1) * dx == dy * (i - x1):
+                phi[(i - x1) // step] = bs[i][-1]
+        lead = phi[-1]
+        out.append((slope, Poly([Fraction(a, lead) for a in phi])))
     return out
 
 

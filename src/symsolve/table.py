@@ -11,7 +11,7 @@ import json
 import math
 import os
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -70,6 +70,19 @@ class TableEntry:
     gquo_templates: Tuple[dict, ...]
     valg_templates: Tuple[dict, ...]
     matcher: Dict[str, object]
+    # the templates as the matcher reads them, parsed once: Gquo's (r, v)
+    # pairs, their set and v-set, and the ValG gaps
+    gquo_pairs: Tuple[Tuple[int, Fraction], ...] = field(init=False, repr=False)
+    gquo_shape: frozenset = field(init=False, repr=False)
+    gquo_vs: frozenset = field(init=False, repr=False)
+    valg_gaps: Tuple[int, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.gquo_pairs = tuple((int(g["r"]), Fraction(g["v"]))
+                                for g in self.gquo_templates)
+        self.gquo_shape = frozenset(self.gquo_pairs)
+        self.gquo_vs = frozenset(v for _, v in self.gquo_pairs)
+        self.valg_gaps = tuple(int(v["gap"]) for v in self.valg_templates)
 
     @property
     def param_names(self) -> List[str]:
@@ -414,13 +427,24 @@ def _slope_differences(L: Operator) -> set:
 
 
 def match_local_data(data: LocalData, table: BaseTable) -> List[TableEntry]:
-    """Entries whose template shapes are compatible with the observed data.
+    """Entries whose template shapes are compatible with the observed
+    data and for which ``solve_parameters`` finds some assignment.
 
     The invariants are read in order of cost, each only for an entry
     that passed the ones before: the slopes at infinity, then the
-    exponents and their Gquo shape, then ValG at the classes of degree 1.
-    An input whose slopes fit no entry computes no exponent, and one
-    whose Gquo fits no entry computes no valuation growth.
+    exponents and their Gquo shape, then the parameter assignments read
+    from Gquo, then ValG at the classes of degree 1.  An input whose
+    slopes fit no entry computes no exponent, and one for which no
+    entry has both the Gquo shape and an assignment computes no
+    valuation growth.
+
+    Parameters before ValG.  An entry with no assignment gives no
+    ``gt_find`` call, so skipping it here moves no answer: the
+    (entry, assignment) pairs a solve tries are those of the order
+    shape, gaps, assignments, in the same order.  Only the Gauss matcher
+    reads ValG, and only once Gquo has given a rational z
+    (``_match_gauss``), so an input whose Gquo holds no rational
+    parameter for any entry of its shape computes no valuation growth.
 
     Slopes.  With D = {s - s'} over the distinct slopes of L at infinity
     and V_e the set of template ``v`` values of entry e, e is skipped
@@ -456,22 +480,20 @@ def match_local_data(data: LocalData, table: BaseTable) -> List[TableEntry]:
     reaches ``gt_find``, which finds nothing.
     """
     diffs = _slope_differences(data.operator)
-    shaped = []
-    for entry in table:
-        t_pairs = [(int(g["r"]), Fraction(g["v"])) for g in entry.gquo_templates]
-        if diffs <= {v for _, v in t_pairs} <= diffs | {0}:
-            shaped.append((entry, t_pairs))
+    shaped = [e for e in table if diffs <= e.gquo_vs <= diffs | {0}]
     if not shaped or len(data.genexp) == 0:
         return []
     obs_classes = _quotient_classes(list(data.gquo))
     obs_shape = _shape_of(obs_classes)
     out = []
-    for entry, t_pairs in shaped:
+    for entry in shaped:
         # constants may collide at special parameter values, so the observed
         # class count can drop below the template's, never exceed it
-        if set(t_pairs) != obs_shape or len(obs_classes) > len(t_pairs):
+        if entry.gquo_shape != obs_shape or len(obs_classes) > len(entry.gquo_pairs):
             continue
-        if not _gaps_compatible([int(v["gap"]) for v in entry.valg_templates],
+        if not solve_parameters(entry, data):
+            continue
+        if not _gaps_compatible(entry.valg_gaps,
                                 [e.gap for e in data.rational_valg]):
             continue
         out.append(entry)
@@ -514,7 +536,22 @@ def _match_gauss(entry: TableEntry, data: LocalData
     The base is the order-3 locus form because the other presentation of
     these functions, the square of the order-2 recurrence of
     2F1(-x+a, x+b; c; z) interlaced with step 2, has order 6 and is not
-    minimal: its endomorphism space has dimension > 1."""
+    minimal: its endomorphism space has dimension > 1.
+
+    Gquo is read before ValG, and ValG only when it gives some rational
+    z in (0, 1): an input with none gets no assignment whatever its
+    classes, and computes no valuation growth here."""
+    zs = set()
+    for g in data.gquo:
+        if g.r != 1 or g.v != 0:
+            return []
+        R = -g.c
+        zz = demote((R + 1) * (R + 1) / (4 * R))
+        if isinstance(zz, Fraction) and 0 < zz < 1:
+            zs.add(zz)
+    if not zs:
+        return []
+
     roots = [-Fraction(e.cls.representative.monic()[0]) for e in data.rational_valg]
     nonzero = [r for r in roots if r != 0]
     if len(roots) == 2 and len(nonzero) == 1:
@@ -524,15 +561,6 @@ def _match_gauss(entry: TableEntry, data: LocalData
         beta = Fraction(0)
     else:
         return []
-
-    zs = set()
-    for g in data.gquo:
-        if g.r != 1 or g.v != 0:
-            return []
-        R = -g.c
-        zz = demote((R + 1) * (R + 1) / (4 * R))
-        if isinstance(zz, Fraction) and 0 < zz < 1:
-            zs.add(zz)
     half = Fraction(1, 2)
     return [{"a": a, "b": beta + half, "c": a + beta + 1, "z": z}
             for z in sorted(zs) for a in (Fraction(0), half)]

@@ -829,6 +829,21 @@ def _int_poly(cs) -> Poly:
 
 
 @st.composite
+def _common_factor(draw):
+    """A nonzero polynomial: random over Q, or -c·(x - k_1)···(x - k_m)
+    with the roots k_i at the first evaluation points of case_diagnosis."""
+    if draw(st.booleans()):
+        f = Poly(draw(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                               min_size=1, max_size=4)))
+        assume(f)
+        return f
+    f = _int_poly([-draw(st.integers(1, 3))])
+    for k in draw(st.lists(st.integers(-2, 8), min_size=1, max_size=3)):
+        f = f * _int_poly([-k, 1])
+    return f
+
+
+@st.composite
 def _case_input(draw):
     """A normal order-3 operator: random, the square of a random order-2 K,
     that square twisted by a random ratio, or gauged by a random map
@@ -898,8 +913,8 @@ class TestCaseDiagnosis:
             monkeypatch.setattr(RatFunc, name, forbidden)
         monkeypatch.setattr(DependencyFinder, "feed", forbidden)
         assert case_diagnosis(L) == 5
-        # canonical() scales by the content once per operator and keeps the
-        # result; with it computed above, the rank loop multiplies no Poly
+        # int_coeffs() clears the denominators once per operator and keeps
+        # the result; with it computed above, the rank loop multiplies no Poly
         monkeypatch.setattr(Poly, "__mul__", forbidden)
         assert case_diagnosis(L) == 5
 
@@ -951,6 +966,14 @@ class TestCaseDiagnosis:
         # S^2 - 2S + 2 one of order 4, so the squares of their squares
         # have order 3 and 4; a twist keeps the order
         assert case_diagnosis(L) == case_reference.case_diagnosis(L)
+
+    @given(L=_case_input(), f=_common_factor())
+    @settings(max_examples=40, deadline=None)
+    def test_a_common_factor_keeps_the_case(self, L, f):
+        # f·L has the lists of L times f, not canonical: each row of C is
+        # scaled by a nonzero polynomial, so its rank stays
+        fL = Operator([f * p for p in L.poly_coeffs()])
+        assert case_diagnosis(fL) == case_diagnosis(L)
 
     def _rank_calls(self, monkeypatch, L):
         shapes = []

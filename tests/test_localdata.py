@@ -35,6 +35,7 @@ from symsolve.series import TSeries
 from symsolve.snf import canonical_shift
 from symsolve.symprod import symprod_first_order, symsquare_order2
 
+import edges_reference
 import field_reference
 import genexp_reference
 from gcrd_reference import gcrd
@@ -480,6 +481,26 @@ def _small_order3(draw):
 
 
 @st.composite
+def _rational_operator(draw):
+    """Random operator of order 1 to 5 over Q(x): Fraction coefficients
+    with denominators up to 6, middle coefficients often zero, and some
+    coefficients divided by a polynomial."""
+    frac = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+    coeffs = []
+    order = draw(st.integers(1, 5))
+    for i in range(order + 1):
+        num = Poly(draw(st.lists(frac, min_size=1, max_size=5)))
+        if 0 < i < order and draw(st.integers(0, 3)) == 0:
+            num = Poly()
+        elif not num:
+            num = P(1)
+        den = Poly(draw(st.lists(frac, min_size=1, max_size=3)))
+        coeffs.append(RatFunc(num, den) if den and draw(st.integers(0, 3)) == 0
+                      else num)
+    return Operator(coeffs)
+
+
+@st.composite
 def _first_order_products(draw):
     """Product of three factors x·S - c·(x + k) from a small pool, so
     that exponents of multiplicity 2 and 3 are common."""
@@ -762,6 +783,19 @@ class TestEdgesAtInfinity:
             event("edge polynomial of degree >= 2")
         if gauge is not None:
             event("gauge")
+
+    @given(_rational_operator())
+    @settings(max_examples=150, deadline=None)
+    def test_integer_form_gives_the_fraction_edges(self, L):
+        # degrees and leads read from int_coeffs(), points tested on an edge
+        # by cross-multiplication, against the Fraction reading of poly_coeffs()
+        got = localdata._edges_at_infinity(L)
+        assert got == edges_reference.edges_at_infinity(Operator(L.coeffs))
+        assert all(type(c) is F for _, phi in got for c in phi.coeffs)
+        if any(not c for c in L.coeffs[1:-1]):
+            event("zero middle coefficient")
+        if any(c.den.degree > 0 for c in L.coeffs):
+            event("rational function coefficient")
 
     def test_kept_on_the_operator(self, monkeypatch):
         # the table's slope test, the exponents and gt_find read one polygon

@@ -13,7 +13,7 @@ from golden_answers import ANSWERS
 from interlace_reference import interlaced_gate
 from test_equivalence import GAUGE_TEXT
 from test_localdata import SWEEP_GAUGES, SWEEP_RATIOS
-from symsolve import localdata
+from symsolve import localdata, solve, table as table_module
 from symsolve.localdata import LocalData, local_data
 from symsolve.opformat import parse_operator
 from symsolve.ore import Operator
@@ -356,7 +356,9 @@ def match_inputs(draw):
 @settings(max_examples=60, deadline=None)
 def test_cheapest_invariant_first_keeps_the_matches(case):
     # the old rule reads every exponent before any entry and ValG at every
-    # class; the matcher reads the slopes first and ValG at degree 1 only
+    # class; the matcher reads the slopes first, then skips an entry with
+    # no parameter assignment, which gives no gt_find call, before it reads
+    # ValG, at degree 1 only
     L, disguise = case
     table = load_table()
     full = local_data(Operator(L.coeffs))
@@ -378,11 +380,13 @@ def test_cheapest_invariant_first_keeps_the_matches(case):
         return
     if old is None:
         assert new == []  # the slope test skipped every entry
-    elif full.genexp_complete:
-        assert new == old
+        return
+    tried = [e for e in old if solve_parameters(e, full)]
+    if full.genexp_complete:
+        assert new == tried
     else:  # the slope test may skip more, never a true disguise
         assert set(e.name for e in new) <= set(e.name for e in old)
-        assert not disguise or new == old
+        assert not disguise or new == tried
 
 
 # -- parameter matchers ------------------------------------------------------
@@ -500,19 +504,27 @@ def _shifts(M: Operator) -> list:
                   for k in (1, -1)]
 
 
+def _golden_records():
+    with open(ANSWERS) as fh:
+        return json.load(fh)
+
+
 def test_matchers_drop_only_repeated_or_futile_assignments(table):
     # over the golden inputs, every assignment is one the matchers of
     # tests/table_reference.py return, and every one of theirs left out
-    # names a kept base operator or its x-shift, or fails gt_find
-    with open(ANSWERS) as fh:
-        records = json.load(fh)
-    kept_total = dropped_total = 0
-    for rec in records:
+    # names a kept base operator or its x-shift, or fails gt_find.  An
+    # entry with no assignment is no match, so the reference assignments
+    # of the entries that the shape and the gaps alone let through are
+    # checked on their own: 3 of them, all failing gt_find (105 dropped
+    # in all when those entries were matched)
+    kept_total = dropped_total = skipped_total = 0
+    for rec in _golden_records():
         if rec["case"] not in (5, 6) or rec["error"]:
             continue
         L = parse_operator(rec["input"])
         data = local_data(L)
-        for e in match_local_data(data, table):
+        matched = match_local_data(data, table)
+        for e in matched:
             got = solve_parameters(e, data)
             ref = table_reference.solve_parameters(e, data)
             assert all(asn in ref for asn in got)
@@ -524,7 +536,82 @@ def test_matchers_drop_only_repeated_or_futile_assignments(table):
                 assert M in kept or gt_find(M, L) is None, (rec["input"], e.name, asn)
             kept_total += len(got)
             dropped_total += len(ref) - len(got)
-    assert (kept_total, dropped_total) == (68, 105)
+        for e in _shape_then_gaps(data, table):
+            if e not in matched:
+                assert not solve_parameters(e, data)
+                ref = table_reference.solve_parameters(e, data)
+                assert all(gt_find(e.instantiate(asn)[0], L) is None for asn in ref)
+                skipped_total += len(ref)
+    assert (kept_total, dropped_total, skipped_total) == (68, 102, 3)
+
+
+def _shape_then_gaps(data, table):
+    """The entry matcher as it read ValG before any parameter: the slope
+    and Gquo shape tests, then the gaps at the classes of degree 1, from
+    the templates as the table file writes them."""
+    diffs = table_module._slope_differences(data.operator)
+    shaped = []
+    for e in table:
+        t_pairs = [(int(g["r"]), F(g["v"])) for g in e.gquo_templates]
+        if diffs <= {v for _, v in t_pairs} <= diffs | {0}:
+            shaped.append((e, t_pairs))
+    if not shaped or len(data.genexp) == 0:
+        return []
+    obs_classes = table_module._quotient_classes(list(data.gquo))
+    obs_shape = table_module._shape_of(obs_classes)
+    out = []
+    for e, t_pairs in shaped:
+        if set(t_pairs) != obs_shape or len(obs_classes) > len(t_pairs):
+            continue
+        if table_module._gaps_compatible([int(v["gap"]) for v in e.valg_templates],
+                                         [v.gap for v in data.rational_valg]):
+            out.append(e)
+    return out
+
+
+def _tried(L, table, matcher):
+    """The (entry, assignment) pairs a solve of L hands to gt_find, with
+    the entries read by matcher, or the exception it meets."""
+    data = local_data(Operator(L.coeffs))
+    try:
+        return [(e.name, asn) for e in matcher(data, table)
+                for asn in solve_parameters(e, data)]
+    except ValueError as exc:
+        return type(exc).__name__
+
+
+def test_parameters_before_valg_try_the_same_pairs(table):
+    # reading the assignments before ValG only skips entries that have none:
+    # on every golden input of cases 5 and 6 a solve tries the pairs it
+    # tried when the gaps came first, in the same order
+    tried = 0
+    for rec in _golden_records():
+        if rec["case"] not in (5, 6):
+            continue
+        L = parse_operator(rec["input"])
+        old = _tried(L, table, _shape_then_gaps)
+        assert _tried(L, table, match_local_data) == old, rec["input"]
+        tried += len(old) if isinstance(old, list) else 0
+    assert tried == 68
+
+
+def test_seed_1_reject_corpus_reads_valg_once(table, monkeypatch):
+    # of the reject inputs whose Gquo fits an entry's shape, one has an
+    # assignment and reads ValG at one class; four have none and read none
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "benchmarks"))
+    import corpus
+    cases = corpus.build("reject", 1, table)
+    calls = []
+    real = localdata.valuation_growth
+
+    def recording(L, cls, offsets=None):
+        calls.append(cls)
+        return real(L, cls, offsets)
+
+    monkeypatch.setattr(localdata, "valuation_growth", recording)
+    for case in cases:
+        solve(case.L, table)
+    assert len(calls) == 1
 
 
 # -- self-validation and the interlaced gate ---------------------------------
