@@ -24,10 +24,8 @@ from .fieldext import NFElem, demote, field_of, value_sqrt
 from .ore import Operator
 from .poly import Poly, _list_mul, _list_shift
 from .series import TSeries
-from .snf import canonical_shift
 
 __all__ = [
-    "SingularityClass",
     "ValGEntry",
     "GenExpRep",
     "GenExpSet",
@@ -48,26 +46,12 @@ _N = Poly((Fraction(0), Fraction(1)))  # the indicial variable
 
 
 @dataclass(frozen=True)
-class SingularityClass:
-    """Shift class of problem points, named by its monic SNF representative."""
-
-    representative: Poly
-
-    def __repr__(self):
-        return f"SingularityClass({self.representative.to_str()})"
-
-
-@dataclass(frozen=True)
 class ValGEntry:
-    cls: SingularityClass
+    """An essential class, named by its monic ``problem_points``
+    representative, and its valuation-growth gap."""
+
+    cls: Poly
     gap: int
-
-
-def _class_poly(cls) -> Poly:
-    rep = cls.representative if isinstance(cls, SingularityClass) else cls
-    if not isinstance(rep, Poly) or rep.degree < 1:
-        raise ValueError("class representative must be a nonconstant polynomial")
-    return rep
 
 
 def problem_points(L: Operator) -> List[Tuple[Poly, List[int]]]:
@@ -150,15 +134,15 @@ def _eps_val(w: list, s: int) -> Optional[int]:
     return next((i // s for i, c in enumerate(w) if c), None)
 
 
-def valuation_growth(L: Operator, cls, offsets: Optional[Sequence[int]] = None
+def valuation_growth(L: Operator, cls: Poly, offsets: Sequence[int]
                      ) -> Tuple[int, int]:
     """Extreme ε-valuation growths of solutions across the singular region
-    of the given shift class: (min, max).  (0, 0) for classes without
+    of the shift class of ``cls``: (min, max).  (0, 0) for a class without
     problem points.
 
-    ``offsets`` are the sorted positions of the class's problem points
-    relative to the roots of ``cls``, as ``problem_points`` lists them
-    for its representatives; they are computed from L when omitted.
+    ``cls`` and ``offsets`` are one item of ``problem_points(L)``: the
+    class's representative and the sorted positions of its problem points
+    relative to the roots of ``cls``.
 
     The transition matrix N over Q(θ)[ε] is the product of the companion
     numerators across the region, so det N = ±∏ a_0·a_d^(d-1) evaluated
@@ -209,16 +193,11 @@ def valuation_growth(L: Operator, cls, offsets: Optional[Sequence[int]] = None
     """
     if not L.is_normal():
         raise ValueError("non-normal at class")
-    rep = _class_poly(cls)
-    if offsets is None:
-        hat, k = canonical_shift(rep.monic())  # rep(x) = hat(x + k), up to a unit
-        offsets = next(([o + k for o in ks] for p, ks in problem_points(L)
-                        if p == hat), [])
     if not offsets:
         return (0, 0)
     d = L.order
 
-    f = rep.primitive().int_coeffs()
+    f = cls.primitive().int_coeffs()
     e, lam = len(f) - 1, f[-1]
     mu = [f[k] * lam ** (e - 1 - k) for k in range(e)]
     bs = L.int_coeffs()
@@ -838,7 +817,7 @@ class LocalData:
       ``rejection``), one ``generalized_exponents`` call, also kept on
       the operator, and Gquo, their quotients;
     - ValG at the classes of degree 1 (``rational_valg``), the only
-      classes the table matcher reads;
+      classes ``table.solve_parameters`` reads;
     - ValG at every class (``valg``), read by ``to_json`` and the
       table's self-validation.
 
@@ -885,7 +864,7 @@ class LocalData:
                 mn, mx = valuation_growth(self.operator, rep, offs)
                 gap = self._gaps[rep] = mx - mn
             if gap > 0:
-                out.append(ValGEntry(SingularityClass(rep), gap))
+                out.append(ValGEntry(rep, gap))
         return tuple(out)
 
     @cached_property
@@ -901,7 +880,7 @@ class LocalData:
         out = {
             "valg": [
                 {
-                    "class": [str(Fraction(c)) for c in e.cls.representative.coeffs],
+                    "class": [str(Fraction(c)) for c in e.cls.coeffs],
                     "gap": e.gap,
                 }
                 for e in self.valg

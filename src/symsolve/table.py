@@ -18,9 +18,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .evaluators import EVALUATORS, eval_special
 from .fieldext import demote, rational_sqrt
-from .localdata import (GenExpRep, LocalData, SingularityClass, ValGEntry,
-                        edges_at_infinity, local_data, problem_points,
-                        r_equivalent)
+from .localdata import (GenExpRep, LocalData, ValGEntry, edges_at_infinity,
+                        local_data, problem_points, r_equivalent)
 from .opformat import (ExprError, eval_fraction, eval_poly, eval_value,
                        template_names)
 from .ore import Operator
@@ -142,7 +141,7 @@ class TableEntry:
                 (p1, g1), (p2, g2) = dips
                 gap = g1 + g2 if int(p1 - p2) % 2 else 0
             if gap > 0:
-                out.add(ValGEntry(SingularityClass(rep), gap))
+                out.add(ValGEntry(rep, gap))
         return out
 
     def expected_gquo(self, assignment: Mapping[str, Fraction]) -> List[GenExpRep]:
@@ -427,24 +426,15 @@ def _slope_differences(L: Operator) -> set:
 
 
 def match_local_data(data: LocalData, table: BaseTable) -> List[TableEntry]:
-    """Entries whose template shapes are compatible with the observed
-    data and for which ``solve_parameters`` finds some assignment.
+    """Entries whose slopes at infinity and Gquo shape are compatible
+    with the observed data.  ``solve_parameters`` reads the rest.
 
     The invariants are read in order of cost, each only for an entry
     that passed the ones before: the slopes at infinity, then the
-    exponents and their Gquo shape, then the parameter assignments read
-    from Gquo, then ValG at the classes of degree 1.  An input whose
-    slopes fit no entry computes no exponent, and one for which no
-    entry has both the Gquo shape and an assignment computes no
-    valuation growth.
-
-    Parameters before ValG.  An entry with no assignment gives no
-    ``gt_find`` call, so skipping it here moves no answer: the
-    (entry, assignment) pairs a solve tries are those of the order
-    shape, gaps, assignments, in the same order.  Only the Gauss matcher
-    reads ValG, and only once Gquo has given a rational z
-    (``_match_gauss``), so an input whose Gquo holds no rational
-    parameter for any entry of its shape computes no valuation growth.
+    exponents and their Gquo shape here, then the parameter assignments
+    read from Gquo and ValG at the classes of degree 1 in
+    ``solve_parameters``.  An input whose slopes fit no entry computes
+    no exponent.
 
     Slopes.  With D = {s - s'} over the distinct slopes of L at infinity
     and V_e the set of template ``v`` values of entry e, e is skipped
@@ -463,21 +453,6 @@ def match_local_data(data: LocalData, table: BaseTable) -> List[TableEntry]:
     so its slope differences pass, and ``gt_find`` succeeds only when
     L's edges are the base's, all shifted by deg r, which leaves D as it
     is.
-
-    ValG at rational classes only.  Every template point (-2b and 2a for
-    Gauss, 0 for Legendre and Hermite, none for Bessel) is rational at
-    rational parameters, and (class, gap) up to shift is GT-invariant,
-    so every essential class of a disguise of a table base has degree 1.
-    Found answers cannot move: if a class of degree >= 2 has gap > 0, no
-    ``gt_find`` can succeed, and if all such gaps are 0, the degree-1
-    multiset is the full one.  Two effects are visible, both on inputs
-    that are no disguise.  ``_gaps_compatible`` does not look at
-    degrees, so an essential degree-2 class with gap 2 used to fit
-    Hermite's template before ``gt_find`` failed; now it is not read,
-    and the input ends in "no table shape", the same "not found".
-    Conversely, an essential class of degree >= 2 that kept the gaps
-    from fitting a template is not read either, and such an input now
-    reaches ``gt_find``, which finds nothing.
     """
     diffs = _slope_differences(data.operator)
     shaped = [e for e in table if diffs <= e.gquo_vs <= diffs | {0}]
@@ -485,19 +460,10 @@ def match_local_data(data: LocalData, table: BaseTable) -> List[TableEntry]:
         return []
     obs_classes = _quotient_classes(list(data.gquo))
     obs_shape = _shape_of(obs_classes)
-    out = []
-    for entry in shaped:
-        # constants may collide at special parameter values, so the observed
-        # class count can drop below the template's, never exceed it
-        if entry.gquo_shape != obs_shape or len(obs_classes) > len(entry.gquo_pairs):
-            continue
-        if not solve_parameters(entry, data):
-            continue
-        if not _gaps_compatible(entry.valg_gaps,
-                                [e.gap for e in data.rational_valg]):
-            continue
-        out.append(entry)
-    return out
+    # constants may collide at special parameter values, so the observed
+    # class count can drop below the template's, never exceed it
+    return [e for e in shaped if e.gquo_shape == obs_shape
+            and len(obs_classes) <= len(e.gquo_pairs)]
 
 
 # -- parameter matchers -------------------------------------------------------
@@ -525,7 +491,7 @@ def _match_gauss(entry: TableEntry, data: LocalData
                  ) -> List[Dict[str, Fraction]]:
     """Assignments of the half-argument Gauss entry.  ValG at the classes
     of degree 1, the only essential ones of a disguise (see
-    ``match_local_data``), fixes b modulo 1/2 as β, leaving (0, β+1/2, β+1),
+    ``solve_parameters``), fixes b modulo 1/2 as β, leaving (0, β+1/2, β+1),
     (1/2, β, β+1) and (1/2, β+1/2, β+3/2) on the locus c = a + b + 1/2.
     The second has the root polynomials of the first after x -> x+1, so
     it is dropped.  Gquo is {-R, -1/R, R², 1/R²}
@@ -552,7 +518,7 @@ def _match_gauss(entry: TableEntry, data: LocalData
     if not zs:
         return []
 
-    roots = [-Fraction(e.cls.representative.monic()[0]) for e in data.rational_valg]
+    roots = [-Fraction(e.cls[0]) for e in data.rational_valg]
     nonzero = [r for r in roots if r != 0]
     if len(roots) == 2 and len(nonzero) == 1:
         beta = (-nonzero[0] / 2) % Fraction(1, 2)
@@ -618,7 +584,38 @@ _MATCHERS = {
 
 def solve_parameters(entry: TableEntry, data: LocalData
                      ) -> List[Dict[str, Fraction]]:
-    """The entry's parameter assignments that the local data allows: one
-    assignment per base operator up to a shift of x, so each is worth one
-    ``gt_find`` call."""
-    return _MATCHERS[entry.matcher["kind"]](entry, data)
+    """The parameter assignments of an entry that ``match_local_data``
+    returned, as far as the local data allows them: one assignment per
+    base operator up to a shift of x, so each is worth one ``gt_find``
+    call.  [] when the entry's matcher finds none, or when the ValG gaps
+    at the rational classes do not fit its template.
+
+    Parameters before ValG.  The gaps are tested only once the matcher
+    has returned assignments.  An entry with none gives no ``gt_find``
+    call whatever its gaps, so the (entry, assignment) pairs a solve
+    tries are those of the order shape, gaps, assignments, in the same
+    order.  Only the Gauss matcher reads ValG, and only once Gquo has
+    given a rational z (``_match_gauss``), so an input whose Gquo holds
+    no rational parameter for any entry of its shape computes no
+    valuation growth.
+
+    ValG at rational classes only.  Every template point (-2b and 2a for
+    Gauss, 0 for Legendre and Hermite, none for Bessel) is rational at
+    rational parameters, and (class, gap) up to shift is GT-invariant,
+    so every essential class of a disguise of a table base has degree 1.
+    Found answers cannot move: if a class of degree >= 2 has gap > 0, no
+    ``gt_find`` can succeed, and if all such gaps are 0, the degree-1
+    multiset is the full one.  Two effects are visible, both on inputs
+    that are no disguise.  ``_gaps_compatible`` does not look at
+    degrees, so an essential degree-2 class with gap 2 used to fit
+    Hermite's template before ``gt_find`` failed; now it is not read,
+    and the input ends in "not found" all the same.  Conversely, an
+    essential class of degree >= 2 that kept the gaps from fitting a
+    template is not read either, and such an input now reaches
+    ``gt_find``, which finds nothing.
+    """
+    assignments = _MATCHERS[entry.matcher["kind"]](entry, data)
+    if assignments and not _gaps_compatible(
+            entry.valg_gaps, [e.gap for e in data.rational_valg]):
+        return []
+    return assignments

@@ -29,7 +29,7 @@ def match_local_data(data: LocalData, table: BaseTable,
     obs_classes = _quotient_classes(list(data.gquo))
     obs_shape = _shape_of(obs_classes)
     gaps = [e.gap for e in data.valg
-            if max_degree is None or e.cls.representative.degree <= max_degree]
+            if max_degree is None or e.cls.degree <= max_degree]
     out = []
     for entry in table:
         t_pairs = [(int(g["r"]), Fraction(g["v"])) for g in entry.gquo_templates]
@@ -60,7 +60,7 @@ def _match_gauss(entry: TableEntry, data: LocalData
     rational zz = (R+1)²/(4R) makes R a root of R² + (2-4zz)·R + 1."""
     roots = []
     for e in data.valg:
-        rep = e.cls.representative.monic()
+        rep = e.cls
         if rep.degree != 1:
             return []
         roots.append(-Fraction(rep[0]))

@@ -17,7 +17,6 @@ from symsolve.fieldext import NumberField, value_sqrt
 from symsolve.localdata import (
     GenExpRep,
     LocalData,
-    SingularityClass,
     ValGEntry,
     edges_at_infinity,
     generalized_exponents,
@@ -97,22 +96,28 @@ class TestProblemPoints:
             problem_points(Operator([RatFunc(Poly(), reduce=False), RF([1])]))
 
 
+def _growth(L: Operator, cls: Poly):
+    """valuation_growth at cls, a representative of problem_points(L),
+    with its offsets."""
+    return valuation_growth(L, cls, dict(problem_points(L))[cls])
+
+
 class TestValuationGrowth:
     def test_tau_minus_x(self):
         L = Operator([-X, P(1)])
-        assert valuation_growth(L, X) == (1, 1)
+        assert _growth(L, X) == (1, 1)
 
     def test_unrelated_class_is_flat(self):
         L = Operator([-X, P(1)])
-        assert valuation_growth(L, X * X + P(7)) == (0, 0)
+        assert valuation_growth(L, X * X + P(7), []) == (0, 0)
 
     def test_turan_gap(self):
-        assert valuation_growth(turan_op(), X) == (0, 2)
+        assert _growth(turan_op(), X) == (0, 2)
 
     def test_quadratic_class(self):
         # problem points at ±sqrt(2); transition matrix lives in Q(sqrt 2)
         L = Operator([-(X * X - P(2)), P(1)])
-        assert valuation_growth(L, X * X - P(2)) == (1, 1)
+        assert _growth(L, X * X - P(2)) == (1, 1)
 
     def test_symsquare_doubles_growth(self):
         rng = random.Random(7)
@@ -120,20 +125,14 @@ class TestValuationGrowth:
             K = Operator(
                 [P(rng.randint(1, 3), 1), P(rng.randint(1, 3)), P(rng.randint(1, 3))]
             )
-            mn, mx = valuation_growth(K, X)
+            mn, mx = _growth(K, X)
             S = symsquare_order2(K).canonical()
-            assert valuation_growth(S, X) == (2 * mn, 2 * mx)
-
-    def test_any_representative_of_the_class(self):
-        L = turan_op()
-        assert valuation_growth(L, X + P(5)) == valuation_growth(L, X)
-        assert valuation_growth(L, P(6, 2)) == valuation_growth(L, X)
-        assert valuation_growth(L, P(-3, 2)) == (0, 0)
+            assert _growth(S, X) == (2 * mn, 2 * mx)
 
     def test_non_normal_message(self):
         L = Operator([RatFunc(Poly(), reduce=False), RF([1])])
         with pytest.raises(ValueError, match="non-normal at class"):
-            valuation_growth(L, X)
+            valuation_growth(L, X, [0])
 
 
 def _eps_val(p: Poly) -> int:
@@ -186,6 +185,15 @@ def _reference_growth(L: Operator, cls: Poly):
     N, vden, vdet = _reference_transition(L, cls)
     entries, cofs = _reference_valuations(N)
     return (min(entries) - vden, vdet - min(cofs) - vden)
+
+
+def _matches_reference(L: Operator) -> bool:
+    """L has problem points, and valuation_growth equals the untruncated
+    reference at each of their classes."""
+    points = problem_points(L)
+    return bool(points) and all(
+        valuation_growth(L, rep, offs) == _reference_growth(L, rep)
+        for rep, offs in points)
 
 
 # the last five have primitive integer forms with leading coefficient
@@ -252,14 +260,13 @@ class TestTruncatedGrowth:
     @settings(max_examples=64, deadline=None)
     def test_matches_untruncated(self, case):
         L, f = case
-        assert valuation_growth(L, f) == _reference_growth(L, f)
-        for rep, offs in problem_points(L):
-            assert valuation_growth(L, rep, offs) == _reference_growth(L, rep)
+        assert canonical_shift(f.monic())[0] in dict(problem_points(L))
+        assert _matches_reference(L)
 
     def test_cubic_class(self):
         f = X ** 3 - P(2)
         L = Operator([f * f.shift(1), X, P(-1), f.shift(2)])
-        assert valuation_growth(L, f) == _reference_growth(L, f)
+        assert _matches_reference(L)
 
     @pytest.mark.parametrize("f, lam", [
         ([1, 0, 4], 2),                    # x^2 + 1/4
@@ -296,18 +303,18 @@ class TestTruncatedGrowth:
         data = local_data(L)
         assert time.perf_counter() - start < 1.0
         assert P(F(1, SEMIPRIME), 1) in [rep for rep, _ in problem_points(L)]
-        assert data.valg == (ValGEntry(SingularityClass(X), 2),)  # N·x + 1 is apparent
+        assert data.valg == (ValGEntry(X, 2),)  # N·x + 1 is apparent
 
     def test_scale_below_the_leading_coefficient(self):
         # 8x^3 - 3 has l = 8, and θ′ = 2θ is already integral; the growths
         # do not depend on the scale, so l·θ gives the same
         f = P(-3, 0, 0, 8)
         L = Operator([f * f.shift(1), X, P(-1), f.shift(2)])
-        assert valuation_growth(L, f) == _reference_growth(L, f)
+        assert _matches_reference(L)
         for g in (P(1, 0, 4), P(1, 2, 4)):  # least scale 2, l = 4
             assert _least_scale(g.int_coeffs()) == 2
             L = Operator([g * g.shift(-1), P(2), g.shift(1) * X])
-            assert valuation_growth(L, g) == _reference_growth(L, g)
+            assert _matches_reference(L)
 
     def test_kept_and_dropped_valuations(self):
         # one entry of N has valuation exactly vdet, the last coefficient
@@ -317,7 +324,7 @@ class TestTruncatedGrowth:
         entries, cofs = _reference_valuations(N)
         assert vdet in entries and vdet in cofs
         assert max(entries) > vdet and max(cofs) > vdet
-        assert valuation_growth(L, X) == _reference_growth(L, X)
+        assert _growth(L, X) == _reference_growth(L, X)
 
     def test_order_one_bound_attained(self):
         # The bound is tight here.  For d >= 2 the least cofactor
@@ -327,12 +334,7 @@ class TestTruncatedGrowth:
         L = Operator([-(X * X - P(2)) * P(2, 4, 1), P(1)])  # (x+2)^2 - 2
         N, _, vdet = _reference_transition(L, X * X - P(2))
         assert _reference_valuations(N)[0] == [vdet] and vdet == 2
-        assert valuation_growth(L, X * X - P(2)) == _reference_growth(L, X * X - P(2))
-
-    def test_offsets_given_or_computed(self):
-        L = turan_op()
-        [(rep, offs)] = problem_points(L)
-        assert valuation_growth(L, rep, offs) == valuation_growth(L, rep) == (0, 2)
+        assert _growth(L, X * X - P(2)) == _reference_growth(L, X * X - P(2))
 
 
 class TestValgSet:
@@ -357,15 +359,15 @@ class TestValgSet:
 
     def test_turan(self):
         assert (set(LocalData(turan_op()).essential_classes())
-                == {ValGEntry(SingularityClass(X), 2)})
+                == {ValGEntry(X, 2)})
 
     def test_legendre_square(self):
         assert (set(LocalData(legendre_sq()).essential_classes())
-                == {ValGEntry(SingularityClass(X), 4)})
+                == {ValGEntry(X, 4)})
 
     def test_hermite_square(self):
         assert (set(LocalData(hermite_sq()).essential_classes())
-                == {ValGEntry(SingularityClass(X), 2)})
+                == {ValGEntry(X, 2)})
 
 
 @st.composite

@@ -1,6 +1,7 @@
 import json
 import random
 import warnings
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import table_reference
 from golden_answers import ANSWERS
 from interlace_reference import interlaced_gate
+from test_api import benchmark_module
 from test_equivalence import GAUGE_TEXT
 from test_localdata import SWEEP_GAUGES, SWEEP_RATIOS
 from symsolve import localdata, solve, table as table_module
@@ -214,7 +216,7 @@ def test_valg_merge_parity(table):
 
     def vg(a, b):
         asn = {"a": a, "b": b, "c": a + b + F(1, 2), "z": F(1, 4)}
-        return {(v.cls.representative, v.gap) for v in e.expected_valg(asn)}
+        return {(v.cls, v.gap) for v in e.expected_valg(asn)}
 
     # separated classes: one dip each
     assert vg(F(0), F(1, 3)) == {(P(F(2, 3), 1), 2), (P(0, 1), 2)}
@@ -297,9 +299,10 @@ def test_exponents_are_not_computed_without_a_slope_fit(table, monkeypatch):
 
 
 def test_valg_is_computed_once(table, monkeypatch):
-    # a gauge-workload disguise of the Gauss square: the matcher and the
-    # parameter solver read the classes of degree 1, to_json all of them
-    # (one has degree 2), and no class is computed twice
+    # a gauge-workload disguise of the Gauss square: the shape test reads
+    # no class, the parameter solver the classes of degree 1, to_json all
+    # of them (one has degree 2), and no class is computed twice.  The
+    # Legendre entry has Gauss's Gquo shape and no assignment
     calls = []
     real = localdata.valuation_growth
 
@@ -311,8 +314,10 @@ def test_valg_is_computed_once(table, monkeypatch):
     data = local_data(parse_operator(GAUGE_TEXT))
     assert calls == []
     entries = match_local_data(data, table)
-    assert [e.name for e in entries] == ["gauss2f1_sq"]
+    assert calls == []
+    assert [e.name for e in entries] == ["gauss2f1_sq", "legendre_sq"]
     assert solve_parameters(entries[0], data)
+    assert solve_parameters(entries[1], data) == []
     assert len(calls) == 3 and all(c.degree == 1 for c in calls)
     assert data.to_json()["valg"]
     assert len(calls) == len(set(calls)) == len(localdata.problem_points(data.operator))
@@ -356,15 +361,16 @@ def match_inputs(draw):
 @settings(max_examples=60, deadline=None)
 def test_cheapest_invariant_first_keeps_the_matches(case):
     # the old rule reads every exponent before any entry and ValG at every
-    # class; the matcher reads the slopes first, then skips an entry with
-    # no parameter assignment, which gives no gt_find call, before it reads
-    # ValG, at degree 1 only
+    # class; the matcher reads the slopes first, and solve_parameters
+    # returns [] for an entry with no parameter assignment, which gives no
+    # gt_find call, before it reads ValG, at degree 1 only.  So the entries
+    # with assignments are those of the old rule that have some
     L, disguise = case
     table = load_table()
     full = local_data(Operator(L.coeffs))
     try:
         old = table_reference.match_local_data(full, table)
-        essential = [e.cls.representative.degree for e in full.valg]
+        essential = [e.cls.degree for e in full.valg]
     except ValueError:  # an escape of the exponents or of Gquo
         old, essential = None, []
     if disguise:
@@ -374,7 +380,9 @@ def test_cheapest_invariant_first_keeps_the_matches(case):
         # an input that is no disguise: ValG at degree 1 only
         old = table_reference.match_local_data(full, table, max_degree=1)
     try:
-        new = match_local_data(local_data(L), table)
+        data = local_data(L)
+        new = [e for e in match_local_data(data, table)
+               if solve_parameters(e, data)]
     except ValueError:
         assert old is None
         return
@@ -456,7 +464,9 @@ def test_gauss_constant_collision_still_recovers_z(table):
     M, _ = e.instantiate({"a": F(1, 2), "b": F(1, 2), "c": F(3, 2), "z": F(1, 2)})
     d = local_data(M)
     assert len(d.gquo) == 3 and not d.valg
-    assert [x.name for x in match_local_data(d, table)] == ["gauss2f1_sq"]
+    assert [x.name for x in match_local_data(d, table)] == [
+        "gauss2f1_sq", "legendre_sq"]
+    assert solve_parameters(table.entry("legendre_sq"), d) == []
     got = solve_parameters(e, d)
     assert _values(got, "z") == [F(1, 2)]
     assert {"a": F(1, 2), "b": F(1, 2), "c": F(3, 2), "z": F(1, 2)} in got
@@ -470,7 +480,9 @@ def test_undisguised_gauss_solves_without_warnings(table):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         data = local_data(M)
-        assert [x.name for x in match_local_data(data, table)] == ["gauss2f1_sq"]
+        assert [x.name for x in match_local_data(data, table)] == [
+            "gauss2f1_sq", "legendre_sq"]
+        assert solve_parameters(table.entry("legendre_sq"), data) == []
         found = next(asn for asn in solve_parameters(e, data)
                      if gt_find(e.instantiate(asn)[0], M) is not None)
     assert found["z"] == F(1, 4)
@@ -516,14 +528,16 @@ def test_matchers_drop_only_repeated_or_futile_assignments(table):
     # entry with no assignment is no match, so the reference assignments
     # of the entries that the shape and the gaps alone let through are
     # checked on their own: 3 of them, all failing gt_find (105 dropped
-    # in all when those entries were matched)
+    # in all when those entries were matched).  The entries that only
+    # the shape lets through get no assignment from solve_parameters
     kept_total = dropped_total = skipped_total = 0
     for rec in _golden_records():
         if rec["case"] not in (5, 6) or rec["error"]:
             continue
         L = parse_operator(rec["input"])
         data = local_data(L)
-        matched = match_local_data(data, table)
+        matched = [e for e in match_local_data(data, table)
+                   if solve_parameters(e, data)]
         for e in matched:
             got = solve_parameters(e, data)
             ref = table_reference.solve_parameters(e, data)
@@ -612,6 +626,35 @@ def test_seed_1_reject_corpus_reads_valg_once(table, monkeypatch):
     for case in cases:
         solve(case.L, table)
     assert len(calls) == 1
+
+
+def test_each_matcher_runs_once_per_solve(table, monkeypatch):
+    # match_local_data reads the slopes and the Gquo shape only, and
+    # solve_parameters runs the entry's matcher: through symsolve.solve and
+    # through the benchmark pipeline, no matcher runs twice on one input
+    # of the seed-1 corpora, whose passes make 3 (gauge), 9 (reject) and
+    # 3 (twist) matcher calls
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "benchmarks"))
+    import corpus
+    pipeline = benchmark_module("pipeline")
+    calls = Counter()
+    for kind, real in list(table_module._MATCHERS.items()):
+        def counting(entry, data, real=real):
+            calls[entry.name] += 1
+            return real(entry, data)
+        monkeypatch.setitem(table_module._MATCHERS, kind, counting)
+    solvers = {"symsolve.solve": lambda L: solve(L, table),
+               "pipeline.solve": lambda L: pipeline.solve(L, table, pipeline.StageLog())}
+    for workload, per_pass in (("gauge", 3), ("reject", 9), ("twist", 3)):
+        cases = corpus.build(workload, 1, table)
+        for name, run in solvers.items():
+            total = 0
+            for i, case in enumerate(cases):
+                calls.clear()
+                run(case.L)
+                assert max(calls.values(), default=0) <= 1, (workload, name, i, calls)
+                total += sum(calls.values())
+            assert total == per_pass, (workload, name, total)
 
 
 # -- self-validation and the interlaced gate ---------------------------------
