@@ -696,6 +696,11 @@ def _cross_rows(v0: List[int], v1: List[int], v2: List[int]) -> List[List[int]]:
     return [[b[0] * b[1], b[0] * b[2], b[1] * b[2]] for b in bs]
 
 
+def _det3(C: List[List[int]]) -> int:
+    (a, b, c), (d, e, f), (g, h, i) = C
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
 def case_diagnosis(L: Operator) -> int:
     """Order of the symmetric square of an order-3 operator.
 
@@ -725,13 +730,17 @@ def case_diagnosis(L: Operator) -> int:
     (b_k,0·b_k,1, b_k,0·b_k,2, b_k,1·b_k,2) for k = 3 .. 5.
 
     b_k has degree <= (k-2)D, so the rows of C have degree <= 2D, 4D
-    and 6D, and every minor of C has degree <= 12D.  Evaluating at an
-    integer x0 cannot raise the rank, so each rank of C(x0) is a lower
-    bound, and 3 is final.  A nonzero minor of degree <= 12D cannot
-    vanish at all of x0 = 0 .. 12D, so the largest rank over those
-    points is the rank of C.  C(x0) is built from the values of the
-    c_i at x0, x0+1 and x0+2 with no division, and its rank comes from
-    fraction-free elimination.
+    and 6D: det C has degree <= 12D and every 2×2 minor degree <= 10D.
+    Evaluating at an integer x0 cannot raise the rank, so each rank of
+    C(x0) is a lower bound, and a nonzero det C(x0) proves rank 3.  A
+    nonzero det C cannot vanish at all of x0 = 0 .. 12D, so the
+    determinant is tested at those points, stopping at the first
+    nonzero one.  When it vanishes at every one, det C = 0 and rank C
+    <= 2, and a nonzero minor of degree <= 10D cannot vanish at all of
+    them either, so the largest rank of C(x0) over the same points,
+    from fraction-free elimination and stopping at the first rank 2,
+    is the rank of C.  C(x0) is built from the values of the c_i at
+    x0, x0+1 and x0+2 with no division.
 
     The c_i need not be canonical.  A common polynomial factor g of
     them leaves T as it is, scales M by g(x) and b_3 by g(x), so b_k by
@@ -744,13 +753,20 @@ def case_diagnosis(L: Operator) -> int:
     if not L.is_normal():
         raise ValueError("operator must be normal")
     cs = L.int_coeffs()
-    bound = 12 * (max(len(c) for c in cs) - 1)
-    v0, v1 = ([_eval_int(c, v) for c in cs] for v in (0, 1))
+    if any(_det3(C) for C in _blocks(cs)):
+        return 6
     best = 0
-    for x0 in range(bound + 1):
-        v2 = [_eval_int(c, x0 + 2) for c in cs]
-        best = max(best, _int_rank(_cross_rows(v0, v1, v2)))
-        if best == 3:
+    for C in _blocks(cs):
+        best = max(best, _int_rank(C))
+        if best == 2:
             break
-        v0, v1 = v1, v2
     return 3 + best
+
+
+def _blocks(cs: List[List[int]]):
+    """C(x0) for x0 = 0 .. 12D, from the integer coefficients cs."""
+    v0, v1 = ([_eval_int(c, v) for c in cs] for v in (0, 1))
+    for x0 in range(12 * (max(len(c) for c in cs) - 1) + 1):
+        v2 = [_eval_int(c, x0 + 2) for c in cs]
+        yield _cross_rows(v0, v1, v2)
+        v0, v1 = v1, v2

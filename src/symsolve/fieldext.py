@@ -9,7 +9,10 @@ factor is a named rejection (`generalized_exponents`).  So this is the
 only kind of number field the package builds; `field_of` and
 `value_sqrt` enforce that reach.  (`valuation_growth` works on
 singularity classes of any degree, but keeps its own integer coordinate
-lists over Z[theta'] and builds no field here.)
+lists over Z[theta'] and builds no field here.)  The loops at infinity
+in `localdata` read these values as integer pairs (a, b) of
+a + b·sqrt(core) over one denominator, with NFElems only for `roots`
+and for the values they return.
 
 A field is named by a radicand, an integer m other than 0 and 1 with
 no square of a prime below ``TRIAL_BOUND`` dividing it: the squarefree

@@ -20,10 +20,9 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .factorization import ExtensionDegreeError, roots
-from .fieldext import NFElem, demote, field_of, value_sqrt
+from .fieldext import NFElem, _normal, demote, field_of, value_sqrt
 from .ore import Operator
 from .poly import Poly, _list_mul, _list_shift
-from .series import TSeries
 
 __all__ = [
     "ValGEntry",
@@ -38,9 +37,6 @@ __all__ = [
     "gquo",
     "local_data",
 ]
-
-_N = Poly((Fraction(0), Fraction(1)))  # the indicial variable
-
 
 # -- finite singularities ----------------------------------------------------
 
@@ -113,18 +109,21 @@ def _minor_det(rows: List[list], mu: list) -> list:
 
 def _taylor(b: list, h: int, lead: int, mu: list, count: int) -> list:
     """The first ``count`` ε-coefficients of b(θ′ + h + λ·ε), λ = lead, in
-    the layout of ``valuation_growth``: the j-th is λ^j·T_j(θ′), with
-    T_j(y) = Σ_m C(m, j)·c_m·y^(m-j) and c = b(y + h)."""
-    c = _list_shift(b, h)
+    the layout of ``valuation_growth``: λ^j times the j-th Taylor
+    coefficient of b at α = θ′ + h, by synthetic division over Z[θ′]/μ,
+    one Horner pass each, with α·u = θ′·u + h·u and θ′·u a shift reduced
+    by the monic μ.  For e = 1, θ′ = -mu[0] and that is ``_list_shift``."""
     e = len(mu)
+    if e == 1:
+        return [a * lead ** j for j, a in enumerate(_list_shift(b, h - mu[0])[:count])]
+    cs = [[a] + [0] * (e - 1) for a in b]
     out = []
-    scale = 1
-    for j in range(min(count, len(c))):
-        t = [math.comb(m, j) * c[m] for m in range(j, len(c))]
-        _fold(t, 0, len(t), mu)
-        t = (t + [0] * e)[:e]
-        out += [scale * a for a in t] + [0] * (e - 1)
-        scale *= lead
+    for i in range(min(count, len(cs))):
+        for k in range(len(cs) - 2, i - 1, -1):
+            u, w = cs[k + 1], cs[k]
+            cs[k] = [w[t] + h * u[t] + (u[t - 1] if t else 0) - u[-1] * mu[t]
+                     for t in range(e)]
+        out += [lead ** i * a for a in cs[i]] + [0] * (e - 1)
     return out
 
 
@@ -172,9 +171,11 @@ def valuation_growth(L: Operator, cls: Poly, offsets: Sequence[int]
 
         c·λ^D·a_i(θ + k + ε) = b_i(θ′ + λk + λε),
 
-    whose ε-coefficients lie in Z[θ′]; products reduced modulo μ stay
-    there, because μ is monic.  Every evaluation of a step is scaled by
-    the same nonzero integer c·λ^D, so the step's companion numerator
+    whose ε-coefficients, λ^j times the Taylor coefficients of b_i at
+    θ′ + λk, lie in Z[θ′] and come from one synthetic division over
+    Z[θ′]/μ (``_taylor``); products reduced modulo μ stay there, because
+    μ is monic.  Every evaluation of a step is scaled by the same
+    nonzero integer c·λ^D, so the step's companion numerator
     is that integer times the true one, N is a nonzero integer times
     the true N, and so is each cofactor: no entry or cofactor valuation
     moves, vdet is unchanged, and the argument above holds word for
@@ -185,7 +186,8 @@ def valuation_growth(L: Operator, cls: Poly, offsets: Sequence[int]
     V, and the V·U left between two steps does not commute with the
     next companion numerator, so the product need not have the Smith
     form of N.  One integer commutes with every factor.  For e = 1,
-    μ = y - θ′ is linear and the reduction of products does nothing.
+    μ = y - θ′ is linear, the reduction of products does nothing, and
+    each expansion is one ``_list_shift`` to the integer θ′ + λk.
 
     An element of Z[θ′][ε] mod ε^(vdet+1) is one integer list with the
     coordinates of ε^j at j·s .. j·s + e - 1, s = 2e - 1; the gap holds
@@ -250,34 +252,43 @@ def valuation_growth(L: Operator, cls: Poly, offsets: Sequence[int]
 # -- indicial polynomial ------------------------------------------------------
 
 
-def _indicial_of_series(bs: Sequence[TSeries]):
+def _indicial_of_series(parts: Sequence[Sequence[list]], vals: Sequence[int],
+                        ram: int):
     """First t-level of sum_i b_i(t)·(1+it)^(-n) with a nonzero coefficient,
-    as (Poly in n, level as Fraction); None when the window shows nothing.
+    from the integer windows of ``_Slope.twisted`` (one list of b_0 .. b_d
+    per coordinate, b_i from t^(vals[i]/ram)): (its polynomial in n times
+    a positive integer, one integer list per coordinate; the level as a
+    Fraction), or None when the windows show nothing.
 
-    (1+it)^(-n) = Σ_j i^j·β_j(n)·t^j with β_j(n) = C(-n, j), the same
-    polynomial for every i.  So level m, in 1/ram units from the least
-    valuation, is Σ_j β_j(n)·S_(m,j) with the scalar
-    S_(m,j) = Σ_i i^j·c_(i, m - j·ram), c_(i,k) the coefficient of b_i
-    at level k: one Poly product per (level, j), and the levels are
-    formed in order until one is nonzero."""
-    ram = bs[0].ram
-    vmin = min(s.val for s in bs)
-    end = min(s.end for s in bs)
-    betas = [Poly.const(Fraction(1))]
+    (1+it)^(-n) = Σ_j i^j·γ_j(n)/j!·t^j with γ_j(n) = (-n)(-n-1)···(-n-j+1).
+    So level m, in 1/ram units from the least valuation, times J! with
+    J = m // ram, is Σ_j (J!/j!)·γ_j(n)·S_(m,j), S_(m,j) = Σ_i i^j·c_(i,
+    m - j·ram) and c_(i,k) the coefficient of b_i at level k: integer,
+    and linear in the c_(i,k), so formed per coordinate."""
+    vmin = min(vals)
+    end = min(v + len(b) for v, b in zip(vals, parts[0]))
+    gammas = [[1]]
     for m in range(end - vmin):
-        Pm = Poly()
-        for j in range(m // ram + 1):
-            if j == len(betas):
-                betas.append(betas[-1] * (-_N - (j - 1)) / j)
-            S = 0
-            for i, s in enumerate(bs):
-                k = m - j * ram + vmin - s.val  # index of level m - j·ram in b_i
-                if k >= 0 and s.coeffs[k]:
-                    S = S + i ** j * s.coeffs[k]
-            if S:
-                Pm = Pm + betas[j] * S
-        if Pm:
-            return Pm, Fraction(vmin + m, ram)
+        top = m // ram
+        while len(gammas) <= top:
+            gammas.append(_list_mul(gammas[-1], [1 - len(gammas), -1]))
+        out = []
+        for bs in parts:
+            Pm = [0] * (top + 1)
+            f = 1  # J!/j!, from j = J down
+            for j in range(top, -1, -1):
+                S = 0
+                for i, (v, b) in enumerate(zip(vals, bs)):
+                    k = m - j * ram + vmin - v  # index of level m - j·ram in b_i
+                    if k >= 0 and b[k]:
+                        S += i ** j * b[k]
+                if S:
+                    for t, g in enumerate(gammas[j]):
+                        Pm[t] += f * S * g
+                f *= j
+            out.append(Pm)
+        if any(any(Pm) for Pm in out):
+            return out, Fraction(vmin + m, ram)
     return None
 
 
@@ -288,7 +299,7 @@ def _value_key(v):
     v = demote(v)
     if isinstance(v, Fraction):
         return (0, (), (v,))
-    return (1, tuple(Fraction(c) for c in v.field.modulus.coeffs), tuple(v.coords))
+    return (1, v.field.modulus.coeffs, v.coords)
 
 
 @dataclass(frozen=True)
@@ -303,9 +314,10 @@ class GenExpRep:
 
     def __post_init__(self):
         object.__setattr__(self, "c", demote(self.c))
-        object.__setattr__(self, "v", Fraction(self.v))
+        if not isinstance(self.v, Fraction):
+            object.__setattr__(self, "v", Fraction(self.v))
         object.__setattr__(self, "tail", tuple(demote(a) for a in self.tail))
-        if (self.v * self.r).denominator != 1:
+        if self.r % self.v.denominator:
             raise ValueError("valuation not representable at this ramification")
         if len(self.tail) != self.r:
             raise ValueError("tail length must equal the ramification")
@@ -432,14 +444,6 @@ def _sqrt(v):
     return s
 
 
-def _add_into(acc: list, p: list) -> None:
-    """acc += p for integer coefficient lists, acc grown in place."""
-    if len(acc) < len(p):
-        acc.extend([0] * (len(p) - len(acc)))
-    for m, a in enumerate(p):
-        acc[m] += a
-
-
 def _series_mul(A: list, B: list, slots: int) -> list:
     """Product of two series truncated to ``slots`` terms; coefficients
     are integer polynomials in β (lists, [] for zero)."""
@@ -448,7 +452,14 @@ def _series_mul(A: list, B: list, slots: int) -> list:
         if pa:
             for j, pb in enumerate(B[:slots - i]):
                 if pb:
-                    _add_into(out[i + j], _list_mul(pa, pb))
+                    acc = out[i + j]
+                    grow = len(pa) + len(pb) - 1 - len(acc)
+                    if grow > 0:
+                        acc.extend([0] * grow)
+                    for s, a in enumerate(pa):
+                        if a:
+                            for t, b in enumerate(pb, s):
+                                acc[t] += a * b
     return out
 
 
@@ -474,8 +485,10 @@ class _Slope:
     binomial terms are integers), and at the end coefficient m of W_i
     is multiplied by 2^(slots-1-m), which leaves all of them over the
     one denominator 2^(slots-1).  L enters with its coefficients cleared
-    to integers by one scalar.  ``twisted`` returns c^i·W_i(β): the true
-    b_i times one nonzero constant shared by every i and level.
+    to integers by one scalar.  ``twisted`` evaluates c^i·W_i(β) with c
+    and β as integer pairs of Q(sqrt m) over one positive integer
+    scale: the true b_i times one nonzero constant shared by every i and
+    level.
 
     Each W_i is exact on ``slots`` terms from the valuation ``vals[i]``
     (in 1/ram units), the window the series product gives; a zero a_i
@@ -484,14 +497,14 @@ class _Slope:
 
     def __init__(self, bs: List[list], v: Fraction, ram: int):
         d = len(bs) - 1
-        self.bs, self.v, self.ram = bs, v, ram
-        self.vals = [int((-max(len(b) - 1, 0) - (d - i) * v) * ram)
-                     for i, b in enumerate(bs)]
+        self.bs, self.v, self.ram, self.e2 = bs, v, ram, int(2 * v)
+        vr = int(v * ram)
+        self.vals = [-max(len(b) - 1, 0) * ram - (d - i) * vr for i, b in enumerate(bs)]
         self._w: Dict[int, List[List[list]]] = {}
 
     def _factor(self, k: int, slots: int) -> List[list]:
         """t^v·τ^k(t^(-v)·h^(-1)) on ``slots`` terms, scaled."""
-        ram, e2 = self.ram, int(2 * self.v)
+        ram, e2 = self.ram, self.e2
         out: List[list] = [[] for _ in range(slots)]
         for q in range(slots if ram == 2 else 1):
             x, j = (-ram) ** q, 0  # (-1)^q·2^q·4^j·C(v - q/2, j)·k^j
@@ -523,22 +536,56 @@ class _Slope:
             self._w[slots] = w
         return w
 
-    def twisted(self, c, beta, slots: int) -> List[TSeries]:
-        """The series c^i·W_i(β), i = 0..d, on ``slots`` terms."""
-        out = []
-        ci = 1
-        for val, wi in zip(self.vals, self._coefficients(slots)):
-            coeffs = []
+    def twisted(self, c, beta, slots: int) -> List[List[list]]:
+        """The series c^i·W_i(β), i = 0..d, on ``slots`` terms from
+        ``vals[i]``, times one positive integer: integer windows, one list
+        per coordinate of Q(sqrt m) (one when c and β are rational).  With
+        c = C/cd, β = B/bd and K = slots - 1 (0 at β = 0), the integer is
+        cd^d·bd^K: w(β) in W_i becomes C^i·cd^(d-i)·Σ_k w_k·B^k·bd^(K-k)."""
+        field = field_of([c, beta])
+        m = field.core if field else 0
+        ca, cb, cd = _coords(c, field)
+        ba, bb, bd = _coords(beta or 0, field)
+        K = slots - 1 if ba or bb else 0
+        pw, ci = [(bd ** K, 0)], (cd ** (len(self.bs) - 1), 0)
+        for _ in range(K):  # B^k·bd^(K-k): each division by bd is exact
+            pw.append(tuple(z // bd for z in _pair_mul(pw[-1], ba, bb, m)))
+        out: List[List[list]] = [[], []]
+        for i, wi in enumerate(self._coefficients(slots)):
+            if i:  # C^i·cd^(d-i)
+                ci = tuple(z // cd for z in _pair_mul(ci, ca, cb, m))
+            xs, ys = [], []
             for p in wi:
-                x = p[0] if p else 0
-                if beta and len(p) > 1:
-                    x = 0
-                    for a in reversed(p):
-                        x = x * beta + a
-                coeffs.append(ci * x if x else 0)
-            out.append(TSeries(self.ram, val, coeffs))
-            ci = ci * c
-        return out
+                x = y = 0
+                for a, (pa, pb) in zip(p, pw):
+                    x, y = x + a * pa, y + a * pb
+                xs.append(x * ci[0] + m * y * ci[1])
+                ys.append(x * ci[1] + y * ci[0])
+            out[0].append(xs)
+            out[1].append(ys)
+        return out[:1] if field is None else out
+
+
+def _pair_mul(x: Tuple[int, int], a: int, b: int, m: int) -> Tuple[int, int]:
+    """(x_0 + x_1·sqrt m)·(a + b·sqrt m) as an integer pair."""
+    return x[0] * a + m * x[1] * b, x[0] * b + x[1] * a
+
+
+def _coords(v, field) -> Tuple[int, int, int]:
+    """The rational or quadratic v as (a, b, den) with v = (a + b·sqrt m)/den
+    in ``field`` (b = 0 when it is None)."""
+    if isinstance(v, NFElem):
+        v = field.coerce(v) if field is not None else v
+        return v.a, v.b, v.den
+    return v.numerator, 0, v.denominator
+
+
+def _value(coords: Sequence[int], field, den: int = 1):
+    """(a + b·sqrt m)/den for coords (a,) or (a, b) and den > 0: a
+    Fraction, or an element of ``field`` when b is nonzero."""
+    if len(coords) < 2 or not coords[1]:
+        return Fraction(coords[0], den)
+    return _normal(field, coords[0], coords[1], den)
 
 
 def _conj(x):
@@ -554,8 +601,9 @@ class _Orbits:
     forms is a polynomial with rational coefficients in c and β, and
     every decision (a level that vanishes, a valuation, a slope, the
     roots of a polynomial and their multiplicities, a square root
-    inside the field) is invariant under the automorphism.  So each
-    pair of conjugate inputs costs one computation."""
+    inside the field) is invariant under the automorphism; the kernels'
+    integer pairs (a, b) over a denominator conj keeps become (a, -b).
+    So each pair of conjugate inputs costs one computation."""
 
     def __init__(self):
         self._done: Dict[tuple, Tuple[List[GenExpRep], bool]] = {}
@@ -582,16 +630,17 @@ def _tail_candidates(slope: _Slope, c, beta) -> List[GenExpRep]:
     in P.
 
     The twisted series are ``slope.twisted``, the true ones times one
-    constant, so P is the true indicial polynomial times that constant:
-    same level, roots and multiplicities.  Over a quadratic field the
-    caller runs this once per pair of conjugate inputs (``_Orbits``)."""
+    constant, so P is the true indicial polynomial times a nonzero
+    constant: same level, roots and multiplicities.  Over a quadratic
+    field the caller runs this once per pair of conjugate inputs
+    (``_Orbits``)."""
     ram = slope.ram
     base = field_of([c, beta])  # the indicial roots must lie in it
     for slots in (2 * ram + 2, 4 * ram + 4):
-        got = _indicial_of_series(slope.twisted(c, beta, slots))
+        got = _indicial_of_series(slope.twisted(c, beta, slots), slope.vals, ram)
         if got is None:
             continue
-        P, _lvl = got
+        P = Poly([_value(x, base) for x in zip(*got[0])])
         if not P.degree >= 1:
             return []  # no roots at this branch
         return [GenExpRep(ram, c, slope.v, (-n0,) if ram == 1 else (beta, -n0), m)
@@ -610,31 +659,35 @@ def _ramified_branch(slope: _Slope, c, want_beta_zero: bool, orbits: _Orbits):
     and it scales the edge polynomial φ of the Δ-polygon, so its roots
     stay.  The caller runs this once per pair of conjugate c; here each
     pair of conjugate β at a rational c gets one indicial step."""
-    d = len(slope.vals) - 1
+    vals = slope.vals
+    d = len(vals) - 1
     entries: List[GenExpRep] = []
     incomplete = False
+    base = field_of([c])
     for slots in (6, 12):
-        bs = slope.twisted(c, None, slots)
-        vals, lead = [], {}
+        parts = slope.twisted(c, None, slots)
+        pts, lead = [], {}
         for alpha in range(d + 1):
-            lo = min(b.val for b in bs[alpha:])
+            lo = min(vals[alpha:])
             for e in range(lo, lo + slots):
-                x = sum(math.comb(i, alpha) * bs[i].coeffs[e - bs[i].val]
-                        for i in range(alpha, d + 1) if bs[i].val <= e)
-                if x:
-                    vals.append((alpha, Fraction(e, 2)))
-                    lead[alpha] = x
+                x = [sum(math.comb(i, alpha) * bs[i][e - vals[i]]
+                         for i in range(alpha, d + 1) if vals[i] <= e)
+                     for bs in parts]
+                if any(x):
+                    pts.append((alpha, e))  # valuation in half-units
+                    lead[alpha] = _value(x, base)
                     break
-        if not vals:
+        if not pts:
             continue  # window too small to see anything
         # supporting line of slope -1/2 in (α, valuation)
-        best = min(va + Fraction(alpha, 2) for alpha, va in vals)
-        touch = [(alpha, va) for alpha, va in vals if va + Fraction(alpha, 2) == best]
-        # other fractional slopes on the lower hull would need ramification > 2
-        hull = _lower_hull([(a, va * 2) for a, va in vals])  # y in half-units
+        best = min(e + alpha for alpha, e in pts)
+        touch = [(alpha, e) for alpha, e in pts if e + alpha == best]
+        # other fractional slopes on the lower hull would need ramification
+        # > 2: 2·slope = dy/dx strictly between -2 and 0, other than -1
+        hull = _lower_hull(pts)
         for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-            slope2 = Fraction(y2 - y1, x2 - x1)  # 2·slope
-            if -2 < slope2 < 0 and slope2 != -1:
+            dx, dy = x2 - x1, y2 - y1
+            if -2 * dx < dy < 0 and dy != -dx:
                 incomplete = True
         betas = []
         if len(touch) >= 2:
@@ -642,10 +695,10 @@ def _ramified_branch(slope: _Slope, c, want_beta_zero: bool, orbits: _Orbits):
             spacing = 0
             for alpha, _ in touch[1:]:
                 spacing = math.gcd(spacing, alpha - a0)
-            phi = [Fraction(0)] * ((touch[-1][0] - a0) // spacing + 1)
+            phi = [0] * ((touch[-1][0] - a0) // spacing + 1)
             for alpha, _va in touch:
-                phi[(alpha - a0) // spacing] = phi[(alpha - a0) // spacing] + lead[alpha]
-            for B, _m in roots(Poly(phi), field_of([c, *phi])):
+                phi[(alpha - a0) // spacing] = lead[alpha]
+            for B, _m in roots(Poly(phi), base):
                 if spacing == 1:
                     betas.append(B)
                 elif spacing == 2:
@@ -690,11 +743,14 @@ def generalized_exponents(L: Operator) -> GenExpSet:
     c^(i-d)·W_i with W_i independent of c (``_Slope``).  So the W_i are
     built once per slope and ramification, on integers, and each root
     c of the edge polynomial reads its indicial step and Δ-polygon off
-    c^i·W_i: the common factor c^(-d) moves no root, multiplicity,
-    valuation or first nonzero level.  Because W_i is rational, the
-    branch at conj(c) is the conjugate of the branch at c, entries,
-    multiplicities and ``complete`` alike, so each conjugate pair of
-    roots is searched once (``_Orbits``).
+    c^i·W_i, on integers too: c and β enter as integer pairs over one
+    positive integer scale per call.  That scale and the common factor
+    c^(-d) move no root, multiplicity, valuation or first nonzero
+    level, and a Poly or NFElem is built only for ``roots`` and for the
+    entries returned.  Because W_i is rational, the branch at conj(c)
+    is the conjugate of the branch at c, entries, multiplicities and
+    ``complete`` alike, so each conjugate pair of roots is searched
+    once (``_Orbits``).
 
     The set is kept on L after the first call, as ``shift_classes`` are,
     so local_data and every hom_space into L share one computation.
@@ -782,23 +838,50 @@ def gquo(ges: GenExpSet) -> List[GenExpRep]:
 
     where e_0 = 1 and e_k = a_k - Σ_(m=1..k) b_m·e_(k-m): the
     coefficients of (1 + Σ a_k·t^(k/r))/(1 + Σ b_k·t^(k/r)) through
-    t^(r/r), which only the first r + 1 terms of each factor reach."""
-    out: List[GenExpRep] = []
-    for gi in ges:
-        for gj in ges:
-            if gi == gj:
+    t^(r/r), which only the first r + 1 terms of each factor reach.
+
+    On integers: every value is an integer pair of a + b·sqrt m over one
+    common denominator D, so E_k = D^k·e_k = D^(k-1)·(D·a_k) -
+    Σ_m (D·b_m)·E_(k-m)·D^(m-1) is a pair, and each quotient in lowest
+    terms is a key of integers, one GenExpRep per distinct key."""
+    values = [x for g in ges for x in (g.c, *g.tail)]
+    field = field_of(values)  # raises for two fields
+    m = field.core if field else 0
+    coords = [_coords(x, field) for x in values]
+    D = math.lcm(*(den for *_, den in coords))
+    ints = iter([(a * (D // den), b * (D // den)) for a, b, den in coords])
+    reps = [(g.r, g.v, next(ints), [next(ints) for _ in g.tail]) for g in ges]
+    out: Dict[tuple, GenExpRep] = {}
+    for gi in reps:
+        for gj in reps:
+            if gi == gj:  # equal values have equal integers
                 continue
-            r = gi.r * gj.r // math.gcd(gi.r, gj.r)
-            field_of([gi.c, *gi.tail, gj.c, *gj.tail])  # raises for two fields
-            a, b = gi.lift(r).tail, gj.lift(r).tail
-            e = [Fraction(1)]
+            (ri, vi, (x, y), a), (rj, vj, (u, w), b) = gi, gj
+            r = ri * rj // math.gcd(ri, rj)
+            a, b = ([z for p in t for z in [(0, 0)] * (r // r0 - 1) + [p]]
+                    for r0, t in ((ri, a), (rj, b)))  # lifted to r
+            E = [(1, 0)]
             for k in range(1, r + 1):
-                e.append(a[k - 1] - sum(b[m - 1] * e[k - m] for m in range(1, k + 1)))
-            q = GenExpRep(r, gi.c / gj.c, gi.v - gj.v, tuple(e[1:]))
-            if not any(q == seen for seen in out):
-                out.append(q)
-    out.sort(key=GenExpRep.sort_key)
-    return out
+                ex, ey = a[k - 1][0] * D ** (k - 1), a[k - 1][1] * D ** (k - 1)
+                for j in range(1, k + 1):
+                    px, py = _pair_mul(E[k - j], *b[j - 1], m)
+                    ex, ey = ex - px * D ** (j - 1), ey - py * D ** (j - 1)
+                E.append((ex, ey))
+            key = (r, vi - vj,
+                   _reduced(x * u - m * y * w, y * u - x * w, u * u - m * w * w),
+                   tuple(_reduced(ex, ey, D ** k) for k, (ex, ey) in enumerate(E[1:], 1)))
+            if key not in out:
+                c, *tail = (_value(t[:2], field, t[2]) for t in (key[2], *key[3]))
+                out[key] = GenExpRep(r, c, key[1], tuple(tail))
+    return sorted(out.values(), key=GenExpRep.sort_key)
+
+
+def _reduced(a: int, b: int, den: int) -> Tuple[int, int, int]:
+    """(a + b·sqrt m)/den in lowest terms with den > 0."""
+    if den < 0:
+        a, b, den = -a, -b, -den
+    g = math.gcd(a, b, den)
+    return a // g, b // g, den // g
 
 # -- aggregate + serialization -------------------------------------------------
 

@@ -188,11 +188,17 @@ class _Parser:
         raise ExprError("expression expected", pos)
 
 
+def parse_template(text: str) -> tuple:
+    """The syntax tree of text, which the ``eval_*`` functions take in
+    place of the text; raises ExprError when text does not parse."""
+    return _Parser(text).parse()
+
+
 def template_names(text: str) -> set:
     """Symbols text refers to, with 'sqrt' when it takes a root; raises
     ExprError when text does not parse."""
     names = set()
-    todo = [_Parser(text).parse()]
+    todo = [parse_template(text)]
     while todo:
         node = todo.pop()
         kind = node[0]
@@ -277,8 +283,9 @@ def _power(base: Value, e: int, pos: int) -> Value:
     return demote(base ** e)
 
 
-def _evaluate(text: str, params: Mapping[str, Fraction]) -> Value:
-    return _eval(_Parser(text).parse(), params)
+def _evaluate(template, params: Mapping[str, Fraction]) -> Value:
+    tree = parse_template(template) if isinstance(template, str) else template
+    return _eval(tree, params)
 
 
 def _constant(v: Value) -> Union[Fraction, NFElem]:
@@ -302,8 +309,9 @@ def parse_operator(text: str, require_normal: bool = True) -> Operator:
     return L
 
 
-def eval_poly(text: str, params: Mapping[str, Fraction]) -> Poly:
-    """A polynomial in x over Q."""
+def eval_poly(text, params: Mapping[str, Fraction]) -> Poly:
+    """A polynomial in x over Q, from a template's text or its
+    ``parse_template`` tree."""
     v = _evaluate(text, params)
     if isinstance(v, NFElem):
         raise ExprError("sqrt is not allowed in polynomial templates", 0)
@@ -314,14 +322,14 @@ def eval_poly(text: str, params: Mapping[str, Fraction]) -> Poly:
     return v.coeff(0).num
 
 
-def eval_fraction(text: str, params: Mapping[str, Fraction]) -> Fraction:
+def eval_fraction(text, params: Mapping[str, Fraction]) -> Fraction:
     v = _constant(_evaluate(text, params))
     if isinstance(v, NFElem):
         raise ExprError("expected a rational number", 0)
     return v
 
 
-def eval_value(text: str, params: Mapping[str, Fraction]) -> Union[Fraction, NFElem]:
+def eval_value(text, params: Mapping[str, Fraction]) -> Union[Fraction, NFElem]:
     """A Fraction, or an NFElem in Q(sqrt(core)) when irrational."""
     return _constant(_evaluate(text, params))
 

@@ -409,8 +409,8 @@ def _list_shift(a, h) -> list:
 def _int_cleared(polys) -> list:
     """Integer coefficient lists of c·p for every p, with c the least
     common denominator of all their coefficients: one scalar for all."""
-    c = _lcm(*(Fraction(a).denominator for p in polys for a in p.coeffs))
-    return [[(Fraction(a) * c).numerator for a in p.coeffs] for p in polys]
+    c = _lcm(*(a.denominator for p in polys for a in p.coeffs))
+    return [[a.numerator * (c // a.denominator) for a in p.coeffs] for p in polys]
 
 
 def poly_lcm(a: Poly, b: Poly) -> Poly:

@@ -21,7 +21,7 @@ from .fieldext import demote, rational_sqrt
 from .localdata import (GenExpRep, LocalData, ValGEntry, edges_at_infinity,
                         local_data, problem_points, r_equivalent)
 from .opformat import (ExprError, eval_fraction, eval_poly, eval_value,
-                       template_names)
+                       parse_template, template_names)
 from .ore import Operator
 from .poly import P, Poly
 from .snf import canonical_shift
@@ -69,14 +69,17 @@ class TableEntry:
     gquo_templates: Tuple[dict, ...]
     valg_templates: Tuple[dict, ...]
     matcher: Dict[str, object]
-    # the templates as the matcher reads them, parsed once: Gquo's (r, v)
-    # pairs, their set and v-set, and the ValG gaps
+    # the templates as instantiate and the matcher read them, parsed once:
+    # the root's syntax trees, Gquo's (r, v) pairs, their set and v-set,
+    # and the ValG gaps
+    root_trees: Dict[str, tuple] = field(init=False, repr=False)
     gquo_pairs: Tuple[Tuple[int, Fraction], ...] = field(init=False, repr=False)
     gquo_shape: frozenset = field(init=False, repr=False)
     gquo_vs: frozenset = field(init=False, repr=False)
     valg_gaps: Tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
+        self.root_trees = {k: parse_template(t) for k, t in self.root.items()}
         self.gquo_pairs = tuple((int(g["r"]), Fraction(g["v"]))
                                 for g in self.gquo_templates)
         self.gquo_shape = frozenset(self.gquo_pairs)
@@ -92,10 +95,11 @@ class TableEntry:
     def root_polys(self, assignment: Mapping[str, Fraction]
                    ) -> Tuple[Poly, Poly, Fraction, Poly]:
         """(a0, p, D, a2) with the middle coefficient p*sqrt(D)."""
-        a0 = eval_poly(self.root["a0"], assignment)
-        p = eval_poly(self.root["a1"], assignment)
-        D = eval_fraction(self.root["sqrt"], assignment)
-        a2 = eval_poly(self.root["a2"], assignment)
+        t = self.root_trees
+        a0 = eval_poly(t["a0"], assignment)
+        p = eval_poly(t["a1"], assignment)
+        D = eval_fraction(t["sqrt"], assignment)
+        a2 = eval_poly(t["a2"], assignment)
         return a0, p, D, a2
 
     def instantiate(self, assignment: Mapping[str, Fraction]

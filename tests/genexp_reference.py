@@ -3,15 +3,19 @@ oracles.
 
 For every root c of every edge this twists L by the windowed series of
 c·t^v·h, through a generic series inverse, the shift τ applied term by
-term and one series product per coefficient; quotients of exponents go
-through a series division.  The package builds the twist once per slope
-over the integers, reads each root off it, searches one root per
-conjugate pair, and writes quotients in closed form; its results must
-agree with these.  The twist here starts from the windows of L's own
-coefficients, where the package clears them to integers by one scalar.
-The series arithmetic they use (sums, products, ramification changes,
-windows) lives here too, as functions on ``TSeries``: the package needs
-none of it.
+term and one series product per coefficient, and reads the indicial
+polynomial by ``indicial_reference``'s direct expansion, in Fraction
+and number-field arithmetic; quotients of exponents go through a series
+division.  The package builds the twist once per slope over the
+integers, reads each root off it on integer coordinates at one scale,
+searches one root per conjugate pair, and writes quotients in closed
+form; its results must agree with these.  The twist here starts from
+the windows of L's own coefficients, where the package clears them to
+integers by one scalar.
+
+The series windows (``TSeries``) and the arithmetic on them (sums,
+products, ramification changes) live here too: the package keeps its
+windows as integer lists and needs none of it.
 """
 
 import math
@@ -24,16 +28,49 @@ from symsolve.localdata import (
     GenExpRep,
     GenExpSet,
     _dedupe_entries,
-    _indicial_of_series,
     _lower_hull,
     _sqrt,
 )
 from symsolve.ore import Operator
 from symsolve.poly import Poly, _fieldify
-from symsolve.series import TSeries
+
+from indicial_reference import indicial_of_series
 
 
 # -- series operations -------------------------------------------------------
+
+
+class TSeries:
+    """Truncated Laurent/Puiseux series in t = 1/x: the window
+    sum_k coeffs[k]·t^((val+k)/ram) + O(t^((val+len)/ram)) of known
+    coefficients, which are Fractions, number-field elements or
+    polynomials in the indicial variable."""
+
+    __slots__ = ("ram", "val", "coeffs")
+
+    def __init__(self, ram: int, val: int, coeffs: Sequence):
+        if ram < 1:
+            raise ValueError("ramification must be positive")
+        self.ram = ram
+        self.val = val
+        self.coeffs = tuple(coeffs)
+
+    @property
+    def end(self) -> int:
+        """First unknown exponent, in 1/ram units."""
+        return self.val + len(self.coeffs)
+
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)
+
+    def __bool__(self):
+        return not self.is_zero()
+
+    def __repr__(self):
+        parts = [f"({c})*t^({Fraction(self.val + k, self.ram)})"
+                 for k, c in enumerate(self.coeffs) if c]
+        tail = f"O(t^({Fraction(self.end, self.ram)}))"
+        return "TSeries(" + (" + ".join(parts + [tail])) + ")"
 
 
 def from_poly_in_invx(p: Poly, ram: int, pad: int) -> TSeries:
@@ -271,7 +308,7 @@ def _tail_candidates(polys, c, v: Fraction, beta, ram: int) -> List[GenExpRep]:
         else:
             cs = [c, c * beta] + [Fraction(0)] * (slots - 2)
             g = TSeries(2, int(Fraction(v) * 2), cs[:slots])
-        got = _indicial_of_series(twisted_series(polys, g, slots))
+        got = indicial_of_series(twisted_series(polys, g, slots))
         if got is None:
             continue
         P, _lvl = got

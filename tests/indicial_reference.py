@@ -10,14 +10,14 @@ from fractions import Fraction
 from typing import Sequence
 
 from symsolve.poly import Poly
-from symsolve.series import TSeries
 
 _N = Poly((Fraction(0), Fraction(1)))  # the indicial variable
 
 
-def indicial_of_series(bs: Sequence[TSeries]):
+def indicial_of_series(bs: Sequence):
     """First t-level of sum_i b_i(t)·(1+it)^(-n) with a nonzero coefficient,
-    as (Poly in n, level as Fraction); None when the window shows nothing."""
+    for the windows bs (``genexp_reference.TSeries``), as (Poly in n,
+    level as Fraction); None when the window shows nothing."""
     ram = bs[0].ram
     vmin = min(s.val for s in bs)
     end = min(s.end for s in bs)

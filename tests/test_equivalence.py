@@ -914,8 +914,13 @@ class TestCaseDiagnosis:
         monkeypatch.setattr(DependencyFinder, "feed", forbidden)
         assert case_diagnosis(L) == 5
         # int_coeffs() clears the denominators once per operator and keeps
-        # the result; with it computed above, the rank loop multiplies no Poly
+        # the result; with it computed above, the determinant sweep and the
+        # rank read multiply no Poly and do no Fraction arithmetic
         monkeypatch.setattr(Poly, "__mul__", forbidden)
+        for name in ("__new__", "__add__", "__radd__", "__sub__", "__rsub__",
+                     "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+                     "__floordiv__", "__pow__", "__neg__"):
+            monkeypatch.setattr(F, name, forbidden)
         assert case_diagnosis(L) == 5
 
     def test_number_field_rejected(self):
@@ -975,26 +980,44 @@ class TestCaseDiagnosis:
         fL = Operator([f * p for p in L.poly_coeffs()])
         assert case_diagnosis(fL) == case_diagnosis(L)
 
-    def _rank_calls(self, monkeypatch, L):
-        shapes = []
-        rank = equivalence._int_rank
+    def _calls(self, monkeypatch, L):
+        """case_diagnosis(L), the number of blocks C(x0) built for the
+        determinant sweep and the rank read, and the shapes ranked."""
+        blocks, shapes = [], []
+        cross, rank = equivalence._cross_rows, equivalence._int_rank
 
-        def recording(rows):
+        def building(*vs):
+            blocks.append(vs)
+            return cross(*vs)
+
+        def ranking(rows):
             shapes.append((len(rows), len(rows[0])))
             return rank(rows)
 
-        monkeypatch.setattr(equivalence, "_int_rank", recording)
-        return case_diagnosis(L), shapes
+        monkeypatch.setattr(equivalence, "_cross_rows", building)
+        monkeypatch.setattr(equivalence, "_int_rank", ranking)
+        return case_diagnosis(L), len(blocks), shapes
 
-    def test_case_5_ranks_every_point(self, monkeypatch):
+    def test_case_5_tests_every_determinant(self, monkeypatch):
+        # det C vanishes at all 12D + 1 points, and the first block ranked,
+        # built again, has rank 2, which ends the rank read
         L = symsquare_order2(Operator([P(1, 1), P(-3, 2), P(2)]))
         assert max(p.degree for p in L.canonical().poly_coeffs()) == 4
-        case, shapes = self._rank_calls(monkeypatch, L)
-        assert case == 5 and shapes == [(3, 3)] * 49  # 12D + 1 points
+        assert self._calls(monkeypatch, L) == (5, 49 + 1, [(3, 3)])
 
     def test_case_6_stops_at_full_rank(self, monkeypatch):
-        case, shapes = self._rank_calls(monkeypatch, parse_operator(GAUGE_TEXT))
-        assert case == 6 and shapes == [(3, 3)]
+        # the first nonzero determinant ends the sweep, with no rank read
+        assert self._calls(monkeypatch, parse_operator(GAUGE_TEXT)) == (6, 1, [])
+
+    def test_rank_read_covers_every_point(self, monkeypatch):
+        # the square of the square of S^2 - 2S + 2 has order 4 (see
+        # test_matches_the_full_krylov_rank), so rank C = 1 < 2: every
+        # point is ranked
+        L = symprod_first_order(symsquare_order2(parse_operator("S^2 - 2S + 2")),
+                                RF([0, 0, 1]))
+        points = 12 * max(len(c) - 1 for c in L.int_coeffs()) + 1
+        assert points > 1
+        assert self._calls(monkeypatch, L) == (4, 2 * points, [(3, 3)] * points)
 
 
 class TestTypes:

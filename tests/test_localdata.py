@@ -12,8 +12,8 @@ from sympy import factorint
 
 from symsolve import localdata, snf
 from symsolve.equivalence import transformed_operator
-from symsolve.factorization import factor_over_Q
-from symsolve.fieldext import NumberField, value_sqrt
+from symsolve.factorization import factor_over_Q, roots
+from symsolve.fieldext import NumberField, demote, field_of, value_sqrt
 from symsolve.localdata import (
     GenExpRep,
     LocalData,
@@ -28,9 +28,8 @@ from symsolve.localdata import (
 )
 from symsolve.opformat import parse_operator
 from symsolve.ore import Operator
-from symsolve.poly import P, Poly
+from symsolve.poly import P, Poly, _fieldify
 from symsolve.ratfunc import RF, RatFunc
-from symsolve.series import TSeries
 from symsolve.snf import canonical_shift
 from symsolve.symprod import symprod_first_order, symsquare_order2
 
@@ -38,7 +37,7 @@ import edges_reference
 import field_reference
 import genexp_reference
 from gcrd_reference import gcrd
-from genexp_reference import div, from_poly_in_invx, mul, one, series, trunc
+from genexp_reference import TSeries, div, from_poly_in_invx, mul, one, series, trunc
 from indicial_reference import indicial_of_series
 
 X = P(0, 1)
@@ -252,6 +251,35 @@ def _scales_to_integers(f: list, lam: int) -> bool:
     return all((F(f[k], f[-1]) * lam ** (e - k)).denominator == 1 for k in range(e))
 
 
+def _binomial_taylor(b: list, h: int, lead: int, mu: list, count: int) -> list:
+    """``localdata._taylor`` by the binomial formula: the j-th
+    ε-coefficient of b(θ′ + h + λε) is λ^j·T_j(θ′) with T_j(y) =
+    Σ_m C(m, j)·c_m·y^(m-j), c = b(y + h), reduced modulo μ."""
+    e = len(mu)
+    c = Poly([F(a) for a in b]).shift(F(h))
+    monic = Poly([F(a) for a in mu] + [F(1)])
+    out = []
+    for j in range(min(count, len(b))):
+        t = Poly([F(math.comb(m, j)) * c[m] for m in range(j, len(b))]) % monic
+        out += [lead ** j * int(t[k]) for k in range(e)] + [0] * (e - 1)
+    return out
+
+
+class TestTaylorStep:
+    """The ε-coefficients of each step of ``valuation_growth`` come from
+    one synthetic division over Z[θ′]/μ; the binomial formula with a
+    reduction per coefficient must give the same lists."""
+
+    @given(b=st.lists(st.integers(-5, 5), min_size=1, max_size=6),
+           h=st.integers(-6, 6), lead=st.integers(1, 4),
+           mu=st.lists(st.integers(-4, 4), min_size=1, max_size=3),
+           count=st.integers(1, 8))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_binomial_formula(self, b, h, lead, mu, count):
+        assert localdata._taylor(b, h, lead, mu, count) == _binomial_taylor(
+            b, h, lead, mu, count)
+
+
 class TestTruncatedGrowth:
     """valuation_growth reduces everything mod ε^(vdet+1); an untruncated
     reference must give the same growths."""
@@ -262,6 +290,7 @@ class TestTruncatedGrowth:
         L, f = case
         assert canonical_shift(f.monic())[0] in dict(problem_points(L))
         assert _matches_reference(L)
+        event(f"class of degree {f.degree}")
 
     def test_cubic_class(self):
         f = X ** 3 - P(2)
@@ -430,32 +459,94 @@ def _series_windows(draw):
     return windows
 
 
+def _integer_indicial(bs):
+    """``localdata._indicial_of_series`` on the windows bs, handed over as
+    the twist hands them: times the lcm of every coordinate's
+    denominator, one part per coordinate.  Returns (the level's
+    polynomial as a Poly, level) or None."""
+    field = field_of([c for s in bs for c in s.coeffs])
+    coords = [[localdata._coords(c, field) for c in s.coeffs] for s in bs]
+    D = math.lcm(*(den for cs in coords for _, _, den in cs))
+    parts = [[[x[p] * (D // x[2]) for x in cs] for cs in coords]
+             for p in range(1 if field is None else 2)]
+    got = localdata._indicial_of_series(parts, [s.val for s in bs], bs[0].ram)
+    if got is None:
+        return None
+    for part in got[0]:
+        assert all(type(a) is int for a in part)
+    return Poly([localdata._value(x, field) for x in zip(*got[0])]), got[1]
+
+
+def _same_up_to_a_positive_scale(got, want):
+    """The integer kernel's (P, level) against the reference's: the same
+    level, and P the reference's polynomial times a positive rational."""
+    if want is None:
+        return got is None
+    ratio = demote(got[0].lead() / _fieldify(want[0].lead()))
+    return (got[1] == want[1] and isinstance(ratio, Fraction) and ratio > 0
+            and got[0] == want[0] * ratio)
+
+
 class TestIndicialOfSeries:
     """The indicial step sums Σ_i i^j·c_(i,k) before the one product by
-    β_j(n) per (level, j); the direct expansion must give the same."""
+    γ_j(n) per (level, j), on integer coordinates; the direct expansion
+    must give the same level and polynomial up to a positive scale."""
 
     @given(_series_windows())
     @settings(max_examples=150, deadline=None)
     def test_matches_direct_expansion(self, bs):
-        assert localdata._indicial_of_series(bs) == indicial_of_series(bs)
+        assert _same_up_to_a_positive_scale(_integer_indicial(bs), indicial_of_series(bs))
 
     def test_only_the_i0_term(self):
         # b_0 alone is never expanded: (1 + 0·t)^(-n) = 1
         bs = [TSeries(1, -1, (F(3), F(5))), TSeries(1, 0, (F(0), F(0)))]
-        got = localdata._indicial_of_series(bs)
-        assert got == indicial_of_series(bs) == (P(3), F(-1))
+        assert _integer_indicial(bs) == indicial_of_series(bs) == (P(3), F(-1))
 
     def test_all_zero_window(self):
         bs = [TSeries(2, 0, (F(0),) * 4), TSeries(2, -1, (F(0),) * 5)]
-        assert localdata._indicial_of_series(bs) is None
+        assert _integer_indicial(bs) is None
         assert indicial_of_series(bs) is None
 
     def test_quadratic_coefficients(self):
         bs = [TSeries(2, -2, (SQRT_M2, F(0), F(1))),
               TSeries(2, -2, (-SQRT_M2, F(1), F(0)))]
-        got = localdata._indicial_of_series(bs)
-        assert got == indicial_of_series(bs)
+        got = _integer_indicial(bs)
+        assert _same_up_to_a_positive_scale(got, indicial_of_series(bs))
         assert got[1] == F(-1, 2)
+
+
+class TestIntegerKernels:
+    """The twist and the indicial step read values in Q(sqrt m) as integer
+    pairs: every coefficient they return is an int, with one part per
+    coordinate, and they do no Fraction arithmetic."""
+
+    @pytest.mark.parametrize("text, parts", [
+        ("S^2 - 3*x*S + 2*x^2", 1),   # edge (T - 1)(T - 2): c = 1, 2
+        ("3*S^2 + 2*x*S + x^2", 2),   # edge 1 + 2T + 3T^2: c in Q(sqrt(-2))
+        ("S^4 + x*S^2 + x^2", 2),     # slope 1/2, c^2 a root of T^2 + T + 1
+    ])
+    def test_integer_lists(self, monkeypatch, text, parts):
+        L = parse_operator(text)
+        (slope, phi), = edges_at_infinity(L)
+        ram = slope.denominator
+        twist = localdata._Slope(L.int_coeffs(), -slope, ram)
+        cs = [r for T, _ in roots(phi) for r in
+              ((T,) if ram == 1 else (value_sqrt(T), -value_sqrt(T)))]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("Fraction arithmetic in an integer kernel")
+
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                     "__rmul__", "__truediv__", "__rtruediv__", "__pow__", "__neg__"):
+            monkeypatch.setattr(F, name, forbidden)
+        for c in cs:
+            for beta in ((None,) if ram == 1 else (None, c)):
+                got = twist.twisted(c, beta, 4 * ram + 4)
+                assert len(got) == parts
+                assert all(type(a) is int for bs in got for b in bs for a in b)
+                level = localdata._indicial_of_series(got, twist.vals, ram)
+                assert level is not None and len(level[0]) == parts
+                assert all(type(a) is int for P0 in level[0] for a in P0)
 
 
 def _definitional_mult(L: Operator, e: GenExpRep) -> int:
@@ -463,7 +554,7 @@ def _definitional_mult(L: Operator, e: GenExpRep) -> int:
     of the indicial polynomial of L twisted by the represented element."""
     polys = L.poly_coeffs()
     for slots in (2 * e.r + 2, 4 * e.r + 4):
-        got = localdata._indicial_of_series(
+        got = indicial_of_series(
             genexp_reference.twisted_series(polys, series(e, slots), slots))
         if got:
             P0 = got[0]

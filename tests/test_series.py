@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symsolve.poly import P
-from symsolve.series import TSeries
 
 from genexp_reference import (
-    add, coeff_at, div, from_poly_in_invx, inverse, lift, mul, one, reduce_ram, strip, sub, tau,
-    valuation,
+    TSeries, add, coeff_at, div, from_poly_in_invx, inverse, lift, mul, one, reduce_ram,
+    strip, sub, tau, valuation,
 )
 
 

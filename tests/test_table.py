@@ -192,6 +192,23 @@ def test_instantiate_builds_the_square(table):
     assert M == bessel_sq(F(2))
 
 
+def test_instantiate_parses_no_template(table, monkeypatch):
+    # the root templates are parsed once, at load; instantiate evaluates
+    # the kept trees and gives the same operator as the template text
+    from symsolve import opformat
+    e = gauss_entry(table)
+    asn = {"a": F(0), "b": F(2, 3), "c": F(7, 6), "z": F(1, 4)}
+    want = [opformat.eval_poly(e.root[k], asn) for k in ("a0", "a1", "a2")]
+
+    def forbidden(text):
+        raise AssertionError(f"template {text!r} parsed after load")
+
+    monkeypatch.setattr(opformat, "_Parser", forbidden)
+    a0, p, D, a2 = e.root_polys(asn)
+    assert [a0, p, a2] == want and D == F(3, 4)
+    assert e.instantiate(asn)[0].order == 3
+
+
 def test_instantiate_rejects_degenerate_values(table):
     with pytest.raises(TableError, match="middle root coefficient vanishes"):
         table.entry("hermite_sq").instantiate({"z": F(0)})
